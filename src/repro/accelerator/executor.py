@@ -25,7 +25,8 @@ from typing import Callable, Optional, Protocol, Sequence, Union
 import numpy as np
 
 from repro.catalog.schema import Column, TableSchema
-from repro.errors import ParseError
+from repro.errors import ParseError, SqlError
+from repro.metrics.counters import SizedRows, estimate_columns_bytes
 from repro.sql import ast, logical
 from repro.sql.expressions import (
     Scope,
@@ -42,14 +43,16 @@ from repro.sql.planning import (
     map_children,
     references_only,
     resolve_order_position,
-    sort_rows_with_keys,
     split_conjuncts,
 )
 from repro.sql.stats import CostModel
-from repro.accelerator.vtable import VTable
+from repro.accelerator.vtable import VTable, column_codes, order_indexes, rows_from_columns
 
 #: Shared strategy thresholds for the estimate-driven join choice.
 _COST_MODEL = CostModel()
+
+#: The LIMIT window of a statement without one.
+_NO_WINDOW = slice(None)
 
 __all__ = [
     "VectorTableProvider",
@@ -214,12 +217,19 @@ class VectorQueryEngine:
         self,
         stmt: Union[ast.SelectStatement, ast.SetOperation, logical.PlanNode],
     ) -> tuple[list[str], list[tuple]]:
-        """Run a statement or pre-bound logical plan; returns (columns, rows)."""
+        """Run a statement or pre-bound logical plan; returns (columns, rows).
+
+        The plan runs column-at-a-time throughout; this is the one place
+        its result is boxed into row tuples.
+        """
         if isinstance(stmt, logical.PlanNode):
             plan = stmt
         else:
             plan = logical.plan_statement(stmt)
-        return self._execute_plan(plan)
+        columns, table = self._execute_plan(plan)
+        return columns, SizedRows(
+            table.to_rows(), estimate_columns_bytes(table.columns)
+        )
 
     def _checkpoint(self) -> None:
         """Cooperative cancellation point (operator/chunk boundaries)."""
@@ -277,104 +287,145 @@ class VectorQueryEngine:
 
     # -- plan walker -------------------------------------------------------------
 
-    def _execute_plan(self, node: logical.PlanNode) -> tuple[list[str], list[tuple]]:
+    def _execute_plan(self, node: logical.PlanNode) -> tuple[list[str], VTable]:
         self._checkpoint()
         if isinstance(node, logical.Limit):
             with self._op_span("limit"):
                 stats = self._stats(node)
                 started = time.perf_counter() if stats is not None else 0.0
-                columns, rows = self._execute_plan(node.child)
-                out = logical.slice_rows(rows, node.offset, node.limit)
+                start = node.offset or 0
+                window = slice(
+                    start, None if node.limit is None else start + node.limit
+                )
+                if isinstance(node.child, logical.Sort):
+                    # Top-N: the sort slices its order vector by the
+                    # window before gathering any row.
+                    columns, table = self._execute_sort(node.child, window)
+                else:
+                    columns, table = self._execute_plan(node.child)
+                    table = table.take(np.arange(table.length)[window])
                 if stats is not None:
-                    stats.observe(len(out), time.perf_counter() - started)
-                return columns, out
+                    stats.observe(table.length, time.perf_counter() - started)
+                return columns, table
         if isinstance(node, logical.Sort):
-            stats = self._stats(node)
-            if stats is None:
-                return self._execute_sorted(node.child, node.order_by)
-            started = time.perf_counter()
-            columns, rows = self._execute_sorted(node.child, node.order_by)
-            stats.observe(len(rows), time.perf_counter() - started)
-            return columns, rows
+            return self._execute_sort(node)
         if isinstance(node, logical.SetOp):
             return self._execute_set_op(node)
-        if isinstance(node, logical.Aggregate):
-            return self._execute_aggregate(node, ())
-        if isinstance(node, logical.Project):
-            return self._execute_project(node, ())
+        if isinstance(node, (logical.Aggregate, logical.Project)):
+            return self._execute_select(node)[:2]
         raise ParseError(f"cannot execute plan node {type(node).__name__}")
 
-    def _execute_sorted(
-        self, child: logical.PlanNode, order_by: Sequence[ast.OrderItem]
-    ) -> tuple[list[str], list[tuple]]:
+    def _execute_sort(
+        self, node: logical.Sort, window: slice = _NO_WINDOW
+    ) -> tuple[list[str], VTable]:
+        """ORDER BY, with the enclosing LIMIT's ``window`` if there is one.
+
+        The profile counts the rows the Sort ordered, not the rows the
+        window let through (those are the Limit's).
+        """
+        stats = self._stats(node)
+        started = time.perf_counter() if stats is not None else 0.0
+        child = node.child
         with self._op_span("sort"):
             # Projection and aggregation fuse their ORDER BY (keys may
             # reference the pre-projection input scope); set operations
             # sort over output columns.
-            if isinstance(child, logical.Aggregate):
-                return self._execute_aggregate(child, order_by)
-            if isinstance(child, logical.Project) and child.child is not None:
-                return self._execute_project(child, order_by)
-            columns, rows = self._execute_plan(child)
-            return columns, logical.order_rows_by_output(
-                columns, rows, order_by, self._params
-            )
+            if isinstance(child, logical.Aggregate) or (
+                isinstance(child, logical.Project) and child.child is not None
+            ):
+                columns, table, ordered = self._execute_select(
+                    child, node.order_by, window
+                )
+            else:
+                columns, table = self._execute_plan(child)
+                named = VTable(
+                    Scope([(None, name) for name in columns]),
+                    table.columns,
+                    table.length,
+                )
+                keys = self._order_keys(node.order_by, table.columns, named, {})
+                table, ordered = _arrange(table, keys, node.order_by, False, window)
+        if stats is not None:
+            stats.observe(ordered, time.perf_counter() - started)
+        return columns, table
 
-    def _execute_set_op(self, node: logical.SetOp) -> tuple[list[str], list[tuple]]:
+    def _order_keys(
+        self,
+        order_by: Sequence[ast.OrderItem],
+        out_cols: list[VColumn],
+        table: VTable,
+        alias_map: dict[str, ast.Expression],
+    ) -> list[VColumn]:
+        """ORDER BY key columns: 1-based positions name output columns,
+        anything else is an expression over ``table`` (select aliases in
+        ``alias_map`` apply when the name is not a column of it)."""
+        keys: list[VColumn] = []
+        for order in order_by:
+            expr = order.expression
+            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+                keys.append(
+                    out_cols[resolve_order_position(expr.value, len(out_cols))]
+                )
+                continue
+            if (
+                isinstance(expr, ast.ColumnRef)
+                and expr.table is None
+                and expr.name in alias_map
+                and not _resolvable(expr, table.scope)
+            ):
+                expr = alias_map[expr.name]
+            fn = compile_vector(
+                expr, table.scope, self._params, self._resolver(table.scope)
+            )
+            keys.append(fn(table.columns, table.length))
+        return keys
+
+    def _execute_set_op(self, node: logical.SetOp) -> tuple[list[str], VTable]:
         stats = self._stats(node)
         started = time.perf_counter() if stats is not None else 0.0
         with self._op_span("setop", op=node.op):
-            left_cols, left_rows = self._execute_plan(node.left)
-            right_cols, right_rows = self._execute_plan(node.right)
-            rows = logical.combine_set_rows(
-                node.op, left_cols, left_rows, right_cols, right_rows
-            )
+            left_cols, left = self._execute_plan(node.left)
+            right_cols, right = self._execute_plan(node.right)
+            table = _combine_set_tables(node.op, left, right)
         if stats is not None:
-            stats.observe(len(rows), time.perf_counter() - started)
-        return left_cols, rows
+            stats.observe(table.length, time.perf_counter() - started)
+        return left_cols, table
 
-    def _execute_project(
-        self, node: logical.Project, order_by: Sequence[ast.OrderItem]
-    ) -> tuple[list[str], list[tuple]]:
-        stats = self._stats(node)
-        if node.child is None:
-            columns, rows = self._constant_select(node.select_items)
-            if stats is not None:
-                stats.observe(len(rows), 0.0)
-            return columns, rows
-        started = time.perf_counter() if stats is not None else 0.0
-        with self._op_span("project"):
-            table = self._build_table(node.child, allow_parallel=True)
-            columns, rows = self._project(node.select_items, order_by, table)
-        if node.distinct:
-            rows = logical.dedup_rows(rows)
-        if stats is not None:
-            stats.observe(len(rows), time.perf_counter() - started)
-        return columns, rows
+    def _execute_select(
+        self,
+        node: Union[logical.Project, logical.Aggregate],
+        order_by: Sequence[ast.OrderItem] = (),
+        window: slice = _NO_WINDOW,
+    ) -> tuple[list[str], VTable, int]:
+        """A Project or Aggregate with its fused ORDER BY and LIMIT window.
 
-    def _execute_aggregate(
-        self, node: logical.Aggregate, order_by: Sequence[ast.OrderItem]
-    ) -> tuple[list[str], list[tuple]]:
+        Returns (columns, table, rows produced before ``window``).
+        """
         stats = self._stats(node)
         started = time.perf_counter() if stats is not None else 0.0
-        with self._op_span("aggregate"):
+        aggregate = isinstance(node, logical.Aggregate)
+        with self._op_span("aggregate" if aggregate else "project"):
             direct = None
-            if not order_by and not node.group_by and node.having is None:
+            if not aggregate:
+                if node.child is None:
+                    direct = self._constant_select(node.select_items)
+            elif not order_by and not node.group_by and node.having is None:
                 direct = self._partial_aggregate(node)
             if direct is not None:
-                columns, rows = direct
+                columns, table = direct
+                keys: list[VColumn] = []
             else:
-                table = self._build_table(node.child, allow_parallel=True)
-                columns, rows = self._aggregate(node, order_by, table)
-        if node.distinct:
-            rows = logical.dedup_rows(rows)
+                source = self._build_table(node.child, allow_parallel=True)
+                produce = self._aggregate if aggregate else self._project
+                columns, table, keys = produce(node, order_by, source)
+            table, produced = _arrange(table, keys, order_by, node.distinct, window)
         if stats is not None:
-            stats.observe(len(rows), time.perf_counter() - started)
-        return columns, rows
+            stats.observe(produced, time.perf_counter() - started)
+        return columns, table, produced
 
     def _constant_select(
         self, select_items: Sequence[ast.SelectItem]
-    ) -> tuple[list[str], list[tuple]]:
+    ) -> tuple[list[str], VTable]:
         scope = Scope([])
         columns: list[str] = []
         values: list[object] = []
@@ -386,7 +437,7 @@ class VectorQueryEngine:
             )
             values.append(fn(()))
             columns.append(item.alias or expression_label(item.expression, position))
-        return columns, [tuple(values)]
+        return columns, _single_row(values)
 
     # -- FROM side of the plan ------------------------------------------------------
 
@@ -434,17 +485,11 @@ class VectorQueryEngine:
             stats = self._stats(node)
             started = time.perf_counter() if stats is not None else 0.0
             with self._op_span("subquery", alias=node.alias):
-                columns, rows = self._execute_plan(node.plan)
+                columns, table = self._execute_plan(node.plan)
             scope = Scope([(node.alias, name) for name in columns])
-            packed = [
-                VColumn.from_objects([row[i] for row in rows])
-                for i in range(len(columns))
-            ]
-            if not rows:
-                packed = [VColumn(values=np.empty(0, dtype=object))] * len(columns)
             if stats is not None:
-                stats.observe(len(rows), time.perf_counter() - started)
-            return VTable(scope, packed, len(rows))
+                stats.observe(table.length, time.perf_counter() - started)
+            return VTable(scope, table.columns, table.length)
         if isinstance(node, logical.Join):
             stats = self._stats(node)
             if stats is None:
@@ -686,7 +731,7 @@ class VectorQueryEngine:
 
     def _partial_aggregate(
         self, node: logical.Aggregate
-    ) -> Optional[tuple[list[str], list[tuple]]]:
+    ) -> Optional[tuple[list[str], VTable]]:
         """Whole-statement collapse to mergeable partial aggregates.
 
         Only fires for a whole-table (no GROUP BY / HAVING / ORDER BY)
@@ -752,7 +797,7 @@ class VectorQueryEngine:
             item.alias or expression_label(item.expression, i)
             for i, item in enumerate(node.select_items)
         ]
-        row = tuple(
+        row = [
             _merge_partials(
                 spec,
                 [r[3][i] for r in results],
@@ -761,8 +806,8 @@ class VectorQueryEngine:
                 else None,
             )
             for i, spec in enumerate(specs)
-        )
-        return labels, [row]
+        ]
+        return labels, _single_row(row)
 
     def _partial_aggregate_specs(
         self, select_items: Sequence[ast.SelectItem], scope: Scope
@@ -1047,7 +1092,8 @@ class VectorQueryEngine:
         node: logical.Aggregate,
         order_by: Sequence[ast.OrderItem],
         table: VTable,
-    ) -> tuple[list[str], list[tuple]]:
+    ) -> tuple[list[str], VTable, list[VColumn]]:
+        """Returns (columns, one row per group, ORDER BY key columns)."""
         scope = table.scope
         group_canon = [canonicalize(g, scope) for g in node.group_by]
         aggregates: list[ast.FunctionCall] = []
@@ -1108,11 +1154,9 @@ class VectorQueryEngine:
             )
             for g in node.group_by
         ]
-        inverse, group_count, key_rows = _group_inverse(key_columns, table.length)
+        inverse, group_count, first_rows = _group_inverse(key_columns, table.length)
         if group_count == 0 and not node.group_by:
             group_count = 1
-            inverse = np.zeros(0, dtype=np.int64)
-            key_rows = [()]
 
         # Aggregates.
         agg_columns: list[VColumn] = []
@@ -1124,10 +1168,10 @@ class VectorQueryEngine:
         post_entries = [(None, f"__G{i}") for i in range(len(node.group_by))]
         post_entries += [(None, f"__A{j}") for j in range(len(aggregates))]
         post_scope = Scope(post_entries)
-        group_out_columns = [
-            VColumn.from_objects([key_rows[g][i] for g in range(group_count)])
-            for i in range(len(node.group_by))
-        ]
+        # A group's key is its first row's: dtypes and values stay exact.
+        group_out_columns = VTable(Scope([]), key_columns, table.length).gather(
+            first_rows
+        )
         post_table = VTable(
             post_scope, group_out_columns + agg_columns, group_count
         )
@@ -1152,29 +1196,13 @@ class VectorQueryEngine:
             )
             for expr, _ in select_rewritten
         ]
-        rows = VTable(Scope([]), projected, post_table.length).to_rows()
-        if not projected:
-            rows = [()] * post_table.length
-
-        if order_rewritten:
-            key_fns = [
-                compile_vector(
-                    o.expression, post_scope, self._params, self._resolver(post_scope)
-                )
-                for o in order_rewritten
-            ]
-            key_cols = [
-                fn(post_table.columns, post_table.length) for fn in key_fns
-            ]
-            key_lists = [col.to_objects() for col in key_cols]
-            keys = [
-                tuple(key_lists[k][i] for k in range(len(key_lists)))
-                for i in range(post_table.length)
-            ]
-            rows = sort_rows_with_keys(
-                rows, keys, [o.ascending for o in order_rewritten]
-            )
-        return columns, rows
+        key_cols = [
+            compile_vector(
+                o.expression, post_scope, self._params, self._resolver(post_scope)
+            )(post_table.columns, post_table.length)
+            for o in order_rewritten
+        ]
+        return columns, VTable(Scope([]), projected, post_table.length), key_cols
 
     def _compute_aggregate(
         self,
@@ -1262,10 +1290,12 @@ class VectorQueryEngine:
 
     def _project(
         self,
-        select_items: Sequence[ast.SelectItem],
+        node: logical.Project,
         order_by: Sequence[ast.OrderItem],
         table: VTable,
-    ) -> tuple[list[str], list[tuple]]:
+    ) -> tuple[list[str], VTable, list[VColumn]]:
+        """Returns (columns, projected table, ORDER BY key columns)."""
+        select_items = node.select_items
         columns: list[str] = []
         out_cols: list[VColumn] = []
         position = 0
@@ -1282,51 +1312,86 @@ class VectorQueryEngine:
             out_cols.append(fn(table.columns, table.length))
             columns.append(item.alias or expression_label(item.expression, position))
             position += 1
-
-        if not order_by:
-            return columns, VTable(Scope([]), out_cols, table.length).to_rows()
-
         alias_map = {
             item.alias: item.expression
             for item in select_items
             if item.alias is not None
         }
-        # Keys are either projected output columns (1-based positions)
-        # or expressions over the input scope (incl. alias fallback).
-        key_cols: list[VColumn] = []
-        for order in order_by:
-            expr = order.expression
-            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                key_cols.append(
-                    out_cols[resolve_order_position(expr.value, len(out_cols))]
-                )
-                continue
-            if (
-                isinstance(expr, ast.ColumnRef)
-                and expr.table is None
-                and expr.name in alias_map
-                and not _resolvable(expr, table.scope)
-            ):
-                expr = alias_map[expr.name]
-            fn = compile_vector(
-                expr, table.scope, self._params, self._resolver(table.scope)
-            )
-            key_cols.append(fn(table.columns, table.length))
-        rows = VTable(Scope([]), out_cols, table.length).to_rows()
-        key_lists = [col.to_objects() for col in key_cols]
-        keys = [
-            tuple(key_lists[k][i] for k in range(len(key_lists)))
-            for i in range(table.length)
-        ]
-        rows = sort_rows_with_keys(
-            rows, keys, [o.ascending for o in order_by]
-        )
-        return columns, rows
+        keys = self._order_keys(order_by, out_cols, table, alias_map)
+        return columns, VTable(Scope([]), out_cols, table.length), keys
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _arrange(
+    out: VTable,
+    key_cols: list[VColumn],
+    order_by: Sequence[ast.OrderItem],
+    distinct: bool,
+    window: slice,
+) -> tuple[VTable, int]:
+    """ORDER BY, DISTINCT and the LIMIT window over ``out``.
+
+    All three work on one vector of row indexes and the rows are gathered
+    once, after the window has cut it: top-N moves ``limit`` rows, not
+    the sorted table. Also returns the row count before the window (a
+    window only ever comes with an ORDER BY).
+    """
+    indexes = None
+    if order_by:
+        indexes = order_indexes(key_cols, [o.ascending for o in order_by])
+    if distinct:
+        ordered = out if indexes is None else out.take(indexes)
+        first = _first_occurrences(ordered)
+        indexes = first if indexes is None else indexes[first]
+    if indexes is None:
+        return out, out.length
+    return out.take(indexes[window]), len(indexes)
+
+
+def _first_occurrences(table: VTable) -> np.ndarray:
+    """Indexes of the first row of each distinct value, in row order.
+
+    DISTINCT and the set operations compare whole rows the way the row
+    engine does (Python tuple equality), so they box the rows to decide
+    which to keep; the rows kept are still gathered as columns.
+    """
+    seen: dict[tuple, int] = {}
+    for index, row in enumerate(rows_from_columns(table.columns)):
+        seen.setdefault(row, index)
+    return np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
+
+
+def _combine_set_tables(op: str, left: VTable, right: VTable) -> VTable:
+    """UNION [ALL] / EXCEPT / INTERSECT (see logical.combine_set_rows)."""
+    if left.width != right.width:
+        raise SqlError("set operation operands have different widths")
+    if op in ("UNION ALL", "UNION"):
+        table = VTable(
+            left.scope,
+            [_concat_columns(a, b) for a, b in zip(left.columns, right.columns)],
+            left.length + right.length,
+        )
+        if op == "UNION ALL":
+            return table
+    elif op in ("EXCEPT", "INTERSECT"):
+        right_rows = set(rows_from_columns(right.columns))
+        keep = [
+            (row in right_rows) == (op == "INTERSECT")
+            for row in rows_from_columns(left.columns)
+        ]
+        table = left.filter(np.array(keep, dtype=bool))
+    else:
+        raise ParseError(f"unknown set operation {op}")
+    return table.take(_first_occurrences(table))
+
+
+def _single_row(values: Sequence[object]) -> VTable:
+    """A one-row table of scalar results (constant SELECT, partial aggregates)."""
+    return VTable(Scope([]), [VColumn.from_objects([v]) for v in values], 1)
 
 
 def _contains_subquery(expr: ast.Expression) -> bool:
@@ -1523,50 +1588,35 @@ def _key_tuples(key_columns: list[VColumn], length: int):
 
 def _group_inverse(
     key_columns: list[VColumn], length: int
-) -> tuple[np.ndarray, int, list[tuple]]:
-    """Map rows to dense group ids; returns (inverse, n_groups, keys)."""
-    if not key_columns:
-        if length == 0:
-            return np.zeros(0, dtype=np.int64), 0, []
-        return np.zeros(length, dtype=np.int64), 1, [()]
-    numeric = all(
-        col.values.dtype.kind in "ifb" and col.mask is None
-        for col in key_columns
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Map rows to dense group ids, groups numbered by first appearance.
+
+    Returns ``(inverse, n_groups, first_rows)``; ``first_rows[g]`` is the
+    first row of group ``g``, whose key values are the group's. Each key
+    column is ranked to codes (NULL is a value of its own: SQL groups
+    NULLs together) and the codes are combined as digits of one
+    mixed-radix number per row.
+    """
+    combined = np.zeros(length, dtype=np.int64)
+    if not key_columns:  # every row in one group; none when there are no rows
+        groups = min(length, 1)
+        return combined, groups, np.zeros(groups, dtype=np.int64)
+    radix = 1
+    for col in key_columns:
+        codes, cardinality = column_codes(col)
+        if radix * cardinality >= 2**62:
+            # Re-rank what is combined so far: at most ``length`` values.
+            uniques, combined = np.unique(combined, return_inverse=True)
+            radix = len(uniques)
+        combined = combined * cardinality + codes
+        radix *= cardinality
+    __, first, inverse = np.unique(
+        combined, return_index=True, return_inverse=True
     )
-    if numeric and length:
-        stacked = np.stack([col.values.astype(np.float64) for col in key_columns])
-        uniques, inverse = np.unique(stacked, axis=1, return_inverse=True)
-        keys = [
-            tuple(
-                _restore_scalar(key_columns[k].values.dtype, uniques[k, g])
-                for k in range(len(key_columns))
-            )
-            for g in range(uniques.shape[1])
-        ]
-        return inverse.astype(np.int64), uniques.shape[1], keys
-    # Generic path via Python tuples (handles strings and NULL keys;
-    # SQL groups NULLs together).
-    object_lists = [col.to_objects() for col in key_columns]
-    mapping: dict[tuple, int] = {}
-    inverse = np.empty(length, dtype=np.int64)
-    keys: list[tuple] = []
-    for i in range(length):
-        key = tuple(values[i] for values in object_lists)
-        group = mapping.get(key)
-        if group is None:
-            group = len(keys)
-            mapping[key] = group
-            keys.append(key)
-        inverse[i] = group
-    return inverse, len(keys), keys
-
-
-def _restore_scalar(dtype: np.dtype, value: float):
-    if dtype.kind in "i":
-        return int(value)
-    if dtype.kind == "b":
-        return bool(value)
-    return float(value)
+    by_appearance = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_appearance] = np.arange(len(first))
+    return rank[inverse], len(first), first[by_appearance]
 
 
 def _count_distinct(

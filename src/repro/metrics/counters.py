@@ -18,6 +18,8 @@ __all__ = [
     "MovementStats",
     "ReplicationStats",
     "Timer",
+    "SizedRows",
+    "estimate_columns_bytes",
     "estimate_rows_bytes",
     "estimate_value_bytes",
 ]
@@ -134,8 +136,48 @@ def estimate_value_bytes(value) -> int:
     return 16
 
 
+class SizedRows(list):
+    """Result rows that carry their serialized size.
+
+    The accelerator sizes a result on its columns, before it boxes them
+    into these rows, so charging the transfer does not walk every value
+    again.
+    """
+
+    __slots__ = ("wire_bytes",)
+
+    def __init__(self, rows=(), wire_bytes: int = 0) -> None:
+        super().__init__(rows)
+        self.wire_bytes = wire_bytes
+
+
 def estimate_rows_bytes(rows) -> int:
     """Serialized-size estimate of a result set."""
+    if isinstance(rows, SizedRows):
+        return rows.wire_bytes
     return sum(
         1 + estimate_value_bytes(value) for row in rows for value in row
     )
+
+
+def estimate_columns_bytes(columns) -> int:
+    """:func:`estimate_rows_bytes` of the rows that ``columns`` box into.
+
+    ``columns`` are aligned value arrays with an optional NULL mask
+    (``.values``, ``.mask``). Fixed-width dtypes are sized as width times
+    rows; only object columns (strings, decimals, dates) look at values.
+    """
+    total = 0
+    for col in columns:
+        nulls = 0 if col.mask is None else int(col.mask.sum())
+        live = len(col.values) - nulls
+        total += len(col.values) + nulls
+        kind = col.values.dtype.kind
+        if kind == "b":
+            total += live
+        elif kind in "if":
+            total += 8 * live
+        else:
+            values = col.values if col.mask is None else col.values[~col.mask]
+            total += sum(map(estimate_value_bytes, values.tolist()))
+    return total

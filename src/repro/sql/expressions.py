@@ -15,6 +15,7 @@ comparisons).
 
 from __future__ import annotations
 
+import datetime
 import math
 import re
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ import numpy as np
 
 from repro.errors import ParseError, SqlError
 from repro.sql import ast
+from repro.sql.types import DATE, TIMESTAMP
 
 __all__ = [
     "Scope",
@@ -261,12 +263,13 @@ def compile_scalar(
         lower = compile_scalar(expr.lower, scope, params, subquery_resolver)
         upper = compile_scalar(expr.upper, scope, params, subquery_resolver)
         negated = expr.negated
+        at_most = compare_scalar_values["<="]
 
         def _between(row):
             value = operand(row)
             if value is None:
                 return None
-            result = lower(row) <= value <= upper(row)
+            result = at_most(lower(row), value) and at_most(value, upper(row))
             return (not result) if negated else result
 
         return _between
@@ -380,27 +383,26 @@ def _scalar_divide(a, b):
     return a / b
 
 
+def _temporal_type(value):
+    """The SQL type a string is coerced to when compared with ``value``."""
+    if isinstance(value, datetime.datetime):
+        return TIMESTAMP
+    if isinstance(value, datetime.date):
+        return DATE
+    return None
+
+
 def _coerce_comparable(a, b):
     """Make a value pair comparable; string literals against temporal
     values are parsed the way DB2 coerces them."""
-    import datetime
-
-    if isinstance(a, datetime.datetime) and isinstance(b, str):
-        from repro.sql.types import TIMESTAMP
-
-        return a, TIMESTAMP.coerce(b)
-    if isinstance(b, datetime.datetime) and isinstance(a, str):
-        from repro.sql.types import TIMESTAMP
-
-        return TIMESTAMP.coerce(a), b
-    if isinstance(a, datetime.date) and isinstance(b, str):
-        from repro.sql.types import DATE
-
-        return a, DATE.coerce(b)
-    if isinstance(b, datetime.date) and isinstance(a, str):
-        from repro.sql.types import DATE
-
-        return DATE.coerce(a), b
+    if isinstance(b, str):
+        sql_type = _temporal_type(a)
+        if sql_type is not None:
+            return a, sql_type.coerce(b)
+    elif isinstance(a, str):
+        sql_type = _temporal_type(b)
+        if sql_type is not None:
+            return sql_type.coerce(a), b
     return a, b
 
 
@@ -954,27 +956,32 @@ def _compile_vector_binary(expr, scope, params, subquery_resolver):
     if op in _VECTOR_COMPARISONS:
         kernel = _VECTOR_COMPARISONS[op]
         scalar_compare = compare_scalar_values[op]
+        constant_left = _is_string_constant(expr.left, params)
+        constant_right = _is_string_constant(expr.right, params)
 
         def _compare(cols, n):
             a = left(cols, n)
             b = right(cols, n)
             av, bv = _align_for_compare(a.values, b.values)
+            mask = _combine_masks(a.mask, b.mask)
+            ka, kb = av, bv
+            if constant_right:
+                ka, kb = _coerce_temporal_constant(av, bv, mask)
+            elif constant_left:
+                kb, ka = _coerce_temporal_constant(bv, av, mask)
             try:
-                values = kernel(av, bv)
+                values = kernel(ka, kb)
             except TypeError:
-                # Mixed object types (e.g. DATE column vs string literal):
-                # fall back to element-wise comparison with coercion.
-                mask_a = a.null_mask()
-                mask_b = b.null_mask()
+                # Genuinely mixed object types in one column: element-wise
+                # comparison with per-value coercion.
+                live = ~mask if mask is not None else np.ones(n, dtype=bool)
                 values = np.array(
                     [
-                        not (mask_a[i] or mask_b[i])
-                        and scalar_compare(av[i], bv[i])
+                        live[i] and scalar_compare(av[i], bv[i])
                         for i in range(n)
                     ],
                     dtype=bool,
                 )
-            mask = _combine_masks(a.mask, b.mask)
             if mask is not None:
                 values = values & ~mask
             return VColumn(values=values.astype(bool), mask=mask)
@@ -1037,6 +1044,39 @@ def _compile_vector_binary(expr, scope, params, subquery_resolver):
         return _concat
 
     raise ParseError(f"unknown operator {op}")
+
+
+def _is_string_constant(expr: ast.Expression, params: Sequence[object]) -> bool:
+    if isinstance(expr, ast.Literal):
+        return isinstance(expr.value, str)
+    return isinstance(expr, ast.Parameter) and isinstance(params[expr.index], str)
+
+
+def _coerce_temporal_constant(
+    column: np.ndarray, constant: np.ndarray, mask: Optional[np.ndarray]
+):
+    """A DATE/TIMESTAMP ``column`` and a broadcast string, made comparable.
+
+    The string is coerced once, as DB2 coerces it, to the type of the
+    column's first live value (an empty or all-NULL column coerces
+    nothing, so an invalid string raises exactly when the row engine
+    would reach it), and masked slots take the coerced value so the
+    object-array kernel never compares a NULL carrier. Any other pair
+    comes back unchanged.
+    """
+    if column.dtype != object or not len(column):
+        return column, constant
+    first = 0 if mask is None else int(mask.argmin())  # first live slot
+    if mask is not None and mask[first]:
+        return column, constant
+    sql_type = _temporal_type(column[first])
+    if sql_type is None:
+        return column, constant
+    value = sql_type.coerce(constant[0])
+    if mask is not None:
+        column = column.copy()
+        column[mask] = value
+    return column, value
 
 
 def _align_for_compare(a: np.ndarray, b: np.ndarray):

@@ -99,6 +99,23 @@ class TestExplainAnalyze:
         limit = next(r for r in operators if "Limit" in str(r[0]))
         assert limit[2] == 3  # actual rows through the Limit
 
+    def test_sort_under_limit_reports_rows_ordered_on_both_engines(self):
+        """The LIMIT cuts the sort's index vector before any row is
+        gathered; the Sort still reports the rows it ordered, as DB2's."""
+        db = make_db()
+        conn = accelerated_items(db)
+        for mode, engine in (("NONE", "DB2"), ("ALL", "ACCELERATOR")):
+            conn.set_acceleration(mode)
+            result = conn.execute(
+                "EXPLAIN ANALYZE SELECT ID FROM ITEMS WHERE ID < 5 "
+                "ORDER BY ID FETCH FIRST 3 ROWS ONLY"
+            )
+            (section,) = analyze_sections(result)
+            header, *operators = section
+            assert header[1] == engine
+            actual = {str(r[0]).split()[0]: r[2] for r in operators}
+            assert (actual["Sort"], actual["Limit"]) == (5, 3)
+
     def test_failback_produces_two_sections(self):
         db = make_db()
         conn = accelerated_items(db)
