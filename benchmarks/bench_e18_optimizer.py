@@ -167,16 +167,17 @@ def test_e18_results_identical(record):
     opt_db, opt_conn = build_system(with_statistics=True)
     for sql in E18_CORPUS:
         assert base_conn.execute(sql).rows == opt_conn.execute(sql).rows, sql
-    saved = logical.JOIN_REORDER_ENABLED
+    saved = logical._reorder_plan
     try:
-        logical.JOIN_REORDER_ENABLED = False
+        # Join re-association off: the stage becomes the identity.
+        logical._reorder_plan = lambda plan, table_rows: plan
         flat_db, flat_conn = build_system(with_statistics=True)
         for sql in JOIN_CORPUS:
             assert (
                 flat_conn.execute(sql).rows == opt_conn.execute(sql).rows
             ), sql
     finally:
-        logical.JOIN_REORDER_ENABLED = saved
+        logical._reorder_plan = saved
     record(
         "E18 optimizer",
         f"byte-identity: {len(E18_CORPUS)} corpus queries identical "

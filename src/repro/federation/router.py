@@ -381,14 +381,19 @@ class CachedPlan:
     id-keyed :class:`KernelCache` sound across executions.
     Authorisation is deliberately NOT cached — privilege checks run on
     every execution, which is why GRANT/REVOKE need not invalidate.
+
+    A query that does not come from the text cache (AST input, the
+    sub-select of INSERT … SELECT or CTAS, an EXPLAIN target) runs on
+    ``CachedPlan(statement)``: the same currency, never stored or looked
+    up, and with no ``key`` to look cardinality feedback up under.
     """
 
     statement: object  # ast.SelectStatement | ast.SetOperation
-    generation: int
+    generation: int = 0  # catalog generation at store(); unused when unkeyed
     #: The normalised-SQL cache key — doubles (with ``generation``) as
     #: the profiler's plan fingerprint for the cardinality-feedback
     #: store, so feedback survives plan-cache eviction and re-parse.
-    key: str = ""
+    key: Optional[str] = None
     kernels: KernelCache = field(default_factory=KernelCache)
     prepared: bool = False
     monitored: frozenset = frozenset()
@@ -397,6 +402,7 @@ class CachedPlan:
     view_names: tuple = ()
     direct_tables: frozenset = frozenset()
     tables: frozenset = frozenset()
+    predicts: tuple = ()  # ast.Predict nodes of the expanded statement
     executions: int = 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 from repro.accelerator import AcceleratorEngine, DeltaBuffer
@@ -54,6 +54,7 @@ from repro.federation.router import (
     CachedPlan,
     PlanCache,
     QueryRouter,
+    RoutingDecision,
 )
 from repro.federation.views import expand_views
 from repro.metrics.counters import MovementStats, estimate_rows_bytes
@@ -61,7 +62,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import execute_monitoring_query, monitoring_tables
 from repro.recovery.manager import RecoveryManager
 from repro.obs.profile import QueryProfiler, estimate_plan, plan_tree_lines
-from repro.obs.trace import NULL_SPAN, Tracer
+from repro.obs.trace import Tracer
 from repro.result import Result
 from repro.sql import ast, parse_statement
 from repro.sql.logical import plan_statement
@@ -416,14 +417,17 @@ class AcceleratedDatabase:
     def _live_row_count(self, name: str) -> Optional[int]:
         """Current row count of a base table, or None when unknown.
 
-        Used by the statistics manager to rescale stale histograms and
-        by the optimizer as the base-cardinality source of truth.
+        The one cardinality probe: the statistics manager rescales stale
+        histograms against it, and the optimizer, cost model, profiler
+        and WLM take base cardinalities from it. DB2 storage answers
+        first — it is the system of record and an accelerated copy is
+        never ahead of it; only AOTs are answered by the accelerator.
         """
         key = name.upper()
-        if self.accelerator.has_storage(key):
-            return self.accelerator.storage_for(key).row_count
         if self.db2.has_storage(key):
             return self.db2.storage_for(key).row_count
+        if self.accelerator.has_storage(key):
+            return self.accelerator.storage_for(key).row_count
         return None
 
     def run_statistics(
@@ -490,18 +494,24 @@ class AcceleratedDatabase:
         # initial copy has not landed and replication is not registered —
         # recovery must finish the DDL's intent with a full reload.
         self.faults.crash_point("ddl.mid_accelerate")
-        storage = self.db2.storage_for(descriptor.name)
+        return self._copy_snapshot(descriptor.name, start_lsn)
+
+    def _copy_snapshot(self, name: str, start_lsn: int) -> int:
+        """Full DB2 → accelerator copy of one table into its (empty)
+        accelerator storage, charged to the interconnect; replication
+        then resumes from ``start_lsn``. Returns the rows copied."""
+        storage = self.db2.storage_for(name)
         rows = [row for _, row in storage.scan()]
         self.interconnect.send_to_accelerator(storage.byte_count)
         if rows:
-            self.accelerator.bulk_insert(descriptor.name, rows)
-        self.replication.register_table(descriptor.name, start_lsn)
+            self.accelerator.bulk_insert(name, rows)
+        self.replication.register_table(name, start_lsn)
         # Seed optimizer statistics from the freshly built zone maps —
         # row count + per-column min/max for free; RUNSTATS upgrades
         # them to NDVs and histograms on demand.
         self.stats.seed_from_column_store(
-            descriptor.name,
-            self.accelerator.storage_for(descriptor.name),
+            name,
+            self.accelerator.storage_for(name),
             generation=self.catalog.generation,
         )
         return len(rows)
@@ -519,19 +529,9 @@ class AcceleratedDatabase:
             )
         self.accelerator.drop_storage(descriptor.name)
         self.accelerator.create_storage(descriptor)
-        start_lsn = self.db2.change_log.head_lsn
-        storage = self.db2.storage_for(descriptor.name)
-        rows = [row for _, row in storage.scan()]
-        self.interconnect.send_to_accelerator(storage.byte_count)
-        if rows:
-            self.accelerator.bulk_insert(descriptor.name, rows)
-        self.replication.register_table(descriptor.name, start_lsn)
-        self.stats.seed_from_column_store(
-            descriptor.name,
-            self.accelerator.storage_for(descriptor.name),
-            generation=self.catalog.generation,
+        return self._copy_snapshot(
+            descriptor.name, self.db2.change_log.head_lsn
         )
-        return len(rows)
 
     def remove_table_from_accelerator(self, name: str) -> None:
         descriptor = self.catalog.table(name)
@@ -614,10 +614,43 @@ class AcceleratedDatabase:
         """Procedure output lands on the accelerator without crossing the
         interconnect (the algorithm already runs there)."""
         key = name.upper()
-        delta = connection.active_deltas().get(key)
-        if connection.in_transaction and delta is None:
-            delta = connection.delta_for(key)
-        return self.accelerator.insert_into(key, rows, delta=delta)
+        return self.accelerator.insert_into(
+            key, rows, delta=connection.delta_for(key)
+        )
+
+
+_QUERY_TYPES = (ast.SelectStatement, ast.SetOperation)
+_TXN_CONTROL = (ast.BeginStatement, ast.CommitStatement, ast.RollbackStatement)
+
+#: DML statement class → (privilege needed on the target, name of the
+#: engine method that applies it; INSERT lands rows via ``_land_rows``).
+_DML = {
+    ast.InsertStatement: (Privilege.INSERT, None),
+    ast.UpdateStatement: (Privilege.UPDATE, "update_where"),
+    ast.DeleteStatement: (Privilege.DELETE, "delete_where"),
+}
+
+
+@dataclass
+class _StatementRun:
+    """What one statement's stages hand each other; nothing in it
+    outlives :meth:`Connection._execute_statement`."""
+
+    txn: Transaction
+    params: Sequence[object]
+    #: The WLM tier the statement is admitted under.
+    service_class: str
+    #: The query this statement runs — its own text's cached (or
+    #: unkeyed) plan, or the EXPLAIN ANALYZE target's; None otherwise.
+    plan: Optional[CachedPlan]
+    #: EXPLAIN ANALYZE profiles its statement even while the system
+    #: profiler is disabled.
+    force_profile: bool = False
+    #: At most one admission ticket per statement (see ``_admit``).
+    ticket: Optional[AdmissionTicket] = None
+    #: Profiles of the engine executions so far (two when a
+    #: mid-statement failure re-executed the plan on DB2).
+    profiles: list = field(default_factory=list)
 
 
 class Connection:
@@ -636,17 +669,10 @@ class Connection:
         #: CURRENT STATEMENT TIMEOUT in seconds (None = the service
         #: class default, which may itself be unbounded).
         self.statement_timeout: Optional[float] = None
-        #: The in-flight statement's budget (read by :meth:`cancel`,
-        #: which may run on another thread) and admission ticket.
+        #: The in-flight statement's budget — on the session only because
+        #: :meth:`cancel` reads it, possibly from another thread. Every
+        #: other per-statement value travels in a :class:`_StatementRun`.
         self._budget: Optional[WorkBudget] = None
-        self._ticket: Optional[AdmissionTicket] = None
-        self._statement_class = self.service_class
-        #: EXPLAIN ANALYZE forces profiling for its inner statement even
-        #: when the system profiler is disabled.
-        self._profile_force = False
-        #: Profiles produced by the current top-level query (two entries
-        #: when a mid-statement failure re-executed the plan on DB2).
-        self._last_profiles: list = []
 
     @property
     def system(self) -> AcceleratedDatabase:
@@ -701,7 +727,7 @@ class Connection:
         self._explicit = True
 
     def commit(self) -> None:
-        if not self._explicit or self._txn is None:
+        if not self.in_transaction:
             raise TransactionStateError("no open transaction")
         txn = self._txn
         # Apply AOT deltas on the accelerator, then commit the DB2 side
@@ -723,14 +749,14 @@ class Connection:
             self._system.replication.drain()
 
     def rollback(self) -> None:
-        if not self._explicit or self._txn is None:
+        if not self.in_transaction:
             raise TransactionStateError("no open transaction")
         self._system.db2.rollback(self._txn)  # deltas are simply dropped
         self._txn = None
         self._explicit = False
 
     def close(self) -> None:
-        if self._explicit and self._txn is not None:
+        if self.in_transaction:
             self.rollback()
 
     def __enter__(self) -> "Connection":
@@ -742,25 +768,31 @@ class Connection:
     # -- context used by the analytics framework -----------------------------------------
 
     def active_deltas(self) -> dict[str, DeltaBuffer]:
-        if self._explicit and self._txn is not None:
-            return self._txn.aot_deltas
-        return {}
+        return self._txn.aot_deltas if self.in_transaction else {}
 
-    def delta_for(self, table: str) -> DeltaBuffer:
-        assert self._explicit and self._txn is not None
+    def delta_for(self, table: str) -> Optional[DeltaBuffer]:
+        """Where a write to AOT ``table`` goes: the open transaction's
+        delta buffer (created on first use), or None in autocommit,
+        where it applies to the table directly."""
+        if not self.in_transaction:
+            return None
         return self._txn.aot_deltas.setdefault(
             table.upper(), DeltaBuffer(table.upper())
         )
 
     def snapshot_epoch_for_statement(self) -> int:
         """Pin (and return) the transaction's accelerator snapshot epoch."""
-        if self._explicit and self._txn is not None:
+        if self.in_transaction:
             if self._txn.snapshot_epoch is None:
                 self._txn.snapshot_epoch = self._system.accelerator.current_epoch
             return self._txn.snapshot_epoch
         return self._system.accelerator.current_epoch
 
-    # -- execution ----------------------------------------------------------------------------
+    # -- the statement path: parse → bind → authorize → route → admit → execute → record --------
+    #
+    # ``_execute_statement`` owns parse, record and the transaction scope;
+    # the handler ``_STATEMENT_KINDS`` names runs the stages in between
+    # (docs/architecture.md, "Life of a query" / "Life of a write").
 
     def execute(
         self,
@@ -776,7 +808,7 @@ class Connection:
         CURRENT STATEMENT TIMEOUT registers.
         """
         wlm = self._system.wlm
-        self._statement_class = (
+        statement_class = (
             service_class.upper() if service_class else self.service_class
         )
         override = (
@@ -787,153 +819,135 @@ class Connection:
         # Disabled WLM with no timeout set: budget stays None and the
         # statement path pays nothing beyond these two checks.
         budget = (
-            wlm.budget_for(self._statement_class, override)
+            wlm.budget_for(statement_class, override)
             if (wlm.enabled or override is not None)
             else None
         )
         self._budget = budget
         try:
             with active_budget(budget):
-                return self._execute_budgeted(sql, params)
+                return self._execute_statement(sql, params, statement_class)
         except (StatementTimeoutError, StatementCancelledError) as exc:
             wlm.record_outcome(exc)
             raise
         finally:
             self._budget = None
 
-    def _execute_budgeted(
+    def _execute_statement(
         self,
         sql: Union[str, ast.Statement],
         params: Sequence[object],
+        service_class: str,
     ) -> Result:
-        tracer = self._system.tracer
-        if not tracer.enabled:
+        system = self._system
+        with self._span("statement", user=self.user.name) as span:
             stmt, plan = self._resolve_statement(sql)
-            return self._execute_parsed(stmt, params, NULL_SPAN, plan=plan)
-        with tracer.span("statement", user=self.user.name) as span:
-            with tracer.span("parse") as parse_span:
-                stmt, plan = self._resolve_statement(sql)
-                if plan is not None and plan.executions:
-                    parse_span.annotate(plan_cache="hit")
-            span.annotate(
-                statement=type(stmt).__name__.replace("Statement", "")
+            handler, label = self._statement_kind(stmt)
+            span.annotate(statement=label)
+            if isinstance(stmt, _TXN_CONTROL):
+                # The session's own transaction verbs: no statement
+                # transaction, savepoint or history record around them.
+                span.annotate(engine="DB2")
+                handler(self, stmt, None)
+                return Result(message=label.upper(), engine="DB2")
+
+            autocommit = not self._explicit
+            if autocommit:
+                self._txn = system.db2.txn_manager.begin()
+            txn = self._txn
+            assert txn is not None
+            savepoint = self._statement_savepoint(txn)
+            run = _StatementRun(txn, params, service_class, plan)
+            self.last_decision = None
+            started = time.perf_counter()
+            try:
+                try:
+                    result = handler(self, stmt, run)
+                except Exception:
+                    if autocommit:
+                        system.db2.rollback(txn)
+                        self._txn = None
+                    else:
+                        self._restore_savepoint(txn, savepoint)
+                    raise
+                finally:
+                    if self._txn is not None:
+                        system.db2.txn_manager.end_statement(self._txn)
+                if autocommit:
+                    self._explicit = True  # reuse commit() for the implicit txn
+                    try:
+                        with self._span("commit"):
+                            self.commit()
+                    finally:
+                        self._explicit = False
+            finally:
+                # The admission ticket covers the whole statement including
+                # its commit; releasing in a finally (and release() being
+                # idempotent) means no path — timeout, cancel, fault,
+                # rollback — can leak a slot.
+                if run.ticket is not None:
+                    system.wlm.release(run.ticket)
+            elapsed = time.perf_counter() - started
+            span.annotate(engine=result.engine, rows=result.rowcount)
+            # Record stage: statement history + latency/row histograms.
+            system.statement_history.append(
+                StatementRecord(
+                    user=self.user.name,
+                    statement_type=label,
+                    engine=result.engine,
+                    elapsed_seconds=elapsed,
+                    rowcount=result.rowcount,
+                    reason=self.last_decision or "",
+                    trace_id=span.trace_id or "",
+                )
             )
-            return self._execute_parsed(stmt, params, span, plan=plan)
+            system._latency_hist.observe(elapsed)
+            system._rows_hist.observe(result.rowcount)
+            system.metrics.counter(
+                f"statement.engine.{result.engine.lower()}"
+            ).inc()
+            return result
 
     def _resolve_statement(
         self, sql: Union[str, ast.Statement]
     ) -> tuple[ast.Statement, Optional[CachedPlan]]:
-        """Parse ``sql``, consulting the statement-plan cache for queries.
+        """Parse stage: the statement, and its plan when it is a query.
 
-        A hit returns the cached statement without re-parsing; a miss
-        parses and (for SELECT/set-operation statements only — DML and
-        DDL are not worth caching) stores a fresh plan. Pre-parsed AST
-        inputs bypass the cache entirely.
+        Query text goes through the statement-plan cache: a hit returns
+        the cached statement without re-parsing, a miss parses and
+        stores a fresh plan (DML and DDL are not worth caching and carry
+        no plan). A pre-parsed query bypasses the cache entirely and
+        gets an unkeyed plan.
         """
-        if not isinstance(sql, str):
-            return sql, None
-        cache = self._system.plan_cache
-        generation = self._system.catalog.generation
-        plan = cache.lookup(sql, generation)
-        if plan is not None:
+        with self._span("parse") as span:
+            if not isinstance(sql, str):
+                if isinstance(sql, _QUERY_TYPES):
+                    return sql, CachedPlan(sql)
+                return sql, None
+            cache = self._system.plan_cache
+            generation = self._system.catalog.generation
+            plan = cache.lookup(sql, generation)
+            if plan is None:
+                stmt = parse_statement(sql)
+                if isinstance(stmt, _QUERY_TYPES):
+                    plan = cache.store(sql, stmt, generation)
+                return stmt, plan
+            if plan.executions:
+                span.annotate(plan_cache="hit")
             return plan.statement, plan
-        stmt = parse_statement(sql)
-        if isinstance(stmt, (ast.SelectStatement, ast.SetOperation)):
-            plan = cache.store(sql, stmt, generation)
-        return stmt, plan
+
+    def _statement_kind(self, stmt: ast.Statement):
+        """(handler, label) of a statement from the dispatch table."""
+        try:
+            return self._STATEMENT_KINDS[type(stmt)]
+        except KeyError:
+            raise SqlError(
+                f"unsupported statement {type(stmt).__name__}"
+            ) from None
 
     def _span(self, name: str, **attributes):
-        """A span under the system tracer; the shared no-op when off."""
-        tracer = self._system.tracer
-        if not tracer.enabled:
-            return NULL_SPAN
-        return tracer.span(name, **attributes)
-
-    def _execute_parsed(
-        self,
-        stmt: ast.Statement,
-        params: Sequence[object],
-        span,
-        plan: Optional[CachedPlan] = None,
-    ) -> Result:
-        if isinstance(stmt, ast.BeginStatement):
-            self.begin()
-            span.annotate(engine="DB2")
-            return Result(message="BEGIN", engine="DB2")
-        if isinstance(stmt, ast.CommitStatement):
-            span.annotate(engine="DB2")
-            self.commit()
-            return Result(message="COMMIT", engine="DB2")
-        if isinstance(stmt, ast.RollbackStatement):
-            self.rollback()
-            span.annotate(engine="DB2")
-            return Result(message="ROLLBACK", engine="DB2")
-
-        autocommit = not self._explicit
-        if autocommit:
-            self._txn = self._system.db2.txn_manager.begin()
-        txn = self._txn
-        assert txn is not None
-        savepoint = self._statement_savepoint(txn)
-        self.last_decision = None
-        started = time.perf_counter()
-        try:
-            try:
-                result = self._dispatch(stmt, txn, params, plan=plan)
-            except Exception:
-                if autocommit:
-                    self._system.db2.rollback(txn)
-                    self._txn = None
-                else:
-                    self._restore_savepoint(txn, savepoint)
-                raise
-            finally:
-                if self._txn is not None:
-                    self._system.db2.txn_manager.end_statement(self._txn)
-            if autocommit:
-                self._explicit = True  # reuse commit() for the implicit txn
-                try:
-                    with self._span("commit"):
-                        self.commit()
-                finally:
-                    self._explicit = False
-        finally:
-            # The admission ticket covers the whole statement including
-            # its commit; releasing in a finally (and release() being
-            # idempotent) means no path — timeout, cancel, fault,
-            # rollback — can leak a slot.
-            ticket, self._ticket = self._ticket, None
-            if ticket is not None:
-                self._system.wlm.release(ticket)
-        elapsed = time.perf_counter() - started
-        span.annotate(engine=result.engine, rows=result.rowcount)
-        self._record_statement(stmt, result, elapsed, span)
-        return result
-
-    def _record_statement(
-        self,
-        stmt: ast.Statement,
-        result: Result,
-        elapsed: float,
-        span,
-    ) -> None:
-        system = self._system
-        system.statement_history.append(
-            StatementRecord(
-                user=self.user.name,
-                statement_type=type(stmt).__name__.replace("Statement", ""),
-                engine=result.engine,
-                elapsed_seconds=elapsed,
-                rowcount=result.rowcount,
-                reason=self.last_decision or "",
-                trace_id=span.trace_id or "",
-            )
-        )
-        system._latency_hist.observe(elapsed)
-        system._rows_hist.observe(result.rowcount)
-        system.metrics.counter(
-            f"statement.engine.{result.engine.lower()}"
-        ).inc()
+        """A span under the system tracer (the shared no-op when off)."""
+        return self._system.tracer.span(name, **attributes)
 
     def execute_script(self, sql: str) -> list[Result]:
         """Execute a semicolon-separated script; returns all results."""
@@ -970,86 +984,17 @@ class Connection:
             del delta.inserted[inserted_length:]
             delta.deleted_base_ids = deleted_ids
 
-    # -- dispatch --------------------------------------------------------------------------------
+    # -- session control and EXPLAIN ------------------------------------------------------------
 
-    def _dispatch(
-        self,
-        stmt: ast.Statement,
-        txn: Transaction,
-        params: Sequence[object],
-        plan: Optional[CachedPlan] = None,
-    ) -> Result:
-        if isinstance(stmt, (ast.SelectStatement, ast.SetOperation)):
-            return self._execute_query(stmt, txn, params, plan=plan)
-        if isinstance(stmt, ast.InsertStatement):
-            return self._execute_insert(stmt, txn, params)
-        if isinstance(stmt, ast.UpdateStatement):
-            return self._execute_update(stmt, txn, params)
-        if isinstance(stmt, ast.DeleteStatement):
-            return self._execute_delete(stmt, txn, params)
-        if isinstance(stmt, ast.CreateTableStatement):
-            return self._execute_create_table(stmt, txn, params)
-        if isinstance(stmt, ast.DropTableStatement):
-            return self._execute_drop_table(stmt)
-        if isinstance(stmt, ast.AlterTableDistribute):
-            return self._execute_alter_distribute(stmt)
-        if isinstance(stmt, ast.CreateViewStatement):
-            return self._execute_create_view(stmt)
-        if isinstance(stmt, ast.DropViewStatement):
-            return self._execute_drop_view(stmt)
-        if isinstance(stmt, (ast.GrantStatement, ast.RevokeStatement)):
-            return self._execute_grant_revoke(stmt)
-        if isinstance(stmt, ast.ExplainStatement):
-            if stmt.analyze:
-                return self._explain_analyze(stmt.statement, txn, params)
-            info = self.explain(stmt.statement)
-            rows = []
-            for key, value in info.items():
-                if isinstance(value, (list, tuple)):
-                    # The rendered logical-plan tree: one row per line so
-                    # the indentation survives the ITEM/VALUE grid.
-                    rows.extend((key.upper(), str(line)) for line in value)
-                else:
-                    rows.append((key.upper(), _render_plan_value(value)))
-            return Result(columns=["ITEM", "VALUE"], rows=rows, engine="DB2")
-        if isinstance(stmt, ast.SetStatement):
-            return self._execute_set(stmt)
-        if isinstance(stmt, ast.CallStatement):
-            # CALL runs on the accelerator; make it visible to repro.obs:
-            # a proc.call span (linked to MON_STATEMENTS via the trace)
-            # plus analytics.* counters covering every procedure call.
-            procname = stmt.procedure.upper()
-            metrics = self._system.metrics
-            with self._span("proc.call", procedure=procname) as span:
-                scanned_before = self._system.accelerator.rows_scanned
-                self._system.interconnect.send_to_accelerator(
-                    STATEMENT_OVERHEAD_BYTES
-                )
-                result = self._system.procedures.call(self._system, self, stmt)
-                scanned = self._system.accelerator.rows_scanned - scanned_before
-                metrics.counter("analytics.calls").inc()
-                if scanned:
-                    metrics.counter("analytics.rows_scanned").inc(scanned)
-                span.annotate(rows_scanned=scanned)
-            return result
-        raise SqlError(f"unsupported statement {type(stmt).__name__}")
-
-    def _execute_set(self, stmt: ast.SetStatement) -> Result:
+    def _execute_set(self, stmt: ast.SetStatement, run) -> Result:
         register = stmt.register.upper()
         if register == "CURRENT QUERY ACCELERATION":
             self.set_acceleration(stmt.value)
-            return Result(
-                message=f"CURRENT QUERY ACCELERATION = "
-                f"{self.acceleration.value}",
-                engine="DB2",
-            )
-        if register == "CURRENT SERVICE CLASS":
+            value = self.acceleration.value
+        elif register == "CURRENT SERVICE CLASS":
             self.set_service_class(stmt.value)
-            return Result(
-                message=f"CURRENT SERVICE CLASS = {self.service_class}",
-                engine="DB2",
-            )
-        if register == "CURRENT STATEMENT TIMEOUT":
+            value = self.service_class
+        elif register == "CURRENT STATEMENT TIMEOUT":
             try:
                 self.set_statement_timeout(stmt.value)
             except ValueError:
@@ -1057,105 +1002,86 @@ class Connection:
                     f"invalid CURRENT STATEMENT TIMEOUT value "
                     f"{stmt.value!r} (seconds or NONE)"
                 ) from None
-            rendered = (
-                "NONE"
-                if self.statement_timeout is None
-                else f"{self.statement_timeout:g}"
-            )
-            return Result(
-                message=f"CURRENT STATEMENT TIMEOUT = {rendered}",
-                engine="DB2",
-            )
-        raise SqlError(f"unknown special register {stmt.register}")
+            timeout = self.statement_timeout
+            value = "NONE" if timeout is None else f"{timeout:g}"
+        else:
+            raise SqlError(f"unknown special register {stmt.register}")
+        return Result(message=f"{register} = {value}", engine="DB2")
+
+    def _execute_call(self, stmt: ast.CallStatement, run) -> Result:
+        # CALL runs on the accelerator; make it visible to repro.obs:
+        # a proc.call span (linked to MON_STATEMENTS via the trace)
+        # plus analytics.* counters covering every procedure call.
+        system = self._system
+        with self._span("proc.call", procedure=stmt.procedure.upper()) as span:
+            scanned_before = system.accelerator.rows_scanned
+            system.interconnect.send_to_accelerator(STATEMENT_OVERHEAD_BYTES)
+            result = system.procedures.call(system, self, stmt)
+            scanned = system.accelerator.rows_scanned - scanned_before
+            system.metrics.counter("analytics.calls").inc()
+            if scanned:
+                system.metrics.counter("analytics.rows_scanned").inc(scanned)
+            span.annotate(rows_scanned=scanned)
+        return result
 
     def explain(self, sql: Union[str, ast.Statement]) -> dict:
         """Where would this statement run, and why?
 
-        Returns a dict with ``engine``, ``reason``, ``tables`` (and their
-        placements), and the estimated input rows — without executing the
-        statement.
+        Runs the statement's own bind → authorize → route stages and
+        renders their outcome — ``engine``, ``reason``, ``tables`` (and
+        their placements), the estimated input rows — without executing
+        the statement: it raises exactly the authorization and routing
+        errors the statement would.
         """
         stmt = parse_statement(sql) if isinstance(sql, str) else sql
-        catalog = self._system.catalog
-        if isinstance(stmt, (ast.SelectStatement, ast.SetOperation)):
-            monitored = monitoring_tables(stmt.referenced_tables())
-            if monitored:
-                return {
-                    "statement": "QUERY",
-                    "engine": "DB2",
-                    "reason": "monitoring views are served from the "
-                    "observability structures on the DB2 side",
-                    "acceleration": self.acceleration.value,
-                    "estimated_rows": 0,
-                    "tables": {
-                        name: "MONITORING VIEW" for name in sorted(monitored)
-                    },
-                    "plan": plan_tree_lines(plan_statement(stmt)),
-                }
-            stmt, __views = self._expand_views(stmt)
-            tables = frozenset(
-                name.upper() for name in stmt.referenced_tables()
+        __, label = self._statement_kind(stmt)
+        if isinstance(stmt, _QUERY_TYPES):
+            plan = self._authorized_plan(stmt)
+            decision, __, estimated_rows, cost_advice = self._route(
+                plan, self.acceleration
             )
-            logical = plan_statement(
-                stmt, table_rows=self._optimizer_table_rows
-            )
-            __, estimated_rows, cost_advice = self._estimate_rows(
-                logical, tables, None, self._system.catalog.generation
-            )
-            decision = self._system.router.route_query(
-                stmt,
-                self.acceleration,
-                estimated_rows=estimated_rows,
-                cost_advice=cost_advice,
-            )
+            tables = dict.fromkeys(sorted(plan.monitored), "MONITORING VIEW")
+            for name in sorted(plan.tables):
+                tables[name] = self._system.catalog.table(name).location.value
             return {
                 "statement": "QUERY",
                 "engine": decision.engine,
                 "reason": decision.reason,
                 "acceleration": self.acceleration.value,
-                "estimated_rows": (
-                    0 if estimated_rows is None else estimated_rows
-                ),
+                "estimated_rows": estimated_rows or 0,
                 "cost": (
                     None if cost_advice is None else cost_advice.describe()
                 ),
-                "tables": {
-                    name: catalog.table(name).location.value
-                    for name in sorted(tables)
-                },
+                "tables": tables,
                 # Rendered through the same formatter EXPLAIN ANALYZE
                 # uses for its annotated OPERATOR column.
-                "plan": plan_tree_lines(logical),
+                "plan": plan_tree_lines(plan.logical),
             }
-        if isinstance(
-            stmt, (ast.InsertStatement, ast.UpdateStatement, ast.DeleteStatement)
-        ):
-            decision = self._system.router.route_dml(stmt.table)
-            return {
-                "statement": type(stmt).__name__.replace(
-                    "Statement", ""
-                ).upper(),
-                "engine": decision.engine,
-                "reason": decision.reason,
-                "tables": {
-                    stmt.table.upper(): catalog.table(
-                        stmt.table
-                    ).location.value
-                },
-            }
-        if isinstance(stmt, ast.CallStatement):
-            return {
-                "statement": "CALL",
-                "engine": "ACCELERATOR",
-                "reason": "procedures execute on the accelerator after "
-                "DB2 authorisation",
-                "tables": {},
-            }
+        tables = {}
+        if type(stmt) in _DML:
+            descriptor, decision = self._route_dml(stmt)
+            tables[descriptor.name] = descriptor.location.value
+        elif isinstance(stmt, ast.CallStatement):
+            decision = RoutingDecision(
+                "ACCELERATOR",
+                "procedures execute on the accelerator after DB2 "
+                "authorisation",
+            )
+        else:
+            decision = RoutingDecision(
+                "DB2", "DDL and control statements run on DB2"
+            )
+        # INSERT … SELECT and CTAS authorize their sub-select as well.
+        nested = getattr(stmt, "select", None) or getattr(
+            stmt, "as_select", None
+        )
+        if nested is not None:
+            self._authorized_plan(nested)
         return {
-            "statement": type(stmt).__name__.replace("Statement", "").upper(),
-            "engine": "DB2",
-            "reason": "DDL and control statements run on DB2",
-            "tables": {},
+            "statement": label.upper(),
+            "engine": decision.engine,
+            "reason": decision.reason,
+            "tables": tables,
         }
 
     #: Columns of the EXPLAIN ANALYZE grid.
@@ -1169,29 +1095,35 @@ class Connection:
         "DETAIL",
     ]
 
-    def _explain_analyze(
-        self,
-        stmt: ast.Statement,
-        txn: Transaction,
-        params: Sequence[object],
-    ) -> Result:
+    def _execute_explain(self, stmt: ast.ExplainStatement, run) -> Result:
+        if stmt.analyze:
+            return self._explain_analyze(stmt.statement, run)
+        rows = []
+        for key, value in self.explain(stmt.statement).items():
+            if isinstance(value, (list, tuple)):
+                # The rendered logical-plan tree: one row per line so
+                # the indentation survives the ITEM/VALUE grid.
+                rows.extend((key.upper(), str(line)) for line in value)
+            else:
+                rows.append((key.upper(), _render_plan_value(value)))
+        return Result(columns=["ITEM", "VALUE"], rows=rows, engine="DB2")
+
+    def _explain_analyze(self, stmt: ast.Statement, run) -> Result:
         """Execute the statement with profiling forced on and render the
         annotated plan tree: per-operator actual vs. estimated rows,
         Q-error, and wall time. A mid-statement accelerator failure under
         FAILBACK yields two sections — the failed accelerator attempt and
         the DB2 re-execution."""
-        if not isinstance(stmt, (ast.SelectStatement, ast.SetOperation)):
+        if not isinstance(stmt, _QUERY_TYPES):
             raise SqlError(
                 "EXPLAIN ANALYZE supports queries only "
                 f"(got {type(stmt).__name__})"
             )
-        self._profile_force = True
-        try:
-            result = self._execute_query(stmt, txn, params)
-        finally:
-            self._profile_force = False
+        run.plan = CachedPlan(stmt)
+        run.force_profile = True
+        result = self._execute_query(stmt, run)
         rows: list[tuple] = []
-        for profile in self._last_profiles:
+        for profile in run.profiles:
             header = (
                 f"execution [{profile.profile_id}] engine={profile.engine}"
             )
@@ -1211,19 +1143,6 @@ class Connection:
                 )
             )
             for op in profile.operators:
-                flags = []
-                if op.parallel:
-                    flags.append("parallel")
-                if op.fused:
-                    flags.append("fused")
-                if not op.executed:
-                    flags.append("not-executed")
-                if op.chunks_skipped:
-                    flags.append(f"chunks_skipped={op.chunks_skipped}")
-                if op.batches > 1:
-                    flags.append(f"batches={op.batches}")
-                if op.rows_in:
-                    flags.append(f"rows_in={op.rows_in}")
                 rows.append(
                     (
                         op.describe(),
@@ -1232,7 +1151,7 @@ class Connection:
                         op.estimated_rows,
                         round(op.q_error, 4),
                         round(op.wall_seconds * 1000.0, 3),
-                        " ".join(flags),
+                        op.flags(),
                     )
                 )
         if not rows:
@@ -1254,16 +1173,161 @@ class Connection:
             engine=result.engine,
         )
 
-    # -- workload management -------------------------------------------------------------
+    # -- authorize ------------------------------------------------------------------------------
+
+    def _check_privilege(
+        self, descriptor, privilege: Optional[Privilege], action: str = ""
+    ) -> None:
+        """The one owner-or-admin gate for a table or view (views share
+        the TABLE privilege namespace). Anyone else needs ``privilege``
+        granted — or, where no grant can stand in for ownership
+        (``privilege`` None: DROP, ALTER, GRANT), is refused ``action``."""
+        if self.user.is_admin or descriptor.owner == self.user.name:
+            return
+        if privilege is None:
+            raise AuthorizationError(
+                f"user {self.user.name} cannot {action}"
+            )
+        self._system.catalog.privileges.check(
+            self.user.name, privilege, "TABLE", descriptor.name
+        )
+
+    # -- queries: bind → authorize → route → admit → execute ---------------------------------------
+
+    def _bind(self, plan: CachedPlan) -> None:
+        """Bind stage: resolve the statement's names and build its
+        logical plan, once per plan.
+
+        A prepared plan (a text-cache hit) skips all of it; the catalog
+        generation it was prepared under is what keeps that sound.
+        """
+        if plan.prepared:
+            return
+        stmt = plan.statement
+        catalog = self._system.catalog
+        # SYSACCEL.MON_* monitoring views are readable by every session
+        # (like ACCEL_GET_HEALTH): nothing below is collected for them.
+        plan.monitored = frozenset(monitoring_tables(stmt.referenced_tables()))
+        if plan.monitored:
+            plan.expanded = stmt
+        else:
+            # Definer-rights views: the caller needs SELECT on each view
+            # and on each base table referenced *directly* in the
+            # statement — tables reached only through a view body are
+            # covered by the view grant.
+            plan.direct_tables = frozenset(
+                name.upper()
+                for name in stmt.referenced_tables()
+                if not catalog.has_view(name)
+            )
+            plan.expanded, view_names = self._expand_views(stmt)
+            plan.view_names = tuple(view_names)
+            plan.tables = frozenset(
+                name.upper() for name in plan.expanded.referenced_tables()
+            )
+            plan.predicts = tuple(_collect_predict_nodes(plan.expanded))
+            # PREDICT nodes take the model store before the plan build,
+            # which copies them (dataclasses.replace keeps the store).
+            for node in plan.predicts:
+                node.store = self._system.models
+        # Bind-and-rewrite before routing, because the cost-based route
+        # needs per-operator estimates over the bound plan. Both engines
+        # lower the same logical plan, so a statement that fails back to
+        # DB2 after running on the accelerator reuses the identical plan
+        # object.
+        plan.logical = plan_statement(
+            plan.expanded, table_rows=self._system._live_row_count
+        )
+        plan.prepared = True
+
+    def _authorize(self, plan: CachedPlan) -> None:
+        """Authorize stage: every execution and every EXPLAIN, never
+        cached — grants and models change without bumping the catalog
+        generation, and nothing is routed, admitted or delegated to the
+        accelerator before DB2 has said yes."""
+        catalog = self._system.catalog
+        for name in plan.view_names:
+            self._check_privilege(catalog.view(name), Privilege.SELECT)
+        for name in plan.direct_tables:
+            self._check_privilege(catalog.table(name), Privilege.SELECT)
+        # Re-checked per execution: this enforces the owner gate and
+        # catches dropped models even on plan-cache hits.
+        models = self._system.models
+        for node in plan.predicts:
+            model = models.get(node.model)
+            models.check_access(model, self.user.name, self.user.is_admin)
+            if len(node.args) != len(model.features):
+                raise AnalyticsError(
+                    f"PREDICT({model.name}, ...) expects "
+                    f"{len(model.features)} feature(s), got {len(node.args)}"
+                )
+
+    def _authorized_plan(self, stmt) -> CachedPlan:
+        """Bind and authorize a query EXPLAIN will not execute."""
+        plan = CachedPlan(stmt)
+        self._bind(plan)
+        self._authorize(plan)
+        return plan
+
+    def _route(self, plan: CachedPlan, mode: AccelerationMode):
+        """Route stage: (decision, per-node estimates, root row
+        estimate, PlanCost advice). Re-runs per execution — the special
+        register, health state and row estimates all change without
+        bumping the catalog generation.
+
+        The row estimate is the logical plan's *root* estimate — a
+        ``LIMIT 5`` probe on a million-row table estimates 5 rows, not
+        the sum of every referenced table's cardinality (which made the
+        WLM admit such probes as heavy and the router offload them).
+        When any referenced table has no storage on either engine,
+        everything degrades to None so routing falls back to the shape
+        heuristic instead of trusting a silent 0.
+        """
+        if plan.monitored:
+            # SYSACCEL.MON_* views never reach the router: they are served
+            # DB2-side from the live observability structures.
+            return RoutingDecision("DB2", "monitoring view"), None, None, None
+        system = self._system
+        logical = plan.logical
+        table_rows = system._live_row_count
+        estimates = estimated_rows = cost_advice = None
+        if all(table_rows(name) is not None for name in plan.tables):
+            feedback = None
+            if plan.key is not None:
+                lookup = system.profiler.feedback.lookup
+                fingerprint, generation = plan.key, system.catalog.generation
+
+                def feedback(path):
+                    return lookup(fingerprint, generation, path)
+
+            estimates = estimate_plan(
+                logical, table_rows, stats=system.stats, feedback=feedback
+            )
+            estimated_rows = estimates.get(id(logical))
+            cost_advice = system.cost_model.plan_costs(
+                logical, estimates, base_rows=table_rows
+            )
+        with self._span("route", mode=mode.value) as route_span:
+            decision = system.router.route_query(
+                plan.expanded,
+                mode,
+                estimated_rows=estimated_rows,
+                cost_advice=cost_advice,
+            )
+            route_span.annotate(
+                engine=decision.engine, reason=decision.reason
+            )
+        return decision, estimates, estimated_rows, cost_advice
 
     def _admit(
         self,
+        run: "_StatementRun",
         engine: str,
         stmt=None,
         estimated_rows: Optional[int] = None,
         estimated_cost: Optional[float] = None,
     ) -> None:
-        """Pass the current statement through ``engine``'s admission gate.
+        """Admit stage: pass the statement through ``engine``'s gate.
 
         One ticket per statement: a nested select (INSERT ... SELECT,
         CTAS) reuses the ticket its statement already holds, so no
@@ -1273,250 +1337,99 @@ class Connection:
         """
         system = self._system
         wlm = system.wlm
-        if not wlm.enabled or self._ticket is not None:
+        if not wlm.enabled or run.ticket is not None:
             return
         cheap = stmt is not None and system.router.is_cheap_statement(stmt)
         with self._span(
-            "wlm.admit", engine=engine, service_class=self._statement_class
+            "wlm.admit", engine=engine, service_class=run.service_class
         ) as span:
-            ticket = wlm.admit(
+            run.ticket = wlm.admit(
                 engine,
-                self._statement_class,
+                run.service_class,
                 estimated_rows=estimated_rows,
                 estimated_cost=estimated_cost,
                 cheap=cheap,
                 budget=self._budget,
             )
             span.annotate(
-                bypassed=ticket.bypassed,
-                queued_ms=round(ticket.queued_seconds * 1000.0, 3),
-            )
-        self._ticket = ticket
-
-    def _reject_view_target(self, name: str) -> None:
-        if self._system.catalog.has_view(name):
-            raise SqlError(f"{name.upper()} is a view; views are read-only")
-
-    def _require_accelerator_for_dml(self, name: str) -> None:
-        """AOT DML has no DB2 copy to fall back to: fail fast when OFFLINE."""
-        if not self._system.health.allow_request():
-            raise AcceleratorUnavailableError(
-                f"accelerator is unavailable; cannot modify "
-                f"accelerator-only table {name}"
+                bypassed=run.ticket.bypassed,
+                queued_ms=round(run.ticket.queued_seconds * 1000.0, 3),
             )
 
-    # -- privileges ---------------------------------------------------------------------
-
-    def _check_table_privilege(
-        self, privilege: Privilege, descriptor: TableDescriptor
-    ) -> None:
-        if self.user.is_admin or descriptor.owner == self.user.name:
-            return
-        self._system.catalog.privileges.check(
-            self.user.name, privilege, "TABLE", descriptor.name
-        )
-
-    # -- queries --------------------------------------------------------------------------
-
-    def _execute_query(
-        self,
-        stmt: Union[ast.SelectStatement, ast.SetOperation],
-        txn: Transaction,
-        params: Sequence[object],
-        plan: Optional[CachedPlan] = None,
-    ) -> Result:
-        """Top-level SELECT: route, run, and charge the result transfer.
-
-        An accelerator or link failure *during* execution feeds the health
-        monitor; under ``ENABLE WITH FAILBACK`` the statement then
-        transparently re-executes on DB2 (results are identical — the copy
-        is maintained from DB2's own change log), otherwise the failure
-        surfaces as :class:`AcceleratorUnavailableError`.
-        """
-        self._last_profiles = []
+    def _execute_select_on(
+        self, engine: str, plan: CachedPlan, run: "_StatementRun", estimates
+    ) -> tuple[list[str], list[tuple]]:
+        """Execute stage: run the bound plan on the routed engine, under
+        a profile when the profiler (or EXPLAIN ANALYZE) asks for one.
+        Errored executions keep their profile for EXPLAIN ANALYZE but
+        never feed the cardinality store."""
+        system = self._system
+        profiler = system.profiler
+        profile = None
+        if profiler.enabled or run.force_profile:
+            profile = profiler.begin(
+                plan.logical,
+                lambda name: system._live_row_count(name) or 0,
+                engine=engine,
+                fingerprint=plan.key,
+                generation=system.catalog.generation,
+                estimates=estimates,
+            )
+        started = time.perf_counter()
         try:
-            columns, rows, engine = self._attempt_query(
-                stmt, txn, params, self.acceleration, plan=plan
-            )
-        except (AcceleratorCrashError, LinkError) as exc:
-            # One shard failing is not an appliance failure: the shard's
-            # own circuit already tripped inside the pool, and tripping
-            # the global monitor here would take the surviving shards
-            # out of offload with it.
-            if not isinstance(exc, ShardUnavailableError):
-                self._system.health.record_failure()
-            if (
-                not self.acceleration.allows_failback
-                or self._references_aot(stmt)
-            ):
-                raise AcceleratorUnavailableError(
-                    f"accelerator failed mid-statement: {exc}"
-                ) from exc
-            with self._span(
-                "failback", reason=f"{type(exc).__name__}: {exc}"[:200]
-            ):
-                columns, rows, engine = self._attempt_query(
-                    stmt, txn, params, AccelerationMode.NONE, plan=plan
+            if engine == "ACCELERATOR":
+                columns, rows = system.accelerator.execute_select(
+                    plan.expanded,
+                    params=run.params,
+                    snapshot_epoch=self.snapshot_epoch_for_statement(),
+                    deltas=self.active_deltas(),
+                    kernel_cache=plan.kernels,
+                    plan=plan.logical,
+                    profile=profile,
+                    estimates=estimates,
                 )
-            if self._last_profiles:
-                self._last_profiles[-1].failback = True
-            self.last_decision = "failback: accelerator failed mid-statement"
-            self._system.failbacks += 1
-            self._system.metrics.counter("statement.failbacks").inc()
-        return Result(columns=columns, rows=rows, engine=engine)
-
-    def _attempt_query(
-        self,
-        stmt: Union[ast.SelectStatement, ast.SetOperation],
-        txn: Transaction,
-        params: Sequence[object],
-        mode: AccelerationMode,
-        plan: Optional[CachedPlan] = None,
-    ) -> tuple[list[str], list[tuple], str]:
-        columns, rows, engine = self._run_select(
-            stmt, txn, params, mode, plan=plan
-        )
-        if engine == "ACCELERATOR":
-            self._system.interconnect.send_to_accelerator(
-                STATEMENT_OVERHEAD_BYTES
-            )
-            self._system.interconnect.send_to_db2(estimate_rows_bytes(rows))
-            self._system.health.record_success()
-        return columns, rows, engine
-
-    def _references_aot(
-        self, stmt: Union[ast.SelectStatement, ast.SetOperation]
-    ) -> bool:
-        expanded, __ = self._expand_views(stmt)
-        catalog = self._system.catalog
-        return any(
-            catalog.table(name).location is TableLocation.ACCELERATOR_ONLY
-            for name in {n.upper() for n in expanded.referenced_tables()}
-        )
+            else:
+                with self._span("db2.execute") as db2_span:
+                    columns, rows = system.db2.execute_select(
+                        run.txn,
+                        plan.expanded,
+                        run.params,
+                        plan=plan.logical,
+                        tracer=system.tracer,
+                        profile=profile,
+                        estimates=estimates,
+                    )
+                    db2_span.annotate(rows=len(rows))
+        except Exception as exc:
+            if profile is not None:
+                profile.error = f"{type(exc).__name__}: {exc}"[:200]
+            raise
+        finally:
+            if profile is not None:
+                profiler.finish(profile, time.perf_counter() - started)
+                run.profiles.append(profile)
+        return columns, rows
 
     def _run_select(
-        self,
-        stmt: Union[ast.SelectStatement, ast.SetOperation],
-        txn: Transaction,
-        params: Sequence[object],
-        mode: AccelerationMode,
-        plan: Optional[CachedPlan] = None,
+        self, plan: CachedPlan, run: "_StatementRun", mode: AccelerationMode
     ) -> tuple[list[str], list[tuple], str]:
-        """Authorise, route, and execute a SELECT. No movement charges —
-        callers charge according to where the rows actually go.
-
-        With a prepared ``plan``, view expansion, table classification,
-        and the bound logical plan come from the cache; privilege checks
-        and routing always re-run (grants, the special register, health
-        state, and row estimates all change without bumping the catalog
-        generation).
-        """
-        if plan is not None:
-            plan.executions += 1
-        if plan is not None and plan.prepared:
-            monitored = plan.monitored
-        else:
-            # SYSACCEL.MON_* monitoring views never reach routing: they
-            # are served DB2-side from the live observability structures
-            # and are readable by every session (like ACCEL_GET_HEALTH).
-            monitored = frozenset(
-                monitoring_tables(stmt.referenced_tables())
-            )
-        if monitored:
-            if plan is not None and not plan.prepared:
-                plan.monitored = monitored
-                plan.expanded = stmt
-                plan.prepared = True
+        """All query stages, in order, for one plan. No movement charges
+        — callers charge according to where the rows actually go."""
+        plan.executions += 1
+        self._bind(plan)
+        self._authorize(plan)
+        decision, estimates, estimated_rows, cost_advice = self._route(
+            plan, mode
+        )
+        self.last_decision = decision.reason
+        if plan.monitored:
             with self._span(
-                "monitor.query", views=",".join(sorted(monitored))
+                "monitor.query", views=",".join(sorted(plan.monitored))
             ):
                 columns, rows = execute_monitoring_query(
-                    self._system, stmt, params
+                    self._system, plan.expanded, run.params
                 )
-            self.last_decision = "monitoring view"
-            return columns, rows, "DB2"
-        if plan is not None and plan.prepared:
-            direct_tables = plan.direct_tables
-            view_names = plan.view_names
-            stmt = plan.expanded
-            tables = plan.tables
-        else:
-            # Definer-rights views: the caller needs SELECT on each view
-            # and on each base table referenced *directly* in the
-            # statement — tables reached only through a view body are
-            # covered by the view grant.
-            direct_tables = frozenset(
-                name.upper()
-                for name in stmt.referenced_tables()
-                if not self._system.catalog.has_view(name)
-            )
-            stmt, view_names = self._expand_views(stmt)
-            tables = frozenset(
-                name.upper() for name in stmt.referenced_tables()
-            )
-            if plan is not None:
-                plan.monitored = monitored
-                plan.direct_tables = direct_tables
-                plan.view_names = tuple(view_names)
-                plan.expanded = stmt
-                plan.tables = tables
-                plan.prepared = True
-        for view_name in view_names:
-            view = self._system.catalog.view(view_name)
-            if not (self.user.is_admin or view.owner == self.user.name):
-                self._system.catalog.privileges.check(
-                    self.user.name, Privilege.SELECT, "TABLE", view.name
-                )
-        for name in direct_tables:
-            self._check_table_privilege(
-                Privilege.SELECT, self._system.catalog.table(name)
-            )
-        # Bind PREDICT nodes to the model store before planning: the
-        # first plan build copies the nodes (dataclasses.replace keeps
-        # the bound store), and per-execution re-binding enforces the
-        # owner gate and catches dropped models even on plan-cache hits.
-        for node in _collect_predict_nodes(stmt):
-            model = self._system.models.get(node.model)
-            self._system.models.check_access(
-                model, self.user.name, self.user.is_admin
-            )
-            if len(node.args) != len(model.features):
-                raise AnalyticsError(
-                    f"PREDICT({model.name}, ...) expects "
-                    f"{len(model.features)} feature(s), got {len(node.args)}"
-                )
-            node.store = self._system.models
-        # Bind-and-rewrite once per cached plan — before routing, because
-        # the cost-based route needs per-operator estimates over the
-        # bound plan. Both engines lower the same logical plan, so a
-        # statement that fails back to DB2 after running on the
-        # accelerator reuses the identical plan object.
-        if plan is not None:
-            if plan.logical is None:
-                plan.logical = plan_statement(
-                    stmt, table_rows=self._optimizer_table_rows
-                )
-            logical = plan.logical
-        else:
-            logical = plan_statement(
-                stmt, table_rows=self._optimizer_table_rows
-            )
-        fingerprint = plan.key if plan is not None else None
-        generation = self._system.catalog.generation
-        estimates, estimated_rows, cost_advice = self._estimate_rows(
-            logical, tables, fingerprint, generation
-        )
-        with self._span("route", mode=mode.value) as route_span:
-            decision = self._system.router.route_query(
-                stmt,
-                mode,
-                estimated_rows=estimated_rows,
-                cost_advice=cost_advice,
-            )
-            route_span.annotate(
-                engine=decision.engine, reason=decision.reason
-            )
-        self.last_decision = decision.reason
+            return columns, rows, decision.engine
         if decision.reason.startswith("failback"):
             self._system.failbacks += 1
             self._system.metrics.counter("statement.failbacks").inc()
@@ -1530,55 +1443,61 @@ class Connection:
                 if decision.engine == "ACCELERATOR"
                 else cost_advice.db2
             )
-        self._admit(decision.engine, stmt, estimated_rows, estimated_cost)
-        profiler = self._system.profiler
-        profile = None
-        if profiler.enabled or self._profile_force:
-            profile = profiler.begin(
-                logical,
-                self._table_row_count,
-                engine=decision.engine,
-                fingerprint=fingerprint,
-                generation=generation,
-                estimates=estimates,
+        self._admit(
+            run, decision.engine, plan.expanded, estimated_rows, estimated_cost
+        )
+        columns, rows = self._execute_select_on(
+            decision.engine, plan, run, estimates
+        )
+        return columns, rows, decision.engine
+
+    def _execute_query(self, stmt, run: "_StatementRun") -> Result:
+        """Top-level SELECT: run it, and charge the result transfer.
+
+        An accelerator or link failure *during* execution feeds the health
+        monitor; under ``ENABLE WITH FAILBACK`` the statement then
+        transparently re-executes on DB2 (results are identical — the copy
+        is maintained from DB2's own change log), otherwise the failure
+        surfaces as :class:`AcceleratorUnavailableError`.
+        """
+        system = self._system
+        plan = run.plan
+        try:
+            columns, rows, engine = self._run_select(
+                plan, run, self.acceleration
             )
-        if decision.engine == "ACCELERATOR":
-            epoch = self.snapshot_epoch_for_statement()
-            started = time.perf_counter()
-            try:
-                columns, rows = self._system.accelerator.execute_select(
-                    stmt,
-                    params=params,
-                    snapshot_epoch=epoch,
-                    deltas=self.active_deltas(),
-                    kernel_cache=plan.kernels if plan is not None else None,
-                    plan=logical,
-                    profile=profile,
-                    estimates=estimates,
+            if engine == "ACCELERATOR":
+                system.interconnect.send_to_accelerator(
+                    STATEMENT_OVERHEAD_BYTES
                 )
-            except Exception as exc:
-                self._profile_done(profile, started, error=exc)
-                raise
-            self._profile_done(profile, started)
-            return columns, rows, "ACCELERATOR"
-        with self._span("db2.execute") as db2_span:
-            started = time.perf_counter()
-            try:
-                columns, rows = self._system.db2.execute_select(
-                    txn,
-                    stmt,
-                    params,
-                    plan=logical,
-                    tracer=self._system.tracer,
-                    profile=profile,
-                    estimates=estimates,
+                system.interconnect.send_to_db2(estimate_rows_bytes(rows))
+                system.health.record_success()
+        except (AcceleratorCrashError, LinkError) as exc:
+            # One shard failing is not an appliance failure: the shard's
+            # own circuit already tripped inside the pool, and tripping
+            # the global monitor here would take the surviving shards
+            # out of offload with it.
+            if not isinstance(exc, ShardUnavailableError):
+                system.health.record_failure()
+            if not self.acceleration.allows_failback or any(
+                system.catalog.table(name).is_aot for name in plan.tables
+            ):
+                raise AcceleratorUnavailableError(
+                    f"accelerator failed mid-statement: {exc}"
+                ) from exc
+            # Mode NONE routes to DB2: no result transfer to charge.
+            with self._span(
+                "failback", reason=f"{type(exc).__name__}: {exc}"[:200]
+            ):
+                columns, rows, engine = self._run_select(
+                    plan, run, AccelerationMode.NONE
                 )
-            except Exception as exc:
-                self._profile_done(profile, started, error=exc)
-                raise
-            self._profile_done(profile, started)
-            db2_span.annotate(rows=len(rows))
-        return columns, rows, "DB2"
+            if run.profiles:
+                run.profiles[-1].failback = True
+            self.last_decision = "failback: accelerator failed mid-statement"
+            system.failbacks += 1
+            system.metrics.counter("statement.failbacks").inc()
+        return Result(columns=columns, rows=rows, engine=engine)
 
     def _expand_views(self, stmt):
         catalog = self._system.catalog
@@ -1590,144 +1509,93 @@ class Connection:
 
         return expand_views(stmt, lookup)
 
-    def _profile_done(self, profile, started: float, error=None) -> None:
-        """Finish an in-flight profile (errored executions are retained
-        for EXPLAIN ANALYZE but never feed the cardinality store)."""
-        if profile is None:
-            return
-        if error is not None:
-            profile.error = f"{type(error).__name__}: {error}"[:200]
-        self._system.profiler.finish(profile, time.perf_counter() - started)
-        self._last_profiles.append(profile)
-
-    def _table_row_count(self, name: str) -> int:
-        """Base-table cardinality for the profiler's estimator."""
-        system = self._system
-        name = name.upper()
-        if system.db2.has_storage(name):
-            return system.db2.storage_for(name).row_count
-        if system.accelerator.has_storage(name):
-            return system.accelerator.storage_for(name).row_count
-        return 0
-
-    def _optimizer_table_rows(self, name: str) -> Optional[int]:
-        """Base-table cardinality with unknown tables surfaced as None
-        (never a silent 0) — used by join reordering and the cost model."""
-        system = self._system
-        rows = system._live_row_count(name)
-        if rows is not None:
-            return rows
-        return system.stats.row_count(name)
-
-    def _estimate_rows(
-        self,
-        logical,
-        tables: frozenset,
-        fingerprint: Optional[str],
-        generation: int,
-    ) -> tuple[Optional[dict], Optional[int], Optional[object]]:
-        """(per-node estimates, root row estimate, PlanCost advice).
-
-        The row estimate is the logical plan's *root* estimate — a
-        ``LIMIT 5`` probe on a million-row table estimates 5 rows, not
-        the sum of every referenced table's cardinality (which made the
-        WLM admit such probes as heavy and the router offload them).
-        When any referenced table is unknown to both engines and the
-        statistics store, everything degrades to None so routing falls
-        back to the shape heuristic instead of trusting a silent 0.
-        """
-        system = self._system
-        if any(
-            self._optimizer_table_rows(name) is None for name in tables
-        ):
-            return None, None, None
-        feedback = None
-        if fingerprint is not None:
-            store = system.profiler.feedback
-
-            def feedback(path, _fp=fingerprint, _gen=generation):
-                return store.lookup(_fp, _gen, path)
-
-        estimates = estimate_plan(
-            logical,
-            self._table_row_count,
-            stats=system.stats,
-            feedback=feedback,
-        )
-        estimated_rows = estimates.get(id(logical))
-        cost_advice = system.cost_model.plan_costs(
-            logical, estimates, base_rows=self._optimizer_table_rows
-        )
-        return estimates, estimated_rows, cost_advice
-
     # -- DML ------------------------------------------------------------------------------------
 
-    def _execute_insert(
-        self,
-        stmt: ast.InsertStatement,
-        txn: Transaction,
-        params: Sequence[object],
-    ) -> Result:
-        self._reject_view_target(stmt.table)
-        descriptor = self._system.catalog.table(stmt.table)
-        self._check_table_privilege(Privilege.INSERT, descriptor)
+    def _route_dml(self, stmt) -> tuple[TableDescriptor, RoutingDecision]:
+        """Bind, authorize and route INSERT/UPDATE/DELETE: the target's
+        placement decides the engine, and AOT DML — no DB2 copy to fall
+        back to — fails fast here while the accelerator is OFFLINE."""
+        catalog = self._system.catalog
+        if catalog.has_view(stmt.table):
+            raise SqlError(
+                f"{stmt.table.upper()} is a view; views are read-only"
+            )
+        descriptor = catalog.table(stmt.table)
+        self._check_privilege(descriptor, _DML[type(stmt)][0])
+        return descriptor, self._system.router.route_dml(descriptor.name)
 
+    def _execute_insert(
+        self, stmt: ast.InsertStatement, run: "_StatementRun"
+    ) -> Result:
+        descriptor, decision = self._route_dml(stmt)
         if stmt.values is not None:
-            rows = self._evaluate_value_rows(stmt, descriptor, params)
+            rows = self._evaluate_value_rows(stmt, descriptor, run.params)
             source_engine = "DB2"
-            self._admit(
-                "ACCELERATOR" if descriptor.is_aot else "DB2",
-                estimated_rows=len(rows),
-            )
+            self._admit(run, decision.engine, estimated_rows=len(rows))
         else:
-            assert stmt.select is not None
-            # An AOT target forces the sub-select onto the accelerator
-            # whenever its sources are visible there (mode ALL semantics);
-            # the whole INSERT ... SELECT then executes in place.
-            mode = (
-                AccelerationMode.ALL if descriptor.is_aot else self.acceleration
-            )
-            __, source_rows, source_engine = self._run_select(
-                stmt.select, txn, params, mode
+            __, source_rows, source_engine = self._run_subselect(
+                stmt.select, run, descriptor.is_aot
             )
             rows = [
                 self._coerce_insert_row(descriptor, stmt.columns, row)
                 for row in source_rows
             ]
+        count = self._land_rows(
+            run, descriptor, rows, source_engine, STATEMENT_OVERHEAD_BYTES
+        )
+        return Result(engine=decision.engine, rowcount=count)
+
+    def _run_subselect(self, select, run: "_StatementRun", to_aot: bool):
+        """The sub-select of INSERT … SELECT or CTAS. An AOT target
+        forces it onto the accelerator whenever its sources are visible
+        there (mode ALL semantics); the whole statement then executes in
+        place."""
+        mode = AccelerationMode.ALL if to_aot else self.acceleration
+        return self._run_select(CachedPlan(select), run, mode)
+
+    def _land_rows(
+        self,
+        run: "_StatementRun",
+        descriptor: TableDescriptor,
+        rows: list[tuple],
+        source_engine: str,
+        statement_bytes: int,
+    ) -> int:
+        """Land coerced rows in ``descriptor``'s table, charging the
+        interconnect by (source engine, target placement).
+
+        ``statement_bytes`` is the protocol overhead of shipping the
+        statement itself to an AOT target: INSERT pays it here, CTAS
+        already paid it with its CREATE.
+        """
+        system = self._system
+
+        def payload() -> int:
+            return sum(descriptor.schema.row_byte_size(row) for row in rows)
 
         if descriptor.is_aot:
-            self._require_accelerator_for_dml(descriptor.name)
-            nbytes = sum(
-                descriptor.schema.row_byte_size(row) for row in rows
-            )
-            if source_engine != "ACCELERATOR":
-                # VALUES (or a DB2-side sub-select): rows cross the wire.
-                self._system.interconnect.send_to_accelerator(
-                    nbytes + STATEMENT_OVERHEAD_BYTES
+            # VALUES or a DB2-side sub-select: the rows cross the wire.
+            # A sub-select that ran on the accelerator lands in place and
+            # only the statement travels — the paper's headline saving.
+            crossing = source_engine != "ACCELERATOR"
+            if crossing or statement_bytes:
+                system.interconnect.send_to_accelerator(
+                    (payload() if crossing else 0) + statement_bytes
                 )
-            else:
-                # INSERT ... SELECT entirely on the accelerator: only the
-                # statement travels. This is the paper's headline saving.
-                self._system.interconnect.send_to_accelerator(
-                    STATEMENT_OVERHEAD_BYTES
-                )
-            delta = self.delta_for(descriptor.name) if self.in_transaction else None
-            count = self._system.accelerator.insert_into(
-                descriptor.name, rows, delta=delta, already_coerced=True
+            return system.accelerator.insert_into(
+                descriptor.name,
+                rows,
+                delta=self.delta_for(descriptor.name),
+                already_coerced=True,
             )
-            return Result(engine="ACCELERATOR", rowcount=count)
         if source_engine == "ACCELERATOR":
             # Legacy-flow price: accelerator results materialised in DB2
-            # cross the interconnect coming back...
-            self._system.interconnect.send_to_db2(
-                sum(descriptor.schema.row_byte_size(row) for row in rows)
-            )
-            # ...and, if the target is accelerated, replication ships them
-            # to the accelerator again after commit.
-        count = self._system.db2.insert_rows(
-            txn, descriptor.name, rows, already_coerced=True
+            # cross the interconnect coming back — and, if the target is
+            # accelerated, replication ships them out again after commit.
+            system.interconnect.send_to_db2(payload())
+        return system.db2.insert_rows(
+            run.txn, descriptor.name, rows, already_coerced=True
         )
-        return Result(engine="DB2", rowcount=count)
 
     def _evaluate_value_rows(
         self,
@@ -1758,79 +1626,49 @@ class Connection:
             return descriptor.schema.coerce_row(values)
         return descriptor.schema.coerce_partial(columns, values)
 
-    def _execute_update(
+    def _execute_update_or_delete(
         self,
-        stmt: ast.UpdateStatement,
-        txn: Transaction,
-        params: Sequence[object],
+        stmt: Union[ast.UpdateStatement, ast.DeleteStatement],
+        run: "_StatementRun",
     ) -> Result:
-        self._reject_view_target(stmt.table)
-        descriptor = self._system.catalog.table(stmt.table)
-        self._check_table_privilege(Privilege.UPDATE, descriptor)
+        system = self._system
+        descriptor, decision = self._route_dml(stmt)
         self._admit(
-            "ACCELERATOR" if descriptor.is_aot else "DB2",
-            estimated_rows=self._table_row_count(descriptor.name),
+            run,
+            decision.engine,
+            estimated_rows=system._live_row_count(descriptor.name) or 0,
         )
-        if descriptor.is_aot:
-            self._require_accelerator_for_dml(descriptor.name)
-            self._system.interconnect.send_to_accelerator(
-                STATEMENT_OVERHEAD_BYTES
+        engine_method = _DML[type(stmt)][1]
+        if decision.engine == "ACCELERATOR":
+            system.interconnect.send_to_accelerator(STATEMENT_OVERHEAD_BYTES)
+            epoch = (
+                self.snapshot_epoch_for_statement()
+                if self.in_transaction
+                else None
             )
-            delta = self.delta_for(descriptor.name) if self.in_transaction else None
-            epoch = self.snapshot_epoch_for_statement() if self.in_transaction else None
-            count = self._system.accelerator.update_where(
-                stmt, params=params, snapshot_epoch=epoch, delta=delta
+            count = getattr(system.accelerator, engine_method)(
+                stmt,
+                params=run.params,
+                snapshot_epoch=epoch,
+                delta=self.delta_for(descriptor.name),
             )
-            return Result(engine="ACCELERATOR", rowcount=count)
-        count = self._system.db2.update_where(txn, stmt, params)
-        return Result(engine="DB2", rowcount=count)
-
-    def _execute_delete(
-        self,
-        stmt: ast.DeleteStatement,
-        txn: Transaction,
-        params: Sequence[object],
-    ) -> Result:
-        self._reject_view_target(stmt.table)
-        descriptor = self._system.catalog.table(stmt.table)
-        self._check_table_privilege(Privilege.DELETE, descriptor)
-        self._admit(
-            "ACCELERATOR" if descriptor.is_aot else "DB2",
-            estimated_rows=self._table_row_count(descriptor.name),
-        )
-        if descriptor.is_aot:
-            self._require_accelerator_for_dml(descriptor.name)
-            self._system.interconnect.send_to_accelerator(
-                STATEMENT_OVERHEAD_BYTES
+        else:
+            count = getattr(system.db2, engine_method)(
+                run.txn, stmt, run.params
             )
-            delta = self.delta_for(descriptor.name) if self.in_transaction else None
-            epoch = self.snapshot_epoch_for_statement() if self.in_transaction else None
-            count = self._system.accelerator.delete_where(
-                stmt, params=params, snapshot_epoch=epoch, delta=delta
-            )
-            return Result(engine="ACCELERATOR", rowcount=count)
-        count = self._system.db2.delete_where(txn, stmt, params)
-        return Result(engine="DB2", rowcount=count)
+        return Result(engine=decision.engine, rowcount=count)
 
     # -- DDL --------------------------------------------------------------------------------------
 
     def _execute_create_table(
-        self,
-        stmt: ast.CreateTableStatement,
-        txn: Transaction,
-        params: Sequence[object],
+        self, stmt: ast.CreateTableStatement, run: "_StatementRun"
     ) -> Result:
         if stmt.if_not_exists and self._system.catalog.has_table(stmt.name):
             return Result(message="TABLE EXISTS", engine="DB2")
 
         if stmt.as_select is not None:
-            mode = (
-                AccelerationMode.ALL
-                if stmt.in_accelerator
-                else self.acceleration
-            )
-            source_columns, source_rows, source_engine = self._run_select(
-                stmt.as_select, txn, params, mode
+            source_columns, source_rows, source_engine = self._run_subselect(
+                stmt.as_select, run, stmt.in_accelerator
             )
             schema = self._schema_from_rows(source_columns, source_rows)
         else:
@@ -1870,27 +1708,7 @@ class Connection:
         count = 0
         if stmt.as_select is not None:
             rows = [schema.coerce_row(row) for row in source_rows]
-            nbytes = sum(schema.row_byte_size(row) for row in rows)
-            if descriptor.is_aot:
-                if source_engine != "ACCELERATOR":
-                    # DB2-resident source: rows cross to the accelerator.
-                    self._system.interconnect.send_to_accelerator(nbytes)
-                delta = (
-                    self.delta_for(descriptor.name)
-                    if self.in_transaction
-                    else None
-                )
-                count = self._system.accelerator.insert_into(
-                    descriptor.name, rows, delta=delta, already_coerced=True
-                )
-            else:
-                if source_engine == "ACCELERATOR":
-                    # Legacy-flow price: materialising accelerator results
-                    # in DB2 ships them back over the interconnect.
-                    self._system.interconnect.send_to_db2(nbytes)
-                count = self._system.db2.insert_rows(
-                    txn, descriptor.name, rows, already_coerced=True
-                )
+            count = self._land_rows(run, descriptor, rows, source_engine, 0)
         return Result(
             message=f"TABLE {descriptor.name} CREATED",
             engine="ACCELERATOR" if stmt.in_accelerator else "DB2",
@@ -1913,14 +1731,11 @@ class Connection:
             columns.append(Column(name, sql_type))
         return TableSchema(columns)
 
-    def _execute_drop_table(self, stmt: ast.DropTableStatement) -> Result:
+    def _execute_drop_table(self, stmt: ast.DropTableStatement, run) -> Result:
         if stmt.if_exists and not self._system.catalog.has_table(stmt.name):
             return Result(message="NO TABLE", engine="DB2")
         descriptor = self._system.catalog.table(stmt.name)
-        if not (self.user.is_admin or descriptor.owner == self.user.name):
-            raise AuthorizationError(
-                f"user {self.user.name} cannot drop {descriptor.name}"
-            )
+        self._check_privilege(descriptor, None, f"drop {descriptor.name}")
         self._system.catalog.drop_table(descriptor.name)
         self._system.db2.drop_storage(descriptor.name)
         self._system.accelerator.drop_storage(descriptor.name)
@@ -1929,7 +1744,7 @@ class Connection:
         return Result(message=f"TABLE {descriptor.name} DROPPED", engine="DB2")
 
     def _execute_alter_distribute(
-        self, stmt: ast.AlterTableDistribute
+        self, stmt: ast.AlterTableDistribute, run
     ) -> Result:
         """ALTER TABLE … ACCELERATE DISTRIBUTE BY HASH/RANGE/RANDOM.
 
@@ -1942,10 +1757,7 @@ class Connection:
         from repro.shard.placement import PartitionSpec, range_boundaries
 
         descriptor = self._system.catalog.table(stmt.table)
-        if not (self.user.is_admin or descriptor.owner == self.user.name):
-            raise AuthorizationError(
-                f"user {self.user.name} cannot alter {descriptor.name}"
-            )
+        self._check_privilege(descriptor, None, f"alter {descriptor.name}")
         if not descriptor.is_accelerated:
             raise SqlError(
                 f"table {descriptor.name} is not accelerator-resident; "
@@ -1989,7 +1801,9 @@ class Connection:
             rowcount=moved,
         )
 
-    def _execute_create_view(self, stmt: ast.CreateViewStatement) -> Result:
+    def _execute_create_view(
+        self, stmt: ast.CreateViewStatement, run
+    ) -> Result:
         # Validate eagerly: expansion catches unknown views; execution of
         # the definition would catch unknown tables, but a cheap catalog
         # check keeps CREATE VIEW errors early and clear.
@@ -2003,23 +1817,22 @@ class Connection:
             message=f"VIEW {descriptor.name} CREATED", engine="DB2"
         )
 
-    def _execute_drop_view(self, stmt: ast.DropViewStatement) -> Result:
+    def _execute_drop_view(self, stmt: ast.DropViewStatement, run) -> Result:
         if stmt.if_exists and not self._system.catalog.has_view(stmt.name):
             return Result(message="NO VIEW", engine="DB2")
         descriptor = self._system.catalog.view(stmt.name)
-        if not (self.user.is_admin or descriptor.owner == self.user.name):
-            raise AuthorizationError(
-                f"user {self.user.name} cannot drop view {descriptor.name}"
-            )
+        self._check_privilege(
+            descriptor, None, f"drop view {descriptor.name}"
+        )
         self._system.catalog.drop_view(descriptor.name)
         return Result(message=f"VIEW {descriptor.name} DROPPED", engine="DB2")
 
     # -- GRANT / REVOKE ------------------------------------------------------------------------------
 
     def _execute_grant_revoke(
-        self, stmt: Union[ast.GrantStatement, ast.RevokeStatement]
+        self, stmt: Union[ast.GrantStatement, ast.RevokeStatement], run
     ) -> Result:
-        is_grant = isinstance(stmt, ast.GrantStatement)
+        verb = "grant" if isinstance(stmt, ast.GrantStatement) else "revoke"
         object_name = stmt.object_name.upper()
         if stmt.object_type == "TABLE":
             catalog = self._system.catalog
@@ -2028,11 +1841,9 @@ class Connection:
                 if catalog.has_view(object_name)
                 else catalog.table(object_name)
             )
-            if not (self.user.is_admin or descriptor.owner == self.user.name):
-                raise AuthorizationError(
-                    f"user {self.user.name} cannot "
-                    f"{'grant' if is_grant else 'revoke'} on {object_name}"
-                )
+            self._check_privilege(
+                descriptor, None, f"{verb} on {object_name}"
+            )
             object_name = descriptor.name
         elif not self.user.is_admin:
             raise AuthorizationError(
@@ -2040,14 +1851,10 @@ class Connection:
             )
         grantee = self._system.catalog.user(stmt.grantee).name
         privileges = self._resolve_privileges(stmt.privileges, stmt.object_type)
-        manager = self._system.catalog.privileges
-        if is_grant:
-            manager.grant(grantee, privileges, stmt.object_type, object_name)
-        else:
-            manager.revoke(grantee, privileges, stmt.object_type, object_name)
-        return Result(
-            message=f"{'GRANT' if is_grant else 'REVOKE'} OK", engine="DB2"
+        getattr(self._system.catalog.privileges, verb)(
+            grantee, privileges, stmt.object_type, object_name
         )
+        return Result(message=f"{verb.upper()} OK", engine="DB2")
 
     @staticmethod
     def _resolve_privileges(
@@ -2064,3 +1871,34 @@ class Connection:
                 Privilege.LOAD,
             ]
         return [Privilege.from_name(name) for name in names]
+
+    #: Statement class → (handler, label): the one dispatch table.
+    #: Handlers take ``(stmt, run)``; the label names the statement kind
+    #: in the trace, the statement history and EXPLAIN.
+    _STATEMENT_KINDS = {
+        ast.SelectStatement: (_execute_query, "Select"),
+        ast.SetOperation: (_execute_query, "SetOperation"),
+        ast.InsertStatement: (_execute_insert, "Insert"),
+        ast.UpdateStatement: (_execute_update_or_delete, "Update"),
+        ast.DeleteStatement: (_execute_update_or_delete, "Delete"),
+        ast.CreateTableStatement: (_execute_create_table, "CreateTable"),
+        ast.DropTableStatement: (_execute_drop_table, "DropTable"),
+        ast.AlterTableDistribute: (
+            _execute_alter_distribute,
+            "AlterTableDistribute",
+        ),
+        ast.CreateViewStatement: (_execute_create_view, "CreateView"),
+        ast.DropViewStatement: (_execute_drop_view, "DropView"),
+        ast.GrantStatement: (_execute_grant_revoke, "Grant"),
+        ast.RevokeStatement: (_execute_grant_revoke, "Revoke"),
+        ast.ExplainStatement: (_execute_explain, "Explain"),
+        ast.SetStatement: (_execute_set, "Set"),
+        ast.CallStatement: (_execute_call, "Call"),
+        # Looked up on the instance: a wrapped commit() stays in the path.
+        ast.BeginStatement: (lambda self, stmt, run: self.begin(), "Begin"),
+        ast.CommitStatement: (lambda self, stmt, run: self.commit(), "Commit"),
+        ast.RollbackStatement: (
+            lambda self, stmt, run: self.rollback(),
+            "Rollback",
+        ),
+    }

@@ -429,6 +429,24 @@ class OperatorStats:
         """Tree line for this operator (the shared formatter)."""
         return format_operator(self.operator, self.detail, self.depth)
 
+    def flags(self) -> str:
+        """How the operator ran — EXPLAIN ANALYZE's DETAIL column and
+        the rendered profile share this."""
+        flags = []
+        if self.parallel:
+            flags.append("parallel")
+        if self.fused:
+            flags.append("fused")
+        if not self.executed:
+            flags.append("not-executed")
+        if self.chunks_skipped:
+            flags.append(f"chunks_skipped={self.chunks_skipped}")
+        if self.batches > 1:
+            flags.append(f"batches={self.batches}")
+        if self.rows_in:
+            flags.append(f"rows_in={self.rows_in}")
+        return " ".join(flags)
+
 
 def counted_rows(stats: OperatorStats, rows: Iterator[tuple]) -> Iterator[tuple]:
     """Wrap a streaming operator's output, counting rows into ``stats``.
@@ -563,23 +581,10 @@ class StatementProfile:
             header += f" error={self.error}"
         lines = [header]
         for op in self.operators:
-            flags = ""
-            if op.fused:
-                flags += " fused"
-            if op.parallel:
-                flags += " parallel"
-            if not op.executed:
-                flags += " not-executed"
             lines.append(
                 f"{op.describe()} rows={op.actual_rows} "
                 f"(est={op.estimated_rows} q={op.q_error:.2f}) "
-                f"{op.wall_seconds * 1000:.3f}ms"
-                + (
-                    f" chunks_skipped={op.chunks_skipped}"
-                    if op.chunks_skipped
-                    else ""
-                )
-                + flags
+                f"{op.wall_seconds * 1000:.3f}ms {op.flags()}".rstrip()
             )
         return lines
 

@@ -53,8 +53,6 @@ __all__ = [
     "Sort",
     "Limit",
     "SetOp",
-    "REWRITES_ENABLED",
-    "JOIN_REORDER_ENABLED",
     "bind",
     "rewrite_plan",
     "plan_statement",
@@ -64,17 +62,6 @@ __all__ = [
     "combine_set_rows",
     "order_rows_by_output",
 ]
-
-#: Default for :func:`plan_statement`'s ``rewrite`` argument. Tests flip
-#: this (or pass ``rewrite=False``) to compare rewritten vs. raw plans.
-REWRITES_ENABLED = True
-
-#: Master switch for the cost-based join re-association stage. Even when
-#: True the stage only runs if the caller supplies a ``table_rows``
-#: estimator to :func:`plan_statement` / :func:`rewrite_plan` — without
-#: cardinalities there is nothing to cost.
-JOIN_REORDER_ENABLED = True
-
 
 # ---------------------------------------------------------------------------
 # Plan nodes
@@ -231,7 +218,7 @@ def _bind_from(item: ast.FromItem) -> PlanNode:
 
 def plan_statement(
     stmt: Statement,
-    rewrite: Optional[bool] = None,
+    rewrite: bool = True,
     table_rows: Optional[Callable[[str], Optional[int]]] = None,
 ) -> PlanNode:
     """Bind ``stmt`` and (by default) run the rewrite pipeline.
@@ -241,8 +228,6 @@ def plan_statement(
     a statistics-backed estimator here.
     """
     plan = bind(stmt)
-    if rewrite is None:
-        rewrite = REWRITES_ENABLED
     return rewrite_plan(plan, table_rows=table_rows) if rewrite else plan
 
 
@@ -255,7 +240,7 @@ def rewrite_plan(
     -> column pruning."""
     plan = _fold_node(plan)
     plan = _pushdown_node(plan)
-    if JOIN_REORDER_ENABLED and table_rows is not None:
+    if table_rows is not None:
         plan = _reorder_plan(plan, table_rows)
     plan = _prune_plan(plan)
     return plan

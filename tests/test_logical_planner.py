@@ -46,7 +46,7 @@ from repro.sql.logical import (
 # ---------------------------------------------------------------------------
 
 
-def _plan(sql, rewrite=None):
+def _plan(sql, rewrite=True):
     return plan_statement(parse_statement(sql), rewrite=rewrite)
 
 
@@ -109,12 +109,8 @@ class TestBinder:
 
 class TestRewriter:
     def test_rewrites_enabled_by_default(self):
-        from repro.sql import logical
-
-        assert logical.REWRITES_ENABLED is True
-        assert plan_shape(_plan("SELECT a FROM t WHERE b > 1")) == (
-            "Project(Scan[T(A,B)*])"
-        )
+        plan = plan_statement(parse_statement("SELECT a FROM t WHERE b > 1"))
+        assert plan_shape(plan) == "Project(Scan[T(A,B)*])"
 
     def test_pushdown_absorbs_filter_into_scan(self):
         plan = _plan("SELECT a FROM t WHERE b > 1")

@@ -391,6 +391,12 @@ def _shape(plan):
     return re.sub(r"Scan\[(\w+)[^\]]*\]", r"Scan[\1]", plan_shape(plan))
 
 
+def _no_reorder(plan, table_rows):
+    """Identity stand-in for ``logical._reorder_plan``: the differential
+    tests turn join re-association off by patching it in."""
+    return plan
+
+
 class TestJoinReorder:
     def test_reorders_large_table_out_of_the_build_chain(self):
         plan = _plan(_CHAIN, table_rows=_sizes({"A": 1000, "B": 5, "C": 10}))
@@ -425,7 +431,7 @@ class TestJoinReorder:
         )
 
     def test_global_switch_disables_reorder(self, monkeypatch):
-        monkeypatch.setattr(logical, "JOIN_REORDER_ENABLED", False)
+        monkeypatch.setattr(logical, "_reorder_plan", _no_reorder)
         plan = _plan(_CHAIN, table_rows=_sizes({"A": 1000, "B": 5, "C": 10}))
         assert (
             "Join[INNER](Join[INNER](Scan[A],Scan[B]),Scan[C])"
@@ -453,7 +459,8 @@ class TestJoinReorder:
         set equality."""
 
         def run(reorder):
-            monkeypatch.setattr(logical, "JOIN_REORDER_ENABLED", reorder)
+            if not reorder:
+                monkeypatch.setattr(logical, "_reorder_plan", _no_reorder)
             db, conn = star_db()
             conn.set_acceleration("ENABLE")
             accel = conn.execute(sql).rows
@@ -496,8 +503,8 @@ class TestSystemIntegration:
         # No cardinality for any referenced table: the cost model stands
         # down and the legacy shape/row-threshold heuristic routes.
         monkeypatch.setattr(
-            system_module.Connection,
-            "_optimizer_table_rows",
+            system_module.AcceleratedDatabase,
+            "_live_row_count",
             lambda self, name: None,
         )
         explained = conn.explain("SELECT SUM(V) FROM FACT")
