@@ -32,7 +32,9 @@ class DeltaBuffer:
 
     def __init__(self, table: str) -> None:
         self.table = table
-        #: Rows inserted by this transaction (coerced tuples). Entries
+        #: Rows inserted by this transaction (coerced tuples — the one
+        #: place besides a client's result where an AOT batch is boxed:
+        #: UPDATE and DELETE address single uncommitted rows). Entries
         #: deleted again before commit become ``None`` placeholders.
         self.inserted: list[tuple | None] = []
         #: Base-table row ids deleted by this transaction.

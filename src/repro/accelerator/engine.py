@@ -17,9 +17,12 @@ import numpy as np
 
 from repro.accelerator.deltas import DeltaBuffer
 from repro.accelerator.executor import ScanPartitions, VectorQueryEngine
-from repro.accelerator.vtable import columns_from_rows
 from repro.catalog import Catalog, TableDescriptor
-from repro.catalog.schema import TableSchema
+from repro.catalog.schema import (
+    TableSchema,
+    columns_from_rows,
+    rows_from_columns,
+)
 from repro.db2.changelog import ChangeRecord
 from repro.errors import ReplicationError, ReproError, UnknownObjectError
 from repro.obs.trace import NULL_SPAN
@@ -220,17 +223,19 @@ class AcceleratorEngine:
 
     # -- write paths -----------------------------------------------------------------
 
-    def bulk_insert(self, name: str, rows: Sequence[tuple]) -> int:
-        """Append coerced rows as one batch at a fresh epoch."""
+    def bulk_insert(self, name: str, rows: Sequence) -> int:
+        """Append one coerced batch — row tuples, or the aligned columns
+        of a batch that is already columnar — at a fresh epoch."""
         self._check_fault()
         table = self.storage_for(name)
+        columns = _batch_columns(table.schema, rows, coerced=True)
         with self._write_lock:
             self._lookup_cache.pop(name.upper(), None)
             epoch = self._staged_epoch()
-            table.append_rows(list(rows), epoch)
+            table.append_columns(columns, epoch)
             self._publish_epoch(epoch)
             self._note_write_locked(name.upper())
-        return len(rows)
+        return len(columns[0])
 
     def apply_changes(self, name: str, records: Sequence[ChangeRecord]) -> int:
         """Apply one replication batch (insert/update/delete) atomically.
@@ -394,15 +399,22 @@ class AcceleratorEngine:
         self._lookup_cache.pop(key, None)
         chunks_before = table.total_chunk_count
         row_ids, columns = table.read_visible(self.current_epoch)
-        ordered = [columns[c.name] for c in table.schema.columns]
-        object_columns = [col.to_objects() for col in ordered]
-        rows = [
-            tuple(values[i] for values in object_columns)
-            for i in range(len(row_ids))
-        ]
-        reclaimed = sum(
-            len(chunk) for _, chunk in table.iter_chunks()
-        ) - len(rows)
+        fresh = self._empty_successor(key, table)
+        # Epoch 0 keeps the live rows visible to every snapshot.
+        fresh.append_columns(
+            [columns[c.name] for c in table.schema.columns],
+            epoch=0,
+            row_ids=row_ids,
+        )
+        self._tables[key] = fresh
+        return GroomStats(
+            rows_reclaimed=table.stored_rows - len(row_ids),
+            chunks_before=chunks_before,
+            chunks_after=fresh.total_chunk_count,
+        )
+
+    def _empty_successor(self, key: str, table: ColumnStoreTable):
+        """Empty storage shaped like ``table`` that continues its row ids."""
         fresh = ColumnStoreTable(
             table.schema,
             slice_count=table.slice_count,
@@ -410,14 +422,7 @@ class AcceleratorEngine:
             chunk_rows=table.chunk_rows,
         )
         fresh._next_row_id = table._next_row_id
-        # Epoch 0 keeps the live rows visible to every snapshot.
-        fresh.append_rows(rows, epoch=0, row_ids=row_ids)
-        self._tables[key] = fresh
-        return GroomStats(
-            rows_reclaimed=reclaimed,
-            chunks_before=chunks_before,
-            chunks_after=fresh.total_chunk_count,
-        )
+        return fresh
 
     # -- recovery support ---------------------------------------------------------------
 
@@ -711,26 +716,27 @@ class AcceleratorEngine:
     def insert_into(
         self,
         name: str,
-        rows: Sequence[Sequence[object]],
+        rows: Sequence,
         delta: Optional[DeltaBuffer] = None,
         already_coerced: bool = False,
     ) -> int:
-        """INSERT: into the txn delta when given, else applied directly."""
+        """INSERT: into the txn delta when given, else applied directly.
+
+        ``rows`` are row tuples or the aligned columns of a batch that
+        never left columnar form; either way they are coerced and land as
+        columns. Only the transaction delta holds row tuples.
+        """
         schema = self.storage_for(name).schema
-        coerced = (
-            [tuple(r) for r in rows]
-            if already_coerced
-            else [schema.coerce_row(r) for r in rows]
-        )
+        columns = _batch_columns(schema, rows, already_coerced)
         if delta is not None:
-            delta.insert(coerced)
+            delta.insert(rows_from_columns(columns))
         else:
             # Crash point: an accelerator-only populate (CTAS / direct
             # INSERT ... SELECT) dies before any row became durable.
             if self.fault_injector is not None:
                 self.fault_injector.crash_point("aot.mid_build")
-            self.bulk_insert(name, coerced)
-        return len(coerced)
+            self.bulk_insert(name, columns)
+        return len(columns[0])
 
     def delete_where(
         self,
@@ -902,6 +908,22 @@ class AcceleratorEngine:
             lambda table: self.storage_for(table).schema.column_names,
             lambda query: self.execute_select(query)[1],
         )
+
+
+def _batch_columns(
+    schema: TableSchema, batch: Sequence, coerced: bool
+) -> list[VColumn]:
+    """A write batch as coerced columns in schema order.
+
+    The batch is row tuples (packed here, once) or already aligned
+    columns (passed through); ``coerced`` says whether its values have
+    been through the schema's type rules yet.
+    """
+    if len(batch) and isinstance(batch[0], VColumn):
+        return list(batch) if coerced else schema.coerce_columns(batch)
+    if coerced:
+        return list(columns_from_rows(schema, batch).values())
+    return schema.coerce_rows(batch)
 
 
 def _partition_chunks(chunks: list, parts: int) -> list[list]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.catalog.schema import Column, TableSchema
 from repro.errors import ParseError, SqlError
-from repro.metrics.counters import SizedRows, estimate_columns_bytes
+from repro.metrics.counters import SizedRows
 from repro.sql import ast, logical
 from repro.sql.expressions import (
     Scope,
@@ -219,17 +219,16 @@ class VectorQueryEngine:
     ) -> tuple[list[str], list[tuple]]:
         """Run a statement or pre-bound logical plan; returns (columns, rows).
 
-        The plan runs column-at-a-time throughout; this is the one place
-        its result is boxed into row tuples.
+        The plan runs column-at-a-time throughout and the rows returned
+        are still its last :class:`VTable`: they box into tuples when —
+        and only if — somebody reads them.
         """
         if isinstance(stmt, logical.PlanNode):
             plan = stmt
         else:
             plan = logical.plan_statement(stmt)
         columns, table = self._execute_plan(plan)
-        return columns, SizedRows(
-            table.to_rows(), estimate_columns_bytes(table.columns)
-        )
+        return columns, SizedRows(table)
 
     def _checkpoint(self) -> None:
         """Cooperative cancellation point (operator/chunk boundaries)."""

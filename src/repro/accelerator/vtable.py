@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.catalog.schema import TableSchema
+from repro.catalog.schema import columns_from_rows, rows_from_columns
 from repro.sql.expressions import Scope, VColumn
 from repro.sql.planning import sort_rows_with_keys
 
@@ -25,7 +25,9 @@ class VTable:
     This is what flows between the accelerator's operators, up to the
     statement's result: scans produce one, joins concatenate two, filters
     compress one, projections and aggregations map one to another, and
-    the executor boxes the last one with :meth:`to_rows`, once.
+    the last one leaves the executor as the statement's result: boxed by
+    :meth:`to_rows` when its rows are read, landed as it is by
+    ``INSERT … SELECT``.
     """
 
     def __init__(self, scope: Scope, columns: list[VColumn], length: int) -> None:
@@ -136,34 +138,3 @@ def order_indexes(
     return np.lexsort(
         [c if up else -c for c, up in zip(codes, ascending)][::-1]
     )
-
-
-def columns_from_rows(
-    schema: TableSchema, rows: Sequence[tuple]
-) -> dict[str, VColumn]:
-    """Pack coerced row tuples into typed columns (delta merge, loader)."""
-    out: dict[str, VColumn] = {}
-    for position, column in enumerate(schema.columns):
-        items = [row[position] for row in rows]
-        mask = np.array([item is None for item in items], dtype=bool)
-        dtype = column.sql_type.numpy_dtype
-        if dtype.kind in "ifb":
-            fill = 0 if dtype.kind in "ib" else np.nan
-            values = np.array(
-                [fill if item is None else item for item in items], dtype=dtype
-            )
-        else:
-            values = np.empty(len(items), dtype=object)
-            values[:] = items
-        out[column.name] = VColumn(
-            values=values, mask=mask if mask.any() else None
-        )
-    return out
-
-
-def rows_from_columns(columns: Sequence[VColumn]) -> list[tuple]:
-    """Inverse of :func:`columns_from_rows` for aligned columns."""
-    if not columns:
-        return []
-    object_columns = [col.to_objects() for col in columns]
-    return [tuple(row) for row in zip(*object_columns)]

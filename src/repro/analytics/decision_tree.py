@@ -458,24 +458,16 @@ def predict_decision_tree(ctx: ProcedureContext) -> str:
     outtable = ctx.require("outtable").upper()
     id_column = ctx.require("id").upper()
     matrix = ctx.read_matrix(intable, model.features)
-    ids = ctx.read_labels(intable, id_column)
     predictions, confidences = decision_tree_predict(
         matrix, model.payload["root"]
     )
-    id_type = ctx.system.catalog.table(intable).schema.column(id_column).sql_type
-    ctx.create_output_table(
+    rows = ctx.write_row_scores(
+        intable,
+        id_column,
         outtable,
         [
-            (id_column, id_type),
-            ("PREDICTION", VarcharType(64)),
-            ("CONFIDENCE", DOUBLE),
+            ("PREDICTION", VarcharType(64), list(map(str, predictions))),
+            ("CONFIDENCE", DOUBLE, confidences),
         ],
     )
-    ctx.insert_rows(
-        outtable,
-        [
-            (ids[i], str(predictions[i]), float(confidences[i]))
-            for i in range(len(ids))
-        ],
-    )
-    return f"PREDICT_DECTREE ok: scored {len(ids)} rows"
+    return f"PREDICT_DECTREE ok: scored {rows} rows"

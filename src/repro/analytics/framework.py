@@ -27,6 +27,7 @@ from repro.errors import (
 )
 from repro.result import Result
 from repro.sql import ast
+from repro.sql.expressions import VColumn
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.system import AcceleratedDatabase, Connection
@@ -254,6 +255,43 @@ class ProcedureContext:
     def insert_rows(self, name: str, rows: Sequence[tuple]) -> int:
         """Write rows to an AOT through the connection's txn context."""
         return self.system.insert_procedure_rows(self.connection, name, rows)
+
+    def insert_columns(self, name: str, columns: Sequence) -> int:
+        """:meth:`insert_rows` for output computed as aligned columns
+        (``VColumn``s in the table's column order): it lands without
+        ever being boxed into rows."""
+        return self.system.insert_procedure_rows(
+            self.connection, name, columns
+        )
+
+    def write_row_scores(
+        self,
+        intable: str,
+        id_column: str,
+        outtable: str,
+        scores: Sequence[tuple[str, object, Sequence]],
+    ) -> int:
+        """Create ``outtable`` as ``intable``'s id column followed by
+        ``scores`` and fill it; returns the row count.
+
+        ``scores`` are (column name, SQL type, values) triples, the values
+        one per input row in scan order. The ids stay the column they were
+        read as and the scores the arrays they were computed as.
+        """
+        ids = self.read_columns(intable, [id_column])[id_column]
+        id_type = (
+            self.system.catalog.table(intable).schema.column(id_column).sql_type
+        )
+        self.create_output_table(
+            outtable,
+            [(id_column, id_type)]
+            + [(name, sql_type) for name, sql_type, __ in scores],
+        )
+        return self.insert_columns(
+            outtable,
+            [ids]
+            + [VColumn(values=np.asarray(values)) for *__, values in scores],
+        )
 
     def log(self, message: str) -> None:
         self.messages.append(message)

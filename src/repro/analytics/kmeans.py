@@ -272,18 +272,13 @@ def kmeans_procedure(ctx: ProcedureContext) -> str:
     aggregate = KMeansAggregate(k, max_iterations=max_iterations, seed=seed)
     report = uda.train(aggregate, source)
     result = aggregate.result()
-    ids = ctx.read_labels(intable, id_column)
-
-    id_type = ctx.system.catalog.table(intable).schema.column(id_column).sql_type
-    ctx.create_output_table(
-        outtable,
-        [(id_column, id_type), ("CLUSTER_ID", INTEGER), ("DISTANCE", DOUBLE)],
-    )
-    ctx.insert_rows(
+    rows = ctx.write_row_scores(
+        intable,
+        id_column,
         outtable,
         [
-            (ids[i], int(result.assignments[i]), float(result.distances[i]))
-            for i in range(len(ids))
+            ("CLUSTER_ID", INTEGER, result.assignments),
+            ("DISTANCE", DOUBLE, result.distances),
         ],
     )
     if model_name:
@@ -305,9 +300,9 @@ def kmeans_procedure(ctx: ProcedureContext) -> str:
             ),
             replace=True,
         )
-    ctx.log(f"clustered {len(ids)} rows into {k} clusters")
+    ctx.log(f"clustered {rows} rows into {k} clusters")
     return (
-        f"KMEANS ok: k={k}, rows={len(ids)}, "
+        f"KMEANS ok: k={k}, rows={rows}, "
         f"inertia={result.inertia:.4f}, iterations={result.iterations}"
     )
 
@@ -321,20 +316,13 @@ def predict_kmeans(ctx: ProcedureContext) -> str:
     outtable = ctx.require("outtable").upper()
     id_column = ctx.require("id").upper()
     matrix = ctx.read_matrix(intable, model.features)
-    ids = ctx.read_labels(intable, id_column)
     distances = _pairwise_sq_distances(matrix, model.payload["centroids"])
     assignments = distances.argmin(axis=1)
-    best = np.sqrt(distances[np.arange(len(ids)), assignments])
-    id_type = ctx.system.catalog.table(intable).schema.column(id_column).sql_type
-    ctx.create_output_table(
+    best = np.sqrt(distances[np.arange(len(matrix)), assignments])
+    rows = ctx.write_row_scores(
+        intable,
+        id_column,
         outtable,
-        [(id_column, id_type), ("CLUSTER_ID", INTEGER), ("DISTANCE", DOUBLE)],
+        [("CLUSTER_ID", INTEGER, assignments), ("DISTANCE", DOUBLE, best)],
     )
-    ctx.insert_rows(
-        outtable,
-        [
-            (ids[i], int(assignments[i]), float(best[i]))
-            for i in range(len(ids))
-        ],
-    )
-    return f"PREDICT_KMEANS ok: scored {len(ids)} rows with model {model.name}"
+    return f"PREDICT_KMEANS ok: scored {rows} rows with model {model.name}"

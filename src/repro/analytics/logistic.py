@@ -287,21 +287,15 @@ def predict_logreg(ctx: ProcedureContext) -> str:
     outtable = ctx.require("outtable").upper()
     id_column = ctx.require("id").upper()
     matrix = ctx.read_matrix(intable, model.features)
-    ids = ctx.read_labels(intable, id_column)
     margins = np.full(matrix.shape[0], float(model.payload["intercept"]))
     coefficients = np.asarray(model.payload["coefficients"], dtype=np.float64)
     for j in range(coefficients.shape[0]):
         margins += coefficients[j] * matrix[:, j]
     probabilities = sigmoid(margins)
-    id_type = ctx.system.catalog.table(intable).schema.column(id_column).sql_type
-    ctx.create_output_table(
-        outtable, [(id_column, id_type), ("PROBABILITY", DOUBLE)]
+    rows = ctx.write_row_scores(
+        intable, id_column, outtable, [("PROBABILITY", DOUBLE, probabilities)]
     )
-    ctx.insert_rows(
-        outtable,
-        [(ids[i], float(probabilities[i])) for i in range(len(ids))],
-    )
-    return f"PREDICT_LOGISTIC_REGRESSION ok: scored {len(ids)} rows"
+    return f"PREDICT_LOGISTIC_REGRESSION ok: scored {rows} rows"
 
 
 def _varchar(length: int):

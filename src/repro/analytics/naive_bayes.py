@@ -251,22 +251,14 @@ def predict_naive_bayes(ctx: ProcedureContext) -> str:
     outtable = ctx.require("outtable").upper()
     id_column = ctx.require("id").upper()
     matrix = ctx.read_matrix(intable, model.features)
-    ids = ctx.read_labels(intable, id_column)
     predictions, scores = naive_bayes_predict(matrix, model.payload["fit"])
-    id_type = ctx.system.catalog.table(intable).schema.column(id_column).sql_type
-    ctx.create_output_table(
+    rows = ctx.write_row_scores(
+        intable,
+        id_column,
         outtable,
         [
-            (id_column, id_type),
-            ("PREDICTION", VarcharType(64)),
-            ("LOG_SCORE", DOUBLE),
+            ("PREDICTION", VarcharType(64), list(map(str, predictions))),
+            ("LOG_SCORE", DOUBLE, scores),
         ],
     )
-    ctx.insert_rows(
-        outtable,
-        [
-            (ids[i], str(predictions[i]), float(scores[i]))
-            for i in range(len(ids))
-        ],
-    )
-    return f"PREDICT_NAIVEBAYES ok: scored {len(ids)} rows"
+    return f"PREDICT_NAIVEBAYES ok: scored {rows} rows"

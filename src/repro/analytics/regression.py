@@ -212,19 +212,13 @@ def predict_linreg(ctx: ProcedureContext) -> str:
     outtable = ctx.require("outtable").upper()
     id_column = ctx.require("id").upper()
     matrix = ctx.read_matrix(intable, model.features)
-    ids = ctx.read_labels(intable, id_column)
     predictions = linreg_predict(
         matrix, model.payload["intercept"], model.payload["coefficients"]
     )
-    id_type = ctx.system.catalog.table(intable).schema.column(id_column).sql_type
-    ctx.create_output_table(
-        outtable, [(id_column, id_type), ("PREDICTION", DOUBLE)]
+    rows = ctx.write_row_scores(
+        intable, id_column, outtable, [("PREDICTION", DOUBLE, predictions)]
     )
-    ctx.insert_rows(
-        outtable,
-        [(ids[i], float(predictions[i])) for i in range(len(ids))],
-    )
-    return f"PREDICT_LINEAR_REGRESSION ok: scored {len(ids)} rows"
+    return f"PREDICT_LINEAR_REGRESSION ok: scored {rows} rows"
 
 
 def _varchar(length: int):

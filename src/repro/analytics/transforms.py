@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.analytics.framework import ProcedureContext
 from repro.errors import AnalyticsError, ProcedureError
+from repro.sql.expressions import VColumn
 from repro.sql.types import DOUBLE, INTEGER, VarcharType
 
 __all__ = [
@@ -30,10 +31,29 @@ def _source_schema(ctx: ProcedureContext, table: str):
 
 
 def _read_all(ctx: ProcedureContext, table: str):
+    """(schema, column names, {name: VColumn}) of a table's current rows."""
     schema = _source_schema(ctx, table)
     names = schema.column_names
-    frame = ctx.read_columns(table, names)
-    return schema, names, {name: frame[name].to_objects() for name in names}
+    return schema, names, ctx.read_columns(table, names)
+
+
+def _as_float(column: VColumn) -> np.ndarray:
+    """The column as float64, NaN in its NULL slots."""
+    if column.mask is None:
+        return column.values.astype(np.float64)
+    values = np.full(len(column), np.nan)
+    values[~column.mask] = column.values[~column.mask].astype(np.float64)
+    return values
+
+
+def _nullable(values: np.ndarray, live: np.ndarray) -> VColumn:
+    """``values`` with NULL wherever ``live`` is False."""
+    return VColumn(values=values, mask=None if live.all() else ~live)
+
+
+def _take(frame: dict, indexes: np.ndarray) -> dict:
+    """The rows at ``indexes`` of every column of ``frame``."""
+    return {name: column.take(indexes) for name, column in frame.items()}
 
 
 def _default_numeric(ctx, table, exclude=()):
@@ -45,16 +65,11 @@ def _default_numeric(ctx, table, exclude=()):
     ]
 
 
-def _write_like_source(ctx, schema, outtable, columns_data, names):
+def _write_like_source(ctx, schema, outtable, frame, names):
     ctx.create_output_table(
         outtable, [(c.name, c.sql_type) for c in schema.columns]
     )
-    count = len(columns_data[names[0]]) if names else 0
-    rows = [
-        tuple(columns_data[name][i] for name in names) for i in range(count)
-    ]
-    ctx.insert_rows(outtable, rows)
-    return len(rows)
+    return ctx.insert_columns(outtable, [frame[name] for name in names])
 
 
 def normalize_procedure(ctx: ProcedureContext) -> str:
@@ -65,16 +80,13 @@ def normalize_procedure(ctx: ProcedureContext) -> str:
     method = (ctx.get("method") or "zscore").lower()
     if method not in ("zscore", "minmax"):
         raise ProcedureError(f"unknown normalisation method {method!r}")
-    schema, names, data = _read_all(ctx, intable)
+    schema, names, frame = _read_all(ctx, intable)
     targets = ctx.column_list("incolumn") or _default_numeric(ctx, intable)
     for name in targets:
         column = schema.column(name)
         if not column.sql_type.is_numeric:
             raise AnalyticsError(f"column {name} is not numeric")
-        values = np.array(
-            [v if v is not None else np.nan for v in data[name]],
-            dtype=np.float64,
-        )
+        values = _as_float(frame[name])
         live = ~np.isnan(values)
         if not live.any():
             continue
@@ -86,9 +98,7 @@ def normalize_procedure(ctx: ProcedureContext) -> str:
             low = values[live].min()
             span = values[live].max() - low
             scaled = (values - low) / (span if span > 0 else 1.0)
-        data[name] = [
-            None if not live[i] else float(scaled[i]) for i in range(len(values))
-        ]
+        frame[name] = _nullable(scaled, live)
     # Normalised columns become DOUBLE regardless of source type.
     out_columns = []
     for column in schema.columns:
@@ -97,11 +107,7 @@ def normalize_procedure(ctx: ProcedureContext) -> str:
         else:
             out_columns.append((column.name, column.sql_type))
     ctx.create_output_table(outtable, out_columns)
-    count = len(data[names[0]]) if names else 0
-    ctx.insert_rows(
-        outtable,
-        [tuple(data[name][i] for name in names) for i in range(count)],
-    )
+    count = ctx.insert_columns(outtable, [frame[name] for name in names])
     return f"NORMALIZE ok: {count} rows, method={method}"
 
 
@@ -113,30 +119,28 @@ def impute_procedure(ctx: ProcedureContext) -> str:
     method = (ctx.get("method") or "mean").lower()
     if method not in ("mean", "median", "constant"):
         raise ProcedureError(f"unknown imputation method {method!r}")
-    schema, names, data = _read_all(ctx, intable)
+    schema, names, frame = _read_all(ctx, intable)
     targets = ctx.column_list("incolumn") or _default_numeric(ctx, intable)
     replaced = 0
     for name in targets:
-        values = data[name]
-        nulls = [i for i, v in enumerate(values) if v is None]
-        if not nulls:
+        column = frame[name]
+        nulls = column.mask
+        if nulls is None or not nulls.any():
             continue
         if method == "constant":
             fill = ctx.get_float("value", 0.0)
         else:
-            live = np.array(
-                [v for v in values if v is not None], dtype=np.float64
-            )
+            live = column.values[~nulls].astype(np.float64)
             if len(live) == 0:
                 raise AnalyticsError(
                     f"column {name} is entirely NULL; use method=constant"
                 )
             fill = float(live.mean() if method == "mean" else np.median(live))
-        column_type = schema.column(name).sql_type
-        for index in nulls:
-            values[index] = column_type.coerce(fill)
-        replaced += len(nulls)
-    count = _write_like_source(ctx, schema, outtable, data, names)
+        values = column.values.copy()
+        values[nulls] = schema.column(name).sql_type.coerce(fill)
+        frame[name] = VColumn(values=values)
+        replaced += int(nulls.sum())
+    count = _write_like_source(ctx, schema, outtable, frame, names)
     return f"IMPUTE ok: {count} rows, {replaced} values imputed"
 
 
@@ -154,16 +158,13 @@ def bin_procedure(ctx: ProcedureContext) -> str:
     bins = ctx.get_int("bins", 10)
     if bins < 1:
         raise ProcedureError("bins must be >= 1")
-    schema, names, data = _read_all(ctx, intable)
+    schema, names, frame = _read_all(ctx, intable)
     out_columns = [(c.name, c.sql_type) for c in schema.columns]
-    extra: dict[str, list] = {}
+    extra: dict[str, VColumn] = {}
     for name in targets:
         if not schema.column(name).sql_type.is_numeric:
             raise AnalyticsError(f"column {name} is not numeric")
-        values = np.array(
-            [v if v is not None else np.nan for v in data[name]],
-            dtype=np.float64,
-        )
+        values = _as_float(frame[name])
         live = ~np.isnan(values)
         if live.any():
             low = values[live].min()
@@ -174,17 +175,11 @@ def bin_procedure(ctx: ProcedureContext) -> str:
             ids = np.zeros(len(values), dtype=int)
         bin_name = f"{name}_BIN"
         out_columns.append((bin_name, INTEGER))
-        extra[bin_name] = [
-            int(ids[i]) if live[i] else None for i in range(len(values))
-        ]
+        extra[bin_name] = _nullable(ids, live)
     ctx.create_output_table(outtable, out_columns)
-    count = len(data[names[0]]) if names else 0
-    rows = [
-        tuple(data[name][i] for name in names)
-        + tuple(extra[bin_name][i] for bin_name in extra)
-        for i in range(count)
-    ]
-    ctx.insert_rows(outtable, rows)
+    count = ctx.insert_columns(
+        outtable, [frame[name] for name in names] + list(extra.values())
+    )
     return f"BIN ok: {count} rows, {len(targets)} column(s), {bins} bins"
 
 
@@ -194,8 +189,8 @@ def sample_procedure(ctx: ProcedureContext) -> str:
     intable = ctx.require("intable").upper()
     outtable = ctx.require("outtable").upper()
     seed = ctx.get_int("randseed", 1)
-    schema, names, data = _read_all(ctx, intable)
-    total = len(data[names[0]]) if names else 0
+    schema, names, frame = _read_all(ctx, intable)
+    total = len(frame[names[0]])
     size = ctx.get_int("size")
     if size is None:
         fraction = ctx.get_float("fraction")
@@ -207,10 +202,9 @@ def sample_procedure(ctx: ProcedureContext) -> str:
     size = min(size, total)
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(total, size=size, replace=False))
-    sampled = {
-        name: [data[name][i] for i in chosen] for name in names
-    }
-    count = _write_like_source(ctx, schema, outtable, sampled, names)
+    count = _write_like_source(
+        ctx, schema, outtable, _take(frame, chosen), names
+    )
     return f"SAMPLE ok: {count} of {total} rows"
 
 
@@ -224,18 +218,15 @@ def split_data_procedure(ctx: ProcedureContext) -> str:
     if not 0 < fraction < 1:
         raise ProcedureError("fraction must be in (0, 1)")
     seed = ctx.get_int("randseed", 1)
-    schema, names, data = _read_all(ctx, intable)
-    total = len(data[names[0]]) if names else 0
+    schema, names, frame = _read_all(ctx, intable)
+    total = len(frame[names[0]])
     rng = np.random.default_rng(seed)
     permutation = rng.permutation(total)
     cut = int(round(total * fraction))
     train_rows = np.sort(permutation[:cut])
     test_rows = np.sort(permutation[cut:])
     for name_, indexes in ((train_table, train_rows), (test_table, test_rows)):
-        subset = {
-            name: [data[name][i] for i in indexes] for name in names
-        }
-        _write_like_source(ctx, schema, name_, subset, names)
+        _write_like_source(ctx, schema, name_, _take(frame, indexes), names)
     return (
         f"SPLIT_DATA ok: train={len(train_rows)}, test={len(test_rows)}"
     )
@@ -245,7 +236,7 @@ def summary_procedure(ctx: ProcedureContext) -> str:
     """``CALL INZA.SUMMARY('intable=T, outtable=O')`` — per-column stats."""
     intable = ctx.require("intable").upper()
     outtable = ctx.require("outtable").upper()
-    schema, names, data = _read_all(ctx, intable)
+    schema, names, frame = _read_all(ctx, intable)
     ctx.create_output_table(
         outtable,
         [
@@ -261,7 +252,7 @@ def summary_procedure(ctx: ProcedureContext) -> str:
     )
     rows = []
     for name in names:
-        values = data[name]
+        values = frame[name].to_objects()
         non_null = [v for v in values if v is not None]
         numeric = schema.column(name).sql_type.is_numeric and non_null
         if numeric:

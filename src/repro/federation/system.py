@@ -17,6 +17,8 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from repro.accelerator import AcceleratorEngine, DeltaBuffer
 from repro.catalog import (
     Catalog,
@@ -27,6 +29,7 @@ from repro.catalog import (
     TableSchema,
     User,
 )
+from repro.catalog.schema import pack_rows
 from repro.analytics.framework import ProcedureRegistry
 from repro.analytics.model_store import ModelStore
 from repro.db2 import Db2Engine
@@ -57,7 +60,7 @@ from repro.federation.router import (
     RoutingDecision,
 )
 from repro.federation.views import expand_views
-from repro.metrics.counters import MovementStats, estimate_rows_bytes
+from repro.metrics.counters import MovementStats, SizedRows, estimate_rows_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import execute_monitoring_query, monitoring_tables
 from repro.recovery.manager import RecoveryManager
@@ -609,10 +612,11 @@ class AcceleratedDatabase:
         self,
         connection: "Connection",
         name: str,
-        rows: Sequence[tuple],
+        rows: Sequence,
     ) -> int:
-        """Procedure output lands on the accelerator without crossing the
-        interconnect (the algorithm already runs there)."""
+        """Procedure output — row tuples or aligned columns — lands on
+        the accelerator without crossing the interconnect (the algorithm
+        already runs there)."""
         key = name.upper()
         return self.accelerator.insert_into(
             key, rows, delta=connection.delta_for(key)
@@ -1497,7 +1501,8 @@ class Connection:
             self.last_decision = "failback: accelerator failed mid-statement"
             system.failbacks += 1
             system.metrics.counter("statement.failbacks").inc()
-        return Result(columns=columns, rows=rows, engine=engine)
+        # The client edge: the one place a SELECT's result becomes rows.
+        return Result(columns=columns, rows=list(rows), engine=engine)
 
     def _expand_views(self, stmt):
         catalog = self._system.catalog
@@ -1529,19 +1534,20 @@ class Connection:
     ) -> Result:
         descriptor, decision = self._route_dml(stmt)
         if stmt.values is not None:
-            rows = self._evaluate_value_rows(stmt, descriptor, run.params)
+            source = self._evaluate_value_rows(stmt, run.params)
             source_engine = "DB2"
-            self._admit(run, decision.engine, estimated_rows=len(rows))
+            self._admit(run, decision.engine, estimated_rows=len(source))
         else:
-            __, source_rows, source_engine = self._run_subselect(
+            __, source, source_engine = self._run_subselect(
                 stmt.select, run, descriptor.is_aot
             )
-            rows = [
-                self._coerce_insert_row(descriptor, stmt.columns, row)
-                for row in source_rows
-            ]
         count = self._land_rows(
-            run, descriptor, rows, source_engine, STATEMENT_OVERHEAD_BYTES
+            run,
+            descriptor,
+            source,
+            stmt.columns,
+            source_engine,
+            STATEMENT_OVERHEAD_BYTES,
         )
         return Result(engine=decision.engine, rowcount=count)
 
@@ -1557,74 +1563,72 @@ class Connection:
         self,
         run: "_StatementRun",
         descriptor: TableDescriptor,
-        rows: list[tuple],
+        source: Sequence[tuple],
+        names: Optional[list[str]],
         source_engine: str,
         statement_bytes: int,
     ) -> int:
-        """Land coerced rows in ``descriptor``'s table, charging the
-        interconnect by (source engine, target placement).
+        """Coerce ``source`` (a sub-select's rows or VALUES rows; ``names``
+        is the statement's column list) and land it in ``descriptor``'s
+        table, charging the interconnect by (source engine, target
+        placement).
+
+        An AOT takes the batch as columns: an accelerator result still is
+        its ``VTable`` and is never boxed; rows from DB2 or VALUES are
+        packed once. A DB2 table takes row tuples.
 
         ``statement_bytes`` is the protocol overhead of shipping the
         statement itself to an AOT target: INSERT pays it here, CTAS
         already paid it with its CREATE.
         """
         system = self._system
-
-        def payload() -> int:
-            return sum(descriptor.schema.row_byte_size(row) for row in rows)
-
+        schema = descriptor.schema
         if descriptor.is_aot:
+            if isinstance(source, SizedRows):
+                columns = schema.coerce_columns(source.table.columns, names)
+            else:
+                columns = schema.coerce_rows(source, names)
             # VALUES or a DB2-side sub-select: the rows cross the wire.
             # A sub-select that ran on the accelerator lands in place and
             # only the statement travels — the paper's headline saving.
             crossing = source_engine != "ACCELERATOR"
             if crossing or statement_bytes:
                 system.interconnect.send_to_accelerator(
-                    (payload() if crossing else 0) + statement_bytes
+                    (schema.columns_byte_size(columns) if crossing else 0)
+                    + statement_bytes
                 )
             return system.accelerator.insert_into(
                 descriptor.name,
-                rows,
+                columns,
                 delta=self.delta_for(descriptor.name),
                 already_coerced=True,
             )
+        if names is None:
+            rows = [schema.coerce_row(row) for row in source]
+        else:
+            rows = [schema.coerce_partial(names, row) for row in source]
         if source_engine == "ACCELERATOR":
             # Legacy-flow price: accelerator results materialised in DB2
             # cross the interconnect coming back — and, if the target is
             # accelerated, replication ships them out again after commit.
-            system.interconnect.send_to_db2(payload())
+            system.interconnect.send_to_db2(
+                sum(schema.row_byte_size(row) for row in rows)
+            )
         return system.db2.insert_rows(
             run.txn, descriptor.name, rows, already_coerced=True
         )
 
+    @staticmethod
     def _evaluate_value_rows(
-        self,
-        stmt: ast.InsertStatement,
-        descriptor: TableDescriptor,
-        params: Sequence[object],
+        stmt: ast.InsertStatement, params: Sequence[object]
     ) -> list[tuple]:
         from repro.sql.expressions import Scope, compile_scalar
 
         scope = Scope([])
-        rows: list[tuple] = []
-        for value_row in stmt.values or []:
-            values = [
-                compile_scalar(expr, scope, params)(()) for expr in value_row
-            ]
-            rows.append(
-                self._coerce_insert_row(descriptor, stmt.columns, values)
-            )
-        return rows
-
-    @staticmethod
-    def _coerce_insert_row(
-        descriptor: TableDescriptor,
-        columns: Optional[list[str]],
-        values: Sequence[object],
-    ) -> tuple:
-        if columns is None:
-            return descriptor.schema.coerce_row(values)
-        return descriptor.schema.coerce_partial(columns, values)
+        return [
+            tuple(compile_scalar(expr, scope, params)(()) for expr in value_row)
+            for value_row in stmt.values or []
+        ]
 
     def _execute_update_or_delete(
         self,
@@ -1670,7 +1674,12 @@ class Connection:
             source_columns, source_rows, source_engine = self._run_subselect(
                 stmt.as_select, run, stmt.in_accelerator
             )
-            schema = self._schema_from_rows(source_columns, source_rows)
+            schema = self._schema_from_columns(
+                source_columns,
+                source_rows.table.columns
+                if isinstance(source_rows, SizedRows)
+                else pack_rows(source_rows, len(source_columns)),
+            )
         else:
             schema = TableSchema(
                 [
@@ -1707,8 +1716,9 @@ class Connection:
 
         count = 0
         if stmt.as_select is not None:
-            rows = [schema.coerce_row(row) for row in source_rows]
-            count = self._land_rows(run, descriptor, rows, source_engine, 0)
+            count = self._land_rows(
+                run, descriptor, source_rows, None, source_engine, 0
+            )
         return Result(
             message=f"TABLE {descriptor.name} CREATED",
             engine="ACCELERATOR" if stmt.in_accelerator else "DB2",
@@ -1716,20 +1726,17 @@ class Connection:
         )
 
     @staticmethod
-    def _schema_from_rows(
-        names: list[str], rows: list[tuple]
-    ) -> TableSchema:
+    def _schema_from_columns(names: list[str], columns) -> TableSchema:
+        """A CTAS schema: each column typed by its first non-NULL value."""
         from repro.sql.types import infer_type, DOUBLE
 
-        columns: list[Column] = []
-        for index, name in enumerate(names):
-            sample = next(
-                (row[index] for row in rows if row[index] is not None),
-                None,
-            )
-            sql_type = infer_type(sample) if sample is not None else DOUBLE
-            columns.append(Column(name, sql_type))
-        return TableSchema(columns)
+        out: list[Column] = []
+        for name, column in zip(names, columns):
+            live = np.flatnonzero(~column.null_mask())[:1]
+            sample = column.values[live].tolist()
+            sql_type = infer_type(sample[0]) if sample else DOUBLE
+            out.append(Column(name, sql_type))
+        return TableSchema(out)
 
     def _execute_drop_table(self, stmt: ast.DropTableStatement, run) -> Result:
         if stmt.if_exists and not self._system.catalog.has_table(stmt.name):

@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.catalog import Privilege, TableLocation
+from repro.catalog.schema import rows_from_columns
 from repro.errors import LoaderError
 from repro.federation.system import AcceleratedDatabase, Connection
 from repro.loader.sources import RowSource
@@ -111,14 +112,14 @@ class IdaaLoader:
 
         batch: list[tuple] = []
         for raw in source.rows():
-            batch.append(schema.coerce_row(raw))
+            batch.append(raw)
             if len(batch) >= self.batch_size:
-                self._load_batch(descriptor, batch, connection)
+                self._load_batch(descriptor, batch)
                 report.rows += len(batch)
                 report.batches += 1
                 batch = []
         if batch:
-            self._load_batch(descriptor, batch, connection)
+            self._load_batch(descriptor, batch)
             report.rows += len(batch)
             report.batches += 1
 
@@ -127,19 +128,17 @@ class IdaaLoader:
         report.db2_rows_written = system.db2.rows_written - db2_written_start
         return report
 
-    def _load_batch(
-        self,
-        descriptor,
-        rows: list[tuple],
-        connection: Connection,
-    ) -> None:
+    def _load_batch(self, descriptor, raw_rows: list[tuple]) -> None:
+        """Coerce one batch — transposed once, a column at a time — and
+        write it where the table lives."""
         system = self._system
-        nbytes = sum(descriptor.schema.row_byte_size(row) for row in rows)
+        columns = descriptor.schema.coerce_rows(raw_rows)
+        nbytes = descriptor.schema.columns_byte_size(columns)
         if descriptor.location is TableLocation.ACCELERATOR_ONLY:
             # Straight to the accelerator; DB2 is bypassed entirely.
             system.interconnect.send_to_accelerator(nbytes)
             system.accelerator.insert_into(
-                descriptor.name, rows, already_coerced=True
+                descriptor.name, columns, already_coerced=True
             )
             return
         # DB2-resident: write the row store under a short transaction.
@@ -148,7 +147,7 @@ class IdaaLoader:
             system.db2.insert_rows(
                 txn,
                 descriptor.name,
-                rows,
+                rows_from_columns(columns),
                 already_coerced=True,
                 capture=descriptor.location is not TableLocation.ACCELERATED,
             )
@@ -159,4 +158,4 @@ class IdaaLoader:
         if descriptor.location is TableLocation.ACCELERATED:
             # Dual load: ship the same batch to the copy directly.
             system.interconnect.send_to_accelerator(nbytes)
-            system.accelerator.bulk_insert(descriptor.name, rows)
+            system.accelerator.bulk_insert(descriptor.name, columns)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import datetime
 import decimal
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Optional
 
 __all__ = [
     "MovementStats",
@@ -136,19 +138,47 @@ def estimate_value_bytes(value) -> int:
     return 16
 
 
-class SizedRows(list):
-    """Result rows that carry their serialized size.
+class SizedRows(Sequence):
+    """A result's rows, still held as the columns that computed them.
 
-    The accelerator sizes a result on its columns, before it boxes them
-    into these rows, so charging the transfer does not walk every value
-    again.
+    The accelerator hands its result over as this: its length and
+    serialized size are read off the columns, and a consumer that lands
+    the result in a column store takes ``table`` (the executor's
+    ``VTable``) without the rows ever existing. Reading rows boxes the
+    columns into tuples on first access, once.
     """
 
-    __slots__ = ("wire_bytes",)
+    __slots__ = ("table", "_rows")
 
-    def __init__(self, rows=(), wire_bytes: int = 0) -> None:
-        super().__init__(rows)
-        self.wire_bytes = wire_bytes
+    def __init__(self, table) -> None:
+        self.table = table
+        self._rows: Optional[list[tuple]] = None
+
+    def _boxed(self) -> list[tuple]:
+        if self._rows is None:
+            self._rows = self.table.to_rows()
+        return self._rows
+
+    @property
+    def wire_bytes(self) -> int:
+        return estimate_columns_bytes(self.table.columns)
+
+    def __len__(self) -> int:
+        return self.table.length
+
+    def __getitem__(self, index):
+        return self._boxed()[index]
+
+    def __iter__(self):
+        return iter(self._boxed())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SizedRows):
+            other = other._boxed()
+        return self._boxed() == other
+
+    def __repr__(self) -> str:
+        return repr(self._boxed())
 
 
 def estimate_rows_bytes(rows) -> int:

@@ -29,11 +29,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.errors import CatalogError
 
 # Shard placement reuses the column store's row hash so HASH placement
 # over the DISTRIBUTE BY columns lines up with slice placement.
-from repro.storage.column_store import _hash_key
+from repro.storage.column_store import _hash_key, distinct_keys
 
 __all__ = [
     "PartitionSpec",
@@ -94,6 +96,24 @@ class PartitionSpec:
             # NULL range keys collect on shard 0 (DB2's NULLs-first).
             return 0
         return min(self._interval_of(value), shards - 1)
+
+    def shards_for_columns(
+        self, key_columns: Sequence, row_ids: np.ndarray, shards: int
+    ) -> np.ndarray:
+        """:meth:`shard_for_row` over a batch whose key values arrive as
+        aligned columns (in ``self.columns`` order): the owner of each
+        row, worked out once per distinct key."""
+        if shards <= 1:
+            return np.zeros(len(row_ids), dtype=np.int64)
+        if self.method == "RANDOM":
+            return row_ids % shards
+        keys, inverse = distinct_keys(key_columns)
+        positions = range(len(key_columns))
+        shard_of_key = np.array(
+            [self.shard_for_row(key, 0, positions, shards) for key in keys],
+            dtype=np.int64,
+        )
+        return shard_of_key[inverse]
 
     def _interval_of(self, value: object) -> int:
         return bisect_right(self.boundaries, value)

@@ -38,11 +38,10 @@ import numpy as np
 from repro.accelerator.engine import (
     SCAN_ROWS_PER_SECOND,
     AcceleratorEngine,
-    GroomStats,
     _partition_chunks,
 )
 from repro.accelerator.executor import ScanPartitions
-from repro.catalog.schema import TableSchema
+from repro.catalog.schema import TableSchema, columns_from_rows
 from repro.errors import ReproError, ShardUnavailableError
 from repro.federation.health import HealthMonitor
 from repro.federation.network import Interconnect
@@ -95,7 +94,7 @@ class ShardedTable:
     """One accelerated table spread over every shard of the pool.
 
     Presents the exact ``ColumnStoreTable`` surface the engine uses
-    (``append_rows`` / ``mark_deleted`` / ``read_visible`` /
+    (``append_columns`` / ``mark_deleted`` / ``read_visible`` /
     ``iter_chunks`` + the bookkeeping attributes), so the
     single-instance write, replication, groom, and recovery logic runs
     unchanged against a pool. See the module docstring for how the
@@ -179,9 +178,9 @@ class ShardedTable:
 
     # -- write path ----------------------------------------------------------
 
-    def append_rows(
+    def append_columns(
         self,
-        rows: Sequence[tuple],
+        columns: Sequence[VColumn],
         epoch: int,
         row_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
@@ -191,36 +190,42 @@ class ShardedTable:
         shard aborts the batch atomically — replication's partial-batch
         pinning then redelivers it untouched once the shard is back.
         """
-        rows = list(rows)
         pool = self._pool
         pool.require_write(self)
-        key_rows = [
-            tuple(row[p] for p in self._layout_positions) for row in rows
-        ]
-        assigned = self.layout.append_rows(key_rows, epoch, row_ids=row_ids)
-        if not rows:
+        assigned = self.layout.append_columns(
+            [columns[p] for p in self._layout_positions], epoch, row_ids
+        )
+        if not len(assigned):
             return assigned
-        spec = self.map.spec
-        positions = self._key_positions
-        buckets: dict[int, list[int]] = {}
-        for index, row in enumerate(rows):
-            shard_id = spec.shard_for_row(
-                row, int(assigned[index]), positions, pool.shards
-            )
-            buckets.setdefault(shard_id, []).append(index)
-        for shard_id in sorted(buckets):
-            indexes = buckets[shard_id]
+        shard_of_row = self.map.spec.shards_for_columns(
+            [columns[p] for p in self._key_positions], assigned, pool.shards
+        )
+        for shard_id in np.unique(shard_of_row).tolist():
+            indexes = np.flatnonzero(shard_of_row == shard_id)
+            part_columns = [column.take(indexes) for column in columns]
             shard = pool.shard(shard_id)
-            self.parts[shard_id].append_rows(
-                [rows[i] for i in indexes],
-                epoch,
-                row_ids=assigned[np.array(indexes, dtype=np.int64)],
+            self.parts[shard_id].append_columns(
+                part_columns, epoch, row_ids=assigned[indexes]
             )
             shard.rows_written += len(indexes)
             shard.interconnect.send_to_accelerator(
-                sum(self.schema.row_byte_size(rows[i]) for i in indexes)
+                self.schema.columns_byte_size(part_columns)
             )
         return assigned
+
+    def append_rows(
+        self,
+        rows: Sequence[tuple],
+        epoch: int,
+        row_ids: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """:meth:`append_columns` for coerced row tuples, packed once."""
+        packed = columns_from_rows(self.schema, rows)
+        return self.append_columns(list(packed.values()), epoch, row_ids)
+
+    @property
+    def stored_rows(self) -> int:
+        return self.layout.stored_rows
 
     def mark_deleted(self, row_ids: Sequence[int], epoch: int) -> int:
         """Broadcast the delete; each shard stamps only the ids it owns."""
@@ -646,21 +651,7 @@ class AcceleratorPool(AcceleratorEngine):
 
     # -- groom / recovery ----------------------------------------------------
 
-    def _groom_locked(self, key: str, table) -> GroomStats:
-        if not isinstance(table, ShardedTable):  # pragma: no cover - safety
-            return super()._groom_locked(key, table)
-        self._lookup_cache.pop(key, None)
-        chunks_before = table.total_chunk_count
-        row_ids, columns = table.read_visible(self.current_epoch)
-        ordered = [columns[c.name] for c in table.schema.columns]
-        object_columns = [col.to_objects() for col in ordered]
-        rows = [
-            tuple(values[i] for values in object_columns)
-            for i in range(len(row_ids))
-        ]
-        reclaimed = sum(
-            len(chunk) for _, chunk in table.layout.iter_chunks()
-        ) - len(rows)
+    def _empty_successor(self, key: str, table: ShardedTable) -> ShardedTable:
         fresh = self._build_facade(
             key,
             table.schema,
@@ -669,14 +660,7 @@ class AcceleratorPool(AcceleratorEngine):
             generation=table.map.generation,
         )
         fresh.layout._next_row_id = table.layout._next_row_id
-        # Epoch 0 keeps the live rows visible to every snapshot.
-        fresh.append_rows(rows, epoch=0, row_ids=row_ids)
-        self._tables[key] = fresh
-        return GroomStats(
-            rows_reclaimed=reclaimed,
-            chunks_before=chunks_before,
-            chunks_after=fresh.total_chunk_count,
-        )
+        return fresh
 
     def wipe(self) -> None:
         super().wipe()

@@ -587,6 +587,13 @@ class VColumn:
             return np.zeros(len(self.values), dtype=bool)
         return self.mask
 
+    def take(self, indexes: np.ndarray) -> "VColumn":
+        """The entries at ``indexes`` (positions or a boolean mask)."""
+        return VColumn(
+            values=self.values[indexes],
+            mask=None if self.mask is None else self.mask[indexes],
+        )
+
     def to_objects(self) -> list[object]:
         """Materialise as a Python list with ``None`` for NULLs."""
         values = self.values.tolist()

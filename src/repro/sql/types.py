@@ -78,6 +78,23 @@ class SqlType:
         """Estimated serialized size of one value, in bytes."""
         raise NotImplementedError
 
+    def coerce_array(self, values: np.ndarray):
+        """:meth:`coerce` over an array of non-NULL values, as one array.
+
+        Only where the array form is exact: returns ``None`` when this
+        source dtype has no such form for the type and the values must go
+        through :meth:`coerce` one by one. Raises
+        :class:`~repro.errors.TypeError_` when some value is invalid —
+        not necessarily the value :meth:`coerce` would have met first.
+        """
+        return None
+
+    def column_byte_size(self, column) -> int:
+        """:meth:`byte_size` summed over the non-NULL values of a column
+        (``.values`` plus an optional ``.mask``, True = NULL)."""
+        nulls = 0 if column.mask is None else int(column.mask.sum())
+        return (len(column.values) - nulls) * self.byte_size(None)
+
     def render(self) -> str:
         """SQL spelling of the type, e.g. ``VARCHAR(32)``."""
         raise NotImplementedError
@@ -121,6 +138,22 @@ class _IntType(SqlType):
                 f"value {result} out of range for {self.render()}"
             )
         return result
+
+    def coerce_array(self, values: np.ndarray):
+        kind = values.dtype.kind
+        if kind == "b":
+            return values.astype(np.int64)
+        if kind == "f":
+            if not (np.isfinite(values) & (values == np.floor(values))).all():
+                _reject(values, self.render())
+        elif kind != "i":
+            return None
+        limit = 2 ** (self._BITS - 1)
+        if len(values) and not (
+            -limit <= values.min() and values.max() < limit
+        ):
+            raise TypeError_(f"value out of range for {self.render()}")
+        return values.astype(np.int64, copy=False)
 
     @property
     def numpy_dtype(self):
@@ -175,6 +208,11 @@ class DoubleType(SqlType):
             except ValueError:
                 _reject(value, "DOUBLE")
         _reject(value, "DOUBLE")
+
+    def coerce_array(self, values: np.ndarray):
+        if values.dtype.kind in "ifb":
+            return values.astype(np.float64, copy=False)
+        return None
 
     @property
     def numpy_dtype(self):
@@ -249,6 +287,12 @@ class VarcharType(SqlType):
     def byte_size(self, value) -> int:
         return 4 + len(value)
 
+    def column_byte_size(self, column) -> int:
+        values = column.values
+        if column.mask is not None:
+            values = values[~column.mask]
+        return 4 * len(values) + sum(map(len, values.tolist()))
+
     def render(self) -> str:
         return f"VARCHAR({self.length})"
 
@@ -293,6 +337,9 @@ class BooleanType(SqlType):
             if lowered in ("false", "f", "0", "no"):
                 return False
         _reject(value, "BOOLEAN")
+
+    def coerce_array(self, values: np.ndarray):
+        return values if values.dtype.kind == "b" else None
 
     @property
     def numpy_dtype(self):

@@ -21,12 +21,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.catalog.schema import TableSchema
+from repro.catalog.schema import NULL_FILL, TableSchema, columns_from_rows
 from repro.errors import ReproError
 from repro.sql.expressions import VColumn
 from repro.storage.zone_maps import ZoneMap
 
-__all__ = ["Chunk", "ColumnStoreTable", "NEVER_DELETED"]
+__all__ = ["Chunk", "ColumnStoreTable", "NEVER_DELETED", "distinct_keys"]
 
 #: Sentinel delete epoch for live rows.
 NEVER_DELETED = np.iinfo(np.int64).max
@@ -49,6 +49,37 @@ def _hash_key(values: tuple) -> int:
         for value in values
     )
     return zlib.crc32(repr(normalized).encode("utf-8"))
+
+
+def distinct_keys(
+    key_columns: Sequence[VColumn],
+) -> tuple[list[tuple], np.ndarray]:
+    """The distinct rows of aligned key columns, and each row's key.
+
+    Returns ``(keys, inverse)``: ``keys`` are tuples of plain Python
+    values (NULL is None) and row *i* carries ``keys[inverse[i]]`` — so a
+    routing function over keys (:func:`_hash_key`, a shard placement)
+    runs once per distinct key instead of once per row. Values are told
+    apart exactly as ``repr`` tells them apart, because that is what the
+    hash reads: floats by bit pattern (0.0 and -0.0 are two keys).
+    """
+    probes = []
+    for column in key_columns:
+        values = column.values
+        if values.dtype.kind == "f":
+            values = np.ascontiguousarray(values).view(np.int64)
+        probes.append(VColumn(values=values, mask=column.mask).to_objects())
+    rank: dict[tuple, int] = {}
+    inverse = np.fromiter(
+        (rank.setdefault(probe, len(rank)) for probe in zip(*probes)),
+        dtype=np.int64,
+        count=len(key_columns[0]),
+    )
+    # First row of each key: written back to front, the front row stays.
+    first = np.empty(len(rank), dtype=np.int64)
+    first[inverse[::-1]] = np.arange(len(inverse) - 1, -1, -1)
+    picked = [column.take(first).to_objects() for column in key_columns]
+    return list(zip(*picked)), inverse
 
 
 class Chunk:
@@ -131,92 +162,111 @@ class ColumnStoreTable:
     def total_chunk_count(self) -> int:
         return sum(len(chunks) for chunks in self._slices)
 
+    def append_columns(
+        self,
+        columns: Sequence[VColumn],
+        epoch: int,
+        row_ids: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Append a batch held as coerced, aligned columns in schema
+        order at ``epoch``; returns the rows' ids.
+
+        ``row_ids`` preserves existing ids across a rewrite (GROOM); by
+        default fresh monotonic ids are assigned. This is the one place
+        chunks are built: rows are routed to slices, each slice's share is
+        cut into chunks of ``chunk_rows`` by array indexing, and every
+        NULL slot holds the dtype's fill (0 / NaN / None).
+        """
+        count = len(columns[0])
+        if not count:
+            return np.empty(0, dtype=np.int64)
+        if row_ids is None:
+            row_ids = np.arange(
+                self._next_row_id, self._next_row_id + count, dtype=np.int64
+            )
+            self._next_row_id += count
+        else:
+            row_ids = np.asarray(row_ids, dtype=np.int64)
+            if len(row_ids) != count:
+                raise ReproError("row_ids and rows length mismatch")
+            self._next_row_id = max(
+                self._next_row_id, int(row_ids.max()) + 1
+            )
+
+        dtypes = [c.sql_type.numpy_dtype for c in self.schema.columns]
+        names = self.schema.column_names
+        for slice_id, slice_rows in enumerate(
+            self._rows_by_slice(columns, count)
+        ):
+            for start in range(0, len(slice_rows), self.chunk_rows):
+                indexes = slice_rows[start : start + self.chunk_rows]
+                values: dict[str, np.ndarray] = {}
+                masks: dict[str, Optional[np.ndarray]] = {}
+                for name, dtype, column in zip(names, dtypes, columns):
+                    taken = np.asarray(column.values[indexes], dtype=dtype)
+                    mask = None
+                    if column.mask is not None:
+                        mask = column.mask[indexes]
+                        if mask.any():
+                            taken[mask] = NULL_FILL.get(dtype.kind)
+                        else:
+                            mask = None
+                    values[name] = taken
+                    masks[name] = mask
+                chunk_ids = row_ids[indexes]
+                chunk_index = len(self._slices[slice_id])
+                self._slices[slice_id].append(
+                    Chunk(chunk_ids, values, masks, epoch)
+                )
+                self._locator.update(
+                    {
+                        row_id: (slice_id, chunk_index, offset)
+                        for offset, row_id in enumerate(chunk_ids.tolist())
+                    }
+                )
+        self._live_rows += count
+        return row_ids
+
+    def _rows_by_slice(
+        self, columns: Sequence[VColumn], count: int
+    ) -> list[np.ndarray]:
+        """Per slice, the batch positions of its rows, in batch order."""
+        if not self.distribute_on:
+            # Block round-robin keeps slice contents contiguous and
+            # balanced: the blocks of np.array_split.
+            base, extra = divmod(count, self.slice_count)
+            bounds = [0]
+            for slice_id in range(self.slice_count):
+                bounds.append(bounds[-1] + base + (slice_id < extra))
+            return [
+                np.arange(low, high) for low, high in zip(bounds, bounds[1:])
+            ]
+        keys, key_of_row = distinct_keys(
+            [columns[self.schema.position_of(n)] for n in self.distribute_on]
+        )
+        slice_of_key = np.array(
+            [_hash_key(key) % self.slice_count for key in keys], dtype=np.int64
+        )
+        slice_of_row = slice_of_key[key_of_row]
+        by_slice = np.argsort(slice_of_row, kind="stable")
+        sizes = np.bincount(slice_of_row, minlength=self.slice_count)
+        bounds = [0, *np.cumsum(sizes).tolist()]
+        return [by_slice[low:high] for low, high in zip(bounds, bounds[1:])]
+
     def append_rows(
         self,
         rows: Sequence[tuple],
         epoch: int,
         row_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Append coerced rows at ``epoch``; returns their row ids.
+        """:meth:`append_columns` for coerced row tuples, packed once."""
+        packed = columns_from_rows(self.schema, rows)
+        return self.append_columns(list(packed.values()), epoch, row_ids)
 
-        ``row_ids`` preserves existing ids across a rewrite (GROOM); by
-        default fresh monotonic ids are assigned.
-        """
-        if not rows:
-            return np.empty(0, dtype=np.int64)
-        if row_ids is None:
-            row_ids = np.arange(
-                self._next_row_id, self._next_row_id + len(rows),
-                dtype=np.int64,
-            )
-            self._next_row_id += len(rows)
-        else:
-            row_ids = np.asarray(row_ids, dtype=np.int64)
-            if len(row_ids) != len(rows):
-                raise ReproError("row_ids and rows length mismatch")
-            self._next_row_id = max(
-                self._next_row_id, int(row_ids.max()) + 1
-            )
-
-        per_slice: list[list[int]] = [[] for _ in range(self.slice_count)]
-        if self.distribute_on:
-            positions = [
-                self.schema.position_of(name) for name in self.distribute_on
-            ]
-            for index, row in enumerate(rows):
-                key = tuple(row[p] for p in positions)
-                per_slice[_hash_key(key) % self.slice_count].append(index)
-        else:
-            # Block round-robin keeps slice contents contiguous and balanced.
-            for block, indexes in enumerate(
-                np.array_split(np.arange(len(rows)), self.slice_count)
-            ):
-                per_slice[block].extend(int(i) for i in indexes)
-
-        for slice_id, indexes in enumerate(per_slice):
-            for start in range(0, len(indexes), self.chunk_rows):
-                batch = indexes[start : start + self.chunk_rows]
-                if not batch:
-                    continue
-                self._seal_chunk(slice_id, batch, rows, row_ids, epoch)
-        self._live_rows += len(rows)
-        return row_ids
-
-    def _seal_chunk(
-        self,
-        slice_id: int,
-        indexes: list[int],
-        rows: Sequence[tuple],
-        row_ids: np.ndarray,
-        epoch: int,
-    ) -> None:
-        columns: dict[str, np.ndarray] = {}
-        masks: dict[str, Optional[np.ndarray]] = {}
-        for position, column in enumerate(self.schema.columns):
-            items = [rows[i][position] for i in indexes]
-            packed = self._pack_column(column.sql_type.numpy_dtype, items)
-            columns[column.name] = packed.values
-            masks[column.name] = packed.mask
-        chunk_ids = row_ids[np.array(indexes, dtype=np.int64)]
-        chunk = Chunk(chunk_ids, columns, masks, epoch)
-        chunk_index = len(self._slices[slice_id])
-        self._slices[slice_id].append(chunk)
-        for offset, row_id in enumerate(chunk_ids):
-            self._locator[int(row_id)] = (slice_id, chunk_index, offset)
-
-    @staticmethod
-    def _pack_column(dtype: np.dtype, items: list[object]) -> VColumn:
-        mask = np.array([item is None for item in items], dtype=bool)
-        has_nulls = bool(mask.any())
-        if dtype.kind in "ifb":
-            fill = 0 if dtype.kind in "ib" else np.nan
-            values = np.array(
-                [fill if item is None else item for item in items], dtype=dtype
-            )
-        else:
-            values = np.empty(len(items), dtype=object)
-            values[:] = items
-        return VColumn(values=values, mask=mask if has_nulls else None)
+    @property
+    def stored_rows(self) -> int:
+        """Rows physically held, deleted versions included."""
+        return len(self._locator)
 
     def mark_deleted(self, row_ids: Sequence[int], epoch: int) -> int:
         """Stamp ``delete_epoch`` for the given rows; returns count."""

@@ -22,6 +22,7 @@ from repro.metrics.counters import (
     estimate_rows_bytes,
     estimate_value_bytes,
 )
+from repro.sql import parse_statement
 from repro.sql.expressions import Scope, VColumn
 from repro.sql.planning import sort_rows_with_keys
 
@@ -327,11 +328,19 @@ class TestOneBoxingSite:
         )
         conn.set_acceleration("ALL")
         before = conn._system.interconnect.snapshot().bytes_from_accelerator
-        rows = conn.execute("SELECT * FROM M ORDER BY ID").rows
+        sql = "SELECT * FROM M ORDER BY ID"
+        client_rows = conn.execute(sql).rows
         moved = conn._system.interconnect.snapshot().bytes_from_accelerator - before
-        assert isinstance(rows, SizedRows)
+        # The client gets a plain list; the engine's own result is still
+        # columns, sized without being boxed.
+        assert type(client_rows) is list
+        __, rows = conn._system.accelerator.execute_select(parse_statement(sql))
+        assert isinstance(rows, SizedRows) and rows._rows is None
+        assert len(rows) == 3 and estimate_rows_bytes(rows) == moved
+        assert rows._rows is None
         walked = sum(1 + estimate_value_bytes(v) for row in rows for v in row)
         assert rows.wire_bytes == moved == walked
+        assert rows == client_rows
         assert estimate_rows_bytes(list(rows)) == walked
 
 

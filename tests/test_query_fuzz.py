@@ -16,11 +16,14 @@ import os
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from repro import AcceleratedDatabase
 from repro.accelerator import AcceleratorEngine
 from repro.shard import AcceleratorPool
 from repro.catalog import Catalog, Column, TableLocation, TableSchema
+from repro.catalog.schema import pack_rows
 from repro.db2 import Db2Engine
-from repro.sql import parse_statement
+from repro.errors import ReproError
+from repro.sql import ast, parse_statement
 from repro.sql.types import BIGINT, DATE, DOUBLE, INTEGER, VarcharType
 
 # ---------------------------------------------------------------------------
@@ -28,11 +31,8 @@ from repro.sql.types import BIGINT, DATE, DOUBLE, INTEGER, VarcharType
 # ---------------------------------------------------------------------------
 
 
-def _build_engines():
-    catalog = Catalog()
-    db2 = Db2Engine(catalog)
-    accelerator = AcceleratorEngine(catalog, slice_count=2, chunk_rows=16)
-    pool = AcceleratorPool(catalog, shards=3, slice_count=2, chunk_rows=16)
+def _corpus():
+    """(table name, schema, raw rows) of the fixed fuzzing data."""
     main_schema = TableSchema(
         [
             Column("ID", INTEGER, nullable=False),
@@ -87,11 +87,19 @@ def _build_engines():
         )
         for i in range(48)
     ]
-    for name, schema, rows in (
+    return (
         ("MAIN", main_schema, main_rows),
         ("DIM", dim_schema, dim_rows),
         ("ORD", ord_schema, ord_rows),
-    ):
+    )
+
+
+def _build_engines():
+    catalog = Catalog()
+    db2 = Db2Engine(catalog)
+    accelerator = AcceleratorEngine(catalog, slice_count=2, chunk_rows=16)
+    pool = AcceleratorPool(catalog, shards=3, slice_count=2, chunk_rows=16)
+    for name, schema, rows in _corpus():
         descriptor = catalog.create_table(
             name, schema, location=TableLocation.ACCELERATED
         )
@@ -424,6 +432,103 @@ def test_rewrites_preserve_results(sql):
         expected = sorted(map(repr, db2_off))
         for rows in (db2_on, accel_off, accel_on):
             assert sorted(map(repr, rows)) == expected, sql
+
+
+# ---------------------------------------------------------------------------
+# Landing differential: a SELECT's result landed in an accelerator-only
+# table — by CTAS and by INSERT ... SELECT, both columnar end to end — is
+# what coerce_row makes of the rows DB2 computes for the same SELECT.
+# ---------------------------------------------------------------------------
+
+
+def _build_systems():
+    systems = {}
+    for shards in (1, 2, 4):
+        db = AcceleratedDatabase(shards=shards, slice_count=2, chunk_rows=16)
+        for name, schema, rows in _corpus():
+            descriptor = db.catalog.create_table(name, schema)
+            db.db2.create_storage(descriptor)
+            txn = db.db2.txn_manager.begin()
+            db.db2.insert_rows(txn, name, rows)
+            db.db2.commit(txn)
+            db.add_table_to_accelerator(name)
+        systems[shards] = (db, db.connect())
+    return systems
+
+
+_SYSTEMS = _build_systems()
+
+
+def _landed(db, name, ordered):
+    rows = [
+        tuple(_normalise(v) for v in row)
+        for row in db.accelerator.snapshot_rows(name)
+    ]
+    return rows if ordered else sorted(rows, key=repr)
+
+
+def _outcome(action):
+    """``action()``'s value, or the type and text of what it raised."""
+    try:
+        return action()
+    except ReproError as error:
+        return type(error), str(error)
+
+
+@_maybe_seed
+@settings(max_examples=max(25, FUZZ_EXAMPLES // 3), deadline=None)
+@given(sql=st.one_of(random_query(), random_order_query()))
+def test_selects_land_what_db2_computes(sql):
+    stmt = parse_statement(sql)
+    is_set_op = isinstance(stmt, ast.SetOperation)
+    ordered = bool(getattr(stmt, "order_by", None))
+    for shards, (db, conn) in _SYSTEMS.items():
+        conn.set_acceleration("NONE")
+        source = conn.execute(sql)
+        conn.set_acceleration("ALL")
+        if len(set(source.columns)) < len(source.columns):
+            return  # no table can take two columns of one name
+        for name in ("FZ_CTAS", "FZ_INS"):
+            conn.execute(f"DROP TABLE IF EXISTS {name}")
+
+        def expected(schema):
+            rows = [
+                tuple(_normalise(v) for v in schema.coerce_row(row))
+                for row in source.rows
+            ]
+            return rows if ordered else sorted(rows, key=repr)
+
+        if is_set_op:  # CREATE TABLE AS takes no set operation
+            schema = conn._schema_from_columns(
+                source.columns, pack_rows(source.rows, len(source.columns))
+            )
+        else:
+            created = _outcome(
+                lambda: conn.execute(
+                    f"CREATE TABLE FZ_CTAS AS ({sql}) IN ACCELERATOR"
+                )
+            )
+            schema = db.catalog.table("FZ_CTAS").schema
+            want = _outcome(lambda: expected(schema))
+            if isinstance(created, tuple):
+                assert created == want, (shards, sql)
+            else:
+                assert created.engine == "ACCELERATOR"
+                assert _landed(db, "FZ_CTAS", ordered) == want, (shards, sql)
+        target = db.catalog.create_table(
+            "FZ_INS",
+            TableSchema(schema.columns),
+            location=TableLocation.ACCELERATOR_ONLY,
+            owner=conn.user.name,
+        )
+        db.accelerator.create_storage(target)
+        inserted = _outcome(lambda: conn.execute(f"INSERT INTO FZ_INS {sql}"))
+        want = _outcome(lambda: expected(schema))
+        if isinstance(inserted, tuple):
+            assert inserted == want, (shards, sql)
+        else:
+            assert inserted.rowcount == len(source.rows)
+            assert _landed(db, "FZ_INS", ordered) == want, (shards, sql)
 
 
 # ---------------------------------------------------------------------------
