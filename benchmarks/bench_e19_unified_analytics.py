@@ -110,56 +110,41 @@ def unified_linreg(db, conn):
     return aggregate.result(), report
 
 
-class SerializedPartitions:
-    """Run partitioned epochs one partition at a time, cleanly timed.
+class SerialPool:
+    """Run each epoch's partition transitions one at a time, cleanly timed.
 
     Pool timings are useless for modeling on a shared-core host: each
     task's elapsed time includes interleaved slices of its siblings.
-    This stand-in for ``run_partitioned_aggregate`` executes the same
-    partition plan strictly serially, so per-partition seconds are pure
-    work. The modeled multi-core wall is then the serial wall minus the
-    overlap a parallel host reclaims — each epoch's scan stage costs
-    ``max`` (its slowest partition) instead of ``sum``. Planning,
-    merge, and finalize keep their measured serial cost.
+    This stand-in for the ``ScanWorkerPool`` the epoch driver fans out
+    on executes the same cached partition chunks strictly serially, so
+    the per-partition seconds the driver reports
+    (``TrainingReport.partition_seconds``) are pure work. The modeled
+    multi-core wall is then the serial wall minus the overlap a parallel
+    host reclaims — each epoch's transition stage costs ``max`` (its
+    slowest partition) instead of ``sum``. The one gather per CALL,
+    merge, and finalize keep their measured cost.
     """
 
-    def __init__(self):
-        self.epoch_splits = []
-
-    def __call__(self, plan, partition_fn, budget=None):
-        states, rows, seconds = [], 0, []
-        for gather in plan.partitions:
-            started = time.perf_counter()
-            row_ids, columns = gather()
-            states.append(partition_fn(row_ids, columns))
-            rows += len(row_ids)
-            seconds.append(time.perf_counter() - started)
-        plan.finish(rows)
-        self.epoch_splits.append(seconds)
-        return states, rows, seconds
-
-    def modeled_seconds(self, serial_wall: float) -> float:
-        overlap = sum(
-            sum(splits) - max(splits)
-            for splits in self.epoch_splits
-            if splits
-        )
-        return serial_wall - overlap
+    @staticmethod
+    def run(workers, fn, items):
+        return [fn(item) for item in items]
 
 
 def modeled_unified(train_fn, db, conn):
     """(modeled multi-core wall, serialized wall) for one training run."""
-    serializer = SerializedPartitions()
-    real = uda.run_partitioned_aggregate
-    uda.run_partitioned_aggregate = serializer
+    real = uda.ScanWorkerPool
+    uda.ScanWorkerPool = SerialPool
     try:
         started = time.perf_counter()
-        train_fn(db, conn)
+        __, report = train_fn(db, conn)
         serial_wall = time.perf_counter() - started
     finally:
-        uda.run_partitioned_aggregate = real
-    assert serializer.epoch_splits, "serialized run never went parallel"
-    return serializer.modeled_seconds(serial_wall), serial_wall
+        uda.ScanWorkerPool = real
+    assert report.partition_seconds, "serialized run never went parallel"
+    overlap = sum(
+        sum(splits) - max(splits) for splits in report.partition_seconds
+    )
+    return serial_wall - overlap, serial_wall
 
 
 def legacy_linreg(db, conn):

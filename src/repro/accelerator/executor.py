@@ -59,7 +59,6 @@ __all__ = [
     "VectorQueryEngine",
     "ScanPartitions",
     "ScanWorkerPool",
-    "run_partitioned_aggregate",
 ]
 
 
@@ -113,41 +112,6 @@ class ScanWorkerPool:
                 )
                 cls._pools[workers] = pool
         return list(pool.map(fn, items))
-
-
-def run_partitioned_aggregate(
-    plan: ScanPartitions,
-    partition_fn: Callable[[Sequence, dict], object],
-    budget=None,
-) -> tuple[list, int, list[float]]:
-    """Run a mergeable-aggregate transition over scan partitions.
-
-    Each partition thunk is gathered on the shared :class:`ScanWorkerPool`
-    and fed to ``partition_fn(row_ids, columns)``, which returns that
-    partition's aggregate state. States come back in partition order, so
-    an ordered merge reproduces the sequential transition order exactly
-    (the same contract the SQL partial-aggregate kernels rely on).
-    ``budget`` is checked at each partition boundary for cooperative
-    cancellation; it must be passed explicitly because contextvars do not
-    propagate into the shared pool threads. Returns
-    ``(states, rows_scanned, per_partition_seconds)``; ``plan.finish`` is
-    called exactly once with the total.
-    """
-
-    def task(gather):
-        if budget is not None:
-            budget.check()
-        started = time.perf_counter()
-        row_ids, columns = gather()
-        state = partition_fn(row_ids, columns)
-        return state, len(row_ids), time.perf_counter() - started
-
-    results = ScanWorkerPool.run(plan.workers, task, plan.partitions)
-    total = sum(rows for __, rows, __ in results)
-    plan.finish(total)
-    states = [state for state, __, __ in results]
-    seconds = [elapsed for __, __, elapsed in results]
-    return states, total, seconds
 
 
 class VectorTableProvider(Protocol):

@@ -10,6 +10,7 @@ import numpy as np
 from repro.analytics import uda
 from repro.analytics.framework import ProcedureContext
 from repro.analytics.model_store import Model
+from repro.analytics.scoring import tree_leaves, tree_predictions
 from repro.errors import AnalyticsError
 from repro.sql.types import DOUBLE, VarcharType
 
@@ -17,7 +18,6 @@ __all__ = [
     "DecisionTreeAggregate",
     "TreeNode",
     "decision_tree_fit",
-    "decision_tree_predict",
     "decision_tree_procedure",
     "predict_decision_tree",
 ]
@@ -151,20 +151,6 @@ def decision_tree_fit(
     return grow(np.arange(matrix.shape[0]), depth=1)
 
 
-def decision_tree_predict(
-    matrix: np.ndarray, root: TreeNode
-) -> tuple[list[object], list[float]]:
-    predictions: list[object] = []
-    confidences: list[float] = []
-    for row in matrix:
-        node = root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        predictions.append(node.prediction)
-        confidences.append(node.confidence)
-    return predictions, confidences
-
-
 class DecisionTreeAggregate(uda.ModelAggregate):
     """Level-wise (PLANET-style) CART as a mergeable aggregate.
 
@@ -192,7 +178,6 @@ class DecisionTreeAggregate(uda.ModelAggregate):
         self.root = TreeNode(prediction=None, confidence=0.0)
         self._frontier: dict[int, TreeNode] = {0: self.root}
         self._depths: dict[int, int] = {0: 1}
-        self._frontier_ids: dict[int, int] = {id(self.root): 0}
         self._next_id = 1
         self._accuracy = 0.0
 
@@ -205,23 +190,29 @@ class DecisionTreeAggregate(uda.ModelAggregate):
 
     def transition(self, state, chunk):
         if self.phase != "grow":
-            predictions, __ = decision_tree_predict(chunk.matrix, self.root)
-            state["correct"] += sum(
-                p == t for p, t in zip(predictions, chunk.labels)
-            )
+            predictions = tree_predictions(self.root, chunk.matrix)
+            state["correct"] += int((predictions == chunk.labels).sum())
             state["total"] += chunk.rows
             return state
-        routed = self._route(chunk)
-        for fid in self._frontier:
-            mask = routed == fid
-            if not mask.any():
+        leaves, positions = tree_leaves(self.root, chunk.matrix)
+        # A frontier node is still a leaf, so the walk that scores rows
+        # also routes them; labels were encoded once for the chunk.
+        reached = {id(leaf): index for index, leaf in enumerate(leaves)}
+        all_classes, codes = chunk.label_codes
+        for fid, node in self._frontier.items():
+            position = reached.get(id(node))
+            if position is None:
                 continue
-            labels = chunk.labels[mask]
+            mask = positions == position
             sub = chunk.matrix[mask]
-            classes, encoded = np.unique(labels, return_inverse=True)
-            class_counts = np.bincount(
-                encoded, minlength=len(classes)
-            ).astype(np.int64)
+            node_codes = codes[mask]
+            code_counts = np.bincount(node_codes, minlength=len(all_classes))
+            present = code_counts > 0
+            # Re-number onto the classes present at this node: the split
+            # arithmetic sums over exactly those, in sorted order.
+            classes = all_classes[present]
+            encoded = (np.cumsum(present) - 1)[node_codes]
+            class_counts = code_counts[present].astype(np.int64)
             hists = {}
             for feature in range(sub.shape[1]):
                 values, inverse = np.unique(
@@ -265,7 +256,6 @@ class DecisionTreeAggregate(uda.ModelAggregate):
             raise AnalyticsError("cannot fit a tree on zero rows")
         next_frontier: dict[int, TreeNode] = {}
         next_depths: dict[int, int] = {}
-        next_ids: dict[int, int] = {}
         for fid in sorted(self._frontier):
             node = self._frontier[fid]
             depth = self._depths[fid]
@@ -294,10 +284,8 @@ class DecisionTreeAggregate(uda.ModelAggregate):
                 self._next_id += 1
                 next_frontier[child_id] = child
                 next_depths[child_id] = depth + 1
-                next_ids[id(child)] = child_id
         self._frontier = next_frontier
         self._depths = next_depths
-        self._frontier_ids = next_ids
         if not next_frontier:
             self.phase = "accuracy"
         return False
@@ -306,25 +294,6 @@ class DecisionTreeAggregate(uda.ModelAggregate):
         return self.root, self._accuracy
 
     # -- internals ----------------------------------------------------------
-
-    def _route(self, chunk) -> np.ndarray:
-        """Frontier node id per chunk row (-1: ends at a finished leaf)."""
-        routed = np.full(chunk.rows, -1, dtype=np.int64)
-        stack = [(self.root, np.arange(chunk.rows))]
-        while stack:
-            node, indexes = stack.pop()
-            if not indexes.size:
-                continue
-            fid = self._frontier_ids.get(id(node))
-            if fid is not None:
-                routed[indexes] = fid
-                continue
-            if node.is_leaf:
-                continue
-            goes_left = chunk.matrix[indexes, node.feature] <= node.threshold
-            stack.append((node.left, indexes[goes_left]))
-            stack.append((node.right, indexes[~goes_left]))
-        return routed
 
     def _best_split_from_stats(self, node_state, total):
         """(feature, threshold) replaying :func:`_best_split` exactly.
@@ -457,17 +426,18 @@ def predict_decision_tree(ctx: ProcedureContext) -> str:
     intable = ctx.require("intable").upper()
     outtable = ctx.require("outtable").upper()
     id_column = ctx.require("id").upper()
-    matrix = ctx.read_matrix(intable, model.features)
-    predictions, confidences = decision_tree_predict(
-        matrix, model.payload["root"]
+    leaves, positions = tree_leaves(
+        model.payload["root"], ctx.read_matrix(intable, model.features)
     )
+    predictions = np.array([str(leaf.prediction) for leaf in leaves])
+    confidences = np.array([leaf.confidence for leaf in leaves])
     rows = ctx.write_row_scores(
         intable,
         id_column,
         outtable,
         [
-            ("PREDICTION", VarcharType(64), list(map(str, predictions))),
-            ("CONFIDENCE", DOUBLE, confidences),
+            ("PREDICTION", VarcharType(64), predictions[positions]),
+            ("CONFIDENCE", DOUBLE, confidences[positions]),
         ],
     )
     return f"PREDICT_DECTREE ok: scored {rows} rows"

@@ -23,28 +23,16 @@ import numpy as np
 from repro.analytics import uda
 from repro.analytics.framework import ProcedureContext
 from repro.analytics.model_store import Model
+from repro.analytics.scoring import logistic_probabilities
 from repro.errors import AnalyticsError
-from repro.sql.types import DOUBLE
+from repro.sql.types import DOUBLE, VarcharType
 
 __all__ = [
     "LogRegResult",
     "LogisticSGDAggregate",
     "logreg_procedure",
-    "logreg_sgd_reference",
     "predict_logreg",
-    "sigmoid",
 ]
-
-
-def sigmoid(values: np.ndarray) -> np.ndarray:
-    """Numerically stable elementwise logistic function."""
-    values = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(values)
-    positive = values >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-values[positive]))
-    exp_v = np.exp(values[~positive])
-    out[~positive] = exp_v / (1.0 + exp_v)
-    return out
 
 
 @dataclass
@@ -88,7 +76,6 @@ class LogisticSGDAggregate(uda.ModelAggregate):
             raise AnalyticsError("logistic SGD needs at least one epoch")
         if rate <= 0:
             raise AnalyticsError("learning rate must be positive")
-        self.n_features = n_features
         self.sgd_epochs = epochs
         self.rate = rate
         self.decay = decay
@@ -98,9 +85,6 @@ class LogisticSGDAggregate(uda.ModelAggregate):
         self._weights = np.zeros(n_features + 1)
         self._result: LogRegResult = None
 
-    def _step_size(self) -> float:
-        return self.rate / (1.0 + self.decay * self.epoch)
-
     def init(self):
         if self.phase == "sgd":
             return {"weights": self._weights.copy(), "rows": 0}
@@ -109,31 +93,25 @@ class LogisticSGDAggregate(uda.ModelAggregate):
     def transition(self, state, chunk):
         features = chunk.matrix[:, :-1]
         target = chunk.matrix[:, -1]
-        bad = ~((target == 0.0) | (target == 1.0))
-        if bad.any():
-            raise AnalyticsError(
-                "logistic regression target must be 0/1; got "
-                f"{target[bad][0]!r}"
-            )
         if self.phase == "sgd":
-            weights = state["weights"]
-            step = self._step_size()
-            for index in range(features.shape[0]):
-                row = features[index]
-                margin = weights[0] + float(np.dot(weights[1:], row))
-                gradient = step * (
-                    float(sigmoid(margin)) - float(target[index])
-                )
-                weights[0] -= gradient
-                weights[1:] -= gradient * row
+            if self.epoch == 0:  # the chunks are cached: check them once
+                bad = ~((target == 0.0) | (target == 1.0))
+                if bad.any():
+                    raise AnalyticsError(
+                        "logistic regression target must be 0/1; got "
+                        f"{float(target[bad][0])}"
+                    )
+            _sgd_pass(
+                state["weights"],
+                np.ascontiguousarray(features),
+                target.tolist(),
+                self.rate / (1.0 + self.decay * self.epoch),
+            )
             state["rows"] += features.shape[0]
             return state
-        # Scoring pass: same per-feature accumulation order as the
-        # PREDICT scorer so the reported metrics match SQL-side scoring.
-        margins = np.full(features.shape[0], self._weights[0])
-        for j in range(self.n_features):
-            margins += self._weights[j + 1] * features[:, j]
-        probs = np.clip(sigmoid(margins), 1e-12, 1.0 - 1e-12)
+        probs = logistic_probabilities(
+            features, self._weights[0], self._weights[1:]
+        ).clip(1e-12, 1.0 - 1e-12)
         state["log_loss"] += float(
             -(target * np.log(probs) + (1.0 - target) * np.log(1.0 - probs)).sum()
         )
@@ -179,28 +157,33 @@ class LogisticSGDAggregate(uda.ModelAggregate):
         return self._result
 
 
-def logreg_sgd_reference(
-    matrix: np.ndarray,
-    target: np.ndarray,
-    epochs: int = 20,
-    rate: float = 0.5,
-    decay: float = 0.0,
-) -> np.ndarray:
-    """Straight-line sequential SGD; oracle for the differential tests.
+def _sgd_pass(
+    weights: np.ndarray, features: np.ndarray, targets: list, step: float
+) -> None:
+    """One gradient step per row of C-contiguous ``features``, in place.
 
-    Returns the weight vector (intercept first), reproducing exactly
-    what the aggregate computes on a single sequential partition.
+    ``np.dot`` and ``np.exp`` define the rounding (BLAS ``ddot``
+    contracts to FMA and numpy's ``exp`` is not libm's, so neither has a
+    pure-Python equal) and stay per row; everything around them is
+    hoisted — a float intercept, one scratch vector for the update, the
+    scalar sigmoid branched inline.
     """
-    weights = np.zeros(matrix.shape[1] + 1)
-    for epoch in range(epochs):
-        step = rate / (1.0 + decay * epoch)
-        for index in range(matrix.shape[0]):
-            row = matrix[index]
-            margin = weights[0] + float(np.dot(weights[1:], row))
-            gradient = step * (float(sigmoid(margin)) - float(target[index]))
-            weights[0] -= gradient
-            weights[1:] -= gradient * row
-    return weights
+    intercept = float(weights[0])
+    coefficients = weights[1:]
+    scratch = np.empty_like(coefficients)
+    dot, exp, multiply, subtract = np.dot, np.exp, np.multiply, np.subtract
+    for row, label in zip(features, targets):
+        margin = intercept + float(dot(coefficients, row))
+        if margin >= 0.0:
+            probability = 1.0 / (1.0 + float(exp(-margin)))
+        else:
+            exp_margin = float(exp(margin))
+            probability = exp_margin / (1.0 + exp_margin)
+        gradient = step * (probability - label)
+        intercept -= gradient
+        multiply(row, gradient, scratch)
+        subtract(coefficients, scratch, coefficients)
+    weights[0] = intercept
 
 
 def logreg_procedure(ctx: ProcedureContext) -> str:
@@ -260,7 +243,7 @@ def logreg_procedure(ctx: ProcedureContext) -> str:
     if outtable:
         ctx.create_output_table(
             outtable.upper(),
-            [("TERM", _varchar(64)), ("COEFFICIENT", DOUBLE)],
+            [("TERM", VarcharType(64)), ("COEFFICIENT", DOUBLE)],
         )
         rows = [("INTERCEPT", result.intercept)] + [
             (name, float(value))
@@ -286,19 +269,12 @@ def predict_logreg(ctx: ProcedureContext) -> str:
     intable = ctx.require("intable").upper()
     outtable = ctx.require("outtable").upper()
     id_column = ctx.require("id").upper()
-    matrix = ctx.read_matrix(intable, model.features)
-    margins = np.full(matrix.shape[0], float(model.payload["intercept"]))
-    coefficients = np.asarray(model.payload["coefficients"], dtype=np.float64)
-    for j in range(coefficients.shape[0]):
-        margins += coefficients[j] * matrix[:, j]
-    probabilities = sigmoid(margins)
+    probabilities = logistic_probabilities(
+        ctx.read_matrix(intable, model.features),
+        float(model.payload["intercept"]),
+        np.asarray(model.payload["coefficients"], dtype=np.float64),
+    )
     rows = ctx.write_row_scores(
         intable, id_column, outtable, [("PROBABILITY", DOUBLE, probabilities)]
     )
     return f"PREDICT_LOGISTIC_REGRESSION ok: scored {rows} rows"
-
-
-def _varchar(length: int):
-    from repro.sql.types import VarcharType
-
-    return VarcharType(length)

