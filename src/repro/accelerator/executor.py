@@ -149,9 +149,9 @@ class VectorQueryEngine:
         self._provider = provider
         self._params = params
         #: Optional cardinality estimates keyed by id(plan node); when
-        #: present, INNER equi-joins pick their hash build side (and tiny
-        #: products take the vectorised cross-filter path) from them.
-        #: All strategies are byte-identical.
+        #: present, INNER joins of tiny products take the vectorised
+        #: cross-filter path instead of the pairing kernel. Both are
+        #: byte-identical.
         self._estimates = estimates if estimates is not None else {}
         #: Optional StatementProfile (repro.obs.profile); when set, each
         #: plan operator reports rows/wall-time/chunks-pruned into it.
@@ -465,11 +465,7 @@ class VectorQueryEngine:
 
     def _filter_table(self, table: VTable, predicate: ast.Expression) -> VTable:
         fn = self._compile_where(predicate, table.scope)
-        result = fn(table.columns, table.length)
-        mask = result.values.astype(bool)
-        if result.mask is not None:
-            mask &= ~result.mask
-        return table.filter(mask)
+        return table.filter(_truth(fn(table.columns, table.length)))
 
     # -- scans (sequential and chunk-parallel) ---------------------------------------
 
@@ -633,21 +629,10 @@ class VectorQueryEngine:
             ordered = [columns[c.name] for c in cols]
             length = len(row_ids)
             if predicate is not None and length:
-                result = predicate(ordered, length)
-                mask = result.values.astype(bool)
-                if result.mask is not None:
-                    mask &= ~result.mask
+                mask = _truth(predicate(ordered, length))
                 kept = int(mask.sum())
                 if kept != length:
-                    ordered = [
-                        VColumn(
-                            values=col.values[mask],
-                            mask=col.mask[mask]
-                            if col.mask is not None
-                            else None,
-                        )
-                        for col in ordered
-                    ]
+                    ordered = [col.take(mask) for col in ordered]
             else:
                 kept = length
             partials = None
@@ -688,7 +673,7 @@ class VectorQueryEngine:
             results = self._run_partitions(
                 scan, plan, self._partition_task(cols, predicate, None)
             )
-            merged = _merge_partition_columns([r[0] for r in results], len(cols))
+            merged = [_concat_columns(*part) for part in zip(*(r[0] for r in results))]
             total = sum(r[1] for r in results)
         return VTable(scope, merged, total)
 
@@ -857,10 +842,7 @@ class VectorQueryEngine:
         combined_scope = Scope(left.scope.entries + right.scope.entries)
 
         if join_type == "CROSS":
-            left_idx = np.repeat(np.arange(left.length), right.length)
-            right_idx = np.tile(np.arange(right.length), left.length)
-            columns = left.gather(left_idx) + right.gather(right_idx)
-            return VTable(combined_scope, columns, len(left_idx))
+            return _cross_product(left, right, combined_scope)[0]
 
         if condition is None:
             raise ParseError(f"{join_type} JOIN requires ON")
@@ -869,9 +851,9 @@ class VectorQueryEngine:
 
         est_left, est_right = estimates
         if join_type == "INNER" and _COST_MODEL.prefer_nested_loop(est_left, est_right):
-            # Tiny product: one vectorised cross-filter beats building a
-            # hash table. Candidate pairs come out in the same
-            # (left, right) lexicographic order as the equi paths.
+            # Tiny product: one vectorised cross-filter beats coding the
+            # keys. Candidate pairs come out in the same (left, right)
+            # lexicographic order as the pairing kernel's.
             return self._nested_join(
                 left, right, condition, combined_scope, join_type
             )
@@ -886,89 +868,23 @@ class VectorQueryEngine:
 
         left_key_cols = [fn(left.columns, left.length) for fn in left_keys]
         right_key_cols = [fn(right.columns, right.length) for fn in right_keys]
-        outer = join_type == "LEFT"
 
         # Phase 1: matching candidate pairs only (no padding yet).
-        fast = _numeric_equi_pairs(left_key_cols, right_key_cols)
-        if fast is not None:
-            left_indexes, right_indexes = fast
-        elif join_type == "INNER" and _COST_MODEL.prefer_build_left(
-            est_left, est_right
-        ):
-            # Build on the (estimated smaller) left input, probe with the
-            # right, then lexsort the pairs back into the (left, right)
-            # order the build-right path produces — byte-identical output.
-            build_l: dict[tuple, list[int]] = {}
-            left_tuples = _key_tuples(left_key_cols, left.length)
-            for index, key in enumerate(left_tuples):
-                if key is None:
-                    continue
-                build_l.setdefault(key, []).append(index)
-            right_tuples = _key_tuples(right_key_cols, right.length)
-            left_idx: list[int] = []
-            right_idx: list[int] = []
-            for index, key in enumerate(right_tuples):
-                matches = build_l.get(key) if key is not None else None
-                if matches:
-                    for match in matches:
-                        left_idx.append(match)
-                        right_idx.append(index)
-            left_indexes = np.array(left_idx, dtype=np.int64)
-            right_indexes = np.array(right_idx, dtype=np.int64)
-            if len(left_indexes):
-                order = np.lexsort((right_indexes, left_indexes))
-                left_indexes = left_indexes[order]
-                right_indexes = right_indexes[order]
-        else:
-            build: dict[tuple, list[int]] = {}
-            right_tuples = _key_tuples(right_key_cols, right.length)
-            for index, key in enumerate(right_tuples):
-                if key is None:
-                    continue
-                build.setdefault(key, []).append(index)
-            left_tuples = _key_tuples(left_key_cols, left.length)
-            left_idx = []
-            right_idx = []
-            for index, key in enumerate(left_tuples):
-                matches = build.get(key) if key is not None else None
-                if matches:
-                    for match in matches:
-                        left_idx.append(index)
-                        right_idx.append(match)
-            left_indexes = np.array(left_idx, dtype=np.int64)
-            right_indexes = np.array(right_idx, dtype=np.int64)
-        columns = left.gather(left_indexes) + (
-            right.gather(right_indexes)
-            if right.length
-            else _all_null_columns(right, len(right_indexes))
-        )
+        left_indexes, right_indexes = _equi_pairs(left_key_cols, right_key_cols)
+        columns = left.gather(left_indexes) + right.gather(right_indexes)
         table = VTable(combined_scope, columns, len(left_indexes))
 
         # Phase 2: the residual is part of the join condition, so it
         # filters candidate pairs *before* outer padding is decided.
         if residual is not None and table.length:
-            result = residual(table.columns, table.length)
-            mask = result.values.astype(bool)
-            if result.mask is not None:
-                mask &= ~result.mask
+            mask = _truth(residual(table.columns, table.length))
             left_indexes = left_indexes[mask]
             table = table.filter(mask)
 
-        if not outer:
+        if join_type != "LEFT":
             return table
-
         # Phase 3: null-extend left rows with no surviving match.
-        matched_left = np.zeros(left.length, dtype=bool)
-        if len(left_indexes):
-            matched_left[left_indexes] = True
-        missing = np.where(~matched_left)[0]
-        if not len(missing):
-            return table
-        pad_cols = left.gather(missing) + _all_null_columns(right, len(missing))
-        merged = [
-            _concat_columns(a, b) for a, b in zip(table.columns, pad_cols)
-        ]
-        return VTable(combined_scope, merged, table.length + len(missing))
+        return _null_extend(table, left, right, left_indexes)
 
     def _split_equi(
         self,
@@ -1019,34 +935,15 @@ class VectorQueryEngine:
         join_type: str,
     ) -> VTable:
         """Non-equi join: evaluate the predicate over the cross product."""
-        left_idx = np.repeat(np.arange(left.length), right.length)
-        right_idx = np.tile(np.arange(right.length), left.length)
-        columns = left.gather(left_idx) + right.gather(right_idx)
-        cross = VTable(combined_scope, columns, len(left_idx))
+        cross, left_idx = _cross_product(left, right, combined_scope)
         predicate = compile_vector(
             condition, combined_scope, self._params, self._resolver(combined_scope)
         )
-        result = predicate(cross.columns, cross.length)
-        mask = result.values.astype(bool)
-        if result.mask is not None:
-            mask &= ~result.mask
-        if join_type == "LEFT":
-            matched_left = np.zeros(left.length, dtype=bool)
-            if cross.length:
-                np.logical_or.at(matched_left, left_idx[mask], True)
-            inner = cross.filter(mask)
-            missing = np.where(~matched_left)[0]
-            if len(missing):
-                pad_cols = left.gather(missing) + _all_null_columns(
-                    right, len(missing)
-                )
-                merged = [
-                    _concat_columns(a, b)
-                    for a, b in zip(inner.columns, pad_cols)
-                ]
-                return VTable(combined_scope, merged, inner.length + len(missing))
+        mask = _truth(predicate(cross.columns, cross.length))
+        inner = cross.filter(mask)
+        if join_type != "LEFT":
             return inner
-        return cross.filter(mask)
+        return _null_extend(inner, left, right, left_idx[mask])
 
     # -- aggregation -----------------------------------------------------------------------
 
@@ -1143,11 +1040,9 @@ class VectorQueryEngine:
             predicate = compile_vector(
                 having_rewritten, post_scope, self._params, self._resolver(post_scope)
             )
-            result = predicate(post_table.columns, post_table.length)
-            mask = result.values.astype(bool)
-            if result.mask is not None:
-                mask &= ~result.mask
-            post_table = post_table.filter(mask)
+            post_table = post_table.filter(
+                _truth(predicate(post_table.columns, post_table.length))
+            )
 
         columns = [
             alias or expression_label(node.select_items[i].expression, i)
@@ -1193,60 +1088,42 @@ class VectorQueryEngine:
             return VColumn(values=counts.astype(np.int64))
         if arg.values.dtype.kind not in "ifb":
             return _object_aggregate(name, arg, inverse, group_count, live)
-        values = arg.values.astype(np.float64)
-        counts = np.bincount(inverse[live], minlength=group_count)
+        integral = arg.values.dtype.kind in "ib"
+        groups = inverse[live]
+        counts = np.bincount(groups, minlength=group_count)
         empty = counts == 0
-        if name == "SUM":
-            sums = np.bincount(
-                inverse[live], weights=values[live], minlength=group_count
-            )
-            if arg.values.dtype.kind in "ib":
-                out = sums.astype(np.int64)
-            else:
-                out = sums
-            return VColumn(
-                values=out, mask=empty.copy() if empty.any() else None
-            )
-        if name == "AVG":
-            sums = np.bincount(
-                inverse[live], weights=values[live], minlength=group_count
-            )
-            with np.errstate(invalid="ignore", divide="ignore"):
-                avgs = sums / np.where(empty, 1, counts)
-            return VColumn(
-                values=avgs, mask=empty.copy() if empty.any() else None
-            )
+        mask = empty if empty.any() else None
         if name in ("MIN", "MAX"):
-            fill = math.inf if name == "MIN" else -math.inf
-            out = np.full(group_count, fill, dtype=np.float64)
-            ufunc = np.minimum if name == "MIN" else np.maximum
-            ufunc.at(out, inverse[live], values[live])
-            result = out
-            if arg.values.dtype.kind in "ib":
-                result = np.where(empty, 0, out).astype(np.int64)
-                return VColumn(
-                    values=result, mask=empty.copy() if empty.any() else None
-                )
-            return VColumn(
-                values=np.where(empty, np.nan, out),
-                mask=empty.copy() if empty.any() else None,
+            # Integers stay int64: float64 cannot tell 2**53 from 2**53 + 1.
+            dtype = np.int64 if integral else np.float64
+            low, high = (
+                (np.iinfo(dtype).min, np.iinfo(dtype).max)
+                if integral
+                else (-math.inf, math.inf)
             )
+            ufunc, fill = (np.minimum, high) if name == "MIN" else (np.maximum, low)
+            out = np.full(group_count, fill, dtype=dtype)
+            ufunc.at(out, groups, arg.values[live].astype(dtype, copy=False))
+            out[empty] = 0 if integral else np.nan
+            return VColumn(values=out, mask=mask)
+        if name == "SUM" and integral:
+            sums = _integer_sums(arg.values[live].astype(np.int64), groups, group_count)
+            return VColumn(values=sums, mask=mask)
+        values = arg.values[live].astype(np.float64, copy=False)
+        sums = np.bincount(groups, weights=values, minlength=group_count)
+        if name == "SUM":
+            return VColumn(values=sums, mask=mask)
+        safe_counts = np.where(empty, 1, counts)
+        if name == "AVG":
+            return VColumn(values=sums / safe_counts, mask=mask)
         if name in ("STDDEV", "VARIANCE"):
-            sums = np.bincount(
-                inverse[live], weights=values[live], minlength=group_count
-            )
             squares = np.bincount(
-                inverse[live],
-                weights=values[live] * values[live],
-                minlength=group_count,
+                groups, weights=values * values, minlength=group_count
             )
-            safe_counts = np.where(empty, 1, counts)
             means = sums / safe_counts
             variance = np.maximum(0.0, squares / safe_counts - means * means)
             out = np.sqrt(variance) if name == "STDDEV" else variance
-            return VColumn(
-                values=out, mask=empty.copy() if empty.any() else None
-            )
+            return VColumn(values=out, mask=mask)
         raise ParseError(f"unknown aggregate {name}")
 
     # -- projection --------------------------------------------------------------------------
@@ -1357,6 +1234,14 @@ def _single_row(values: Sequence[object]) -> VTable:
     return VTable(Scope([]), [VColumn.from_objects([v]) for v in values], 1)
 
 
+def _truth(result: VColumn) -> np.ndarray:
+    """Rows where a predicate's result is TRUE (NULL is not)."""
+    mask = result.values.astype(bool)
+    if result.mask is not None:
+        mask &= ~result.mask
+    return mask
+
+
 def _contains_subquery(expr: ast.Expression) -> bool:
     return any(
         isinstance(node, ast.SubqueryExpression) for node in expr.walk()
@@ -1398,30 +1283,6 @@ def _pruned_schema_columns(
     return cols
 
 
-def _merge_partition_columns(
-    parts: list[list[VColumn]], width: int
-) -> list[VColumn]:
-    """Concatenate per-partition filtered columns in partition order."""
-    out: list[VColumn] = []
-    for i in range(width):
-        values = np.concatenate([part[i].values for part in parts])
-        masks = [part[i].mask for part in parts]
-        if any(mask is not None for mask in masks):
-            merged = np.concatenate(
-                [
-                    mask
-                    if mask is not None
-                    else np.zeros(len(part[i].values), dtype=bool)
-                    for mask, part in zip(masks, parts)
-                ]
-            )
-            mask = merged if merged.any() else None
-        else:
-            mask = None
-        out.append(VColumn(values=values, mask=mask))
-    return out
-
-
 def _partition_partial(
     spec: tuple[str, Optional[int]], columns: list[VColumn], length: int
 ):
@@ -1436,14 +1297,13 @@ def _partition_partial(
     if kind == "count_distinct":
         values = col.to_objects()
         return {values[i] for i in np.where(live)[0]}
-    # MIN / MAX.
+    # MIN / MAX, in the column's own domain as in _compute_aggregate
+    # (.item(): int64 stays an exact Python int, float64 a float).
     if col.values.dtype.kind in "ifb":
-        # Same float64 domain as _compute_aggregate, so the partial
-        # extremum is bitwise the value the sequential kernel would pick.
-        values = col.values.astype(np.float64)[live]
+        values = col.values[live]
         if not len(values):
             return None
-        return float(values.min() if kind == "min" else values.max())
+        return (values.min() if kind == "min" else values.max()).item()
     best = None
     values = col.to_objects()
     for i in np.where(live)[0]:
@@ -1470,20 +1330,15 @@ def _merge_partials(
             continue
         if merged is None:
             merged = partial
-        elif dtype_kind in "ifb":
+        elif dtype_kind == "f":
             # np.minimum/np.maximum propagate NaN exactly like the
             # sequential ufunc.at accumulation does.
             combine = np.minimum if kind == "min" else np.maximum
             merged = float(combine(merged, partial))
         elif (partial < merged) if kind == "min" else (partial > merged):
             merged = partial
-    if merged is None:
-        return None
-    if dtype_kind in ("i", "b"):
-        # Mirrors the sequential .astype(int64) truncation.
-        return int(merged)
-    if dtype_kind == "f":
-        return float(merged)
+    if merged is not None and dtype_kind == "b":
+        return int(merged)  # the sequential kernel reports BOOLEAN as 0/1
     return merged
 
 
@@ -1505,48 +1360,111 @@ def _aggregate_key(call: ast.FunctionCall, scope: Scope):
     return tuple(parts)
 
 
-def _numeric_equi_pairs(left_keys: list[VColumn], right_keys: list[VColumn]):
-    """Vectorised sort-merge pairing for a single numeric, NULL-free key.
+#: Integer codes stay direct-addressed (one table slot per possible
+#: code) while their span is within this many slots per row coded.
+_SLOTS_PER_ROW = 4
 
-    Returns (left_indexes, right_indexes) of all matching pairs, or
-    ``None`` when the keys do not qualify for the fast path.
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _equi_pairs(
+    left_keys: list[VColumn], right_keys: list[VColumn]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row index pairs ``(left, right)`` of every equi-join match.
+
+    Each key column pair is coded over the two sides concatenated
+    (:func:`_joint_codes`: equal keys share a code wherever they sit, a
+    key that equals nothing has none) and the parts combine as digits of
+    one mixed-radix code per row (:func:`_mixed_radix`). Matching is
+    direct addressing on that code: ``bincount`` + ``cumsum`` give
+    every code its run of right rows. Pairs come out left-major, each
+    left row's matches in ascending right order — the order of the row
+    engine's build-right hash join.
     """
-    if len(left_keys) != 1 or len(right_keys) != 1:
-        return None
-    left = left_keys[0]
-    right = right_keys[0]
-    if left.mask is not None or right.mask is not None:
-        return None
-    if left.values.dtype.kind not in "if" or right.values.dtype.kind not in "if":
-        return None
-    order = np.argsort(right.values, kind="stable")
-    sorted_right = right.values[order]
-    lo = np.searchsorted(sorted_right, left.values, side="left")
-    hi = np.searchsorted(sorted_right, left.values, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    left_indexes = np.repeat(np.arange(len(left.values)), counts)
-    starts = np.repeat(lo, counts)
-    # Offset 0..count-1 within each left row's match run.
+    cut = len(left_keys[0])
+    parts = [_joint_codes(left, right) for left, right in zip(left_keys, right_keys)]
+    live = np.logical_and.reduce([codes >= 0 for codes, __ in parts])
+    left_rows = np.flatnonzero(live[:cut])
+    right_rows = np.flatnonzero(live[cut:])
+    if not len(left_rows) or not len(right_rows):
+        return _NO_ROWS, _NO_ROWS
+    combined, radix = _mixed_radix(parts, len(live))
+    left_codes, right_codes = combined[left_rows], combined[cut + right_rows]
+    counts = np.bincount(right_codes, minlength=radix)
+    if counts.max() == 1:
+        # Unique build keys (a dimension's primary key): every code
+        # addresses its one right row.
+        slot = np.full(radix, -1, dtype=np.int64)
+        slot[right_codes] = right_rows
+        matches = slot[left_codes]
+        hit = matches >= 0
+        return left_rows[hit], matches[hit]
+    # Right rows grouped by code, ascending within a code (stable).
+    by_code = right_rows[np.argsort(right_codes, kind="stable")]
     run_starts = np.cumsum(counts) - counts
-    offsets = np.arange(total) - np.repeat(run_starts, counts)
-    right_indexes = order[starts + offsets]
-    return left_indexes.astype(np.int64), right_indexes.astype(np.int64)
+    matches = counts[left_codes]
+    # Offset 0..count-1 within each left row's match run.
+    offsets = np.arange(int(matches.sum())) - np.repeat(
+        np.cumsum(matches) - matches, matches
+    )
+    return (
+        np.repeat(left_rows, matches),
+        by_code[np.repeat(run_starts[left_codes], matches) + offsets],
+    )
 
 
-def _key_tuples(key_columns: list[VColumn], length: int):
-    """Per-row join keys; ``None`` marks a NULL key (never matches)."""
-    object_lists = [col.to_objects() for col in key_columns]
-    out = []
-    for i in range(length):
-        key = tuple(values[i] for values in object_lists)
-        out.append(None if any(part is None for part in key) else key)
-    return out
+def _joint_codes(left: VColumn, right: VColumn) -> tuple[np.ndarray, int]:
+    """Code one equi-join key column pair, left rows then right rows.
+
+    Returns ``(codes, cardinality)``: int64 codes in ``[0, cardinality)``
+    that are equal exactly where the row engine's hash join finds the
+    keys equal (Python ``==``), and ``-1`` for a key that equals nothing
+    — NULL, NaN, or a DOUBLE with no INTEGER twin.
+
+    Two coders: integer keys of small joint span code as ``key - min``;
+    everything else is ranked (numbers) or hashed (boxed values).
+    """
+    sides = [left.values, right.values]
+    dead = [left.null_mask(), right.null_mask()]
+    kinds = {values.dtype.kind for values in sides}
+    if "O" not in kinds and "f" in kinds and kinds != {"f"}:
+        # INTEGER = DOUBLE compares exactly. float64 cannot tell 2**53
+        # from 2**53 + 1, so the integers never convert: a float joins
+        # as the int64 it is integral and in range for, or not at all.
+        for side, values in enumerate(sides):
+            if values.dtype.kind == "f":
+                whole = (
+                    (values >= -(2.0**63))
+                    & (values < 2.0**63)
+                    & (values == np.floor(values))
+                )
+                sides[side] = np.where(whole, values, 0.0).astype(np.int64)
+                dead[side] = dead[side] | ~whole
+        kinds = {"i"}
+    live = ~np.concatenate(dead)
+    ranked = None
+    if "O" in kinds:
+        # VARCHAR, DATE, DECIMAL: the boxed values' own == and hash.
+        keys = np.concatenate([v.astype(object) for v in sides])[live].tolist()
+        rank = {key: code for code, key in enumerate(dict.fromkeys(keys))}
+        ranked = np.fromiter(map(rank.__getitem__, keys), np.int64, len(keys))
+        cardinality = len(rank)
+    elif kinds == {"f"}:
+        values = np.concatenate(sides)
+        live &= ~np.isnan(values)
+        values = values[live]
+    else:
+        values = np.concatenate(sides)[live].astype(np.int64, copy=False)
+        if len(values):
+            low, high = int(values.min()), int(values.max())
+            if high - low < _SLOTS_PER_ROW * len(values):
+                ranked, cardinality = values - low, high - low + 1
+    if ranked is None:
+        uniques, ranked = np.unique(values, return_inverse=True)
+        cardinality = len(uniques)
+    codes = np.full(len(live), -1, dtype=np.int64)
+    codes[live] = ranked
+    return codes, max(cardinality, 1)
 
 
 def _group_inverse(
@@ -1558,28 +1476,61 @@ def _group_inverse(
     first row of group ``g``, whose key values are the group's. Each key
     column is ranked to codes (NULL is a value of its own: SQL groups
     NULLs together) and the codes are combined as digits of one
-    mixed-radix number per row.
+    mixed-radix number per row, which then addresses the group directly:
+    no sort over the rows, only over the groups.
     """
-    combined = np.zeros(length, dtype=np.int64)
     if not key_columns:  # every row in one group; none when there are no rows
         groups = min(length, 1)
-        return combined, groups, np.zeros(groups, dtype=np.int64)
-    radix = 1
-    for col in key_columns:
-        codes, cardinality = column_codes(col)
+        return np.zeros(length, dtype=np.int64), groups, np.zeros(groups, dtype=np.int64)
+    combined, radix = _mixed_radix(map(column_codes, key_columns), length)
+    # One slot per possible code, holding the first row that has it.
+    first = np.full(radix, length, dtype=np.int64)
+    np.minimum.at(first, combined, np.arange(length))
+    used = np.flatnonzero(first < length)
+    by_appearance = np.argsort(first[used])
+    rank = np.empty(radix, dtype=np.int64)
+    rank[used[by_appearance]] = np.arange(len(used))
+    return rank[combined], len(used), first[used[by_appearance]]
+
+
+def _mixed_radix(parts, length: int) -> tuple[np.ndarray, int]:
+    """Combine per-column ``(codes, cardinality)`` pairs as digits of one
+    mixed-radix int64 code per row; returns ``(codes, radix)``.
+
+    The number is re-ranked (at most ``length`` distinct values) before
+    it could overflow, and at the end when it is too sparse to address
+    directly, so ``radix`` slots are always affordable.
+    """
+    combined, radix = np.zeros(length, dtype=np.int64), 1
+    for codes, cardinality in parts:
         if radix * cardinality >= 2**62:
-            # Re-rank what is combined so far: at most ``length`` values.
             uniques, combined = np.unique(combined, return_inverse=True)
             radix = len(uniques)
         combined = combined * cardinality + codes
         radix *= cardinality
-    __, first, inverse = np.unique(
-        combined, return_index=True, return_inverse=True
+    if radix > _SLOTS_PER_ROW * length:
+        uniques, combined = np.unique(combined, return_inverse=True)
+        radix = len(uniques)
+    return combined, radix
+
+
+def _integer_sums(
+    values: np.ndarray, groups: np.ndarray, group_count: int
+) -> np.ndarray:
+    """Exact per-group sums of int64 ``values``: accumulated in int64
+    while a float estimate shows no group can leave it, as Python ints
+    (an object column, like the row engine's) otherwise."""
+    reach = np.bincount(
+        groups, weights=np.abs(values.astype(np.float64)), minlength=group_count
     )
-    by_appearance = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[by_appearance] = np.arange(len(first))
-    return rank[inverse], len(first), first[by_appearance]
+    if reach.max(initial=0.0) < 2.0**62:
+        sums = np.zeros(group_count, dtype=np.int64)
+        np.add.at(sums, groups, values)
+        return sums
+    totals = [0] * group_count
+    for group, value in zip(groups.tolist(), values.tolist()):
+        totals[group] += value
+    return np.array(totals, dtype=object)
 
 
 def _count_distinct(
@@ -1643,6 +1594,34 @@ def _object_aggregate(
     return VColumn.from_objects(state)
 
 
+def _cross_product(
+    left: VTable, right: VTable, scope: Scope
+) -> tuple[VTable, np.ndarray]:
+    """Every (left, right) row pair, left-major; also each pair's left row."""
+    left_idx = np.repeat(np.arange(left.length), right.length)
+    right_idx = np.tile(np.arange(right.length), left.length)
+    columns = left.gather(left_idx) + right.gather(right_idx)
+    return VTable(scope, columns, len(left_idx)), left_idx
+
+
+def _null_extend(
+    table: VTable, left: VTable, right: VTable, matched: np.ndarray
+) -> VTable:
+    """LEFT JOIN padding: ``table`` (row ``i`` pairs left row
+    ``matched[i]``, left-major) plus, NULL on the right, every row of
+    ``left`` not among ``matched`` — each in its left row's place, as
+    the row engine streams them."""
+    unmatched = np.ones(left.length, dtype=bool)
+    unmatched[matched] = False
+    missing = np.flatnonzero(unmatched)
+    if not len(missing):
+        return table
+    pad_cols = left.gather(missing) + _all_null_columns(right, len(missing))
+    merged = [_concat_columns(a, b) for a, b in zip(table.columns, pad_cols)]
+    in_left_order = np.argsort(np.concatenate([matched, missing]), kind="stable")
+    return VTable(table.scope, merged, len(in_left_order)).take(in_left_order)
+
+
 def _all_null_columns(table: VTable, count: int) -> list[VColumn]:
     """Columns of ``count`` all-NULL rows matching ``table``'s layout."""
     return [
@@ -1656,10 +1635,12 @@ def _all_null_columns(table: VTable, count: int) -> list[VColumn]:
     ]
 
 
-def _concat_columns(a: VColumn, b: VColumn) -> VColumn:
-    if a.values.dtype == b.values.dtype:
-        values = np.concatenate([a.values, b.values])
-    else:
-        values = np.concatenate([a.values.astype(object), b.values.astype(object)])
-    merged = np.concatenate([a.null_mask(), b.null_mask()])
-    return VColumn(values=values, mask=merged if merged.any() else None)
+def _concat_columns(*parts: VColumn) -> VColumn:
+    """``parts`` end to end (boxed when their dtypes differ)."""
+    values = [part.values for part in parts]
+    if len({v.dtype for v in values}) > 1:
+        values = [v.astype(object) for v in values]
+    merged = np.concatenate([part.null_mask() for part in parts])
+    return VColumn(
+        values=np.concatenate(values), mask=merged if merged.any() else None
+    )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,34 +43,26 @@ class VTable:
         """Keep only rows where ``mask`` is True."""
         if mask.all():
             return self
-        count = int(mask.sum())
-        columns = [
-            VColumn(
-                values=col.values[mask],
-                mask=col.mask[mask] if col.mask is not None else None,
-            )
-            for col in self.columns
-        ]
-        return VTable(self.scope, columns, count)
+        columns = [col.take(mask) for col in self.columns]
+        return VTable(self.scope, columns, int(mask.sum()))
 
-    def gather(
-        self, indexes: np.ndarray, null_mask: Optional[np.ndarray] = None
-    ) -> list[VColumn]:
-        """Columns re-ordered by ``indexes``; rows where ``null_mask`` is
-        True become all-NULL (outer-join padding). ``indexes`` entries for
-        padded rows may be arbitrary (use 0)."""
+    def gather(self, indexes: np.ndarray) -> list[VColumn]:
+        """Columns re-ordered by ``indexes``.
+
+        A gather that *expands* an object column (more indexes than
+        values: the dimension side of a star join) ranks the values
+        first, so the codes GROUP BY and ORDER BY need later come from
+        the few values here, not from their many copies.
+        """
         out: list[VColumn] = []
         for col in self.columns:
-            values = col.values[indexes]
-            if col.mask is not None:
-                mask = col.mask[indexes].copy()
-            else:
-                mask = None
-            if null_mask is not None and null_mask.any():
-                if mask is None:
-                    mask = np.zeros(len(indexes), dtype=bool)
-                mask |= null_mask
-            out.append(VColumn(values=values, mask=mask))
+            if (
+                col.codes is None
+                and col.values.dtype == object
+                and len(indexes) > len(col.values)
+            ):
+                col = VColumn(col.values, col.mask, column_codes(col))
+            out.append(col.take(indexes))
         return out
 
     def take(self, indexes: np.ndarray) -> "VTable":
@@ -85,13 +77,17 @@ class VTable:
 
 
 def column_codes(col: VColumn) -> tuple[np.ndarray, int]:
-    """Rank a column's values as dense int64 codes.
+    """Rank a column's values as int64 codes.
 
     Equal values share a code and codes order as the values do, with NULL
     as the highest code (SQL NULLs sort high, and group together). Works
     on the values themselves, so int64 keeps all 64 bits. Returns
-    ``(codes, number of codes)``.
+    ``(codes, bound)``, every code below ``bound``: dense when ranked
+    here, possibly with gaps when the column carries the codes of a
+    column it was gathered from.
     """
+    if col.codes is not None:
+        return col.codes
     values = _live_values(col)
     if values.dtype == object:
         # Hash, then sort only the distinct values: numpy would order an

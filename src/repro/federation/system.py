@@ -433,6 +433,14 @@ class AcceleratedDatabase:
             return self.accelerator.storage_for(key).row_count
         return None
 
+    def _table_columns(self, name: str) -> Optional[list[str]]:
+        """Column names of a catalogued base table, or None when unknown:
+        what lets the planner resolve unqualified column references."""
+        catalog = self.catalog
+        if not catalog.has_table(name):
+            return None
+        return catalog.table(name).schema.column_names
+
     def run_statistics(
         self,
         tables: Optional[Sequence[str]] = None,
@@ -1240,7 +1248,9 @@ class Connection:
         # DB2 after running on the accelerator reuses the identical plan
         # object.
         plan.logical = plan_statement(
-            plan.expanded, table_rows=self._system._live_row_count
+            plan.expanded,
+            table_rows=self._system._live_row_count,
+            table_columns=self._system._table_columns,
         )
         plan.prepared = True
 

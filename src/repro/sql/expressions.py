@@ -570,10 +570,18 @@ def _compile_scalar_subquery(expr, scope, params, subquery_resolver):
 
 @dataclass
 class VColumn:
-    """A vector of values plus an optional NULL mask (True = NULL)."""
+    """A vector of values plus an optional NULL mask (True = NULL).
+
+    ``codes`` is an optional ``(codes, bound)`` pair riding along with the
+    values: int64 codes below ``bound`` that are equal where the values
+    are equal and order as the values do, NULL highest — what
+    ``repro.accelerator.vtable.column_codes`` computes, kept when it was
+    computed on a smaller column this one was gathered from.
+    """
 
     values: np.ndarray
     mask: Optional[np.ndarray] = None
+    codes: Optional[tuple[np.ndarray, int]] = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -589,9 +597,11 @@ class VColumn:
 
     def take(self, indexes: np.ndarray) -> "VColumn":
         """The entries at ``indexes`` (positions or a boolean mask)."""
+        codes = self.codes
         return VColumn(
             values=self.values[indexes],
             mask=None if self.mask is None else self.mask[indexes],
+            codes=None if codes is None else (codes[0][indexes], codes[1]),
         )
 
     def to_objects(self) -> list[object]:
@@ -1089,6 +1099,12 @@ def _coerce_temporal_constant(
 def _align_for_compare(a: np.ndarray, b: np.ndarray):
     """Make dtypes comparable (object vs str arrays, int vs float)."""
     if a.dtype.kind in "ifb" and b.dtype.kind in "ifb":
+        if {a.dtype.kind, b.dtype.kind} == {"i", "f"}:
+            ints = a if a.dtype.kind == "i" else b
+            if len(ints) and (ints.max() > 2**53 or ints.min() < -(2**53)):
+                # float64 cannot tell 2**53 from 2**53 + 1: compare as
+                # Python numbers, exactly, like the row engine.
+                return a.astype(object), b.astype(object)
         return a, b
     if a.dtype == object or b.dtype == object:
         return a.astype(object), b.astype(object)

@@ -13,8 +13,11 @@ The rewriter is deliberately conservative: every rule preserves result
 *bytes* (values and row order) for both backends, which the differential
 fuzz suite checks by planning with rewrites on and off. Rules therefore
 only fold expressions with the engines' exact runtime semantics
-(``_SCALAR_BINARY_OPS``), only push subquery-free conjuncts, and only
-push into the null-preserved side of outer joins.
+(``_SCALAR_BINARY_OPS``), only push subquery-free conjuncts, only push
+into the null-preserved side of outer joins, and only resolve an
+unqualified column name when exactly one binding of the join tree owns
+it (``table_columns``; otherwise the conjunct stays where the executors
+resolve — or reject — it).
 
 This module also hosts the row-shaping helpers that were previously
 duplicated (or triplicated) across the two executors: set-operation
@@ -216,33 +219,43 @@ def _bind_from(item: ast.FromItem) -> PlanNode:
     raise ParseError(f"unsupported FROM item {type(item).__name__}")
 
 
+#: Table name -> its column names, or None when the table is unknown.
+TableColumns = Optional[Callable[[str], Optional[Sequence[str]]]]
+
+
 def plan_statement(
     stmt: Statement,
     rewrite: bool = True,
     table_rows: Optional[Callable[[str], Optional[int]]] = None,
+    table_columns: TableColumns = None,
 ) -> PlanNode:
     """Bind ``stmt`` and (by default) run the rewrite pipeline.
 
     ``table_rows`` (table name -> estimated row count, None = unknown)
     enables the cost-based join re-association stage; the system passes
-    a statistics-backed estimator here.
+    a statistics-backed estimator here. ``table_columns`` (table name ->
+    column names, None = unknown) lets pushdown and pruning resolve
+    unqualified column references; the system passes the catalog.
     """
     plan = bind(stmt)
-    return rewrite_plan(plan, table_rows=table_rows) if rewrite else plan
+    if not rewrite:
+        return plan
+    return rewrite_plan(plan, table_rows=table_rows, table_columns=table_columns)
 
 
 def rewrite_plan(
     plan: PlanNode,
     table_rows: Optional[Callable[[str], Optional[int]]] = None,
+    table_columns: TableColumns = None,
 ) -> PlanNode:
     """Rule pipeline: constant folding -> predicate pushdown ->
     cost-based join re-association (when cardinalities are available)
     -> column pruning."""
     plan = _fold_node(plan)
-    plan = _pushdown_node(plan)
+    plan = _pushdown_node(plan, table_columns)
     if table_rows is not None:
         plan = _reorder_plan(plan, table_rows)
-    plan = _prune_plan(plan)
+    plan = _prune_plan(plan, table_columns)
     return plan
 
 
@@ -469,41 +482,136 @@ def _qualified_bindings(expr: ast.Expression) -> Optional[set]:
     return bindings
 
 
-def _pushdown_node(node: PlanNode) -> PlanNode:
+def _leaf_columns(node: PlanNode, table_columns) -> Optional[list[tuple]]:
+    """``(binding, column names)`` per leaf of a from-subtree, in scope
+    order; None when any leaf's columns are unknown."""
+    if isinstance(node, Scan):
+        names = table_columns(node.table)
+        return None if names is None else [(node.binding, names)]
+    if isinstance(node, SubqueryBind):
+        names = _output_labels(node.plan, table_columns)
+        return None if names is None else [(node.alias, names)]
+    if isinstance(node, Filter):
+        return _leaf_columns(node.child, table_columns)
+    if isinstance(node, Join):
+        left = _leaf_columns(node.left, table_columns)
+        right = _leaf_columns(node.right, table_columns)
+        return None if left is None or right is None else left + right
+    return None
+
+
+def _output_labels(plan: PlanNode, table_columns) -> Optional[list[str]]:
+    """Output column labels of a derived table's plan; None when unknown."""
+    while isinstance(plan, (Sort, Limit)):
+        plan = plan.child
+    if isinstance(plan, SetOp):
+        return _output_labels(plan.left, table_columns)
+    if not isinstance(plan, (Project, Aggregate)):
+        return None
+    labels: list[str] = []
+    for item in plan.select_items:
+        if isinstance(item.expression, ast.Star):
+            leaves = (
+                _leaf_columns(plan.child, table_columns)
+                if plan.child is not None
+                else None
+            )
+            if leaves is None:
+                return None
+            wanted = item.expression.table
+            for binding, names in leaves:
+                if wanted is None or binding == wanted:
+                    labels.extend(names)
+        else:
+            labels.append(
+                item.alias or expression_label(item.expression, len(labels))
+            )
+    return labels
+
+
+def _column_owners(node: PlanNode, table_columns) -> Optional[dict[str, list]]:
+    """Column name -> the bindings of ``node``'s join tree exposing it
+    (one entry per exposure), or None when an unqualified name cannot be
+    resolved against the tree: no schema source, a leaf with unknown
+    columns, or two leaves sharing a binding name."""
+    if table_columns is None:
+        return None
+    leaves = _leaf_columns(node, table_columns)
+    if leaves is None or len({binding for binding, _ in leaves}) < len(leaves):
+        return None
+    owners: dict[str, list] = {}
+    for binding, names in leaves:
+        for name in names:
+            owners.setdefault(name, []).append(binding)
+    return owners
+
+
+def _qualify(
+    conjunct: ast.Expression, owners: dict[str, list]
+) -> Optional[ast.Expression]:
+    """``conjunct`` with every unqualified column reference qualified by
+    the one binding that owns the name; None when some name has no owner
+    (a correlated outer reference, or a typo) or several (ambiguous) —
+    the conjunct then stays where the executors resolve, or reject, it."""
+    failed = False
+
+    def qualify(expr: ast.Expression) -> ast.Expression:
+        nonlocal failed
+        if isinstance(expr, ast.ColumnRef):
+            if expr.table is not None:
+                return expr
+            bindings = owners.get(expr.name, ())
+            if len(bindings) != 1:
+                failed = True
+                return expr
+            return dataclasses.replace(expr, table=bindings[0])
+        if isinstance(expr, ast.Star):
+            failed = True
+            return expr
+        return map_children(expr, qualify)
+
+    qualified = qualify(conjunct)
+    return None if failed else qualified
+
+
+def _pushdown_node(node: PlanNode, table_columns: TableColumns) -> PlanNode:
+    def recurse(child: PlanNode) -> PlanNode:
+        return _pushdown_node(child, table_columns)
+
     if isinstance(node, Filter):
         conjuncts = [
             c
             for c in split_conjuncts(node.predicate)
             if not (isinstance(c, ast.Literal) and c.value is True)
         ]
-        child, leftover = _distribute(node.child, conjuncts)
-        child = _pushdown_node(child)
+        child, leftover = _distribute(node.child, conjuncts, table_columns)
+        child = recurse(child)
         if leftover:
             return Filter(child=child, predicate=_and_all(leftover))
         return child
     if isinstance(node, (Sort, Limit)):
-        return dataclasses.replace(node, child=_pushdown_node(node.child))
+        return dataclasses.replace(node, child=recurse(node.child))
     if isinstance(node, Project):
         if node.child is None:
             return node
-        return dataclasses.replace(node, child=_pushdown_node(node.child))
+        return dataclasses.replace(node, child=recurse(node.child))
     if isinstance(node, Aggregate):
-        return dataclasses.replace(node, child=_pushdown_node(node.child))
+        return dataclasses.replace(node, child=recurse(node.child))
     if isinstance(node, Join):
         return dataclasses.replace(
-            node, left=_pushdown_node(node.left), right=_pushdown_node(node.right)
+            node, left=recurse(node.left), right=recurse(node.right)
         )
     if isinstance(node, SubqueryBind):
-        return dataclasses.replace(node, plan=_pushdown_node(node.plan))
+        return dataclasses.replace(node, plan=recurse(node.plan))
     if isinstance(node, SetOp):
         return dataclasses.replace(
-            node, left=_pushdown_node(node.left), right=_pushdown_node(node.right)
+            node, left=recurse(node.left), right=recurse(node.right)
         )
     return node
 
 
 def _distribute(
-    node: PlanNode, conjuncts: list[ast.Expression]
+    node: PlanNode, conjuncts: list[ast.Expression], table_columns: TableColumns
 ) -> tuple[PlanNode, list[ast.Expression]]:
     """Sink ``conjuncts`` into ``node``; returns (child, kept-above)."""
     if not conjuncts:
@@ -511,7 +619,7 @@ def _distribute(
     if isinstance(node, Filter):
         # Merge stacked filters and distribute the union.
         merged = split_conjuncts(node.predicate) + conjuncts
-        return _distribute(node.child, merged)
+        return _distribute(node.child, merged, table_columns)
     if isinstance(node, Scan):
         absorbed = [c for c in conjuncts if not _contains_subquery(c)]
         leftover = [c for c in conjuncts if _contains_subquery(c)]
@@ -521,14 +629,14 @@ def _distribute(
         predicate = _and_all(existing + absorbed)
         return dataclasses.replace(node, predicate=predicate), leftover
     if isinstance(node, Join):
-        return _distribute_join(node, conjuncts)
+        return _distribute_join(node, conjuncts, table_columns)
     if isinstance(node, SubqueryBind):
         return _distribute_subquery(node, conjuncts)
     return node, conjuncts
 
 
 def _distribute_join(
-    join: Join, conjuncts: list[ast.Expression]
+    join: Join, conjuncts: list[ast.Expression], table_columns: TableColumns
 ) -> tuple[PlanNode, list[ast.Expression]]:
     # A conjunct may sink into the side whose rows the join preserves:
     # filtering the null-padded side before the join would turn padded
@@ -537,6 +645,7 @@ def _distribute_join(
     push_right_ok = join.join_type in ("INNER", "RIGHT", "CROSS")
     left_bindings = _bindings_of(join.left)
     right_bindings = _bindings_of(join.right)
+    owners = _column_owners(join, table_columns)
     to_left: list[ast.Expression] = []
     to_right: list[ast.Expression] = []
     leftover: list[ast.Expression] = []
@@ -544,18 +653,23 @@ def _distribute_join(
         if _contains_subquery(conjunct):
             leftover.append(conjunct)
             continue
-        referenced = _qualified_bindings(conjunct)
+        # Only the copy that sinks is qualified: a conjunct that stays
+        # above the join keeps its text, and its errors.
+        pushed = conjunct
+        referenced = _qualified_bindings(pushed)
+        if referenced is None and owners is not None:
+            pushed = _qualify(conjunct, owners)
+            referenced = None if pushed is None else _qualified_bindings(pushed)
         if referenced is None:
             leftover.append(conjunct)
-            continue
-        if push_left_ok and left_bindings is not None and referenced <= left_bindings:
-            to_left.append(conjunct)
+        elif push_left_ok and left_bindings is not None and referenced <= left_bindings:
+            to_left.append(pushed)
         elif (
             push_right_ok
             and right_bindings is not None
             and referenced <= right_bindings
         ):
-            to_right.append(conjunct)
+            to_right.append(pushed)
         else:
             leftover.append(conjunct)
     left, right = join.left, join.right
@@ -875,7 +989,8 @@ def _reorder_region(
 # expressions make — including those inside scalar subqueries, which may
 # be correlated against this unit's tables — and restrict each Scan to
 # the referenced names. Unqualified references are added to every scan
-# (so scope-ambiguity errors are preserved); any `*` wildcard that could
+# whose table has (or may have) a column of that name, so
+# scope-ambiguity errors are preserved; any `*` wildcard that could
 # expand a scan's columns disables pruning for the affected bindings.
 
 
@@ -889,18 +1004,21 @@ class _Refs:
         self.wild_bindings: set = set()
 
 
-def _prune_plan(node: PlanNode) -> PlanNode:
-    if isinstance(node, Limit):
-        return dataclasses.replace(node, child=_prune_plan(node.child))
-    if isinstance(node, Sort) and isinstance(node.child, SetOp):
-        return dataclasses.replace(node, child=_prune_plan(node.child))
+def _prune_plan(node: PlanNode, table_columns: TableColumns) -> PlanNode:
+    def recurse(child: PlanNode) -> PlanNode:
+        return _prune_plan(child, table_columns)
+
+    if isinstance(node, Limit) or (
+        isinstance(node, Sort) and isinstance(node.child, SetOp)
+    ):
+        return dataclasses.replace(node, child=recurse(node.child))
     if isinstance(node, SetOp):
         return dataclasses.replace(
-            node, left=_prune_plan(node.left), right=_prune_plan(node.right)
+            node, left=recurse(node.left), right=recurse(node.right)
         )
     refs = _Refs()
     _collect_unit(node, refs)
-    return _apply_prune(node, refs)
+    return _apply_prune(node, refs, table_columns)
 
 
 def _collect_unit(node: PlanNode, refs: _Refs) -> None:
@@ -1005,28 +1123,36 @@ def _collect_from_ast(item: Optional[ast.FromItem], refs: _Refs) -> None:
         _collect_from_ast(item.right, refs)
 
 
-def _apply_prune(node: PlanNode, refs: _Refs) -> PlanNode:
+def _apply_prune(
+    node: PlanNode, refs: _Refs, table_columns: TableColumns
+) -> PlanNode:
+    def recurse(child: PlanNode) -> PlanNode:
+        return _apply_prune(child, refs, table_columns)
+
     if isinstance(node, Scan):
         if refs.wildcard_all or node.binding in refs.wild_bindings:
             return node
         wanted = refs.by_binding.get(node.binding, set()) | refs.unqualified
+        # An unqualified name is credited to every scan; with the schema
+        # known, each scan keeps only the names it can actually serve.
+        owned = table_columns(node.table) if table_columns is not None else None
+        if owned is not None:
+            wanted = wanted.intersection(owned)
         return dataclasses.replace(node, columns=tuple(sorted(wanted)))
     if isinstance(node, SubqueryBind):
-        return dataclasses.replace(node, plan=_prune_plan(node.plan))
-    if isinstance(node, Filter):
-        return dataclasses.replace(node, child=_apply_prune(node.child, refs))
+        return dataclasses.replace(
+            node, plan=_prune_plan(node.plan, table_columns)
+        )
+    if isinstance(node, (Filter, Sort, Aggregate)):
+        return dataclasses.replace(node, child=recurse(node.child))
     if isinstance(node, Join):
         return dataclasses.replace(
-            node,
-            left=_apply_prune(node.left, refs),
-            right=_apply_prune(node.right, refs),
+            node, left=recurse(node.left), right=recurse(node.right)
         )
-    if isinstance(node, (Sort, Aggregate)):
-        return dataclasses.replace(node, child=_apply_prune(node.child, refs))
     if isinstance(node, Project):
         if node.child is None:
             return node
-        return dataclasses.replace(node, child=_apply_prune(node.child, refs))
+        return dataclasses.replace(node, child=recurse(node.child))
     return node
 
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import datetime
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import AcceleratedDatabase
+from repro.accelerator.executor import _group_inverse
 from repro.accelerator.vtable import VTable, column_codes, order_indexes
 from repro.errors import TypeError_
 from repro.metrics.counters import (
@@ -237,6 +239,72 @@ def test_column_codes_put_null_last_and_keep_int64_exact():
     assert codes.tolist() == [2, 3, 1, 0, 2] and count == 4
     codes, count = column_codes(VColumn.from_objects(["b", "a", None, "b"]))
     assert codes.tolist() == [1, 0, 2, 1] and count == 3
+
+
+def _plain(col: VColumn) -> VColumn:
+    """``col`` materialised: the same values and mask, no carried codes."""
+    return VColumn(col.values, col.mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_carried_codes_order_as_the_materialised_column(data):
+    """Codes ranked before an expanding gather ride ``gather`` → ``filter``
+    → ``take`` and stay what ``column_codes`` would compute afterwards:
+    equal where the values are, ordered as they are, NULL highest."""
+    texts = data.draw(
+        st.lists(st.one_of(st.none(), st.sampled_from(["a", "ab", "b", "", "zz"])),
+                 min_size=1, max_size=8)
+    )
+    numbers = [None if t is None else len(t) for t in texts]
+    table = VTable(
+        Scope([(None, "S"), (None, "N")]),
+        [VColumn.from_objects(texts), VColumn.from_objects(numbers)],
+        len(texts),
+    )
+    indexes = data.draw(
+        st.lists(st.integers(0, len(texts) - 1), min_size=len(texts) + 1, max_size=30)
+    )
+    expanded = table.take(np.array(indexes))
+    assert expanded.columns[0].codes is not None or expanded.columns[0].values.dtype != object
+    assert expanded.columns[1].codes is None  # packed columns rank fast enough
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(indexes), max_size=len(indexes))))
+    filtered = expanded.filter(keep)
+    shuffled = filtered.take(
+        np.array(data.draw(st.permutations(range(filtered.length))), dtype=np.int64)
+    )
+    for stage in (expanded, filtered, shuffled):
+        for col in stage.columns:
+            carried, bound = column_codes(col)
+            fresh, count = column_codes(_plain(col))
+            assert len(carried) == stage.length
+            assert bound >= count and (not len(carried) or carried.max() < bound)
+            # Dense-ranking the carried codes gives the fresh ones.
+            assert np.unique(carried, return_inverse=True)[1].tolist() == fresh.tolist()
+        plain = [_plain(col) for col in stage.columns]
+        assert (
+            order_indexes(stage.columns, [True, False]).tolist()
+            == order_indexes(plain, [True, False]).tolist()
+        )
+        for got, want in zip(
+            _group_inverse(stage.columns, stage.length), _group_inverse(plain, stage.length)
+        ):
+            assert np.array_equal(got, want)
+
+
+def test_group_inverse_numbers_groups_by_first_appearance():
+    """Direct addressing and the wide-radix re-rank agree with the
+    definition: group ids in order of first appearance, each group's
+    first row, one id per distinct key tuple."""
+    small = VColumn.from_objects([3, 1, 3, None, 1, 2, None])
+    wide = VColumn.from_objects([2**62, -(2**62), 2**62, 5, -(2**62), 0, 5])
+    for keys in ([small], [wide], [small, wide], [wide] * 5):
+        inverse, groups, first_rows = _group_inverse(keys, 7)
+        tuples = list(zip(*(col.to_objects() for col in keys)))
+        seen = list(dict.fromkeys(tuples))
+        assert groups == len(seen)
+        assert inverse.tolist() == [seen.index(t) for t in tuples]
+        assert first_rows.tolist() == [tuples.index(t) for t in seen]
 
 
 # ---------------------------------------------------------------------------

@@ -237,3 +237,92 @@ def test_shared_logical_plan_byte_identical(engines, sql):
     )
     assert acc_cols == db2_cols
     assert repr(acc_rows) == repr(db2_rows)
+
+
+# ---------------------------------------------------------------------------
+# Equi-join keys float64 cannot represent
+# ---------------------------------------------------------------------------
+
+
+def _both_engines(conn, sql):
+    conn.set_acceleration("NONE")
+    db2 = conn.execute(sql)
+    conn.set_acceleration("ALL")
+    accelerated = conn.execute(sql)
+    assert (db2.engine, accelerated.engine) == ("DB2", "ACCELERATOR")
+    return db2.rows, accelerated.rows
+
+
+@pytest.mark.parametrize("filler", [0, 12], ids=["cross-filter", "pairing-kernel"])
+def test_bigint_double_equi_join_above_2_53(filler):
+    """BIGINT = DOUBLE compares exactly: 2**53 + 1 is not 2.0**53, though
+    casting the integer keys to float64 (as ``searchsorted`` did) says so.
+    Unmatched filler rows lift the estimate past the nested-loop cutover,
+    so both join strategies are pinned."""
+    from repro import AcceleratedDatabase
+
+    db = AcceleratedDatabase()
+    conn = db.connect()
+    conn.execute("CREATE TABLE C (ID INTEGER NOT NULL PRIMARY KEY, K BIGINT)")
+    conn.execute("CREATE TABLE D (ID INTEGER NOT NULL PRIMARY KEY, K DOUBLE)")
+    conn.execute(
+        "INSERT INTO C VALUES (1, 9007199254740993), (2, 9007199254740992)"
+    )
+    conn.execute("INSERT INTO D VALUES (1, 9007199254740992.0)")
+    for i in range(filler):
+        conn.execute(f"INSERT INTO C VALUES ({10 + i}, {100 + i})")
+        conn.execute(f"INSERT INTO D VALUES ({10 + i}, {200 + i}.5)")
+    for table in ("C", "D"):
+        db.add_table_to_accelerator(table)
+    for sql in (
+        "SELECT c.id, d.id FROM c JOIN d ON c.k = d.k",
+        "SELECT c.id, d.id FROM d JOIN c ON d.k = c.k",
+    ):
+        db2_rows, accel_rows = _both_engines(conn, sql)
+        assert db2_rows == accel_rows == [(2, 1)]
+
+
+def test_bigint_equi_join_at_int64_edges():
+    from repro import AcceleratedDatabase
+
+    low, high = -(2**63), 2**63 - 1
+    db = AcceleratedDatabase()
+    conn = db.connect()
+    conn.execute("CREATE TABLE C (ID INTEGER NOT NULL PRIMARY KEY, K BIGINT)")
+    conn.execute("CREATE TABLE D (ID INTEGER NOT NULL PRIMARY KEY, K BIGINT)")
+    conn.execute(
+        f"INSERT INTO C VALUES (1, {high}), (2, {low}), (3, {high - 1}), "
+        f"(4, {low + 1}), (5, NULL), (6, {high})"
+    )
+    conn.execute(
+        f"INSERT INTO D VALUES (1, {low}), (2, {high}), (3, {low + 1}), "
+        f"(4, NULL), (5, {low})"
+    )
+    for table in ("C", "D"):
+        db.add_table_to_accelerator(table)
+    db2_rows, accel_rows = _both_engines(
+        conn, "SELECT c.id, d.id FROM c JOIN d ON c.k = d.k"
+    )
+    assert db2_rows == accel_rows == [(1, 2), (2, 1), (2, 5), (4, 3), (6, 2)]
+    db2_rows, accel_rows = _both_engines(
+        conn, "SELECT MIN(c.k), MAX(c.k), SUM(c.k) FROM c JOIN d ON c.k = d.k"
+    )
+    assert db2_rows == accel_rows == [(low, high, 2 * high + 3 * low + 1)]
+
+
+def test_min_max_of_infinities():
+    """The extremum kernel's fill is ±inf itself, not the largest finite."""
+    from repro import AcceleratedDatabase
+
+    db = AcceleratedDatabase()
+    conn = db.connect()
+    conn.execute("CREATE TABLE T (G INTEGER, F DOUBLE)")
+    conn.execute(
+        "INSERT INTO T VALUES (1, 1e999), (1, 1e999), (2, -1e999), (3, NULL)"
+    )
+    db.add_table_to_accelerator("T")
+    db2_rows, accel_rows = _both_engines(
+        conn, "SELECT g, MIN(f), MAX(f) FROM t GROUP BY g ORDER BY g"
+    )
+    inf = float("inf")
+    assert db2_rows == accel_rows == [(1, inf, inf), (2, -inf, -inf), (3, None, None)]

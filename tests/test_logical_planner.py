@@ -28,11 +28,13 @@ from repro.sql import ast, parse_statement
 from repro.sql.logical import (
     Aggregate,
     Filter,
+    Join,
     Limit,
     PlanNode,
     Project,
     Scan,
     Sort,
+    SubqueryBind,
     combine_set_rows,
     dedup_rows,
     order_rows_by_output,
@@ -202,6 +204,134 @@ class TestRewriter:
             _plan("SELECT a FROM t ORDER BY a LIMIT 3 OFFSET 2"), Limit
         )
         assert (limit.offset, limit.limit) == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Schema-aware pushdown: unqualified names resolve against the join tree
+# ---------------------------------------------------------------------------
+
+_SCHEMAS = {"T": ["ID", "K", "V"], "D": ["K", "NAME"], "U": ["ID", "X"]}
+
+
+def _plan_with_schema(sql, schemas=_SCHEMAS):
+    return plan_statement(parse_statement(sql), table_columns=schemas.get)
+
+
+def _scan(plan, table):
+    return next(s for s in _find(plan, Scan) if s.table == table)
+
+
+def _column_refs(expr):
+    return [n for n in expr.walk() if isinstance(n, ast.ColumnRef)]
+
+
+class TestSchemaAwarePushdown:
+    def test_unique_owner_pushes_a_qualified_copy(self):
+        sql = "SELECT id, name FROM t JOIN d ON t.k = d.k WHERE v > 0 AND name <> 'x'"
+        plan = _plan_with_schema(sql)
+        assert not _find(plan, Filter)
+        assert [(r.table, r.name) for r in _column_refs(_scan(plan, "T").predicate)] == [
+            ("T", "V")
+        ]
+        assert [(r.table, r.name) for r in _column_refs(_scan(plan, "D").predicate)] == [
+            ("D", "NAME")
+        ]
+        # Only the pushed copy is qualified: select items keep their text.
+        (project,) = _find(plan, Project)
+        assert [i.expression.table for i in project.select_items] == [None, None]
+        # ... and it is the plan the qualified spelling always got.
+        qualified = _plan_with_schema(
+            "SELECT id, name FROM t JOIN d ON t.k = d.k "
+            "WHERE t.v > 0 AND d.name <> 'x'"
+        )
+        assert plan_shape(plan) == plan_shape(qualified)
+
+    def test_schema_blind_planning_leaves_the_filter(self):
+        plan = _plan("SELECT id FROM t JOIN d ON t.k = d.k WHERE v > 0")
+        assert _find(plan, Filter)
+
+    def test_ambiguous_and_unknown_names_stay_above_the_join(self):
+        for where in ("k > 1", "nope > 1", "v > 0 AND k > 1"):
+            plan = _plan_with_schema(
+                f"SELECT t.id FROM t JOIN d ON t.k = d.k WHERE {where}"
+            )
+            (kept,) = _find(plan, Filter)
+            assert isinstance(kept.child, Join)
+            assert all(r.table is None for r in _column_refs(kept.predicate))
+
+    def test_mixed_conjunct_pushes_only_when_every_name_resolves(self):
+        plan = _plan_with_schema(
+            "SELECT t.id FROM t JOIN d ON t.k = d.k WHERE v > id AND v > k"
+        )
+        (kept,) = _find(plan, Filter)  # v > k: K has two owners
+        assert [r.name for r in _column_refs(kept.predicate)] == ["V", "K"]
+        assert _scan(plan, "T").predicate is not None  # v > id went down
+
+    def test_binding_with_unknown_columns_blocks_resolution(self):
+        plan = _plan_with_schema(
+            "SELECT id FROM t JOIN d ON t.k = d.k WHERE v > 0", {"T": _SCHEMAS["T"]}
+        )
+        assert _find(plan, Filter)  # D might own a V too
+
+    def test_null_padded_side_of_outer_join_is_not_pushed(self):
+        padded = _plan_with_schema(
+            "SELECT id FROM t LEFT JOIN d ON t.k = d.k WHERE name = 'n'"
+        )
+        assert _find(padded, Filter) and _scan(padded, "D").predicate is None
+        preserved = _plan_with_schema(
+            "SELECT id FROM t LEFT JOIN d ON t.k = d.k WHERE v > 0"
+        )
+        assert not _find(preserved, Filter)
+        assert _scan(preserved, "T").predicate is not None
+        mirrored = _plan_with_schema(
+            "SELECT id FROM t RIGHT JOIN d ON t.k = d.k WHERE v > 0"
+        )
+        assert _find(mirrored, Filter) and _scan(mirrored, "T").predicate is None
+
+    def test_derived_table_resolves_by_output_label(self):
+        plan = _plan_with_schema(
+            "SELECT name FROM (SELECT id, v * 2 AS w FROM t) AS s "
+            "JOIN d ON s.id = d.k WHERE w > 10"
+        )
+        assert not _find(plan, Filter)  # through the join, then the derived table
+        assert _scan(plan, "T").predicate is not None
+        # A label is not the column under it: V is not visible outside S.
+        hidden = _plan_with_schema(
+            "SELECT name FROM (SELECT id, v * 2 AS w FROM t) AS s "
+            "JOIN d ON s.id = d.k WHERE v > 10"
+        )
+        assert isinstance(_find(hidden, Filter)[0].child, Join)
+
+    def test_star_and_duplicate_labels_in_a_derived_table(self):
+        star = _plan_with_schema(
+            "SELECT name FROM (SELECT * FROM t) AS s JOIN d ON s.k = d.k WHERE v > 0"
+        )
+        (join,) = _find(star, Join)  # sinks to S; `*` has no label map to go deeper
+        assert isinstance(join.left, Filter)
+        assert isinstance(join.left.child, SubqueryBind)
+        twice = _plan_with_schema(
+            "SELECT name FROM (SELECT id, v, v FROM t) AS s "
+            "JOIN d ON s.id = d.k WHERE v > 0"
+        )
+        assert isinstance(_find(twice, Filter)[0].child, Join)  # S exposes V twice
+
+    def test_correlated_outer_reference_stays_put(self):
+        # The body of a correlated subquery: V belongs to no leaf here.
+        plan = _plan_with_schema(
+            "SELECT 1 FROM d JOIN u ON d.k = u.id WHERE name = 'n' AND v > x"
+        )
+        (kept,) = _find(plan, Filter)
+        assert [r.name for r in _column_refs(kept.predicate)] == ["V", "X"]
+        assert _scan(plan, "D").predicate is not None
+
+    def test_pruning_credits_a_name_only_to_scans_that_own_it(self):
+        plan = _plan_with_schema(
+            "SELECT id, name FROM t JOIN d ON t.k = d.k WHERE v > 0"
+        )
+        assert _scan(plan, "T").columns == ("ID", "K", "V")
+        assert _scan(plan, "D").columns == ("K", "NAME")
+        blind = _plan("SELECT id, name FROM t JOIN d ON t.k = d.k WHERE v > 0")
+        assert _scan(blind, "D").columns == ("ID", "K", "NAME", "V")
 
 
 # ---------------------------------------------------------------------------
@@ -434,3 +564,107 @@ def test_pushdown_reduces_rows_scanned(engines):
     pruned = scanned(True)
     assert pruned < full
     assert full == 320  # rewrite off: the inner scan reads every row
+
+
+# ---------------------------------------------------------------------------
+# Differential: schema-aware pushdown on vs off, both engines
+# ---------------------------------------------------------------------------
+
+_ENGINE_SCHEMAS = {"T": ["ID", "K", "V"], "D": ["K", "NAME"]}
+
+UNQUALIFIED_CORPUS = [
+    "SELECT id, name FROM t JOIN d ON t.k = d.k WHERE v > 0",
+    "SELECT name, COUNT(*), SUM(v) FROM t JOIN d ON t.k = d.k "
+    "WHERE v > 0 AND name <> 'name1' GROUP BY name ORDER BY name",
+    "SELECT id, name FROM t LEFT JOIN d ON t.k = d.k WHERE v > 0 AND id < 90",
+    "SELECT id, name FROM t LEFT JOIN d ON t.k = d.k WHERE name IS NULL AND id < 60",
+    "SELECT id, name FROM t RIGHT JOIN d ON t.k = d.k WHERE name = 'name2' AND id < 90",
+    "SELECT name, w FROM (SELECT k, v * 2 AS w FROM t) AS s JOIN d ON s.k = d.k "
+    "WHERE w > 60",
+    "SELECT name FROM (SELECT * FROM t) AS s JOIN d ON s.k = d.k WHERE v > 35",
+    "SELECT a.id, b.id FROM t a JOIN t b ON a.id = b.id + 300 JOIN d ON a.k = d.k "
+    "WHERE name = 'name3'",
+    # Correlated: the subquery's unqualified V is the outer row's.
+    "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM d JOIN d e ON d.k = e.k "
+    "WHERE d.k = t.k AND v > 30) ORDER BY id",
+]
+
+
+@pytest.mark.parametrize("sql", UNQUALIFIED_CORPUS, ids=lambda q: q[:60])
+def test_schema_aware_rewrites_preserve_rows_and_order(engines, sql):
+    db2, accelerator = engines
+    stmt = parse_statement(sql)
+    plan_off = plan_statement(stmt, rewrite=False)
+    plan_blind = plan_statement(stmt)
+    plan_on = plan_statement(stmt, table_columns=_ENGINE_SCHEMAS.get)
+    expected, accel_off = _run_both(db2, accelerator, stmt, plan_off)
+    assert expected, sql  # every corpus query returns rows
+    assert repr(accel_off) == repr(expected), sql
+    for plan in (plan_blind, plan_on):
+        db2_rows, accel_rows = _run_both(db2, accelerator, stmt, plan)
+        assert repr(db2_rows) == repr(accel_rows) == repr(expected), sql
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("k > 1", "ambiguous column reference K"),
+        ("v > 0 AND k > 1", "ambiguous column reference K"),
+        ("nope > 1", "unknown column NOPE"),
+        ("t.nope > 1", "unknown column T.NOPE"),
+    ],
+)
+def test_unresolvable_names_raise_the_same_error_either_way(engines, where, message):
+    db2, accelerator = engines
+    stmt = parse_statement(f"SELECT t.id FROM t JOIN d ON t.k = d.k WHERE {where}")
+    for plan in (
+        plan_statement(stmt, rewrite=False),
+        plan_statement(stmt),
+        plan_statement(stmt, table_columns=_ENGINE_SCHEMAS.get),
+    ):
+        txn = db2.txn_manager.begin()
+        try:
+            with pytest.raises(ParseError, match=message):
+                db2.execute_select(txn, stmt, plan=plan)
+        finally:
+            db2.commit(txn)
+        with pytest.raises(ParseError, match=message):
+            accelerator.execute_select(stmt, plan=plan)
+
+
+def test_explain_shows_the_pushed_predicate_and_honest_column_counts():
+    """The system hands the catalog to the planner: the star templates'
+    unqualified WHERE sinks into the fact scan, views included, and a
+    scan is charged only for columns it owns."""
+    from repro import AcceleratedDatabase
+    from repro.workloads import create_star_schema
+
+    db = AcceleratedDatabase()
+    conn = db.connect()
+    create_star_schema(conn, customers=40, products=8, transactions=300)
+    conn.execute(
+        "CREATE VIEW big_spenders AS SELECT c_id, c_segment FROM customers "
+        "WHERE c_income > 0"
+    )
+
+    def plan_lines(sql):
+        rows = conn.execute("EXPLAIN " + sql).rows
+        return [str(r[1]).strip() for r in rows if r[0] == "PLAN"]
+
+    lines = plan_lines(
+        "SELECT c_segment, p_category, COUNT(*), SUM(t_amount) "
+        "FROM transactions t JOIN customers c ON t.t_customer = c.c_id "
+        "JOIN products p ON t.t_product = p.p_id WHERE t_amount > 50 "
+        "GROUP BY c_segment, p_category ORDER BY c_segment, p_category"
+    )
+    assert not any(line.startswith("Filter") for line in lines), lines
+    assert "Scan [TRANSACTIONS AS T cols=3 pushed-predicate]" in lines
+    assert "Scan [CUSTOMERS AS C cols=2]" in lines
+    assert "Scan [PRODUCTS AS P cols=2]" in lines
+    lines = plan_lines(
+        "SELECT c_segment, COUNT(*) FROM transactions t JOIN big_spenders b "
+        "ON t.t_customer = b.c_id WHERE t_amount > 50 AND c_segment <> 'x' "
+        "GROUP BY c_segment"
+    )
+    assert not any(line.startswith("Filter") for line in lines), lines
+    assert sum("pushed-predicate" in line for line in lines) == 2, lines

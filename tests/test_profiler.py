@@ -15,7 +15,7 @@ from repro.obs.export import (
     trace_phase_breakdown,
 )
 from repro.obs.profile import q_error
-from tests.test_query_fuzz import random_query
+from tests.test_query_fuzz import _corpus, random_query
 
 
 def make_db(**kwargs):
@@ -498,30 +498,14 @@ def _fuzz_conn():
     global _FUZZ_DB
     if _FUZZ_DB is None:
         db = make_db()
-        conn = db.connect()
-        conn.execute(
-            "CREATE TABLE MAIN (ID INTEGER NOT NULL, K INTEGER, "
-            "V DOUBLE, S VARCHAR(4))"
-        )
-        conn.execute(
-            "CREATE TABLE DIM (K INTEGER NOT NULL, NAME VARCHAR(8))"
-        )
-        import random
-
-        rng = random.Random(123)
-        rows = []
-        for i in range(60):
-            k = "NULL" if i % 11 == 0 else rng.randint(0, 6)
-            v = "NULL" if i % 7 == 0 else round(rng.uniform(-50, 50), 2)
-            s = "NULL" if i % 13 == 0 else repr(rng.choice(["aa", "bb", "cc"]))
-            rows.append(f"({i}, {k}, {v}, {s})")
-        conn.execute(f"INSERT INTO MAIN VALUES {', '.join(rows)}")
-        conn.execute(
-            "INSERT INTO DIM VALUES "
-            + ", ".join(f"({k}, 'name{k}')" for k in range(5))
-        )
-        db.add_table_to_accelerator("MAIN")
-        db.add_table_to_accelerator("DIM")
+        # The fuzzer's own tables: its generator may join any of them.
+        for name, schema, rows in _corpus():
+            descriptor = db.catalog.create_table(name, schema)
+            db.db2.create_storage(descriptor)
+            txn = db.db2.txn_manager.begin()
+            db.db2.insert_rows(txn, name, rows)
+            db.db2.commit(txn)
+            db.add_table_to_accelerator(name)
         _FUZZ_DB = db
     return _FUZZ_DB, _FUZZ_DB.connect()
 

@@ -116,6 +116,12 @@ def _build_engines():
 
 
 _DB2, _ACCEL, _POOL = _build_engines()
+_COLUMNS = {name: schema.column_names for name, schema, __ in _corpus()}
+
+
+def _table_columns(name):
+    return _COLUMNS.get(name.upper())
+
 
 # Differential-testing knobs: CI's differential job sweeps several seeds
 # at elevated volume (FUZZ_SEED=n FUZZ_EXAMPLES=m); local runs default to
@@ -244,6 +250,22 @@ def random_query(draw) -> str:
             ]
         )
     )
+    # INTEGER, VARCHAR and two-column keys; each target lists WHERE
+    # conjuncts whose unqualified names exactly one of its tables owns.
+    target, on, key, unqualified = draw(
+        st.sampled_from(
+            [
+                ("dim d", "m.k = d.k", "d.name", ["V > 0", "NAME <> 'name2'", "S = 'aa'"]),
+                ("ord o", "m.s = o.s", "o.g", ["V > 0", "K IN (1, 2, 3)", "F > 0"]),
+                (
+                    "ord o",
+                    "m.k = o.g AND m.s = o.s",
+                    "o.d",
+                    ["V > 0 AND G > 0", "K < 3", "D IS NOT NULL"],
+                ),
+            ]
+        )
+    )
     join_where = draw(
         st.sampled_from(
             [
@@ -252,13 +274,15 @@ def random_query(draw) -> str:
                 " WHERE m.V IS NOT NULL",
                 " WHERE m.S = 'aa'",
                 " WHERE m.ID % 2 = 0",
+                *(f" WHERE {conjunct}" for conjunct in unqualified),
+                f" WHERE m.ID % 3 > 0 AND {unqualified[0]}",
             ]
         )
     )
     return (
-        f"SELECT d.name, {aggregate} "
-        f"FROM main m {join_type} dim d ON m.k = d.k"
-        f"{join_where} GROUP BY d.name ORDER BY 1"
+        f"SELECT {key}, {aggregate} "
+        f"FROM main m {join_type} {target} ON {on}"
+        f"{join_where} GROUP BY {key} ORDER BY 1"
     )
 
 
@@ -345,11 +369,11 @@ def random_order_query(draw) -> str:
             f"{where}{draw(_order_clause(['G', 'S', 'D', '1', '2']))}{window}"
         )
     if shape == "agg":
-        keys = ["GG", "C", "SF", "MD", "CB", "1", "2", "COUNT(*)", "MAX(D)"]
+        keys = ["GG", "C", "SF", "MD", "LB", "HB", "SB", "1", "2", "COUNT(*)", "MAX(D)"]
         group = draw(st.sampled_from(["G", "S"]))
         return (
             f"SELECT {group} AS GG, COUNT(*) AS C, SUM(F) AS SF, MAX(D) AS MD, "
-            f"COUNT(B) AS CB FROM ord{where} GROUP BY {group}"
+            f"MIN(B) AS LB, MAX(B) AS HB, SUM(B) AS SB FROM ord{where} GROUP BY {group}"
             f"{draw(_order_clause(keys))}{window}"
         )
     if shape == "derived":
@@ -403,14 +427,14 @@ def test_rewrites_preserve_results(sql):
     """The logical rewriter (fold/pushdown/prune) never changes answers.
 
     Each generated query runs on both engines twice — once from the raw
-    bound plan, once from the rewritten plan — and all four row sets must
-    agree.
+    bound plan, once from the rewritten plan (schema-aware, as the system
+    plans) — and all four row sets must agree.
     """
     from repro.sql.logical import plan_statement
 
     stmt = parse_statement(sql)
     plan_off = plan_statement(stmt, rewrite=False)
-    plan_on = plan_statement(stmt, rewrite=True)
+    plan_on = plan_statement(stmt, rewrite=True, table_columns=_table_columns)
 
     def run(plan):
         txn = _DB2.txn_manager.begin()
