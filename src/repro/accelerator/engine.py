@@ -153,6 +153,10 @@ class AcceleratorEngine:
         #: Called as ``listener(table_key, lineage_epoch)`` after each
         #: content-changing write, while the write lock is held.
         self.write_listener: Optional[Callable[[str, int], None]] = None
+        #: Returns the oldest snapshot epoch an open transaction has
+        #: pinned (None when none has); GROOM keeps every row version a
+        #: snapshot at or after it can still see.
+        self.oldest_snapshot: Optional[Callable[[], Optional[int]]] = None
         # Instrumentation.
         self.queries_executed = 0
         self.records_deduplicated = 0
@@ -321,6 +325,9 @@ class AcceleratorEngine:
                     f"cannot locate row {before!r} in copy of {key}"
                 )
             row_id = candidates.pop()
+            if not candidates:
+                # Drop emptied keys: the cache lives across GROOMs.
+                del lookup[before]
             if row_id < 0:
                 del pending_inserts[row_id]
             else:
@@ -382,13 +389,14 @@ class AcceleratorEngine:
         return changed
 
     def groom(self, name: str) -> GroomStats:
-        """Rewrite a table's storage keeping only currently-live rows.
+        """Rewrite a table's storage without its reclaimable versions.
 
-        This is Netezza's GROOM: deleted row versions are physically
-        reclaimed and small trickle-insert chunks are merged. Row ids are
-        preserved, but version history collapses — snapshots older than
-        the groom see the groomed (live-only) state, so it must not run
-        while transactions hold older snapshot epochs.
+        This is Netezza's GROOM: row versions deleted at or before the
+        oldest snapshot epoch an open transaction has pinned are
+        physically reclaimed and the rest are rewritten into full chunks.
+        Retained rows keep their row ids and their insert/delete epochs,
+        so every open snapshot reads the same rows after the groom as
+        before it.
         """
         key = name.upper()
         table = self.storage_for(key)
@@ -396,19 +404,24 @@ class AcceleratorEngine:
             return self._groom_locked(key, table)
 
     def _groom_locked(self, key: str, table: ColumnStoreTable) -> "GroomStats":
-        self._lookup_cache.pop(key, None)
+        floor = self.current_epoch
+        pinned = self.oldest_snapshot() if self.oldest_snapshot else None
+        if pinned is not None:
+            floor = min(floor, pinned)
         chunks_before = table.total_chunk_count
-        row_ids, columns = table.read_visible(self.current_epoch)
+        row_ids, columns, versions = table.read_versions(floor)
         fresh = self._empty_successor(key, table)
-        # Epoch 0 keeps the live rows visible to every snapshot.
         fresh.append_columns(
             [columns[c.name] for c in table.schema.columns],
             epoch=0,
             row_ids=row_ids,
+            versions=versions,
         )
+        # Row ids and live rows are unchanged, so the replication lookup
+        # cache stays valid across the rewrite.
         self._tables[key] = fresh
         return GroomStats(
-            rows_reclaimed=table.stored_rows - len(row_ids),
+            rows_reclaimed=table.stored_rows - fresh.stored_rows,
             chunks_before=chunks_before,
             chunks_after=fresh.total_chunk_count,
         )

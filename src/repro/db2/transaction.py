@@ -222,9 +222,30 @@ class TransactionManager:
         self._ids = itertools.count(1)
         self.commits = 0
         self.rollbacks = 0
+        #: Open transactions by id: ``begin`` adds, commit/rollback remove.
+        self._active: dict[int, Transaction] = {}
+        self._active_lock = threading.Lock()
 
     def begin(self) -> Transaction:
-        return Transaction(txn_id=next(self._ids))
+        txn = Transaction(txn_id=next(self._ids))
+        with self._active_lock:
+            self._active[txn.txn_id] = txn
+        return txn
+
+    def oldest_snapshot_epoch(self) -> Optional[int]:
+        """The oldest accelerator snapshot epoch an open transaction has
+        pinned, or None when no open transaction has pinned one."""
+        with self._active_lock:
+            pinned = [
+                txn.snapshot_epoch
+                for txn in self._active.values()
+                if txn.snapshot_epoch is not None
+            ]
+        return min(pinned, default=None)
+
+    def _end(self, txn: Transaction) -> None:
+        with self._active_lock:
+            self._active.pop(txn.txn_id, None)
 
     def commit(self, txn: Transaction) -> list["ChangeRecord"]:
         """Commit: release locks, hand back the changes to publish."""
@@ -234,6 +255,7 @@ class TransactionManager:
         changes = list(txn.pending_changes)
         txn.pending_changes.clear()
         self.lock_manager.release_all(txn)
+        self._end(txn)
         self.commits += 1
         return changes
 
@@ -243,6 +265,7 @@ class TransactionManager:
         txn.pending_changes.clear()
         txn.state = TransactionState.ABORTED
         self.lock_manager.release_all(txn)
+        self._end(txn)
         self.rollbacks += 1
 
     def end_statement(self, txn: Transaction) -> None:

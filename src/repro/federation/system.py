@@ -227,6 +227,10 @@ class AcceleratedDatabase:
                 metrics=self.metrics,
                 parallel_workers=parallel_workers,
             )
+        # GROOM reclaims only what no open transaction's snapshot sees.
+        self.accelerator.oldest_snapshot = (
+            self.db2.txn_manager.oldest_snapshot_epoch
+        )
         self.interconnect = Interconnect(
             bandwidth_bytes_per_second=bandwidth_bytes_per_second,
             message_latency_seconds=message_latency_seconds,

@@ -183,6 +183,7 @@ class ShardedTable:
         columns: Sequence[VColumn],
         epoch: int,
         row_ids: Optional[np.ndarray] = None,
+        versions: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
         """Assign layout row ids, then route each row to its shard.
 
@@ -193,7 +194,10 @@ class ShardedTable:
         pool = self._pool
         pool.require_write(self)
         assigned = self.layout.append_columns(
-            [columns[p] for p in self._layout_positions], epoch, row_ids
+            [columns[p] for p in self._layout_positions],
+            epoch,
+            row_ids,
+            versions,
         )
         if not len(assigned):
             return assigned
@@ -205,7 +209,12 @@ class ShardedTable:
             part_columns = [column.take(indexes) for column in columns]
             shard = pool.shard(shard_id)
             self.parts[shard_id].append_columns(
-                part_columns, epoch, row_ids=assigned[indexes]
+                part_columns,
+                epoch,
+                row_ids=assigned[indexes],
+                versions=None
+                if versions is None
+                else tuple(np.asarray(v)[indexes] for v in versions),
             )
             shard.rows_written += len(indexes)
             shard.interconnect.send_to_accelerator(
@@ -296,6 +305,28 @@ class ShardedTable:
         self.last_scan_chunks_total = total
         pool.simulated_critical_path_seconds += critical
         return self._reorder(order_ids, gathered, wanted)
+
+    def read_versions(
+        self, floor: int, columns: Optional[Sequence[str]] = None
+    ) -> tuple[np.ndarray, dict[str, VColumn], tuple[np.ndarray, np.ndarray]]:
+        """:meth:`ColumnStoreTable.read_versions` in layout order: the
+        layout table holds every row's epochs, the shards its values."""
+        wanted = (
+            list(columns)
+            if columns is not None
+            else list(self.schema.column_names)
+        )
+        order_ids, _, versions = self.layout.read_versions(floor, columns=[])
+        gathered = []
+        for shard_id, part in enumerate(self.parts):
+            self._pool.require_shard(shard_id, table=self)
+            ids, cols, _ = part.read_versions(floor, columns=wanted)
+            if len(ids):
+                gathered.append((ids, cols))
+        row_ids, out = self._reorder(order_ids, gathered, wanted)
+        if len(row_ids) != len(order_ids):  # pragma: no cover - safety
+            raise ReproError(f"{self.name}: shard parts lost row versions")
+        return row_ids, out, versions
 
     def _reorder(
         self,
@@ -746,9 +777,9 @@ class AcceleratorPool(AcceleratorEngine):
 
         The layout table is untouched — row ids and scan order are
         placement-independent — only the per-shard partitions are
-        rebuilt, with the same ids at epoch 0 (the groom trick: visible
-        to every snapshot). Like GROOM, this must not run while
-        transactions hold older snapshot epochs.
+        rebuilt, with the same ids at epoch 0 (visible to every
+        snapshot). Unlike GROOM, this collapses row history, so it must
+        not run while transactions hold older snapshot epochs.
         """
         key = name.upper()
         table = self.storage_for(key)

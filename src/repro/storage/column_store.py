@@ -4,8 +4,11 @@ Data is organised Netezza-style:
 
 * rows are distributed over **slices** (the simulated processing units),
   either by hash on the distribution key or block-round-robin;
-* within a slice, each ingest batch seals an immutable **chunk** (extent)
-  holding one numpy array (plus optional null mask) per column;
+* within a slice, rows live in **chunks** (extents) of at most
+  ``chunk_rows`` rows, one numpy array (plus optional null mask) per
+  column; every append first fills the slice's last chunk and only cuts
+  new chunks for the overflow, so trickle writes extend a chunk instead
+  of sealing a one-row one;
 * every row carries ``insert_epoch`` / ``delete_epoch`` stamps — a scan at
   snapshot epoch *e* sees exactly the rows with
   ``insert_epoch <= e < delete_epoch``, which is how the engine provides
@@ -83,7 +86,12 @@ def distinct_keys(
 
 
 class Chunk:
-    """One immutable extent of rows for a slice."""
+    """One extent of rows for a slice, read as a fixed-length view.
+
+    Every array is aligned with ``row_ids``. Nothing in a published view
+    changes afterwards except ``delete_epochs`` stamps: an append to a
+    slice's last chunk publishes a *new* view (see :class:`_TailBuffers`).
+    """
 
     __slots__ = (
         "row_ids",
@@ -92,6 +100,7 @@ class Chunk:
         "insert_epochs",
         "delete_epochs",
         "zone_maps",
+        "buffers",
     )
 
     def __init__(
@@ -99,21 +108,20 @@ class Chunk:
         row_ids: np.ndarray,
         columns: dict[str, np.ndarray],
         masks: dict[str, Optional[np.ndarray]],
-        insert_epoch: int,
+        insert_epochs: np.ndarray,
+        delete_epochs: np.ndarray,
+        zone_maps: dict[str, ZoneMap],
+        buffers: Optional["_TailBuffers"] = None,
     ) -> None:
         self.row_ids = row_ids
         self.columns = columns
         self.masks = masks
-        count = len(row_ids)
-        self.insert_epochs = np.full(count, insert_epoch, dtype=np.int64)
-        self.delete_epochs = np.full(count, NEVER_DELETED, dtype=np.int64)
-        self.zone_maps: dict[str, ZoneMap] = {}
-        for name, values in columns.items():
-            if values.dtype.kind in "if" and len(values):
-                mask = masks.get(name)
-                zone_map = ZoneMap.build(values, mask)
-                if zone_map is not None:
-                    self.zone_maps[name] = zone_map
+        self.insert_epochs = insert_epochs
+        self.delete_epochs = delete_epochs
+        self.zone_maps = zone_maps
+        #: The arrays this view slices. A chunk built without them (a test
+        #: oracle's) gets them, by one copy, on its first extension.
+        self.buffers = buffers
 
     def __len__(self) -> int:
         return len(self.row_ids)
@@ -127,6 +135,109 @@ class Chunk:
         if zone_map is None:
             return True
         return zone_map.overlaps(low, high)
+
+
+def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
+    out = np.empty(capacity, dtype=array.dtype)
+    out[: len(array)] = array
+    return out
+
+
+class _TailBuffers:
+    """The arrays behind a chunk, with room for the chunk to grow.
+
+    A chunk is a view of the first ``len(chunk)`` slots; an append writes
+    the slots after it and publishes a longer view, so a reader holding an
+    earlier view keeps reading the same aligned arrays. ``delete_epochs``
+    is the one array stamped in place, through whichever view is current:
+    a stamp is always a later epoch than any snapshot already taken, so
+    every view stays exact at its snapshot. When the capacity runs out the
+    arrays are copied into new buffers; views of the old ones are never
+    written again, which is equally safe because every later stamp is
+    invisible to them anyway.
+    """
+
+    __slots__ = ("row_ids", "columns", "masks", "insert_epochs", "delete_epochs")
+
+    def __init__(
+        self, fields: Sequence[tuple], capacity: int, tail: Optional[Chunk]
+    ) -> None:
+        """Empty buffers for ``fields``' columns, holding a copy of
+        ``tail``'s rows when there is one."""
+        if tail is None:
+            self.row_ids = np.empty(capacity, dtype=np.int64)
+            self.columns = {
+                name: np.empty(capacity, dtype=dtype) for name, dtype, _ in fields
+            }
+            self.masks: dict[str, np.ndarray] = {}
+            self.insert_epochs = np.empty(capacity, dtype=np.int64)
+            self.delete_epochs = np.empty(capacity, dtype=np.int64)
+            return
+        self.row_ids = _grown(tail.row_ids, capacity)
+        self.columns = {
+            name: _grown(values, capacity) for name, values in tail.columns.items()
+        }
+        # Only the masks that exist: a column with no NULL yet has none.
+        self.masks = {
+            name: _grown(mask, capacity)
+            for name, mask in tail.masks.items()
+            if mask is not None
+        }
+        self.insert_epochs = _grown(tail.insert_epochs, capacity)
+        self.delete_epochs = _grown(tail.delete_epochs, capacity)
+
+    @property
+    def capacity(self) -> int:
+        return len(self.row_ids)
+
+    def extended(
+        self,
+        tail: Optional[Chunk],
+        fields: Sequence[tuple],
+        indexes: np.ndarray,
+        row_ids: np.ndarray,
+        insert_epochs: int | np.ndarray,
+        delete_epochs: int | np.ndarray,
+    ) -> Chunk:
+        """Write the batch rows at ``indexes`` after ``tail``'s rows, every
+        NULL slot holding the dtype's fill, and return the longer view.
+        Its zone maps widen ``tail``'s by the written piece's."""
+        start = len(tail) if tail is not None else 0
+        end = start + len(indexes)
+        self.row_ids[start:end] = row_ids
+        self.insert_epochs[start:end] = insert_epochs
+        self.delete_epochs[start:end] = delete_epochs
+        zone_maps = dict(tail.zone_maps) if tail is not None else {}
+        for name, dtype, column in fields:
+            values = self.columns[name][start:end]
+            values[:] = column.values[indexes]
+            mask = None if column.mask is None else column.mask[indexes]
+            if mask is not None and mask.any():
+                values[mask] = NULL_FILL.get(dtype.kind)
+                if name not in self.masks:
+                    self.masks[name] = np.zeros(self.capacity, dtype=bool)
+                self.masks[name][start:end] = mask
+            else:
+                mask = None
+                if name in self.masks:
+                    self.masks[name][start:end] = False
+            if dtype.kind in "if":
+                piece = ZoneMap.build(values, mask)
+                if piece is not None:
+                    old = zone_maps.get(name)
+                    zone_maps[name] = piece if old is None else old.widen(piece)
+        return Chunk(
+            self.row_ids[:end],
+            {name: values[:end] for name, values in self.columns.items()},
+            {
+                name: self.masks[name][:end] if name in self.masks else None
+                for name in self.columns
+            },
+            self.insert_epochs[:end],
+            self.delete_epochs[:end],
+            zone_maps,
+            self,
+        )
 
 
 class ColumnStoreTable:
@@ -167,19 +278,26 @@ class ColumnStoreTable:
         columns: Sequence[VColumn],
         epoch: int,
         row_ids: Optional[np.ndarray] = None,
+        versions: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
         """Append a batch held as coerced, aligned columns in schema
         order at ``epoch``; returns the rows' ids.
 
         ``row_ids`` preserves existing ids across a rewrite (GROOM); by
-        default fresh monotonic ids are assigned. This is the one place
-        chunks are built: rows are routed to slices, each slice's share is
-        cut into chunks of ``chunk_rows`` by array indexing, and every
-        NULL slot holds the dtype's fill (0 / NaN / None).
+        default fresh monotonic ids are assigned. ``versions`` — per-row
+        ``(insert_epochs, delete_epochs)`` — replaces ``epoch`` when a
+        rewrite carries row history over. This is the one place chunks
+        are built, by one rule for every batch: rows are routed to
+        slices, each slice's share first fills that slice's last chunk up
+        to ``chunk_rows`` (:class:`_TailBuffers`) and only the overflow is
+        cut into new chunks; every NULL slot holds the dtype's fill
+        (0 / NaN / None).
         """
         count = len(columns[0])
         if not count:
             return np.empty(0, dtype=np.int64)
+        if versions is not None:
+            versions = tuple(np.asarray(v, dtype=np.int64) for v in versions)
         if row_ids is None:
             row_ids = np.arange(
                 self._next_row_id, self._next_row_id + count, dtype=np.int64
@@ -193,39 +311,62 @@ class ColumnStoreTable:
                 self._next_row_id, int(row_ids.max()) + 1
             )
 
-        dtypes = [c.sql_type.numpy_dtype for c in self.schema.columns]
-        names = self.schema.column_names
+        fields = [
+            (c.name, c.sql_type.numpy_dtype, column)
+            for c, column in zip(self.schema.columns, columns)
+        ]
         for slice_id, slice_rows in enumerate(
             self._rows_by_slice(columns, count)
         ):
-            for start in range(0, len(slice_rows), self.chunk_rows):
-                indexes = slice_rows[start : start + self.chunk_rows]
-                values: dict[str, np.ndarray] = {}
-                masks: dict[str, Optional[np.ndarray]] = {}
-                for name, dtype, column in zip(names, dtypes, columns):
-                    taken = np.asarray(column.values[indexes], dtype=dtype)
-                    mask = None
-                    if column.mask is not None:
-                        mask = column.mask[indexes]
-                        if mask.any():
-                            taken[mask] = NULL_FILL.get(dtype.kind)
-                        else:
-                            mask = None
-                    values[name] = taken
-                    masks[name] = mask
-                chunk_ids = row_ids[indexes]
-                chunk_index = len(self._slices[slice_id])
-                self._slices[slice_id].append(
-                    Chunk(chunk_ids, values, masks, epoch)
+            chunks = self._slices[slice_id]
+            low = 0
+            while low < len(slice_rows):
+                tail = None
+                if chunks and len(chunks[-1]) < self.chunk_rows:
+                    tail = chunks[-1]
+                base = len(tail) if tail is not None else 0
+                piece = slice_rows[low : low + self.chunk_rows - base]
+                low += len(piece)
+                buffers = tail.buffers if tail is not None else None
+                if buffers is None or buffers.capacity < base + len(piece):
+                    # Doubling keeps a run of trickle appends O(batch)
+                    # each; a new chunk is sized to its piece, and an
+                    # exactly-sized tail is copied once here.
+                    buffers = _TailBuffers(
+                        fields,
+                        min(self.chunk_rows, max(base + len(piece), 2 * base)),
+                        tail,
+                    )
+                if versions is None:
+                    inserts, deletes = epoch, NEVER_DELETED
+                else:
+                    inserts, deletes = (v[piece] for v in versions)
+                chunk = buffers.extended(
+                    tail, fields, piece, row_ids[piece], inserts, deletes
                 )
-                self._locator.update(
-                    {
-                        row_id: (slice_id, chunk_index, offset)
-                        for offset, row_id in enumerate(chunk_ids.tolist())
-                    }
+                if tail is None:
+                    chunks.append(chunk)
+                else:
+                    chunks[-1] = chunk
+                self._locate(
+                    chunk.row_ids[base:], slice_id, len(chunks) - 1, base
                 )
-        self._live_rows += count
+        self._live_rows += (
+            count
+            if versions is None
+            else int(np.count_nonzero(versions[1] == NEVER_DELETED))
+        )
         return row_ids
+
+    def _locate(
+        self, ids: np.ndarray, slice_id: int, chunk_index: int, base: int
+    ) -> None:
+        self._locator.update(
+            {
+                row_id: (slice_id, chunk_index, base + offset)
+                for offset, row_id in enumerate(ids.tolist())
+            }
+        )
 
     def _rows_by_slice(
         self, columns: Sequence[VColumn], count: int
@@ -342,12 +483,40 @@ class ColumnStoreTable:
         spans can be gathered concurrently from worker threads. Returns
         (row_ids, {column: VColumn}).
         """
+        return self._gather(
+            chunks, [chunk.visible_mask(epoch) for chunk in chunks], columns
+        )
+
+    def read_versions(
+        self, floor: int, columns: Optional[Sequence[str]] = None
+    ) -> tuple[np.ndarray, dict[str, VColumn], tuple[np.ndarray, np.ndarray]]:
+        """Every stored row version a snapshot at or after ``floor`` can
+        still see — all but those deleted at or before it — in scan order,
+        with their ``(insert_epochs, delete_epochs)``. GROOM keeps exactly
+        these."""
+        chunks = [chunk for _, chunk in self.iter_chunks()]
+        kept = [chunk.delete_epochs > floor for chunk in chunks]
+        row_ids, out = self._gather(chunks, kept, columns)
+        inserts = [c.insert_epochs[k] for c, k in zip(chunks, kept)]
+        deletes = [c.delete_epochs[k] for c, k in zip(chunks, kept)]
+        empty = np.empty(0, dtype=np.int64)
+        return row_ids, out, (
+            np.concatenate([empty, *inserts]),
+            np.concatenate([empty, *deletes]),
+        )
+
+    def _gather(
+        self,
+        chunks: Sequence[Chunk],
+        selections: Sequence[np.ndarray],
+        columns: Optional[Sequence[str]],
+    ) -> tuple[np.ndarray, dict[str, VColumn]]:
+        """The rows each chunk's boolean selection picks, concatenated."""
         wanted = list(columns) if columns is not None else self.schema.column_names
         id_parts: list[np.ndarray] = []
         value_parts: dict[str, list[np.ndarray]] = {name: [] for name in wanted}
         mask_parts: dict[str, list[np.ndarray]] = {name: [] for name in wanted}
-        for chunk in chunks:
-            visible = chunk.visible_mask(epoch)
+        for chunk, visible in zip(chunks, selections):
             if not visible.any():
                 continue
             if visible.all():

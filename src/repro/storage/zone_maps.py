@@ -50,6 +50,18 @@ class ZoneMap:
         # float() would round beyond 2**53.
         return ZoneMap(int(live.min()), int(live.max()))
 
+    def widen(self, other: "ZoneMap") -> "ZoneMap":
+        """The zone map of a chunk holding both maps' rows.
+
+        Equal to :meth:`build` over the combined values, without reading
+        them: an extended chunk widens its map by the appended piece's.
+        """
+        if other.minimum >= self.minimum and other.maximum <= self.maximum:
+            return self
+        return ZoneMap(
+            min(self.minimum, other.minimum), max(self.maximum, other.maximum)
+        )
+
     def overlaps(self, low, high) -> bool:
         """True when [low, high] intersects [min, max].
 

@@ -3,7 +3,11 @@
 This is the body ``ColumnStoreTable.append_rows`` had before chunks were
 built from columns: route each row tuple to a slice in a Python loop, then
 rebuild every column of every chunk from a list comprehension over the
-rows. ``append_columns`` must produce the same table, array for array.
+rows. It follows the store's one chunking rule the obvious way: a slice's
+share first fills the slice's last chunk — rebuilt whole, old rows plus
+new, with its zone maps recomputed over every row — and only the overflow
+is sealed into new chunks. ``append_columns`` must produce the same table,
+array for array.
 """
 
 from __future__ import annotations
@@ -13,7 +17,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ReproError
-from repro.storage.column_store import Chunk, ColumnStoreTable, _hash_key
+from repro.storage.column_store import (
+    NEVER_DELETED,
+    Chunk,
+    ColumnStoreTable,
+    _hash_key,
+)
+from repro.storage.zone_maps import ZoneMap
 
 
 def append_rows_reference(
@@ -21,6 +31,7 @@ def append_rows_reference(
     rows: Sequence[tuple],
     epoch: int,
     row_ids: Optional[np.ndarray] = None,
+    versions: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     if not rows:
         return np.empty(0, dtype=np.int64)
@@ -34,6 +45,11 @@ def append_rows_reference(
         if len(row_ids) != len(rows):
             raise ReproError("row_ids and rows length mismatch")
         table._next_row_id = max(table._next_row_id, int(row_ids.max()) + 1)
+    if versions is None:
+        inserts = [epoch] * len(rows)
+        deletes = [NEVER_DELETED] * len(rows)
+    else:
+        inserts, deletes = (list(map(int, v)) for v in versions)
 
     per_slice: list[list[int]] = [[] for _ in range(table.slice_count)]
     if table.distribute_on:
@@ -50,33 +66,83 @@ def append_rows_reference(
             per_slice[block].extend(int(i) for i in indexes)
 
     for slice_id, indexes in enumerate(per_slice):
+        chunks = table._slices[slice_id]
+        if indexes and chunks and len(chunks[-1]) < table.chunk_rows:
+            tail = chunks[-1]
+            fill = indexes[: table.chunk_rows - len(tail)]
+            indexes = indexes[len(fill) :]
+            _seal_chunk(
+                table,
+                slice_id,
+                len(chunks) - 1,
+                _tail_rows(table, tail) + [rows[i] for i in fill],
+                tail.row_ids.tolist() + [int(row_ids[i]) for i in fill],
+                tail.insert_epochs.tolist() + [inserts[i] for i in fill],
+                tail.delete_epochs.tolist() + [deletes[i] for i in fill],
+            )
         for start in range(0, len(indexes), table.chunk_rows):
             batch = indexes[start : start + table.chunk_rows]
-            if batch:
-                _seal_chunk(table, slice_id, batch, rows, row_ids, epoch)
-    table._live_rows += len(rows)
+            _seal_chunk(
+                table,
+                slice_id,
+                len(chunks),
+                [rows[i] for i in batch],
+                [int(row_ids[i]) for i in batch],
+                [inserts[i] for i in batch],
+                [deletes[i] for i in batch],
+            )
+    table._live_rows += sum(1 for d in deletes if d == NEVER_DELETED)
     return row_ids
 
 
-def _seal_chunk(table, slice_id, indexes, rows, row_ids, epoch) -> None:
+def _tail_rows(table: ColumnStoreTable, tail: Chunk) -> list[tuple]:
+    columns = []
+    for column in table.schema.columns:
+        values = tail.columns[column.name].tolist()
+        mask = tail.masks[column.name]
+        if mask is not None:
+            values = [None if null else v for v, null in zip(values, mask)]
+        columns.append(values)
+    return list(zip(*columns))
+
+
+def _seal_chunk(
+    table, slice_id, chunk_index, items, ids, inserts, deletes
+) -> None:
     columns: dict[str, np.ndarray] = {}
     masks: dict[str, Optional[np.ndarray]] = {}
     for position, column in enumerate(table.schema.columns):
-        items = [rows[i][position] for i in indexes]
+        cells = [item[position] for item in items]
         dtype = column.sql_type.numpy_dtype
-        mask = np.array([item is None for item in items], dtype=bool)
+        mask = np.array([cell is None for cell in cells], dtype=bool)
         if dtype.kind in "ifb":
             fill = 0 if dtype.kind in "ib" else np.nan
             values = np.array(
-                [fill if item is None else item for item in items], dtype=dtype
+                [fill if cell is None else cell for cell in cells], dtype=dtype
             )
         else:
-            values = np.empty(len(items), dtype=object)
-            values[:] = items
+            values = np.empty(len(cells), dtype=object)
+            values[:] = cells
         columns[column.name] = values
         masks[column.name] = mask if mask.any() else None
-    chunk_ids = row_ids[np.array(indexes, dtype=np.int64)]
-    chunk_index = len(table._slices[slice_id])
-    table._slices[slice_id].append(Chunk(chunk_ids, columns, masks, epoch))
-    for offset, row_id in enumerate(chunk_ids):
-        table._locator[int(row_id)] = (slice_id, chunk_index, offset)
+    zone_maps = {}
+    for name, values in columns.items():
+        if values.dtype.kind in "if":
+            zone_map = ZoneMap.build(values, masks[name])
+            if zone_map is not None:
+                zone_maps[name] = zone_map
+    chunk = Chunk(
+        np.array(ids, dtype=np.int64),
+        columns,
+        masks,
+        np.array(inserts, dtype=np.int64),
+        np.array(deletes, dtype=np.int64),
+        zone_maps,
+    )
+    chunks = table._slices[slice_id]
+    if chunk_index == len(chunks):
+        chunks.append(chunk)
+    else:
+        chunks[chunk_index] = chunk
+    for offset, row_id in enumerate(ids):
+        table._locator[row_id] = (slice_id, chunk_index, offset)

@@ -40,7 +40,11 @@ from repro.sql.types import (
     DecimalType,
     VarcharType,
 )
-from repro.storage.column_store import ColumnStoreTable, distinct_keys
+from repro.storage.column_store import (
+    NEVER_DELETED,
+    ColumnStoreTable,
+    distinct_keys,
+)
 from tests.oracles.row_append import append_rows_reference
 
 # ---------------------------------------------------------------------------
@@ -608,15 +612,20 @@ def test_groom_rewrites_the_visible_columns_under_their_row_ids(shards):
     stored = sum(len(chunk) for __, chunk in layout.iter_chunks())
     chunks_before = table.total_chunk_count
     # What the former implementation built: the same rows, boxed and
-    # appended one by one under their ids.
+    # appended one by one under their ids — and, with no transaction
+    # open, under the insert epochs they had.
     expected = ColumnStoreTable(
         layout.schema, slice_count=layout.slice_count,
         distribute_on=layout.distribute_on, chunk_rows=layout.chunk_rows,
     )
     positions = [table.schema.position_of(c.name) for c in layout.schema.columns]
+    inserts = np.concatenate(
+        [c.insert_epochs[c.visible_mask(epoch)] for __, c in layout.iter_chunks()]
+    )
     append_rows_reference(
         expected, [tuple(r[p] for p in positions) for r in rows_before], 0,
         row_ids=ids_before,
+        versions=(inserts, np.full(len(inserts), NEVER_DELETED)),
     )
 
     stats = db.accelerator.groom("AOT")
