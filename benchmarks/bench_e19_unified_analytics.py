@@ -11,8 +11,8 @@ scalar. This experiment answers the two questions that refactor raises:
   with identity gates proving the fitted parameters did not move
   (1e-9 for floats, exact for assignments). Wall time is reported as
   measured; on a single-core host threads cannot beat the sequential
-  pass, so — exactly like E13's scan sweep — the gated observable is
-  the *modeled* critical path: measured wall minus the per-partition
+  pass, so the gated observable is the *modeled* critical path:
+  measured wall minus the per-partition
   transition time that overlaps on a multi-core host (per-partition
   seconds come from the worker pool, so the model is measured, not
   assumed);
@@ -160,7 +160,7 @@ def test_e19_training_identity_and_throughput(record):
     Identity first (the refactor's contract), then wall time. The gate
     is the headline acceptance claim: the chunk-parallel unified path
     at workers=4 beats the legacy single-pass loop on the compute-bound
-    model (k-means) — on its modeled critical path, E13-style, because
+    model (k-means) — on its modeled critical path, because
     a single-core CI host serializes the worker threads."""
     rows = {}
     for workers in (1, 4):

@@ -83,21 +83,6 @@ class _SnapshotProvider:
         delta around each scan to attribute skipped chunks per operator."""
         return self._engine.chunks_skipped
 
-    def scan_partitions(
-        self,
-        name: str,
-        ranges: Optional[dict[str, tuple]] = None,
-        columns: Optional[Sequence[str]] = None,
-    ) -> Optional[ScanPartitions]:
-        key = name.upper()
-        return self._engine.partition_scan(
-            key,
-            self._epoch,
-            ranges=ranges,
-            delta=self._deltas.get(key),
-            columns=columns,
-        )
-
 
 class AcceleratorEngine:
     """Columnar engine with epoch snapshots and AOT delta awareness."""
@@ -109,7 +94,6 @@ class AcceleratorEngine:
         chunk_rows: int = 65536,
         fault_injector=None,
         tracer=None,
-        metrics=None,
         parallel_workers: int = 4,
     ) -> None:
         self.catalog = catalog
@@ -122,13 +106,11 @@ class AcceleratorEngine:
         #: Optional :class:`repro.obs.trace.Tracer`; SELECTs become
         #: ``accelerator.execute`` spans under the statement trace.
         self.tracer = tracer
-        #: Optional :class:`repro.obs.metrics.MetricsRegistry` for the
-        #: partitioned-scan counters/histograms.
-        self.metrics = metrics
-        #: Scan fan-out; 0/1 disables chunk-parallel scans entirely.
+        #: Training fan-out (see :meth:`partition_scan`); 0/1 trains
+        #: sequentially. Queries always scan sequentially.
         self.parallel_workers = parallel_workers
-        #: Tables smaller than this stay sequential — thread handoff
-        #: costs more than it saves on small scans.
+        #: Training tables smaller than this stay sequential: thread
+        #: handoff costs more than it saves on small matrices.
         self.parallel_min_rows = 16384
         self._tables: dict[str, ColumnStoreTable] = {}
         #: Replication-apply cache: table -> {row tuple: [row ids]}.
@@ -163,9 +145,8 @@ class AcceleratorEngine:
         self.rows_scanned = 0
         self.chunks_skipped = 0
         self.simulated_busy_seconds = 0.0
+        #: Training gathers that fanned out over the worker pool.
         self.parallel_scans = 0
-        #: Partitioned-scan telemetry of the most recent statement.
-        self.last_parallel_scans: list[dict] = []
         self.zone_maps_enabled = True
 
     # -- storage / DDL ----------------------------------------------------------
@@ -504,7 +485,6 @@ class AcceleratorEngine:
             self._applied_lsn.clear()
             self._lineage.clear()
             self.current_epoch = 0
-            self.last_parallel_scans = []
 
     def restore_table(
         self,
@@ -613,7 +593,13 @@ class AcceleratorEngine:
         delta: Optional[DeltaBuffer] = None,
         columns: Optional[Sequence[str]] = None,
     ) -> Optional["ScanPartitions"]:
-        """Split a snapshot scan into parallel chunk-span partitions.
+        """Split a training scan into parallel chunk-span partitions.
+
+        Only the training driver (:class:`repro.analytics.uda.TrainingSource`)
+        asks: its per-partition work builds float64 matrices and folds
+        them with numpy kernels that release the GIL, so threads overlap.
+        Queries never fan out; on a 2-core host their gather + filter
+        lost to the sequential pipeline at every size measured.
 
         Returns ``None`` — sequential fallback — when the fan-out is
         disabled, the table is too small for threads to pay off, a
@@ -701,28 +687,7 @@ class AcceleratorEngine:
                 rows=len(rows),
                 rows_scanned=self.rows_scanned - scanned_before,
             )
-            # Telemetry for the most recent statement (benchmarks and
-            # tests read partition balance from here).
-            self.last_parallel_scans = engine.parallel_scans
-            if engine.parallel_scans:
-                self._record_parallel_scans(engine.parallel_scans, span)
         return columns, rows
-
-    def _record_parallel_scans(self, scans: list[dict], span) -> None:
-        """Per-worker span timings + metrics for this statement's scans."""
-        seconds = [s for scan in scans for s in scan["partition_seconds"]]
-        span.annotate(
-            parallel_scans=len(scans),
-            parallel_workers=scans[0]["workers"],
-            partition_seconds=[round(s, 6) for s in seconds],
-        )
-        if self.metrics is not None:
-            self.metrics.counter("accelerator.parallel_statements").inc()
-            histogram = self.metrics.histogram(
-                "accelerator.scan_partition_seconds"
-            )
-            for value in seconds:
-                histogram.observe(value)
 
     # -- AOT DML ------------------------------------------------------------------------------
 

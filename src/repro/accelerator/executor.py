@@ -64,7 +64,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScanPartitions:
-    """A table scan split into independent chunk-span partitions.
+    """A training scan split into independent chunk-span partitions.
 
     ``partitions`` are thunks, each returning ``(row_ids, columns)`` for
     one contiguous span of post-pruning chunks; concatenating their
@@ -72,29 +72,23 @@ class ScanPartitions:
     exactly. ``finish`` must be called exactly once (from the
     coordinating thread) with the total rows gathered, so the engine's
     scan counters are updated without racing.
-
-    ``ordered`` is the concatenation guarantee above. Sharded providers
-    return ``ordered=False`` plans — each partition is one shard's rows,
-    and concatenating shards does *not* reproduce the single-instance
-    scan order. Consumers that splice partition results back into a row
-    stream must fall back to a sequential scan for unordered plans;
-    consumers folding order-independent aggregate states (COUNT/MIN/MAX
-    partials, mergeable training states) may use them freely.
     """
 
     partitions: list
     workers: int
     finish: Callable[[int], None]
-    ordered: bool = True
 
 
 class ScanWorkerPool:
-    """Process-wide thread pools for partitioned scans, keyed by size.
+    """Process-wide thread pools for the training driver, keyed by size.
 
-    The gather + predicate work per partition is numpy-dominated and
-    releases the GIL, so threads give real overlap. Pools are shared
-    across all engines in the process: many short-lived systems (the
-    test suite builds thousands) must not each spawn a thread set.
+    Queries never use it: their scans run one sequential pipeline. A
+    training CALL fans its snapshot gather and every epoch's
+    ``transition`` out here, because those kernels work on float64
+    matrices and release the GIL, so threads give real overlap. Pools
+    are shared across all engines in the process: many short-lived
+    systems (the test suite builds thousands) must not each spawn a
+    thread set.
     """
 
     _lock = threading.Lock()
@@ -167,13 +161,10 @@ class VectorQueryEngine:
         #: emits an ``op.*`` child span so MON_SPANS shows plan shape.
         self.tracer = tracer
         #: The statement's work budget, captured once at engine
-        #: construction (one engine per statement). Captured eagerly
-        #: because contextvars do not propagate into the shared
-        #: ScanWorkerPool threads — partition tasks close over it.
+        #: construction (one engine per statement), so every operator
+        #: checkpoint reads one attribute instead of the contextvar.
         self._budget = current_budget()
         self.rows_scanned = 0
-        #: One entry per partitioned scan this statement ran (telemetry).
-        self.parallel_scans: list[dict] = []
 
     # -- public API --------------------------------------------------------------
 
@@ -368,17 +359,11 @@ class VectorQueryEngine:
         started = time.perf_counter() if stats is not None else 0.0
         aggregate = isinstance(node, logical.Aggregate)
         with self._op_span("aggregate" if aggregate else "project"):
-            direct = None
-            if not aggregate:
-                if node.child is None:
-                    direct = self._constant_select(node.select_items)
-            elif not order_by and not node.group_by and node.having is None:
-                direct = self._partial_aggregate(node)
-            if direct is not None:
-                columns, table = direct
+            if not aggregate and node.child is None:
+                columns, table = self._constant_select(node.select_items)
                 keys: list[VColumn] = []
             else:
-                source = self._build_table(node.child, allow_parallel=True)
+                source = self._build_table(node.child)
                 produce = self._aggregate if aggregate else self._project
                 columns, table, keys = produce(node, order_by, source)
             table, produced = _arrange(table, keys, order_by, node.distinct, window)
@@ -400,7 +385,9 @@ class VectorQueryEngine:
             )
             values.append(fn(()))
             columns.append(item.alias or expression_label(item.expression, position))
-        return columns, _single_row(values)
+        return columns, VTable(
+            scope, [VColumn.from_objects([v]) for v in values], 1
+        )
 
     # -- FROM side of the plan ------------------------------------------------------
 
@@ -408,7 +395,6 @@ class VectorQueryEngine:
         self,
         node: logical.PlanNode,
         hint: Optional[ast.Expression] = None,
-        allow_parallel: bool = False,
     ) -> VTable:
         """Materialise a from-subtree as a VTable.
 
@@ -420,7 +406,7 @@ class VectorQueryEngine:
         """
         scan, predicates = _peel_filters(node)
         if scan is not None:
-            table = self._scan_pipeline(scan, predicates, hint, allow_parallel)
+            table = self._scan_pipeline(scan, predicates, hint)
             if self._profile is not None and node is not scan:
                 # Filters collapsed into the scan pipeline report the
                 # pipeline's output as their own (marked fused).
@@ -467,25 +453,22 @@ class VectorQueryEngine:
         fn = self._compile_where(predicate, table.scope)
         return table.filter(_truth(fn(table.columns, table.length)))
 
-    # -- scans (sequential and chunk-parallel) ---------------------------------------
+    # -- scans ------------------------------------------------------------------------
 
     def _scan_pipeline(
         self,
         scan: logical.Scan,
         predicates: list[ast.Expression],
         hint: Optional[ast.Expression],
-        allow_parallel: bool,
     ) -> VTable:
         stats = self._stats(scan)
         if stats is None:
-            return self._scan_pipeline_impl(
-                scan, predicates, hint, allow_parallel
-            )
+            return self._scan_pipeline_impl(scan, predicates, hint)
         chunks_fn = getattr(self._provider, "chunks_skipped_total", None)
         chunks_before = chunks_fn() if chunks_fn is not None else 0
         scanned_before = self.rows_scanned
         started = time.perf_counter()
-        table = self._scan_pipeline_impl(scan, predicates, hint, allow_parallel)
+        table = self._scan_pipeline_impl(scan, predicates, hint)
         stats.observe(
             table.length,
             time.perf_counter() - started,
@@ -500,7 +483,6 @@ class VectorQueryEngine:
         scan: logical.Scan,
         predicates: list[ast.Expression],
         hint: Optional[ast.Expression],
-        allow_parallel: bool,
     ) -> VTable:
         self._checkpoint()
         schema = self._provider.table_schema(scan.table)
@@ -510,7 +492,6 @@ class VectorQueryEngine:
         parts = ([scan.predicate] if scan.predicate is not None else []) + list(
             reversed(predicates)
         )
-        predicate_expr = _and_all(parts) if parts else None
         range_parts = parts + ([hint] if hint is not None else [])
         ranges = (
             extract_column_ranges(_and_all(range_parts), scope, binding_columns)
@@ -520,286 +501,16 @@ class VectorQueryEngine:
         column_names = (
             [c.name for c in cols] if scan.columns is not None else None
         )
-        if allow_parallel:
-            table = self._parallel_scan(
-                scan, cols, scope, predicate_expr, ranges, column_names
-            )
-            if table is not None:
-                return table
         with self._op_span("scan", table=scan.table):
-            columns, length = self._scan_columns(
-                scan.table, ranges or None, column_names
+            columns, length = self._provider.scan_columns(
+                scan.table, ranges or None, columns=column_names
             )
             self.rows_scanned += length
             ordered = [columns[c.name] for c in cols]
             table = VTable(scope, ordered, length)
-            if predicate_expr is not None:
-                table = self._filter_table(table, predicate_expr)
+            if parts:
+                table = self._filter_table(table, _and_all(parts))
         return table
-
-    def _scan_columns(
-        self,
-        name: str,
-        ranges: Optional[dict],
-        column_names: Optional[list[str]],
-    ) -> tuple[dict[str, VColumn], int]:
-        if column_names is None:
-            return self._provider.scan_columns(name, ranges)
-        try:
-            return self._provider.scan_columns(name, ranges, columns=column_names)
-        except TypeError:
-            # Provider without column projection: scan all, subset here.
-            columns, length = self._provider.scan_columns(name, ranges)
-            return {n: columns[n] for n in column_names}, length
-
-    def _partition_plan(
-        self,
-        scan: logical.Scan,
-        predicate_expr: Optional[ast.Expression],
-        ranges: dict,
-        column_names: Optional[list[str]],
-    ) -> Optional[ScanPartitions]:
-        scan_partitions = getattr(self._provider, "scan_partitions", None)
-        if scan_partitions is None:
-            return None
-        if predicate_expr is not None and _contains_subquery(predicate_expr):
-            return None
-        if column_names is None:
-            return scan_partitions(scan.table, ranges or None)
-        try:
-            return scan_partitions(
-                scan.table, ranges or None, columns=column_names
-            )
-        except TypeError:
-            return scan_partitions(scan.table, ranges or None)
-
-    def _run_partitions(
-        self, scan: logical.Scan, plan: ScanPartitions, task: Callable
-    ) -> list:
-        results = ScanWorkerPool.run(plan.workers, task, plan.partitions)
-        scanned = sum(r[2] for r in results)
-        plan.finish(scanned)
-        self.rows_scanned += scanned
-        if self._profile is not None:
-            stats = self._profile.stats_for(scan)
-            if stats is not None:
-                # The caller's observe() adds the final batch; with the
-                # partitions this totals one batch per partition.
-                stats.parallel = True
-                stats.batches += len(plan.partitions) - 1
-        self.parallel_scans.append(
-            {
-                "table": scan.table.upper(),
-                "workers": plan.workers,
-                "partitions": len(plan.partitions),
-                "rows_scanned": scanned,
-                "partition_rows": [r[2] for r in results],
-                "partition_seconds": [r[4] for r in results],
-            }
-        )
-        return results
-
-    def _partition_task(
-        self,
-        cols: list[Column],
-        predicate: Optional[Callable],
-        partial_specs: Optional[list],
-    ) -> Callable:
-        """Per-partition worker: gather a chunk span, filter, maybe fold.
-
-        Byte-identity with the sequential path holds by construction:
-        compiled kernels are pure and elementwise, partitions are
-        contiguous chunk spans in sequential scan order, so per-partition
-        filter + ordered concatenation equals whole-table filter; the
-        partial-aggregate path is restricted to order-independent
-        aggregates (COUNT / COUNT DISTINCT / MIN / MAX).
-
-        The statement budget is baked into the closure (contextvars do
-        not cross into the shared pool's threads): every worker checks
-        it before gathering its span, so one statement's timeout or
-        cancellation stops all of its queued partitions.
-        """
-        budget = self._budget
-
-        def task(gather):
-            if budget is not None:
-                budget.check()
-            started = time.perf_counter()
-            row_ids, columns = gather()
-            ordered = [columns[c.name] for c in cols]
-            length = len(row_ids)
-            if predicate is not None and length:
-                mask = _truth(predicate(ordered, length))
-                kept = int(mask.sum())
-                if kept != length:
-                    ordered = [col.take(mask) for col in ordered]
-            else:
-                kept = length
-            partials = None
-            if partial_specs is not None:
-                partials = [
-                    _partition_partial(spec, ordered, kept)
-                    for spec in partial_specs
-                ]
-                ordered = None  # partials carry everything downstream
-            return ordered, kept, length, partials, time.perf_counter() - started
-
-        return task
-
-    def _parallel_scan(
-        self,
-        scan: logical.Scan,
-        cols: list[Column],
-        scope: Scope,
-        predicate_expr: Optional[ast.Expression],
-        ranges: dict,
-        column_names: Optional[list[str]],
-    ) -> Optional[VTable]:
-        """Fan a scan + filter across chunk partitions; None = sequential."""
-        plan = self._partition_plan(scan, predicate_expr, ranges, column_names)
-        if plan is None:
-            return None
-        if not plan.ordered:
-            # Unordered (per-shard) partitions cannot be spliced back into
-            # the sequential row order; the sequential scan path gathers
-            # shards and reorders them via the placement layout instead.
-            return None
-        predicate = (
-            self._compile_where(predicate_expr, scope)
-            if predicate_expr is not None
-            else None
-        )
-        with self._op_span("scan", table=scan.table, parallel="true"):
-            results = self._run_partitions(
-                scan, plan, self._partition_task(cols, predicate, None)
-            )
-            merged = [_concat_columns(*part) for part in zip(*(r[0] for r in results))]
-            total = sum(r[1] for r in results)
-        return VTable(scope, merged, total)
-
-    def _partial_aggregate(
-        self, node: logical.Aggregate
-    ) -> Optional[tuple[list[str], VTable]]:
-        """Whole-statement collapse to mergeable partial aggregates.
-
-        Only fires for a whole-table (no GROUP BY / HAVING / ORDER BY)
-        aggregation over a partitionable scan whose every select item is
-        mergeable (see :meth:`_partial_aggregate_specs`).
-        """
-        scan, predicates = _peel_filters(node.child)
-        if scan is None:
-            return None
-        schema = self._provider.table_schema(scan.table)
-        cols = _pruned_schema_columns(scan, schema)
-        scope = Scope([(scan.binding, c.name) for c in cols])
-        specs = self._partial_aggregate_specs(node.select_items, scope)
-        if specs is None:
-            return None
-        binding_columns = {i: c.name for i, c in enumerate(cols)}
-        parts = ([scan.predicate] if scan.predicate is not None else []) + list(
-            reversed(predicates)
-        )
-        predicate_expr = _and_all(parts) if parts else None
-        ranges = (
-            extract_column_ranges(_and_all(parts), scope, binding_columns)
-            if parts
-            else {}
-        )
-        column_names = (
-            [c.name for c in cols] if scan.columns is not None else None
-        )
-        plan = self._partition_plan(scan, predicate_expr, ranges, column_names)
-        if plan is None:
-            return None
-        predicate = (
-            self._compile_where(predicate_expr, scope)
-            if predicate_expr is not None
-            else None
-        )
-        stats = self._stats(scan)
-        chunks_fn = (
-            getattr(self._provider, "chunks_skipped_total", None)
-            if stats is not None
-            else None
-        )
-        chunks_before = chunks_fn() if chunks_fn is not None else 0
-        scanned_before = self.rows_scanned
-        started = time.perf_counter() if stats is not None else 0.0
-        with self._op_span("scan", table=scan.table, parallel="true"):
-            results = self._run_partitions(
-                scan, plan, self._partition_task(cols, predicate, specs)
-            )
-        if stats is not None:
-            kept = sum(r[1] for r in results)
-            stats.observe(
-                kept,
-                time.perf_counter() - started,
-                rows_in=self.rows_scanned - scanned_before,
-            )
-            if chunks_fn is not None:
-                stats.chunks_skipped += chunks_fn() - chunks_before
-            # Filters between the Aggregate and the Scan were folded into
-            # the partition predicate.
-            self._profile.mark_fused_filters(node.child, kept)
-        labels = [
-            item.alias or expression_label(item.expression, i)
-            for i, item in enumerate(node.select_items)
-        ]
-        row = [
-            _merge_partials(
-                spec,
-                [r[3][i] for r in results],
-                cols[spec[1]].sql_type.numpy_dtype.kind
-                if spec[1] is not None
-                else None,
-            )
-            for i, spec in enumerate(specs)
-        ]
-        return labels, _single_row(row)
-
-    def _partial_aggregate_specs(
-        self, select_items: Sequence[ast.SelectItem], scope: Scope
-    ) -> Optional[list[tuple[str, Optional[int]]]]:
-        """Partial-aggregate specs, or ``None`` when not safely mergeable.
-
-        Only COUNT(*) / COUNT(col) / COUNT(DISTINCT col) / MIN(col) /
-        MAX(col) over a plain column qualify: counts merge by addition,
-        distincts by set union, extrema by comparison — all exactly
-        order-independent. SUM/AVG/STDDEV are excluded because float
-        accumulation order would change the low bits.
-        """
-        specs: list[tuple[str, Optional[int]]] = []
-        for item in select_items:
-            expr = item.expression
-            if not (isinstance(expr, ast.FunctionCall) and expr.is_aggregate):
-                return None
-            if (
-                expr.name == "COUNT"
-                and expr.args
-                and isinstance(expr.args[0], ast.Star)
-                and not expr.distinct
-            ):
-                specs.append(("count_star", None))
-                continue
-            if len(expr.args) != 1 or not isinstance(
-                expr.args[0], ast.ColumnRef
-            ):
-                return None
-            arg = expr.args[0]
-            try:
-                index = scope.resolve(arg.name, arg.table)
-            except ParseError:
-                return None
-            if expr.name == "COUNT":
-                specs.append(
-                    ("count_distinct" if expr.distinct else "count", index)
-                )
-            elif expr.name in ("MIN", "MAX"):
-                # DISTINCT is a no-op for extrema (mirrors _compute_aggregate).
-                specs.append((expr.name.lower(), index))
-            else:
-                return None
-        return specs
 
     # -- joins -----------------------------------------------------------------------
 
@@ -1229,11 +940,6 @@ def _combine_set_tables(op: str, left: VTable, right: VTable) -> VTable:
     return table.take(_first_occurrences(table))
 
 
-def _single_row(values: Sequence[object]) -> VTable:
-    """A one-row table of scalar results (constant SELECT, partial aggregates)."""
-    return VTable(Scope([]), [VColumn.from_objects([v]) for v in values], 1)
-
-
 def _truth(result: VColumn) -> np.ndarray:
     """Rows where a predicate's result is TRUE (NULL is not)."""
     mask = result.values.astype(bool)
@@ -1281,65 +987,6 @@ def _pruned_schema_columns(
         # scan still carries a row count.
         cols = [schema.columns[0]]
     return cols
-
-
-def _partition_partial(
-    spec: tuple[str, Optional[int]], columns: list[VColumn], length: int
-):
-    """One partition's contribution to a mergeable aggregate."""
-    kind, index = spec
-    if kind == "count_star":
-        return length
-    col = columns[index]
-    live = ~col.null_mask()
-    if kind == "count":
-        return int(np.count_nonzero(live))
-    if kind == "count_distinct":
-        values = col.to_objects()
-        return {values[i] for i in np.where(live)[0]}
-    # MIN / MAX, in the column's own domain as in _compute_aggregate
-    # (.item(): int64 stays an exact Python int, float64 a float).
-    if col.values.dtype.kind in "ifb":
-        values = col.values[live]
-        if not len(values):
-            return None
-        return (values.min() if kind == "min" else values.max()).item()
-    best = None
-    values = col.to_objects()
-    for i in np.where(live)[0]:
-        value = values[i]
-        if best is None or (value < best if kind == "min" else value > best):
-            best = value
-    return best
-
-
-def _merge_partials(
-    spec: tuple[str, Optional[int]],
-    partials: list,
-    dtype_kind: Optional[str],
-):
-    """Combine per-partition partials into the final aggregate value."""
-    kind, __ = spec
-    if kind in ("count_star", "count"):
-        return int(sum(partials))
-    if kind == "count_distinct":
-        return len(set().union(*partials))
-    merged = None
-    for partial in partials:
-        if partial is None:
-            continue
-        if merged is None:
-            merged = partial
-        elif dtype_kind == "f":
-            # np.minimum/np.maximum propagate NaN exactly like the
-            # sequential ufunc.at accumulation does.
-            combine = np.minimum if kind == "min" else np.maximum
-            merged = float(combine(merged, partial))
-        elif (partial < merged) if kind == "min" else (partial > merged):
-            merged = partial
-    if merged is not None and dtype_kind == "b":
-        return int(merged)  # the sequential kernel reports BOOLEAN as 0/1
-    return merged
 
 
 def _resolvable(expr: ast.Expression, scope: Scope) -> bool:
@@ -1536,11 +1183,30 @@ def _integer_sums(
 def _count_distinct(
     arg: VColumn, inverse: np.ndarray, group_count: int, live: np.ndarray
 ) -> VColumn:
-    sets: list[set] = [set() for _ in range(group_count)]
-    values = arg.to_objects()
-    for i in np.where(live)[0]:
-        sets[inverse[i]].add(values[i])
-    return VColumn(values=np.array([len(s) for s in sets], dtype=np.int64))
+    """COUNT(DISTINCT): the distinct ``(group, value code)`` pairs of each
+    group's live rows.
+
+    Equal values share a code, so -0.0 counts as 0.0, as Python's ``==``
+    has it. NaN equals nothing, not even itself: the row engine's set
+    keeps every row's NaN, so each NaN row counts on its own.
+    """
+    counts = np.zeros(group_count, dtype=np.int64)
+    if arg.values.dtype.kind == "f":
+        nan = live & np.isnan(arg.values)
+        if nan.any():
+            counts += np.bincount(inverse[nan], minlength=group_count)
+            live = live & ~nan
+    codes, bound = column_codes(arg)
+    pairs = inverse[live] * bound + codes[live]
+    span = group_count * bound
+    if span <= _SLOTS_PER_ROW * len(pairs):
+        seen = np.zeros(span, dtype=bool)
+        seen[pairs] = True
+        distinct = np.flatnonzero(seen)
+    else:
+        distinct = np.unique(pairs)
+    counts += np.bincount(distinct // max(bound, 1), minlength=group_count)
+    return VColumn(values=counts)
 
 
 def _object_aggregate(

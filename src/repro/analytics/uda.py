@@ -12,7 +12,7 @@ and every epoch — the scoring/accuracy pass included — runs
 ``transition`` over those cached chunks, merges the per-partition states
 in partition order, and hands the merged state to ``finalize``.  When
 the accelerator declines to parallelise (small table, active transaction
-delta, armed fault rules) the snapshot is one sequential whole-table
+delta, armed fault rules, a sharded pool) the snapshot is one sequential whole-table
 chunk — the aggregates are written so both paths produce numerically
 identical models.
 
@@ -179,17 +179,14 @@ class TrainingSource:
 
         The ordered partition list, one chunk each, with the pool width
         when the accelerator offers a parallel plan; otherwise the whole
-        visible table as one chunk and ``workers`` 0.  Unordered
-        (per-shard) plans are declined: the epoch driver's ordered
-        left-to-right merge is part of the trainer contract, and shard
-        order is not the single-instance scan order — training must stay
-        numerically identical at every shard count, so a sharded pool
-        trains over the sequential (layout-ordered) scan instead.
+        visible table as one chunk and ``workers`` 0.  A sharded pool
+        never offers one: it trains over its layout-ordered snapshot, so
+        models stay numerically identical at every shard count.
         """
         plan = self._engine.partition_scan(
             self.table, self._epoch, delta=self._delta, columns=self._columns
         )
-        if plan is None or not plan.ordered:
+        if plan is None:
             __, columns, __ = self._engine.scan_snapshot(
                 self.table, self._epoch, delta=self._delta,
                 columns=self._columns,

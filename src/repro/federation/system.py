@@ -210,7 +210,6 @@ class AcceleratedDatabase:
                 chunk_rows=chunk_rows,
                 fault_injector=self.faults,
                 tracer=self.tracer,
-                metrics=self.metrics,
                 parallel_workers=parallel_workers,
                 failure_threshold=failure_threshold,
                 cooldown_seconds=cooldown_seconds,
@@ -224,7 +223,6 @@ class AcceleratedDatabase:
                 chunk_rows=chunk_rows,
                 fault_injector=self.faults,
                 tracer=self.tracer,
-                metrics=self.metrics,
                 parallel_workers=parallel_workers,
             )
         # GROOM reclaims only what no open transaction's snapshot sees.

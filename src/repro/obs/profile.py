@@ -4,8 +4,8 @@ Phase-level spans (repro.obs.trace) say where a *statement* spent its
 time; this module says where a *plan* spent it. Every logical operator
 (Scan/Filter/Join/Project/Aggregate/Sort/Limit/SetOp/SubqueryBind) of an
 executed statement gets one :class:`OperatorStats` record — rows in/out,
-batches, inclusive wall time, zone-map chunks pruned, parallel-kernel
-vs. sequential path, engine — filled in by the plan walkers of both
+batches, inclusive wall time, zone-map chunks pruned, worker-pool vs.
+sequential training epochs, engine — filled in by the plan walkers of both
 executors. Three consumers sit on top:
 
 * ``EXPLAIN ANALYZE`` renders the annotated tree (actual vs. estimated
@@ -393,19 +393,20 @@ class OperatorStats:
     actual_rows: int = 0
     #: Rows consumed (scans: rows read before filtering).
     rows_in: int = 0
-    #: Executions/batches: partitions for parallel scans, otherwise 1.
+    #: Executions/batches: partitions of a parallel training epoch,
+    #: otherwise 1.
     batches: int = 0
     #: Inclusive wall time (the operator plus the subtree it drains).
     wall_seconds: float = 0.0
     #: Zone-map chunks the scan skipped (accelerator scans only).
     chunks_skipped: int = 0
-    #: True when the operator ran on the chunk-parallel kernel path.
+    #: True when a training epoch folded its partitions on the worker pool.
     parallel: bool = False
     #: True once the operator actually ran (a pruned/fused node may not).
     executed: bool = False
-    #: True when the operator was collapsed into a scan pipeline or a
-    #: whole-statement partial aggregate (its row count is the fused
-    #: pipeline's output, not an independently observed one).
+    #: True when the operator was collapsed into a scan pipeline (its
+    #: row count is the pipeline's output, not an independently
+    #: observed one).
     fused: bool = False
 
     @property

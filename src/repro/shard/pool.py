@@ -35,12 +35,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.accelerator.engine import (
-    SCAN_ROWS_PER_SECOND,
-    AcceleratorEngine,
-    _partition_chunks,
-)
-from repro.accelerator.executor import ScanPartitions
+from repro.accelerator.engine import SCAN_ROWS_PER_SECOND, AcceleratorEngine
 from repro.catalog.schema import TableSchema, columns_from_rows
 from repro.errors import ReproError, ShardUnavailableError
 from repro.federation.health import HealthMonitor
@@ -400,7 +395,6 @@ class AcceleratorPool(AcceleratorEngine):
         chunk_rows: int = 65536,
         fault_injector=None,
         tracer=None,
-        metrics=None,
         parallel_workers: int = 4,
         failure_threshold: int = 3,
         cooldown_seconds: float = 0.1,
@@ -415,7 +409,6 @@ class AcceleratorPool(AcceleratorEngine):
             chunk_rows=chunk_rows,
             fault_injector=fault_injector,
             tracer=tracer,
-            metrics=metrics,
             parallel_workers=parallel_workers,
         )
         self.shards = shards
@@ -586,7 +579,7 @@ class AcceleratorPool(AcceleratorEngine):
             ShardMap(table=name, spec=spec, generation=generation),
         )
 
-    # -- parallel scans ------------------------------------------------------
+    # -- training scans ------------------------------------------------------
 
     def partition_scan(
         self,
@@ -595,90 +588,16 @@ class AcceleratorPool(AcceleratorEngine):
         ranges: Optional[dict[str, tuple]] = None,
         delta=None,
         columns: Optional[Sequence[str]] = None,
-    ) -> Optional[ScanPartitions]:
-        """Per-shard (unordered) scan plan for partial aggregates.
+    ) -> None:
+        """No training fan-out on a pool: always ``None``.
 
-        Mirrors the single-engine fallbacks (workers disabled, pending
-        delta, armed faults, too small), plus pool-specific ones: a lost
-        or unavailable target shard falls back to the sequential path so
-        the failure fires deterministically through ``require_shard``.
+        Concatenated shard spans are not the single-instance scan order,
+        and the epoch driver's left-to-right merge is part of the trainer
+        contract, so sharded training scans the layout-ordered snapshot
+        and trains bit-for-bit as one instance does. The base-class plan
+        cannot read a :class:`ShardedTable`, hence this override.
         """
-        if self.parallel_workers < 2:
-            return None
-        if delta is not None and not delta.is_empty:
-            return None
-        if self.fault_injector is not None:
-            if self.fault_injector.rules("accelerator"):
-                return None
-            if any(
-                self.fault_injector.rules(shard.fault_site)
-                for shard in self._shard_list
-            ):
-                return None
-        table = self.storage_for(name)
-        if not isinstance(table, ShardedTable):  # pragma: no cover - safety
-            return super().partition_scan(
-                name, epoch, ranges=ranges, delta=delta, columns=columns
-            )
-        if table.lost_shards:
-            return None
-        scan_ids = self._candidate_shards(table, ranges)
-        if any(
-            not self._shard_list[i].alive
-            or not self._shard_list[i].health.available
-            for i in scan_ids
-        ):
-            return None
-        wanted = list(columns) if columns is not None else None
-        partitions = []
-        busy_by_shard: dict[int, float] = {}
-        skipped = 0
-        total_rows = 0
-
-        def make_gather(part, span_chunks):
-            return lambda: part.gather_chunks(span_chunks, epoch, wanted)
-
-        # Each shard's chunks split further into spans so the worker
-        # pool stays saturated (and budget checkpoints stay frequent)
-        # even when there are fewer shards than workers.
-        spans_per_shard = max(1, self.parallel_workers // max(1, len(scan_ids)))
-        for shard_id in scan_ids:
-            part = table.parts[shard_id]
-            part.zone_maps_enabled = self.zone_maps_enabled
-            chunks = part.visible_chunks(ranges)
-            skipped += part.last_scan_chunks_skipped
-            if not chunks:
-                continue
-            total_rows += sum(len(chunk) for chunk in chunks)
-            for span in _partition_chunks(chunks, spans_per_shard):
-                partitions.append(make_gather(part, span))
-            busy_by_shard[shard_id] = part.row_count / (
-                SCAN_ROWS_PER_SECOND * max(1, part.slice_count)
-            )
-        if len(partitions) < 2:
-            return None
-        if total_rows < self.parallel_min_rows:
-            return None
-
-        def finish(rows_scanned: int) -> None:
-            self.rows_scanned += rows_scanned
-            self.chunks_skipped += skipped
-            self.parallel_scans += 1
-            critical = 0.0
-            for shard_id, busy in busy_by_shard.items():
-                shard = self._shard_list[shard_id]
-                shard.scans += 1
-                shard.simulated_busy_seconds += busy
-                critical = max(critical, busy)
-            self.simulated_busy_seconds += critical
-            self.simulated_critical_path_seconds += critical
-
-        return ScanPartitions(
-            partitions=partitions,
-            workers=self.parallel_workers,
-            finish=finish,
-            ordered=False,
-        )
+        return None
 
     # -- groom / recovery ----------------------------------------------------
 
@@ -773,13 +692,13 @@ class AcceleratorPool(AcceleratorEngine):
     # -- redistribution ------------------------------------------------------
 
     def redistribute(self, name: str, spec: PartitionSpec) -> int:
-        """Re-place a table's live rows under a new partition spec.
+        """Re-place a table's rows under a new partition spec; returns
+        the live-row count.
 
-        The layout table is untouched — row ids and scan order are
-        placement-independent — only the per-shard partitions are
-        rebuilt, with the same ids at epoch 0 (visible to every
-        snapshot). Unlike GROOM, this collapses row history, so it must
-        not run while transactions hold older snapshot epochs.
+        This is GROOM under the new spec: every row version an open
+        snapshot can still see is rewritten with its row id and its own
+        insert/delete epochs and routed by the new spec, so open
+        transactions read the same rows after the move as before it.
         """
         key = name.upper()
         table = self.storage_for(key)
@@ -787,40 +706,9 @@ class AcceleratorPool(AcceleratorEngine):
             raise ReproError(f"{key} is not a sharded table")
         with self._write_lock:
             self.require_write(table)
-            self._lookup_cache.pop(key, None)
             table.set_spec(spec)
-            row_ids, columns = table.read_visible(self.current_epoch)
-            ordered = [columns[c.name] for c in table.schema.columns]
-            object_columns = [col.to_objects() for col in ordered]
-            rows = [
-                tuple(values[i] for values in object_columns)
-                for i in range(len(row_ids))
-            ]
-            for shard in self._shard_list:
-                part = ColumnStoreTable(
-                    table.schema,
-                    slice_count=self.slice_count,
-                    distribute_on=table.distribute_on,
-                    chunk_rows=self.chunk_rows,
-                )
-                table.parts[shard.shard_id] = part
-                shard.tables[key] = part
-            positions = table._key_positions
-            buckets: dict[int, list[int]] = {}
-            for index in range(len(rows)):
-                shard_id = spec.shard_for_row(
-                    rows[index], int(row_ids[index]), positions, self.shards
-                )
-                buckets.setdefault(shard_id, []).append(index)
-            for shard_id in sorted(buckets):
-                indexes = buckets[shard_id]
-                table.parts[shard_id].append_rows(
-                    [rows[i] for i in indexes],
-                    epoch=0,
-                    row_ids=row_ids[np.array(indexes, dtype=np.int64)],
-                )
-                self._shard_list[shard_id].rows_written += len(indexes)
-        return len(rows)
+            self._groom_locked(key, table)
+            return self._tables[key].row_count
 
     def range_key_values(self, name: str, column: str) -> list:
         """Non-NULL values of one column (boundary computation input)."""

@@ -1,10 +1,12 @@
-"""Regressions for the chunk-parallel read path and the plan cache.
+"""Regressions for the accelerator's read path and the plan cache.
 
-Covers the two correctness fixes that motivated the refactor — int64
-zone-map precision and distribution-hash scalar normalisation — plus the
-new behaviour: parallel scans must be byte-identical to sequential ones,
-and cached plans must be invalidated by DDL but not by grants.
+Covers the two correctness fixes of the columnar read path — int64
+zone-map precision and distribution-hash scalar normalisation — plus:
+queries scan sequentially while training alone fans out over the worker
+pool, and cached plans must be invalidated by DDL but not by grants.
 """
+
+import datetime
 
 import numpy as np
 import pytest
@@ -176,109 +178,129 @@ class TestDistinctWithNulls:
         assert rows == [(1,)]
 
 
-def _build_engines(workers, rows=40_000, chunk_rows=4096):
-    """A sequential and a parallel engine over identical data."""
-    engines = []
-    values = np.random.default_rng(11).normal(size=rows)
-    data = [
-        (
-            int(i),
-            float(values[i]) if i % 13 else None,
-            f"g{i % 7}" if i % 5 else None,
-        )
-        for i in range(rows)
-    ]
-    for count in (1, workers):
-        catalog = Catalog()
-        engine = AcceleratorEngine(
-            catalog,
-            slice_count=4,
-            chunk_rows=chunk_rows,
-            parallel_workers=count,
-        )
-        schema = TableSchema(
-            [
-                Column("ID", INTEGER, nullable=False),
-                Column("V", DOUBLE),
-                Column("G", VarcharType(8)),
-            ]
-        )
-        descriptor = catalog.create_table(
-            "T", schema, location=TableLocation.ACCELERATOR_ONLY
-        )
-        engine.create_storage(descriptor)
-        engine.bulk_insert("T", data)
-        engines.append(engine)
-    return engines
+class TestQueriesScanSequentially:
+    """Every accelerator SELECT runs the one sequential scan pipeline;
+    only a training CALL fans out over the worker pool."""
 
-
-class TestParallelScanIdentity:
     QUERIES = [
-        "SELECT ID, V FROM T WHERE V > 0.5",
-        "SELECT COUNT(*) FROM T WHERE ID > 100 AND ID < 30000",
-        "SELECT COUNT(V), COUNT(DISTINCT G), MIN(ID), MAX(V) FROM T",
-        "SELECT G, COUNT(*) FROM T WHERE V > 0 GROUP BY G ORDER BY G",
-        "SELECT DISTINCT G FROM T WHERE ID < 20000 ORDER BY G",
-        "SELECT MIN(V), MAX(ID) FROM T WHERE ID >= 50",
-        "SELECT ID FROM T WHERE V IS NULL AND ID < 200 ORDER BY ID",
+        "SELECT COUNT(*) FROM F",
+        "SELECT COUNT(*) FROM F WHERE ID > 100 AND ID < 15000",
+        "SELECT COUNT(V), COUNT(DISTINCT G), MIN(ID), MAX(V) FROM F",
+        "SELECT MIN(V), MAX(ID), COUNT(DISTINCT D) FROM F WHERE ID >= 50",
+        "SELECT G, COUNT(*), COUNT(DISTINCT V), MAX(D) FROM F "
+        "GROUP BY G ORDER BY G",
+        "SELECT ID, V FROM F WHERE V > 1.5 ORDER BY ID",
     ]
 
-    def test_parallel_results_byte_identical(self):
-        sequential, parallel = _build_engines(workers=4)
+    def test_selects_never_reach_the_worker_pool(self, monkeypatch):
+        from repro.accelerator.executor import ScanWorkerPool
+
+        db = AcceleratedDatabase(slice_count=4, chunk_rows=4096)
+        conn = db.connect()
+        conn.execute(
+            "CREATE TABLE F (ID INTEGER NOT NULL, V DOUBLE, G VARCHAR(8), "
+            "D DATE, X DOUBLE NOT NULL)"
+        )
+        values = np.random.default_rng(11).normal(size=20_000)
+        start = datetime.date(2016, 1, 1)
+        rows = [
+            (
+                i,
+                float(values[i]) if i % 13 else None,
+                f"g{i % 11}" if i % 5 else None,
+                start + datetime.timedelta(days=i % 365),
+                float(i % 97),
+            )
+            for i in range(20_000)
+        ]
+        txn = db.db2.txn_manager.begin()
+        db.db2.insert_rows(txn, "F", rows)
+        db.db2.commit(txn)
+        db.add_table_to_accelerator("F")
+        assert db.accelerator.parallel_min_rows < 20_000
+
+        calls = []
+        original = ScanWorkerPool.run.__func__
+
+        def run(cls, workers, fn, items):
+            calls.append(workers)
+            return original(cls, workers, fn, items)
+
+        monkeypatch.setattr(ScanWorkerPool, "run", classmethod(run))
         for sql in self.QUERIES:
-            stmt = parse_statement(sql)
-            assert sequential.execute_select(stmt) == parallel.execute_select(
-                stmt
-            ), sql
-        assert parallel.parallel_scans > 0
-        assert sequential.parallel_scans == 0
+            conn.set_acceleration("NONE")
+            expected = conn.execute(sql)
+            conn.set_acceleration("ALL")
+            result = conn.execute(sql)
+            assert result.engine == "ACCELERATOR", sql
+            assert result.rows == expected.rows, sql
+        assert db.accelerator.parallel_scans == 0
+        assert calls == []
 
-    def test_parallel_scan_counters_match_sequential(self):
-        sequential, parallel = _build_engines(workers=4)
-        stmt = parse_statement("SELECT COUNT(*) FROM T WHERE ID < 9000")
-        sequential.execute_select(stmt)
-        parallel.execute_select(stmt)
-        assert parallel.rows_scanned == sequential.rows_scanned
-        assert parallel.chunks_skipped == sequential.chunks_skipped
+        conn.execute(
+            "CALL INZA.KMEANS('intable=F, outtable=KM_F, id=ID, k=3, "
+            "randseed=7, model=KM_F, incolumn=X')"
+        )
+        if db.accelerator_pool is not None:
+            # A sharded pool trains over its layout-ordered snapshot.
+            assert db.accelerator.parallel_scans == 0
+            assert calls == []
+            return
+        assert db.accelerator.parallel_scans == 1
+        assert calls and set(calls) == {db.accelerator.parallel_workers}
 
-    def test_small_tables_stay_sequential(self):
+
+class TestTrainingPlanFallbacks:
+    """``partition_scan`` now serves training alone; it still declines
+    the cases where threads cannot pay or must not run."""
+
+    def make_engine(self, rows, **kwargs):
         catalog = Catalog()
         engine = AcceleratorEngine(
-            catalog, slice_count=2, chunk_rows=8, parallel_workers=4
+            catalog, slice_count=4, chunk_rows=4096, parallel_workers=4,
+            **kwargs,
         )
         schema = TableSchema([Column("ID", INTEGER, nullable=False)])
         descriptor = catalog.create_table(
             "S", schema, location=TableLocation.ACCELERATOR_ONLY
         )
         engine.create_storage(descriptor)
-        engine.bulk_insert("S", [(i,) for i in range(100)])
-        engine.execute_select(parse_statement("SELECT COUNT(*) FROM S"))
-        assert engine.parallel_scans == 0
+        engine.bulk_insert("S", [(i,) for i in range(rows)])
+        return engine
+
+    def test_large_table_gets_a_plan(self):
+        engine = self.make_engine(40_000)
+        plan = engine.partition_scan("S", engine.current_epoch)
+        assert plan is not None and plan.workers == 4
+        assert len(plan.partitions) > 1
+
+    def test_small_tables_stay_sequential(self):
+        engine = self.make_engine(100)
+        assert engine.partition_scan("S", engine.current_epoch) is None
 
     def test_armed_faults_force_sequential_path(self):
         from repro.federation.faults import FaultInjector
 
-        catalog = Catalog()
         faults = FaultInjector(seed=1)
-        engine = AcceleratorEngine(
-            catalog,
-            slice_count=4,
-            chunk_rows=4096,
-            parallel_workers=4,
-            fault_injector=faults,
-        )
-        schema = TableSchema([Column("ID", INTEGER, nullable=False)])
-        descriptor = catalog.create_table(
-            "S", schema, location=TableLocation.ACCELERATOR_ONLY
-        )
-        engine.create_storage(descriptor)
-        engine.bulk_insert("S", [(i,) for i in range(40_000)])
-        stmt = parse_statement("SELECT COUNT(*) FROM S")
-        engine.execute_select(stmt)
-        assert engine.parallel_scans == 1
+        engine = self.make_engine(40_000, fault_injector=faults)
+        assert engine.partition_scan("S", engine.current_epoch) is not None
         faults.add("accelerator", "crash", probability=0.0)
-        engine.execute_select(stmt)
-        assert engine.parallel_scans == 1  # unchanged: fell back
+        assert engine.partition_scan("S", engine.current_epoch) is None
+
+    def test_pending_delta_forces_sequential_path(self):
+        from repro.accelerator.deltas import DeltaBuffer
+
+        engine = self.make_engine(40_000)
+        delta = DeltaBuffer("S")
+        assert (
+            engine.partition_scan("S", engine.current_epoch, delta=delta)
+            is not None
+        )
+        delta.insert([(40_000,)])
+        assert (
+            engine.partition_scan("S", engine.current_epoch, delta=delta)
+            is None
+        )
 
 
 class TestPartitionChunks:

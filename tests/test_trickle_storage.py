@@ -397,6 +397,44 @@ def test_groom_keeps_an_open_transactions_snapshot(shards):
     assert db.accelerator.storage_for("A").stored_rows == 5
 
 
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize(
+    "move",
+    [
+        "CALL SYSPROC.ACCEL_CONTROL_ACCELERATOR('action=rebalance')",
+        "ALTER TABLE A ACCELERATE DISTRIBUTE BY HASH (V)",
+    ],
+)
+def test_redistribution_keeps_an_open_transactions_snapshot(shards, move):
+    db = _system(shards)
+    a, b = db.connect(), db.connect()
+    b.execute("CREATE TABLE A (ID INTEGER, V INTEGER) IN ACCELERATOR")
+    b.execute(
+        "INSERT INTO A VALUES " + ", ".join(f"({i}, {i % 3})" for i in range(10))
+    )
+
+    a.execute("BEGIN")
+    assert a.execute("SELECT COUNT(*) FROM a").scalar() == 10
+    b.execute("DELETE FROM a WHERE id < 5")
+    assert a.execute("SELECT COUNT(*) FROM a").scalar() == 10
+    moved = b.execute(move)
+    # Both report the live rows, as before.
+    if move.startswith("ALTER"):
+        assert moved.rowcount == 5
+    else:
+        assert "(5 rows placed)" in moved.message
+    assert a.execute("SELECT COUNT(*) FROM a").scalar() == 10
+    assert sorted(a.execute("SELECT id, v FROM a").rows) == [
+        (i, i % 3) for i in range(10)
+    ]
+    assert b.execute("SELECT COUNT(*) FROM a").scalar() == 5
+    a.execute("COMMIT")
+
+    assert a.execute("SELECT COUNT(*) FROM a").scalar() == 5
+    assert db.accelerator.groom("A").rows_reclaimed == 5
+    assert db.accelerator.storage_for("A").stored_rows == 5
+
+
 def test_only_open_transactions_pin_a_snapshot():
     db = _system(1)
     a = db.connect()

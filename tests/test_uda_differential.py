@@ -57,8 +57,7 @@ def reference_frame(db, conn, table, feature_columns, label_column=None):
 def assert_parallel_path(db, workers):
     """workers=4 must actually have exercised partitioned training."""
     if db.accelerator_pool is not None:
-        # A sharded pool only offers unordered (per-shard) plans, which
-        # the epoch driver declines: training must stay numerically
+        # A sharded pool offers no plan: training must stay numerically
         # identical at every shard count, so it runs sequentially.
         assert db.accelerator.parallel_scans == 0
     elif workers > 1:
@@ -705,7 +704,7 @@ class TestScanOncePerCall:
         assert db.accelerator.rows_scanned - scanned == scan == 600
         assert report.epochs == 4 and report.rows == 600
         if db.accelerator_pool is not None:
-            # A sharded pool's plans are unordered and declined.
+            # A sharded pool offers no partitioned plan.
             assert report.parallel_epochs == 0
             assert report.partition_seconds == []
             return

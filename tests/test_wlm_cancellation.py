@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro import AcceleratedDatabase
-from repro.accelerator.executor import ScanWorkerPool
 from repro.errors import (
     StatementCancelledError,
     StatementTimeoutError,
@@ -26,7 +25,7 @@ class SteppingClock:
 
     With step 1.0, a budget built from this clock with ``timeout=T``
     expires exactly at its ``ceil(T)``-th checkpoint. Reads are locked:
-    parallel scan workers read the clock concurrently.
+    training workers read the clock concurrently.
     """
 
     def __init__(self, step: float = 1.0) -> None:
@@ -122,62 +121,6 @@ class TestTimeoutMidInsertSelect:
         other.execute("UPDATE SRC SET V = 0 WHERE ID = 1")
         assert (
             conn.execute("SELECT V FROM SRC WHERE ID = 1").scalar() == 0.0
-        )
-
-
-class TestTimeoutDuringParallelScan:
-    def _prepare(self, db):
-        db.accelerator.parallel_min_rows = 256
-        conn = db.connect()
-        conn.execute("CREATE TABLE BIG (ID INTEGER, V DOUBLE) IN ACCELERATOR")
-        for base in range(0, 4000, 500):
-            rows = ", ".join(
-                f"({i}, {float(i)})" for i in range(base, base + 500)
-            )
-            conn.execute(f"INSERT INTO BIG VALUES {rows}")
-        return conn
-
-    def test_workers_observe_the_shared_budget(self, db, monkeypatch):
-        conn = self._prepare(db)
-        # Sanity: this query takes the chunk-parallel path.
-        conn.execute("SELECT COUNT(*) FROM BIG WHERE V >= 0")
-        assert db.accelerator.parallel_scans >= 1
-
-        outcomes = {"completed": 0, "aborted": 0}
-        original_run = ScanWorkerPool.run
-
-        def counting_run(workers, fn, items):
-            def counted(item):
-                try:
-                    result = fn(item)
-                except StatementTimeoutError:
-                    outcomes["aborted"] += 1
-                    raise
-                outcomes["completed"] += 1
-                return result
-
-            return original_run(workers, counted, items)
-
-        monkeypatch.setattr(ScanWorkerPool, "run", staticmethod(counting_run))
-        db.wlm.clock = SteppingClock()
-        with pytest.raises(StatementTimeoutError):
-            # Two checkpoints run before the fan-out; 4.5 simulated
-            # seconds pushes the expiry into the partition workers.
-            conn.execute(
-                "SELECT COUNT(*) FROM BIG WHERE V >= 0",
-                timeout_seconds=4.5,
-            )
-        db.wlm.clock = time.monotonic
-        # At least one pool worker hit the budget checkpoint and stopped
-        # instead of scanning its partition.
-        assert outcomes["aborted"] >= 1
-        for gate in db.wlm.gates.values():
-            assert gate.slots_in_use == 0
-        # The pool is undamaged: the same parallel scan runs afterwards.
-        monkeypatch.setattr(ScanWorkerPool, "run", staticmethod(original_run))
-        assert (
-            conn.execute("SELECT COUNT(*) FROM BIG WHERE V >= 0").scalar()
-            == 4000
         )
 
 
