@@ -782,8 +782,7 @@ class VectorQueryEngine:
     ) -> VColumn:
         name = call.name
         if name == "COUNT" and call.args and isinstance(call.args[0], ast.Star):
-            counts = np.bincount(inverse, minlength=group_count)
-            return VColumn(values=counts.astype(np.int64))
+            return VColumn(values=_group_counts(inverse, group_count))
         if not call.args:
             raise ParseError(f"aggregate {name} requires an argument")
         arg = compile_vector(
@@ -793,30 +792,16 @@ class VectorQueryEngine:
         if name == "COUNT":
             if call.distinct:
                 return _count_distinct(arg, inverse, group_count, live)
-            counts = np.bincount(
-                inverse[live], minlength=group_count
-            )
-            return VColumn(values=counts.astype(np.int64))
+            return VColumn(values=_group_counts(inverse[live], group_count))
         if arg.values.dtype.kind not in "ifb":
             return _object_aggregate(name, arg, inverse, group_count, live)
         integral = arg.values.dtype.kind in "ib"
+        if name in ("MIN", "MAX"):
+            return _min_max(name, arg, inverse, group_count, live, integral)
         groups = inverse[live]
-        counts = np.bincount(groups, minlength=group_count)
+        counts = _group_counts(groups, group_count)
         empty = counts == 0
         mask = empty if empty.any() else None
-        if name in ("MIN", "MAX"):
-            # Integers stay int64: float64 cannot tell 2**53 from 2**53 + 1.
-            dtype = np.int64 if integral else np.float64
-            low, high = (
-                (np.iinfo(dtype).min, np.iinfo(dtype).max)
-                if integral
-                else (-math.inf, math.inf)
-            )
-            ufunc, fill = (np.minimum, high) if name == "MIN" else (np.maximum, low)
-            out = np.full(group_count, fill, dtype=dtype)
-            ufunc.at(out, groups, arg.values[live].astype(dtype, copy=False))
-            out[empty] = 0 if integral else np.nan
-            return VColumn(values=out, mask=mask)
         if name == "SUM" and integral:
             sums = _integer_sums(arg.values[live].astype(np.int64), groups, group_count)
             return VColumn(values=sums, mask=mask)
@@ -1209,6 +1194,50 @@ def _count_distinct(
     return VColumn(values=counts)
 
 
+def _group_counts(groups: np.ndarray, group_count: int) -> np.ndarray:
+    """Rows per group code; one group needs no ``bincount`` pass (about
+    1 ms per 240k rows)."""
+    if group_count == 1:
+        return np.array([len(groups)], dtype=np.int64)
+    return np.bincount(groups, minlength=group_count).astype(np.int64)
+
+
+def _min_max(
+    name: str,
+    arg: VColumn,
+    inverse: np.ndarray,
+    group_count: int,
+    live: np.ndarray,
+    integral: bool,
+) -> VColumn:
+    """MIN/MAX of a packed numeric column; a NaN makes its group's NaN."""
+    # Integers stay int64: float64 cannot tell 2**53 from 2**53 + 1.
+    dtype = np.int64 if integral else np.float64
+    ufunc = np.minimum if name == "MIN" else np.maximum
+    values = (arg.values if arg.mask is None else arg.values[live]).astype(
+        dtype, copy=False
+    )
+    if group_count == 1:
+        # One group: a plain reduction, several times ufunc.at's speed.
+        if not len(values):
+            return VColumn(
+                values=np.array([0 if integral else np.nan], dtype=dtype),
+                mask=np.ones(1, dtype=bool),
+            )
+        return VColumn(values=np.array([ufunc.reduce(values)], dtype=dtype))
+    groups = inverse[live]
+    low, high = (
+        (np.iinfo(dtype).min, np.iinfo(dtype).max)
+        if integral
+        else (-math.inf, math.inf)
+    )
+    out = np.full(group_count, high if name == "MIN" else low, dtype=dtype)
+    ufunc.at(out, groups, values)
+    empty = np.bincount(groups, minlength=group_count) == 0
+    out[empty] = 0 if integral else np.nan
+    return VColumn(values=out, mask=empty if empty.any() else None)
+
+
 def _object_aggregate(
     name: str,
     arg: VColumn,
@@ -1221,6 +1250,23 @@ def _object_aggregate(
     MIN/MAX/SUM operate in the value domain; AVG/STDDEV/VARIANCE convert
     to float (matching the DB2 engine's accumulator semantics).
     """
+    if name in ("MIN", "MAX"):
+        # Builtin min/max over each group's live values in row order: the
+        # first of equal extremes wins, as in a row-at-a-time fold.
+        pick = min if name == "MIN" else max
+        rows = np.flatnonzero(live)
+        order = rows[np.argsort(inverse[rows], kind="stable")]
+        ordered = arg.values[order].tolist()
+        ends = np.cumsum(np.bincount(inverse[rows], minlength=group_count))
+        state: list[object] = [None] * group_count
+        start = 0
+        for group, end in enumerate(ends.tolist()):
+            if end - start == 1:
+                state[group] = ordered[start]
+            elif end > start:
+                state[group] = pick(ordered[start:end])
+            start = end
+        return VColumn.from_objects(state)
     values = arg.to_objects()
     if name in ("AVG", "STDDEV", "VARIANCE"):
         counts = [0] * group_count
@@ -1244,20 +1290,14 @@ def _object_aggregate(
             variance = max(0.0, squares[group] / counts[group] - mean * mean)
             out.append(math.sqrt(variance) if name == "STDDEV" else variance)
         return VColumn.from_objects(out)
-    state: list[object] = [None] * group_count
+    if name != "SUM":
+        raise ParseError(f"aggregate {name} not supported for this type")
+    sums: list[object] = [None] * group_count
     for i in np.where(live)[0]:
         group = int(inverse[i])
-        value = values[i]
-        current = state[group]
-        if name == "MIN":
-            state[group] = value if current is None or value < current else current
-        elif name == "MAX":
-            state[group] = value if current is None or value > current else current
-        elif name == "SUM":
-            state[group] = value if current is None else current + value
-        else:
-            raise ParseError(f"aggregate {name} not supported for this type")
-    return VColumn.from_objects(state)
+        current = sums[group]
+        sums[group] = values[i] if current is None else current + values[i]
+    return VColumn.from_objects(sums)
 
 
 def _cross_product(

@@ -130,14 +130,6 @@ class ShardedTable:
             schema.position_of(c) for c in shard_map.spec.columns
         ]
 
-    def set_spec(self, spec: PartitionSpec) -> None:
-        """Adopt a new placement spec (validates the key columns)."""
-        self._key_positions = [
-            self.schema.position_of(c) for c in spec.columns
-        ]
-        self.map.spec = spec
-        self.map.generation += 1
-
     # -- bookkeeping surface -------------------------------------------------
 
     @property
@@ -601,13 +593,26 @@ class AcceleratorPool(AcceleratorEngine):
 
     # -- groom / recovery ----------------------------------------------------
 
-    def _empty_successor(self, key: str, table: ShardedTable) -> ShardedTable:
+    def _empty_successor(
+        self,
+        key: str,
+        table: ShardedTable,
+        spec: Optional[PartitionSpec] = None,
+    ) -> ShardedTable:
+        """Empty facade that continues ``table``'s row ids; a new ``spec``
+        places its rows anew under the next shard-map generation, and
+        ``table`` keeps its own placement until the successor replaces it."""
+        generation = table.map.generation
+        if spec is None:
+            spec = table.map.spec
+        else:
+            generation += 1
         fresh = self._build_facade(
             key,
             table.schema,
             table.distribute_on,
-            table.map.spec,
-            generation=table.map.generation,
+            spec,
+            generation=generation,
         )
         fresh.layout._next_row_id = table.layout._next_row_id
         return fresh
@@ -699,6 +704,9 @@ class AcceleratorPool(AcceleratorEngine):
         snapshot can still see is rewritten with its row id and its own
         insert/delete epochs and routed by the new spec, so open
         transactions read the same rows after the move as before it.
+        Only the successor takes the new spec: readers of the old facade,
+        and the table itself if the move fails, keep pruning by the
+        placement its rows have.
         """
         key = name.upper()
         table = self.storage_for(key)
@@ -706,8 +714,7 @@ class AcceleratorPool(AcceleratorEngine):
             raise ReproError(f"{key} is not a sharded table")
         with self._write_lock:
             self.require_write(table)
-            table.set_spec(spec)
-            self._groom_locked(key, table)
+            self._groom_locked(key, table, spec=spec)
             return self._tables[key].row_count
 
     def range_key_values(self, name: str, column: str) -> list:

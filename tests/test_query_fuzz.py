@@ -171,6 +171,8 @@ _AGGREGATES = st.sampled_from(
         "AVG(V)",
         "MIN(V)",
         "MAX(ID)",
+        "MIN(S)",
+        "MAX(S)",
         "STDDEV(V)",
         "SUM(V * 2 + 1)",
     ]

@@ -20,6 +20,7 @@ import pytest
 
 from repro import AcceleratedDatabase
 from repro.catalog.schema import Column, TableSchema, columns_from_rows
+from repro.errors import ReproError
 from repro.shard.pool import ShardedTable
 from repro.sql.types import BIGINT, DOUBLE, INTEGER, VarcharType
 from repro.storage.column_store import NEVER_DELETED, ColumnStoreTable
@@ -433,6 +434,58 @@ def test_redistribution_keeps_an_open_transactions_snapshot(shards, move):
     assert a.execute("SELECT COUNT(*) FROM a").scalar() == 5
     assert db.accelerator.groom("A").rows_reclaimed == 5
     assert db.accelerator.storage_for("A").stored_rows == 5
+
+
+def _counts_by_v(conn) -> list[int]:
+    """Per-value counts over a point predicate on V: a HASH (V) spec
+    prunes these scans to one shard."""
+    return [
+        _accel_rows(conn, f"SELECT COUNT(*) FROM a WHERE v = {v}")[0][0]
+        for v in range(3)
+    ]
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_a_failed_redistribution_keeps_the_old_placement(shards):
+    db = _system(shards)
+    conn = db.connect()
+    conn.execute("CREATE TABLE A (ID INTEGER, V INTEGER) IN ACCELERATOR")
+    conn.execute(
+        "INSERT INTO A VALUES " + ", ".join(f"({i}, {i % 3})" for i in range(30))
+    )
+    before = db.accelerator.storage_for("A")
+    spec, generation = before.map.spec, before.map.generation
+    # Shard 1's admission passes for the write, then fails while the move
+    # reads the rows it is about to re-place.
+    site = db.accelerator_pool.shard(1).fault_site
+    db.faults.add(site, schedule=[db.faults.calls.get(site, 0) + 2])
+    with pytest.raises(ReproError):
+        conn.execute("ALTER TABLE A ACCELERATE DISTRIBUTE BY HASH (V)")
+    assert db.accelerator.storage_for("A") is before
+    assert (before.map.spec, before.map.generation) == (spec, generation)
+    assert _counts_by_v(conn) == [10, 10, 10]
+
+    conn.execute("ALTER TABLE A ACCELERATE DISTRIBUTE BY HASH (V)")
+    after = db.accelerator.storage_for("A")
+    assert after.map.spec.columns == ("V",)
+    assert after.map.generation == generation + 1
+    assert _counts_by_v(conn) == [10, 10, 10]
+
+
+def test_redistribution_after_a_shard_loss_reads_every_row():
+    db = _system(2)
+    conn = db.connect()
+    conn.execute("CREATE TABLE A (ID INTEGER NOT NULL PRIMARY KEY, V INTEGER)")
+    conn.execute(
+        "INSERT INTO A VALUES " + ", ".join(f"({i}, {i % 3})" for i in range(30))
+    )
+    db.add_table_to_accelerator("A")
+    db.replication.drain()
+    db.accelerator.kill_shard(1)
+    with pytest.raises(ReproError):
+        conn.execute("ALTER TABLE A ACCELERATE DISTRIBUTE BY HASH (V)")
+    db.rebuild_shard(1)
+    assert _counts_by_v(conn) == [10, 10, 10]
 
 
 def test_only_open_transactions_pin_a_snapshot():
