@@ -9,10 +9,10 @@ experiment checks the two claims that make sharding worth having:
   single-instance row order through per-shard gathers);
 * **scan scaling** — the modeled critical path of the workload shrinks
   with the shard count. Wall clock on a single-core host cannot show
-  this (the fan-out is simulated in-process), so — like E19 —
-  the gated observable is the modeled scan time: the single instance
-  accrues ``rows / scan_rate`` per scan while the pool accrues the
-  *slowest shard's* share per fan-out. The acceptance gate is ≥2× at
+  this (the fan-out is simulated in-process), so the gated observable
+  is the modeled scan time: the single instance accrues
+  ``rows / scan_rate`` per scan while the pool accrues the *slowest
+  shard's* share per fan-out. The acceptance gate is ≥2× at
   4 shards vs 1 on a ≥100k-row table.
 
 Two supporting measurements ride along: placement pruning (after

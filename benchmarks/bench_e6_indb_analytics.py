@@ -3,7 +3,8 @@
 Paper claim (Sec. 1/3): running analytics algorithms *on* the
 accelerator avoids shipping the base data out of the database. The
 client-side emulation extracts the feature table over the interconnect
-(as any off-platform tool would), fits the same k-means locally, and
+(as any off-platform tool would), fits the same k-means locally — the
+product's ``KMeansAggregate`` folded over one in-memory chunk — and
 writes assignments back row by row. Expected shape: identical clusters,
 but the in-database path moves statement-sized messages while the
 client path moves the whole table out and the whole result back.
@@ -12,13 +13,25 @@ client path moves the whole table out and the whole result back.
 import numpy as np
 import pytest
 
-from repro.analytics.kmeans import kmeans_fit
+from repro.analytics import uda
+from repro.analytics.kmeans import KMeansAggregate
 from repro.metrics.counters import estimate_rows_bytes
 
 from bench_util import make_churn_system
 
 FEATURES = "TENURE_MONTHS;MONTHLY_CHARGES;SUPPORT_CALLS;CONTRACT_MONTHS"
 _BYTES: dict[tuple[int, str], int] = {}
+
+
+def client_kmeans(matrix: np.ndarray, k: int, seed: int):
+    """k-means on the client: the aggregate's epochs over one chunk."""
+    chunk = uda.TrainingChunk(matrix=matrix, labels=None, rows=len(matrix))
+    aggregate = KMeansAggregate(k, seed=seed)
+    while not aggregate.finalize(
+        aggregate.transition(aggregate.init(), chunk)
+    ):
+        pass
+    return aggregate.result()
 
 
 @pytest.mark.parametrize("approach", ["in_database", "client_side"])
@@ -50,7 +63,7 @@ def test_e6_kmeans(benchmark, record, rows, approach):
                 [row[1:] for row in extract.rows], dtype=np.float64
             )
             ids = [row[0] for row in extract.rows]
-            fit = kmeans_fit(matrix, k=4, seed=1)
+            fit = client_kmeans(matrix, k=4, seed=1)
             # 2. Ship the assignments back as plain inserts.
             conn.execute(
                 "CREATE TABLE SEGMENTS (CUST_ID INTEGER, "

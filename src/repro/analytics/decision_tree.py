@@ -17,7 +17,6 @@ from repro.sql.types import DOUBLE, VarcharType
 __all__ = [
     "DecisionTreeAggregate",
     "TreeNode",
-    "decision_tree_fit",
     "decision_tree_procedure",
     "predict_decision_tree",
 ]
@@ -50,107 +49,6 @@ class TreeNode:
         return self.left.leaf_count() + self.right.leaf_count()
 
 
-def _gini(labels: np.ndarray) -> float:
-    if len(labels) == 0:
-        return 0.0
-    __, counts = np.unique(labels, return_counts=True)
-    proportions = counts / len(labels)
-    return float(1.0 - (proportions**2).sum())
-
-
-def _majority(labels: np.ndarray) -> tuple[object, float]:
-    values, counts = np.unique(labels, return_counts=True)
-    best = counts.argmax()
-    return values[best], float(counts[best] / counts.sum())
-
-
-def _best_split(
-    matrix: np.ndarray, labels: np.ndarray, min_rows: int
-) -> Optional[tuple[int, float, float]]:
-    """(feature, threshold, gain) of the best Gini split, or None.
-
-    All candidate cuts of one feature are evaluated in one vectorised
-    pass using cumulative per-class counts (O(n·classes) per feature).
-    """
-    total = len(labels)
-    classes, encoded = np.unique(labels, return_inverse=True)
-    class_totals = np.bincount(encoded, minlength=len(classes)).astype(
-        np.float64
-    )
-    parent_impurity = 1.0 - ((class_totals / total) ** 2).sum()
-    best: Optional[tuple[int, float, float]] = None
-    for feature in range(matrix.shape[1]):
-        values = matrix[:, feature]
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        one_hot = np.zeros((total, len(classes)))
-        one_hot[np.arange(total), encoded[order]] = 1.0
-        prefix = one_hot.cumsum(axis=0)  # prefix[i] = counts of rows 0..i
-        cuts = np.nonzero(np.diff(sorted_values))[0]
-        if not len(cuts):
-            continue
-        left_n = (cuts + 1).astype(np.float64)
-        right_n = total - left_n
-        valid = (left_n >= min_rows) & (right_n >= min_rows)
-        if not valid.any():
-            continue
-        cuts = cuts[valid]
-        left_n = left_n[valid]
-        right_n = right_n[valid]
-        left_counts = prefix[cuts]
-        right_counts = class_totals - left_counts
-        left_impurity = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=1)
-        right_impurity = 1.0 - ((right_counts / right_n[:, None]) ** 2).sum(
-            axis=1
-        )
-        weighted = (left_n * left_impurity + right_n * right_impurity) / total
-        gains = parent_impurity - weighted
-        winner = int(gains.argmax())
-        gain = float(gains[winner])
-        if gain > 1e-12 and (best is None or gain > best[2]):
-            cut = int(cuts[winner])
-            threshold = float(
-                (sorted_values[cut] + sorted_values[cut + 1]) / 2.0
-            )
-            best = (feature, threshold, gain)
-    return best
-
-
-def decision_tree_fit(
-    matrix: np.ndarray,
-    labels: list[object],
-    max_depth: int = 6,
-    min_rows: int = 2,
-) -> TreeNode:
-    """Grow a binary classification tree."""
-    if matrix.shape[0] != len(labels):
-        raise AnalyticsError("feature matrix and label length differ")
-    if matrix.shape[0] == 0:
-        raise AnalyticsError("cannot fit a tree on zero rows")
-    label_array = np.array(labels, dtype=object)
-
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        node_labels = label_array[rows]
-        prediction, confidence = _majority(node_labels)
-        if depth >= max_depth or len(rows) < 2 * min_rows or confidence == 1.0:
-            return TreeNode(prediction=prediction, confidence=confidence)
-        split = _best_split(matrix[rows], node_labels, min_rows)
-        if split is None:
-            return TreeNode(prediction=prediction, confidence=confidence)
-        feature, threshold, __ = split
-        goes_left = matrix[rows, feature] <= threshold
-        return TreeNode(
-            prediction=prediction,
-            confidence=confidence,
-            feature=feature,
-            threshold=threshold,
-            left=grow(rows[goes_left], depth + 1),
-            right=grow(rows[~goes_left], depth + 1),
-        )
-
-    return grow(np.arange(matrix.shape[0]), depth=1)
-
-
 class DecisionTreeAggregate(uda.ModelAggregate):
     """Level-wise (PLANET-style) CART as a mergeable aggregate.
 
@@ -160,11 +58,12 @@ class DecisionTreeAggregate(uda.ModelAggregate):
     distinct feature values × class counts.  Histograms merge by value
     union and integer addition, so the merged statistics are identical
     to what a single pass over the node's full row set would collect.
-    ``finalize`` then replays :func:`_best_split` arithmetic over the
-    histograms — cumulative per-class counts at every distinct-value
-    boundary, in the same shapes, class order, and operation order as
-    the reference, so thresholds and gains match bitwise and the grown
-    tree is *structurally identical* to :func:`decision_tree_fit`.
+    ``finalize`` then replays the reference's ``_best_split`` arithmetic
+    over the histograms — cumulative per-class counts at every
+    distinct-value boundary, in the same shapes, class order, and
+    operation order, so thresholds and gains match bitwise and the grown
+    tree is *structurally identical* to the recursive reference fit in
+    ``tests/oracles/analytics.py``.
     A final epoch scores the training accuracy through the finished
     tree.
     """
@@ -296,7 +195,8 @@ class DecisionTreeAggregate(uda.ModelAggregate):
     # -- internals ----------------------------------------------------------
 
     def _best_split_from_stats(self, node_state, total):
-        """(feature, threshold) replaying :func:`_best_split` exactly.
+        """(feature, threshold) replaying the reference's ``_best_split``
+        (``tests/oracles/analytics.py``) exactly.
 
         ``cum_counts`` at distinct-value boundaries equals the
         reference's sorted-row one-hot prefix sums at its cut indexes

@@ -36,6 +36,7 @@ __all__ = [
     "Procedure",
     "ProcedureContext",
     "ProcedureRegistry",
+    "numeric_matrix",
     "parse_parameter_string",
 ]
 
@@ -99,6 +100,34 @@ def _split_parameter_segments(text: str) -> list[str]:
         )
     segments.append("".join(current))
     return segments
+
+
+def numeric_matrix(
+    table: str, columns: dict[str, VColumn], names: Sequence[str]
+) -> np.ndarray:
+    """The float64 matrix (rows × ``names``) of a table's scanned columns.
+
+    The one matrix reader of the analytics procedures and the training
+    driver. NULLs are rejected — transformation procedures (IMPUTE)
+    exist to clean them first, which mirrors the INZA workflow — and so
+    are non-numeric columns.
+    """
+    arrays = []
+    for name in names:
+        column = columns[name]
+        if column.mask is not None and column.mask.any():
+            raise AnalyticsError(
+                f"column {name} of {table} contains NULLs; "
+                "run INZA.IMPUTE first"
+            )
+        if column.values.dtype.kind not in "ifb":
+            raise AnalyticsError(
+                f"column {name} of {table} is not numeric"
+            )
+        arrays.append(column.values.astype(np.float64))
+    if not arrays:
+        return np.empty((0, 0))
+    return np.column_stack(arrays)
 
 
 def _unquote(value: str) -> str:
@@ -190,37 +219,19 @@ class ProcedureContext:
     def read_matrix(
         self, table: str, columns: Sequence[str]
     ) -> np.ndarray:
-        """Numeric matrix (rows × columns) of a table's current data.
-
-        NULLs are rejected — transformation procedures (IMPUTE) exist to
-        clean them first, which mirrors the INZA workflow.
-        """
-        frame = self.read_columns(table, columns)
-        arrays = []
-        for name in columns:
-            column = frame[name]
-            if column.mask is not None and column.mask.any():
-                raise AnalyticsError(
-                    f"column {name} of {table} contains NULLs; "
-                    "run INZA.IMPUTE first"
-                )
-            if column.values.dtype.kind not in "ifb":
-                raise AnalyticsError(
-                    f"column {name} of {table} is not numeric"
-                )
-            arrays.append(column.values.astype(np.float64))
-        if not arrays:
-            return np.empty((0, 0))
-        return np.column_stack(arrays)
+        """Numeric matrix (rows × columns) of a table's current data
+        (:func:`numeric_matrix`)."""
+        return numeric_matrix(table, self.read_columns(table, columns), columns)
 
     def read_columns(self, table: str, columns: Sequence[str]):
-        """Raw VColumns of the named columns at the current snapshot."""
+        """Raw VColumns of the named columns at the current snapshot;
+        only those columns are materialised."""
         key = table.upper()
         engine = self.system.accelerator
         deltas = self.connection.active_deltas()
         epoch = self.connection.snapshot_epoch_for_statement()
         __, cols, __len = engine.scan_snapshot(
-            key, epoch, delta=deltas.get(key)
+            key, epoch, delta=deltas.get(key), columns=columns
         )
         missing = [c for c in columns if c not in cols]
         if missing:

@@ -1,9 +1,11 @@
 """K-means clustering (k-means++ initialisation, Lloyd iterations).
 
-Pure-algorithm entry point :func:`kmeans_fit` plus the INZA-style
-procedure handler. The algorithm runs directly over the accelerator's
-columnar data; the output table (row id → cluster id → distance) is
-materialised as an accelerator-only table.
+The :class:`KMeansAggregate` trainer plus the INZA-style procedure
+handlers. The algorithm runs directly over the accelerator's columnar
+data; the output table (row id → cluster id → distance) is materialised
+as an accelerator-only table. Every distance — Lloyd assignment, the
+training out-table, ``PREDICT_KMEANS`` and ``PREDICT(...)`` — comes from
+the one kernel, :func:`repro.analytics.scoring.kmeans_sq_distances`.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ import numpy as np
 from repro.analytics import uda
 from repro.analytics.framework import ProcedureContext
 from repro.analytics.model_store import Model
+from repro.analytics.scoring import kmeans_sq_distances
 from repro.errors import AnalyticsError
 from repro.sql.types import DOUBLE, INTEGER
 
 __all__ = [
     "KMeansAggregate",
     "KMeansResult",
-    "kmeans_fit",
     "kmeans_procedure",
     "predict_kmeans",
 ]
@@ -34,51 +36,6 @@ class KMeansResult:
     distances: np.ndarray  # (n_rows,)
     inertia: float
     iterations: int
-
-
-def kmeans_fit(
-    matrix: np.ndarray,
-    k: int,
-    max_iterations: int = 50,
-    seed: int = 1,
-    tolerance: float = 1e-6,
-) -> KMeansResult:
-    """Cluster ``matrix`` rows into ``k`` groups.
-
-    Deterministic for a given seed. Raises if there are fewer rows than
-    clusters.
-    """
-    rows = matrix.shape[0]
-    if rows < k:
-        raise AnalyticsError(f"cannot form {k} clusters from {rows} rows")
-    if k < 1:
-        raise AnalyticsError("k must be >= 1")
-    rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(matrix, k, rng)
-    assignments = np.zeros(rows, dtype=np.int64)
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        distances = _pairwise_sq_distances(matrix, centroids)
-        new_assignments = distances.argmin(axis=1)
-        updated = centroids.copy()
-        for cluster in range(k):
-            members = matrix[new_assignments == cluster]
-            if len(members):
-                updated[cluster] = members.mean(axis=0)
-        shift = float(np.abs(updated - centroids).max())
-        centroids = updated
-        assignments = new_assignments
-        if shift <= tolerance:
-            break
-    distances = _pairwise_sq_distances(matrix, centroids)
-    best = distances[np.arange(rows), assignments]
-    return KMeansResult(
-        centroids=centroids,
-        assignments=assignments,
-        distances=np.sqrt(best),
-        inertia=float(best.sum()),
-        iterations=iterations,
-    )
 
 
 def _kmeanspp_init(matrix: np.ndarray, k: int, rng) -> np.ndarray:
@@ -102,15 +59,11 @@ def _kmeanspp_init(matrix: np.ndarray, k: int, rng) -> np.ndarray:
     return centroids
 
 
-def _pairwise_sq_distances(matrix: np.ndarray, centroids: np.ndarray):
-    # (n, 1, d) - (1, k, d) without materialising when small enough.
-    diffs = matrix[:, None, :] - centroids[None, :, :]
-    return (diffs * diffs).sum(axis=2)
-
-
 class KMeansAggregate(uda.ModelAggregate):
-    """K-means as a mergeable aggregate, numerically identical to
-    :func:`kmeans_fit`.
+    """K-means as a mergeable aggregate, numerically identical to the
+    single-pass reference loop in ``tests/oracles/analytics.py`` (bitwise
+    on a sequential pass below eight features, where the per-feature
+    distance kernel equals the reference's broadcast sum).
 
     Three phases, each one or more epochs:
 
@@ -163,7 +116,7 @@ class KMeansAggregate(uda.ModelAggregate):
             state["parts"].append(chunk.matrix)
             return state
         if self.phase == "lloyd":
-            distances = _pairwise_sq_distances(chunk.matrix, self.centroids)
+            distances = kmeans_sq_distances(chunk.matrix, self.centroids)
             assignments = distances.argmin(axis=1)
             for cluster in range(self.k):
                 members = chunk.matrix[assignments == cluster]
@@ -172,7 +125,7 @@ class KMeansAggregate(uda.ModelAggregate):
                     state["counts"][cluster] += len(members)
             state["assignment_parts"].append(assignments)
             return state
-        distances = _pairwise_sq_distances(chunk.matrix, self.centroids)
+        distances = kmeans_sq_distances(chunk.matrix, self.centroids)
         state["parts"].append(distances)
         return state
 
@@ -316,7 +269,7 @@ def predict_kmeans(ctx: ProcedureContext) -> str:
     outtable = ctx.require("outtable").upper()
     id_column = ctx.require("id").upper()
     matrix = ctx.read_matrix(intable, model.features)
-    distances = _pairwise_sq_distances(matrix, model.payload["centroids"])
+    distances = kmeans_sq_distances(matrix, model.payload["centroids"])
     assignments = distances.argmin(axis=1)
     best = np.sqrt(distances[np.arange(len(matrix)), assignments])
     rows = ctx.write_row_scores(

@@ -9,14 +9,13 @@ import numpy as np
 from repro.analytics import uda
 from repro.analytics.framework import ProcedureContext
 from repro.analytics.model_store import Model
+from repro.analytics.scoring import naive_bayes_kernel
 from repro.errors import AnalyticsError
 from repro.sql.types import DOUBLE, VarcharType
 
 __all__ = [
     "NaiveBayesAggregate",
     "NaiveBayesResult",
-    "naive_bayes_fit",
-    "naive_bayes_predict",
     "naive_bayes_procedure",
     "predict_naive_bayes",
 ]
@@ -34,56 +33,6 @@ class NaiveBayesResult:
     training_accuracy: float
 
 
-def naive_bayes_fit(matrix: np.ndarray, labels: list[object]) -> NaiveBayesResult:
-    """Fit per-class Gaussian feature distributions."""
-    if matrix.shape[0] != len(labels):
-        raise AnalyticsError("feature matrix and label length differ")
-    if matrix.shape[0] == 0:
-        raise AnalyticsError("cannot fit a classifier on zero rows")
-    label_array = np.array(labels, dtype=object)
-    classes = sorted(set(labels), key=repr)
-    priors = np.empty(len(classes))
-    means = np.empty((len(classes), matrix.shape[1]))
-    variances = np.empty((len(classes), matrix.shape[1]))
-    for index, cls in enumerate(classes):
-        members = matrix[label_array == cls]
-        priors[index] = len(members) / len(labels)
-        means[index] = members.mean(axis=0)
-        variances[index] = members.var(axis=0) + _VARIANCE_EPSILON
-    result = NaiveBayesResult(
-        classes=classes,
-        priors=priors,
-        means=means,
-        variances=variances,
-        training_accuracy=0.0,
-    )
-    predictions, __ = naive_bayes_predict(matrix, result)
-    correct = sum(p == t for p, t in zip(predictions, labels))
-    result.training_accuracy = correct / len(labels)
-    return result
-
-
-def naive_bayes_predict(
-    matrix: np.ndarray, model: NaiveBayesResult
-) -> tuple[list[object], np.ndarray]:
-    """Predicted class + log-probability margin per row."""
-    # log P(c | x) ∝ log prior + Σ log N(x | mean, var)
-    log_likelihood = np.empty((matrix.shape[0], len(model.classes)))
-    for index in range(len(model.classes)):
-        mean = model.means[index]
-        variance = model.variances[index]
-        log_prob = -0.5 * (
-            np.log(2 * np.pi * variance) + (matrix - mean) ** 2 / variance
-        )
-        log_likelihood[:, index] = log_prob.sum(axis=1) + np.log(
-            model.priors[index]
-        )
-    best = log_likelihood.argmax(axis=1)
-    predictions = [model.classes[i] for i in best]
-    scores = log_likelihood.max(axis=1)
-    return predictions, scores
-
-
 class NaiveBayesAggregate(uda.ModelAggregate):
     """Gaussian naive Bayes as a mergeable aggregate.
 
@@ -92,7 +41,9 @@ class NaiveBayesAggregate(uda.ModelAggregate):
     the *final* means (→ variances; the two-pass form sidesteps the
     catastrophic cancellation a merged one-pass variance would risk,
     and reproduces ``numpy.var`` bitwise on a single chunk), then a
-    scoring pass for the training accuracy.
+    scoring pass for the training accuracy through the same kernel as
+    ``PREDICT`` (:func:`repro.analytics.scoring.naive_bayes_kernel`).
+    The single-pass reference fit is in ``tests/oracles/analytics.py``.
     """
 
     kind = "NAIVEBAYES"
@@ -103,6 +54,7 @@ class NaiveBayesAggregate(uda.ModelAggregate):
         self._counts: dict[object, int] = {}
         self.means: np.ndarray = np.empty((0, 0))
         self._fit: NaiveBayesResult = None
+        self._kernel = None
 
     def init(self):
         if self.phase == "counts":
@@ -132,10 +84,9 @@ class NaiveBayesAggregate(uda.ModelAggregate):
                         (members - self.means[index]) ** 2
                     ).sum(axis=0)
             return state
-        predictions, __ = naive_bayes_predict(chunk.matrix, self._fit)
-        state["correct"] += sum(
-            p == t for p, t in zip(predictions, chunk.labels)
-        )
+        classes, log_likelihoods = self._kernel
+        predictions = classes[log_likelihoods(chunk.matrix).argmax(axis=1)]
+        state["correct"] += int((predictions == chunk.labels).sum())
         state["total"] += chunk.rows
         return state
 
@@ -188,6 +139,7 @@ class NaiveBayesAggregate(uda.ModelAggregate):
                 variances=variances,
                 training_accuracy=0.0,
             )
+            self._kernel = naive_bayes_kernel(self._fit)
             self.phase = "accuracy"
             return False
         self._fit.training_accuracy = state["correct"] / state["total"]
@@ -250,15 +202,16 @@ def predict_naive_bayes(ctx: ProcedureContext) -> str:
     intable = ctx.require("intable").upper()
     outtable = ctx.require("outtable").upper()
     id_column = ctx.require("id").upper()
-    matrix = ctx.read_matrix(intable, model.features)
-    predictions, scores = naive_bayes_predict(matrix, model.payload["fit"])
+    classes, log_likelihoods = naive_bayes_kernel(model.payload["fit"])
+    scores = log_likelihoods(ctx.read_matrix(intable, model.features))
+    labels = np.array([str(cls) for cls in classes])
     rows = ctx.write_row_scores(
         intable,
         id_column,
         outtable,
         [
-            ("PREDICTION", VarcharType(64), list(map(str, predictions))),
-            ("LOG_SCORE", DOUBLE, scores),
+            ("PREDICTION", VarcharType(64), labels[scores.argmax(axis=1)]),
+            ("LOG_SCORE", DOUBLE, scores.max(axis=1)),
         ],
     )
     return f"PREDICT_NAIVEBAYES ok: scored {rows} rows"

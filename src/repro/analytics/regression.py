@@ -9,13 +9,13 @@ import numpy as np
 from repro.analytics import uda
 from repro.analytics.framework import ProcedureContext
 from repro.analytics.model_store import Model
+from repro.analytics.scoring import linear_margins
 from repro.errors import AnalyticsError
 from repro.sql.types import DOUBLE
 
 __all__ = [
     "LinRegAggregate",
     "LinRegResult",
-    "linreg_fit",
     "linreg_procedure",
     "predict_linreg",
 ]
@@ -29,28 +29,6 @@ class LinRegResult:
     rmse: float
 
 
-def linreg_fit(matrix: np.ndarray, target: np.ndarray) -> LinRegResult:
-    """Ordinary least squares with intercept via ``numpy.linalg.lstsq``."""
-    if matrix.shape[0] != len(target):
-        raise AnalyticsError("feature matrix and target length differ")
-    if matrix.shape[0] == 0:
-        raise AnalyticsError("cannot fit a regression on zero rows")
-    design = np.column_stack([np.ones(matrix.shape[0]), matrix])
-    solution, *_ = np.linalg.lstsq(design, target, rcond=None)
-    predictions = design @ solution
-    residuals = target - predictions
-    ss_res = float((residuals**2).sum())
-    ss_tot = float(((target - target.mean()) ** 2).sum())
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    rmse = float(np.sqrt(ss_res / len(target)))
-    return LinRegResult(
-        intercept=float(solution[0]),
-        coefficients=solution[1:],
-        r_squared=r_squared,
-        rmse=rmse,
-    )
-
-
 class LinRegAggregate(uda.ModelAggregate):
     """Least squares as a mergeable aggregate.
 
@@ -59,9 +37,11 @@ class LinRegAggregate(uda.ModelAggregate):
     (``designᵀ·design``) and ``designᵀ·y`` — the sufficient statistics
     of OLS — then solves the normal equations (``lstsq`` fallback when
     singular).  Epoch two re-scans to accumulate the residual and total
-    sums of squares for R²/RMSE.  The normal-equations solution agrees
-    with :func:`linreg_fit`'s ``lstsq`` to roughly ``cond(X)²·ε``, which
-    is far inside 1e-9 for reasonably conditioned features.
+    sums of squares for R²/RMSE, scoring the rows with the same kernel as
+    ``PREDICT`` (:func:`repro.analytics.scoring.linear_margins`).  The
+    normal-equations solution agrees with the ``lstsq`` reference fit in
+    ``tests/oracles/analytics.py`` to roughly ``cond(X)²·ε``, which is
+    far inside 1e-9 for reasonably conditioned features.
     """
 
     kind = "LINREG"
@@ -88,14 +68,16 @@ class LinRegAggregate(uda.ModelAggregate):
     def transition(self, state, chunk):
         features = chunk.matrix[:, :-1]
         target = chunk.matrix[:, -1]
-        design = np.column_stack([np.ones(features.shape[0]), features])
         if self.phase == "gram":
+            design = np.column_stack([np.ones(features.shape[0]), features])
             state["xtx"] += design.T @ design
             state["xty"] += design.T @ target
             state["rows"] += features.shape[0]
             state["sum_y"] += float(target.sum())
             return state
-        residuals = target - design @ self._solution
+        residuals = target - linear_margins(
+            features, float(self._solution[0]), self._solution[1:]
+        )
         state["ss_res"] += float((residuals**2).sum())
         state["ss_tot"] += float(((target - self.mean_y) ** 2).sum())
         return state
@@ -130,12 +112,6 @@ class LinRegAggregate(uda.ModelAggregate):
 
     def result(self) -> LinRegResult:
         return self._result
-
-
-def linreg_predict(
-    matrix: np.ndarray, intercept: float, coefficients: np.ndarray
-) -> np.ndarray:
-    return intercept + matrix @ coefficients
 
 
 def linreg_procedure(ctx: ProcedureContext) -> str:
@@ -211,9 +187,10 @@ def predict_linreg(ctx: ProcedureContext) -> str:
     intable = ctx.require("intable").upper()
     outtable = ctx.require("outtable").upper()
     id_column = ctx.require("id").upper()
-    matrix = ctx.read_matrix(intable, model.features)
-    predictions = linreg_predict(
-        matrix, model.payload["intercept"], model.payload["coefficients"]
+    predictions = linear_margins(
+        ctx.read_matrix(intable, model.features),
+        float(model.payload["intercept"]),
+        np.asarray(model.payload["coefficients"], dtype=np.float64),
     )
     rows = ctx.write_row_scores(
         intable, id_column, outtable, [("PREDICTION", DOUBLE, predictions)]

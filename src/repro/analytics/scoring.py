@@ -1,20 +1,25 @@
-"""Vectorized model scorers for the in-kernel ``PREDICT`` expression.
+"""One scoring kernel per model kind, and the ``PREDICT`` scorers built on them.
 
 Both executors compile ``PREDICT(model, col, ...)`` down to a
-:class:`ModelScorer` built here. Every scorer is strictly row-independent
+:class:`ModelScorer` built here. Every kernel is strictly row-independent
 with a fixed per-feature accumulation order, so scoring one row at a time
 (the DB2 row engine) is bitwise identical to scoring a whole batch (the
 accelerator's vector engine) — the cross-engine byte-identity contract
 extends to PREDICT for free.
 
-This module deliberately imports only numpy and ``repro.errors``; the
-decision-tree walk duck-types ``TreeNode`` so no trainer module (and thus
-no SQL-layer module) is pulled into the expression-kernel import path.
-The trainers and the ``PREDICT_*`` procedures import *from* here: the
-logistic scorer (:func:`logistic_probabilities`) and the tree walk
-(:func:`tree_leaves`, :func:`tree_predictions`) exist once, so a
-training metric, a procedure's out-table and a ``PREDICT(...)`` column
-cannot disagree.
+Each kind has exactly one kernel, and the trainers and the ``PREDICT_*``
+procedures import it from here: :func:`kmeans_sq_distances` (k-means),
+:func:`linear_margins` (linear regression, and under the sigmoid
+:func:`logistic_probabilities`), :func:`naive_bayes_kernel` (naive
+Bayes) and :func:`tree_leaves` (decision trees). A model's training
+metric, its procedure's out-table and its ``PREDICT(...)`` column
+therefore cannot disagree.
+
+This module deliberately imports only numpy and ``repro.errors``; fitted
+models are duck-typed (a tree node has ``left``/``feature``/``threshold``,
+a naive-Bayes fit has ``classes``/``priors``/``means``/``variances``), so
+no trainer module (and thus no SQL-layer module) is pulled into the
+expression-kernel import path.
 """
 
 from __future__ import annotations
@@ -26,27 +31,95 @@ from repro.errors import AnalyticsError
 __all__ = [
     "ModelScorer",
     "build_scorer",
+    "kmeans_sq_distances",
+    "linear_margins",
     "logistic_probabilities",
+    "naive_bayes_kernel",
     "tree_leaves",
     "tree_predictions",
 ]
 
 
-def logistic_probabilities(
+def kmeans_sq_distances(
+    matrix: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """(rows, clusters) squared Euclidean distances.
+
+    Accumulated per cluster, one feature at a time: elementwise only, so
+    a 1-row call and an n-row call produce identical floats. Below eight
+    features this is also bitwise the ``(n, k, d)`` broadcast-and-sum
+    (numpy sums fewer than eight terms left to right).
+    """
+    rows = matrix.shape[0]
+    clusters, features = centroids.shape
+    distances = np.empty((rows, clusters))
+    for cluster in range(clusters):
+        acc = np.zeros(rows)
+        for j in range(features):
+            diff = matrix[:, j] - centroids[cluster, j]
+            acc += diff * diff
+        distances[:, cluster] = acc
+    return distances
+
+
+def linear_margins(
     matrix: np.ndarray, intercept: float, coefficients: np.ndarray
 ) -> np.ndarray:
-    """P(class = 1) per row: the margin accumulated one feature at a
-    time (elementwise only, so a 1-row call and an n-row call produce
-    identical floats), then the numerically stable sigmoid."""
+    """``intercept + matrix · coefficients`` per row, accumulated one
+    feature at a time (elementwise only, unlike BLAS ``@``, so a 1-row
+    call and an n-row call produce identical floats)."""
     margins = np.full(matrix.shape[0], intercept)
     for j in range(coefficients.shape[0]):
         margins += coefficients[j] * matrix[:, j]
+    return margins
+
+
+def logistic_probabilities(
+    matrix: np.ndarray, intercept: float, coefficients: np.ndarray
+) -> np.ndarray:
+    """P(class = 1) per row: the numerically stable sigmoid of
+    :func:`linear_margins`."""
+    margins = linear_margins(matrix, intercept, coefficients)
     out = np.empty_like(margins)
     positive = margins >= 0
     out[positive] = 1.0 / (1.0 + np.exp(-margins[positive]))
     exp_m = np.exp(margins[~positive])
     out[~positive] = exp_m / (1.0 + exp_m)
     return out
+
+
+def naive_bayes_kernel(fit):
+    """Compile a Gaussian naive-Bayes fit into its log-likelihood kernel.
+
+    Returns ``(classes, log_likelihoods)``: the class labels as an
+    object array, and a function from a feature matrix to its
+    (rows, classes) joint log-likelihoods ``log prior + Σ log N(x | mean,
+    var)``. The per-(class, feature) constants are computed once here,
+    so the per-row work is pure elementwise accumulation in feature
+    order; ``argmax`` over the columns is the prediction.
+    """
+    classes = np.empty(len(fit.classes), dtype=object)
+    classes[:] = list(fit.classes)
+    log_priors = np.log(np.asarray(fit.priors, dtype=np.float64))
+    means = np.asarray(fit.means, dtype=np.float64)
+    variances = np.asarray(fit.variances, dtype=np.float64)
+    log_norms = np.log(2 * np.pi * variances)
+    n_classes, features = means.shape
+
+    def log_likelihoods(matrix: np.ndarray) -> np.ndarray:
+        rows = matrix.shape[0]
+        out = np.empty((rows, n_classes))
+        for index in range(n_classes):
+            acc = np.full(rows, log_priors[index])
+            for j in range(features):
+                diff = matrix[:, j] - means[index, j]
+                acc += -0.5 * (
+                    log_norms[index, j] + diff * diff / variances[index, j]
+                )
+            out[:, index] = acc
+        return out
+
+    return classes, log_likelihoods
 
 
 def tree_leaves(root, matrix: np.ndarray) -> tuple[list, np.ndarray]:
@@ -127,22 +200,12 @@ def build_scorer(model) -> ModelScorer:
 
 def _kmeans_scorer(model) -> ModelScorer:
     centroids = np.asarray(model.payload["centroids"], dtype=np.float64)
-    clusters, features = centroids.shape
 
     def score(matrix: np.ndarray) -> np.ndarray:
-        rows = matrix.shape[0]
-        distances = np.empty((rows, clusters))
-        # Per-cluster, per-feature accumulation: elementwise only, so a
-        # 1-row call and an n-row call produce identical floats.
-        for cluster in range(clusters):
-            acc = np.zeros(rows)
-            for j in range(features):
-                diff = matrix[:, j] - centroids[cluster, j]
-                acc += diff * diff
-            distances[:, cluster] = acc
+        distances = kmeans_sq_distances(matrix, centroids)
         return distances.argmin(axis=1).astype(np.int64)
 
-    return ModelScorer("KMEANS", features, score)
+    return ModelScorer("KMEANS", centroids.shape[1], score)
 
 
 def _linreg_scorer(model) -> ModelScorer:
@@ -150,10 +213,7 @@ def _linreg_scorer(model) -> ModelScorer:
     coefficients = np.asarray(model.payload["coefficients"], dtype=np.float64)
 
     def score(matrix: np.ndarray) -> np.ndarray:
-        out = np.full(matrix.shape[0], intercept)
-        for j in range(coefficients.shape[0]):
-            out += coefficients[j] * matrix[:, j]
-        return out
+        return linear_margins(matrix, intercept, coefficients)
 
     return ModelScorer("LINREG", coefficients.shape[0], score)
 
@@ -170,32 +230,12 @@ def _logreg_scorer(model) -> ModelScorer:
 
 def _naive_bayes_scorer(model) -> ModelScorer:
     fit = model.payload["fit"]
-    classes = list(fit.classes)
-    priors = np.asarray(fit.priors, dtype=np.float64)
-    means = np.asarray(fit.means, dtype=np.float64)
-    variances = np.asarray(fit.variances, dtype=np.float64)
-    log_priors = np.log(priors)
-    # Scalar per-(class, feature) constants precomputed so the per-row
-    # work is pure elementwise accumulation.
-    log_norms = np.log(2 * np.pi * variances)
-    n_classes, features = means.shape
+    classes, log_likelihoods = naive_bayes_kernel(fit)
 
     def score(matrix: np.ndarray) -> np.ndarray:
-        rows = matrix.shape[0]
-        log_likelihood = np.empty((rows, n_classes))
-        for index in range(n_classes):
-            acc = np.full(rows, log_priors[index])
-            for j in range(features):
-                diff = matrix[:, j] - means[index, j]
-                acc += -0.5 * (log_norms[index, j] + diff * diff / variances[index, j])
-            log_likelihood[:, index] = acc
-        best = log_likelihood.argmax(axis=1)
-        out = np.empty(rows, dtype=object)
-        for row in range(rows):
-            out[row] = classes[best[row]]
-        return out
+        return classes[log_likelihoods(matrix).argmax(axis=1)]
 
-    return ModelScorer("NAIVEBAYES", features, score)
+    return ModelScorer("NAIVEBAYES", np.shape(fit.means)[1], score)
 
 
 def _decision_tree_scorer(model) -> ModelScorer:

@@ -27,13 +27,14 @@ profiler row per epoch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.accelerator.executor import ScanWorkerPool
+from repro.analytics.framework import numeric_matrix
 from repro.errors import AnalyticsError, UnknownObjectError
 from repro.obs.profile import OperatorStats
 from repro.wlm.budget import current_budget
@@ -78,12 +79,6 @@ class TrainingReport:
     epochs: int = 0
     parallel_epochs: int = 0
     partitions: int = 0  # fan-out of the last parallel epoch
-    #: Per parallel epoch, the elapsed seconds of each partition task as
-    #: measured on the worker pool (sequential epochs contribute
-    #: nothing). Elapsed, not CPU: when threads share cores the entries
-    #: include interleaved time from sibling partitions, so they bound
-    #: skew and stragglers but are not additive work.
-    partition_seconds: list = field(default_factory=list)
 
 
 class ModelAggregate:
@@ -126,9 +121,11 @@ class TrainingSource:
 
     Captures the statement snapshot (epoch + own-transaction delta) at
     construction and :meth:`gather` reads it once, so every epoch sees
-    the same rows.  Column existence is validated once here; per-chunk
-    NULL/type checks mirror ``ProcedureContext.read_matrix`` so the
-    refactored trainers fail with byte-identical error messages.
+    the same rows.  Column existence is validated once here; chunks are
+    built by :func:`~repro.analytics.framework.numeric_matrix`, the
+    reader behind ``ProcedureContext.read_matrix``, so a trainer and a
+    scoring procedure reject NULL or non-numeric data with the same
+    message.
     """
 
     def __init__(
@@ -205,20 +202,7 @@ class TrainingSource:
     # -- chunk construction --------------------------------------------------
 
     def build_chunk(self, columns: dict) -> TrainingChunk:
-        arrays = []
-        for name in self.matrix_columns:
-            column = columns[name]
-            if column.mask is not None and column.mask.any():
-                raise AnalyticsError(
-                    f"column {name} of {self.table} contains NULLs; "
-                    "run INZA.IMPUTE first"
-                )
-            if column.values.dtype.kind not in "ifb":
-                raise AnalyticsError(
-                    f"column {name} of {self.table} is not numeric"
-                )
-            arrays.append(column.values.astype(np.float64))
-        matrix = np.column_stack(arrays) if arrays else np.empty((0, 0))
+        matrix = numeric_matrix(self.table, columns, self.matrix_columns)
         rows = matrix.shape[0]
         labels = None
         if self.label_column is not None:
@@ -305,11 +289,8 @@ def train(
                             partitions = len(chunks) if parallel else 1
                             rows = sum(chunk.rows for chunk in chunks)
                             report.rows, report.partitions = rows, partitions
-                        state, splits = _run_epoch(
-                            aggregate, chunks, workers, budget
-                        )
+                        state = _run_epoch(aggregate, chunks, workers, budget)
                         if parallel:
-                            report.partition_seconds.append(splits)
                             report.parallel_epochs += 1
                         done = aggregate.finalize(state)
                         span.annotate(
@@ -355,24 +336,21 @@ def train(
 
 
 def _run_epoch(aggregate, chunks, workers, budget):
-    """One pass of ``transition`` over the CALL's cached chunks.
-
-    Returns ``(state, partition_seconds)``.  ``budget`` is passed
-    explicitly: contextvars do not propagate into the pool threads.
+    """One pass of ``transition`` over the CALL's cached chunks, merged
+    left to right.  ``budget`` is passed explicitly: contextvars do not
+    propagate into the pool threads.
     """
 
     def task(chunk):
         if budget is not None:
             budget.check()
-        started = time.perf_counter()
-        state = aggregate.transition(aggregate.init(), chunk)
-        return state, time.perf_counter() - started
+        return aggregate.transition(aggregate.init(), chunk)
 
     if workers:
-        results = ScanWorkerPool.run(workers, task, chunks)
+        states = ScanWorkerPool.run(workers, task, chunks)
     else:
-        results = [task(chunk) for chunk in chunks]
-    merged = results[0][0]
-    for state, __ in results[1:]:
+        states = [task(chunk) for chunk in chunks]
+    merged = states[0]
+    for state in states[1:]:
         merged = aggregate.merge(merged, state)
-    return merged, [seconds for __, seconds in results]
+    return merged

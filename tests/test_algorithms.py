@@ -9,12 +9,27 @@ from repro.analytics.association import (
     apriori_frequent_itemsets,
     association_rules,
 )
-from repro.analytics.decision_tree import decision_tree_fit
-from repro.analytics.kmeans import kmeans_fit
-from repro.analytics.naive_bayes import naive_bayes_fit, naive_bayes_predict
-from repro.analytics.regression import linreg_fit, linreg_predict
+from repro.analytics.model_store import Model
+from repro.analytics.scoring import build_scorer, naive_bayes_kernel
 from repro.errors import AnalyticsError
-from tests.oracles.analytics import decision_tree_predict
+from tests.oracles.analytics import (
+    decision_tree_fit,
+    decision_tree_predict,
+    kmeans_fit,
+    linreg_fit,
+    naive_bayes_fit,
+)
+
+
+def score(kind, payload, feature_count, matrix):
+    """Score ``matrix`` the way ``PREDICT(...)`` does."""
+    model = Model(
+        name="M",
+        kind=kind,
+        features=[f"F{j}" for j in range(feature_count)],
+        payload=payload,
+    )
+    return build_scorer(model).score(matrix)
 
 
 class TestKMeans:
@@ -94,7 +109,9 @@ class TestLinearRegression:
 
     def test_predict(self):
         x = np.array([[1.0], [2.0]])
-        predictions = linreg_predict(x, 1.0, np.array([2.0]))
+        predictions = score(
+            "LINREG", {"intercept": 1.0, "coefficients": np.array([2.0])}, 1, x
+        )
         assert predictions.tolist() == [3.0, 5.0]
 
     def test_constant_target(self):
@@ -136,16 +153,16 @@ class TestNaiveBayes:
     def test_predict_new_points(self):
         matrix, labels = self.separable()
         model = naive_bayes_fit(matrix, labels)
-        predictions, scores = naive_bayes_predict(
-            np.array([[0.1, 0.1], [5.1, 4.9]]), model
-        )
-        assert predictions == ["neg", "pos"]
-        assert all(math.isfinite(s) for s in scores)
+        points = np.array([[0.1, 0.1], [5.1, 4.9]])
+        predictions = score("NAIVEBAYES", {"fit": model}, 2, points)
+        assert predictions.tolist() == ["neg", "pos"]
+        __, log_likelihoods = naive_bayes_kernel(model)
+        assert all(math.isfinite(s) for s in log_likelihoods(points).max(axis=1))
 
     def test_zero_variance_feature_survives(self):
         matrix = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.5], [1.0, 0.7]])
         model = naive_bayes_fit(matrix, ["a", "a", "b", "b"])
-        predictions, __ = naive_bayes_predict(matrix, model)
+        predictions = score("NAIVEBAYES", {"fit": model}, 2, matrix)
         assert len(predictions) == 4
 
     def test_empty_rejected(self):

@@ -5,12 +5,14 @@ import pytest
 
 from repro import AcceleratedDatabase
 from repro.analytics.model_store import Model
+from repro.analytics.scoring import kmeans_sq_distances
 from repro.errors import (
     AnalyticsError,
     AuthorizationError,
     UnknownObjectError,
 )
 from repro.workloads import create_churn_table
+from tests.oracles.analytics import _pairwise_sq_distances
 
 
 @pytest.fixture
@@ -203,3 +205,153 @@ class TestModelPrivileges:
             "SELECT COUNT(*) FROM churn "
             "WHERE PREDICT(MINE, tenure_months, monthly_charges) = 0"
         ).scalar() > 0
+
+
+# -- one kernel per kind: the procedure and the expression agree -------------
+
+BLOB_COLUMNS = [f"X{j}" for j in range(1, 10)]
+
+#: kind → (training CALL, scoring procedure, input table, id column,
+#: out-table score column, PREDICT features). One model per kind, each
+#: scored by its ``INZA.PREDICT_*`` procedure into ``O_<kind>``.
+AGREEMENT = {
+    "LINREG": (
+        "CALL INZA.LINEAR_REGRESSION('intable=CHURN, target=MONTHLY_CHARGES, "
+        "model=M_LINREG, id=CUST_ID, "
+        "incolumn=TENURE_MONTHS;SUPPORT_CALLS;CONTRACT_MONTHS')",
+        "INZA.PREDICT_LINEAR_REGRESSION", "CHURN", "CUST_ID", "PREDICTION",
+        "TENURE_MONTHS, SUPPORT_CALLS, CONTRACT_MONTHS",
+    ),
+    "LOGREG": (
+        "CALL INZA.LOGISTIC_REGRESSION('intable=CHURN, target=CHURNED, "
+        "model=M_LOGREG, id=CUST_ID, epochs=3, "
+        "incolumn=TENURE_MONTHS;MONTHLY_CHARGES;SUPPORT_CALLS')",
+        "INZA.PREDICT_LOGISTIC_REGRESSION", "CHURN", "CUST_ID", "PROBABILITY",
+        "TENURE_MONTHS, MONTHLY_CHARGES, SUPPORT_CALLS",
+    ),
+    "NAIVEBAYES": (
+        "CALL INZA.NAIVEBAYES('intable=LABELLED, class=LABEL, "
+        "model=M_NAIVEBAYES, id=CUST_ID, "
+        "incolumn=TENURE_MONTHS;MONTHLY_CHARGES;SUPPORT_CALLS')",
+        "INZA.PREDICT_NAIVEBAYES", "LABELLED", "CUST_ID", "PREDICTION",
+        "TENURE_MONTHS, MONTHLY_CHARGES, SUPPORT_CALLS",
+    ),
+    "DECTREE": (
+        "CALL INZA.DECTREE('intable=LABELLED, class=LABEL, model=M_DECTREE, "
+        "id=CUST_ID, maxdepth=5, "
+        "incolumn=TENURE_MONTHS;MONTHLY_CHARGES;SUPPORT_CALLS')",
+        "INZA.PREDICT_DECTREE", "LABELLED", "CUST_ID", "PREDICTION",
+        "TENURE_MONTHS, MONTHLY_CHARGES, SUPPORT_CALLS",
+    ),
+    "KMEANS3": (
+        "CALL INZA.KMEANS('intable=BLOBS, outtable=T_KMEANS3, id=ID, k=3, "
+        "randseed=5, model=M_KMEANS3, incolumn=X1;X2;X3')",
+        "INZA.PREDICT_KMEANS", "BLOBS", "ID", "CLUSTER_ID", "X1, X2, X3",
+    ),
+    "KMEANS9": (
+        "CALL INZA.KMEANS('intable=BLOBS, outtable=T_KMEANS9, id=ID, k=3, "
+        f"randseed=5, model=M_KMEANS9, incolumn={';'.join(BLOB_COLUMNS)}')",
+        "INZA.PREDICT_KMEANS", "BLOBS", "ID", "CLUSTER_ID",
+        ", ".join(BLOB_COLUMNS),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def scored():
+    """Every kind trained once and scored by its procedure."""
+    db = AcceleratedDatabase(slice_count=2, chunk_rows=256)
+    conn = db.connect()
+    create_churn_table(conn, count=2000, accelerate=True)
+    conn.execute(
+        "CREATE TABLE LABELLED (CUST_ID INTEGER NOT NULL PRIMARY KEY, "
+        "TENURE_MONTHS INTEGER NOT NULL, MONTHLY_CHARGES DOUBLE NOT NULL, "
+        "SUPPORT_CALLS INTEGER NOT NULL, LABEL VARCHAR(8) NOT NULL)"
+    )
+    conn.execute(
+        "INSERT INTO LABELLED SELECT cust_id, tenure_months, "
+        "monthly_charges, support_calls, "
+        "CASE WHEN churned = 1 THEN 'yes' ELSE 'no' END FROM churn"
+    )
+    db.add_table_to_accelerator("LABELLED")
+    # Three well-separated blobs in nine dimensions: Lloyd reaches an
+    # exact fixed point, so the trainer's last assignment is the argmin
+    # over its final centroids.
+    rng = np.random.default_rng(17)
+    centers = rng.uniform(-50.0, 50.0, (3, len(BLOB_COLUMNS)))
+    points = centers[np.arange(300) % 3] + rng.normal(
+        0.0, 1.0, (300, len(BLOB_COLUMNS))
+    )
+    conn.execute(
+        "CREATE TABLE BLOBS (ID INTEGER NOT NULL PRIMARY KEY, "
+        + ", ".join(f"{name} DOUBLE NOT NULL" for name in BLOB_COLUMNS)
+        + ")"
+    )
+    conn.execute("INSERT INTO BLOBS VALUES " + ", ".join(
+        f"({i}, " + ", ".join(repr(float(v)) for v in row) + ")"
+        for i, row in enumerate(points)
+    ))
+    db.add_table_to_accelerator("BLOBS")
+    for kind, (train, procedure, intable, id_column, *__) in (
+        AGREEMENT.items()
+    ):
+        conn.execute(train)
+        conn.execute(
+            f"CALL {procedure}('model=M_{kind}, intable={intable}, "
+            f"outtable=O_{kind}, id={id_column}')"
+        )
+    return conn
+
+
+@pytest.mark.parametrize("engine", ["ACCELERATOR", "DB2"])
+@pytest.mark.parametrize("kind", sorted(AGREEMENT))
+def test_procedure_out_table_equals_predict(scored, kind, engine):
+    """``INZA.PREDICT_*`` and ``PREDICT(...)`` run one kernel per kind,
+    so the out-table and the expression column agree to the bit."""
+    conn = scored
+    *__, intable, id_column, column, features = AGREEMENT[kind]
+    out = conn.execute(
+        f"SELECT {id_column}, {column} FROM O_{kind} ORDER BY {id_column}"
+    ).rows
+    expression = run_on(
+        conn, engine,
+        f"SELECT {id_column}, PREDICT(M_{kind}, {features}) "
+        f"FROM {intable} ORDER BY {id_column}",
+    ).rows
+    assert len(out) == conn.execute(
+        f"SELECT COUNT(*) FROM {intable}"
+    ).scalar()
+    assert out == expression
+
+
+@pytest.mark.parametrize("width", [3, 9])
+def test_kmeans_out_table_equals_predict_kmeans(scored, width):
+    """The trainer's out-table is what scoring the training table with
+    the finished model writes — on either side of numpy's eight-term
+    pairwise-summation cut-over."""
+    conn = scored
+    trained, scored_out = (
+        conn.execute(
+            f"SELECT id, cluster_id, distance FROM {table} ORDER BY id"
+        ).rows
+        for table in (f"T_KMEANS{width}", f"O_KMEANS{width}")
+    )
+    assert len(trained) == 300
+    assert len({cluster for __, cluster, __ in trained}) == 3
+    assert trained == scored_out
+
+
+@pytest.mark.parametrize("features", range(1, 8))
+def test_kmeans_kernel_is_the_broadcast_below_eight_features(features):
+    """Why the trainer stays bitwise equal to the ``kmeans_fit`` oracle
+    on every standing workload's k-means: below eight features the
+    per-feature kernel and the broadcast sum round identically."""
+    rng = np.random.default_rng(features)
+    matrix = rng.normal(0.0, 1.0, (2000, features)) * rng.uniform(
+        1.0, 100.0, features
+    )
+    centroids = rng.normal(0.0, 30.0, (4, features))
+    assert np.array_equal(
+        kmeans_sq_distances(matrix, centroids),
+        _pairwise_sq_distances(matrix, centroids),
+    )
