@@ -67,7 +67,7 @@ _RESULTS: dict[str, object] = {}
 
 
 def scan_system(shards: int):
-    db = make_system(shards=shards, parallel_workers=1)
+    db = make_system(shards=shards)
     conn = db.connect()
     create_churn_table(conn, count=ROWS, accelerate=True)
     conn.set_acceleration("ALL")
@@ -190,7 +190,7 @@ def test_e20_training_is_deterministic_across_shards(record):
     fitted model is bit-for-bit identical at every shard count."""
     fits = {}
     for shards in SHARD_COUNTS:
-        db = make_system(shards=shards, parallel_workers=1)
+        db = make_system(shards=shards)
         conn = db.connect()
         create_churn_table(conn, count=TRAIN_ROWS, accelerate=True)
         started = time.perf_counter()

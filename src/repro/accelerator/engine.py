@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.accelerator.deltas import DeltaBuffer
-from repro.accelerator.executor import ScanPartitions, VectorQueryEngine
+from repro.accelerator.executor import VectorQueryEngine
 from repro.catalog import Catalog, TableDescriptor
 from repro.catalog.schema import (
     TableSchema,
@@ -94,7 +94,6 @@ class AcceleratorEngine:
         chunk_rows: int = 65536,
         fault_injector=None,
         tracer=None,
-        parallel_workers: int = 4,
     ) -> None:
         self.catalog = catalog
         self.slice_count = slice_count
@@ -106,12 +105,6 @@ class AcceleratorEngine:
         #: Optional :class:`repro.obs.trace.Tracer`; SELECTs become
         #: ``accelerator.execute`` spans under the statement trace.
         self.tracer = tracer
-        #: Training fan-out (see :meth:`partition_scan`); 0/1 trains
-        #: sequentially. Queries always scan sequentially.
-        self.parallel_workers = parallel_workers
-        #: Training tables smaller than this stay sequential: thread
-        #: handoff costs more than it saves on small matrices.
-        self.parallel_min_rows = 16384
         self._tables: dict[str, ColumnStoreTable] = {}
         #: Replication-apply cache: table -> {row tuple: [row ids]}.
         #: Maintained incrementally by apply_changes; any other write path
@@ -145,8 +138,6 @@ class AcceleratorEngine:
         self.rows_scanned = 0
         self.chunks_skipped = 0
         self.simulated_busy_seconds = 0.0
-        #: Training gathers that fanned out over the worker pool.
-        self.parallel_scans = 0
         self.zone_maps_enabled = True
 
     # -- storage / DDL ----------------------------------------------------------
@@ -589,71 +580,6 @@ class AcceleratorEngine:
             row_ids = np.concatenate([row_ids, delta_ids])
         return row_ids, columns_read, len(row_ids)
 
-    def partition_scan(
-        self,
-        name: str,
-        epoch: int,
-        ranges: Optional[dict[str, tuple]] = None,
-        delta: Optional[DeltaBuffer] = None,
-        columns: Optional[Sequence[str]] = None,
-    ) -> Optional["ScanPartitions"]:
-        """Split a training scan into parallel chunk-span partitions.
-
-        Only the training driver (:class:`repro.analytics.uda.TrainingSource`)
-        asks: its per-partition work builds float64 matrices and folds
-        them with numpy kernels that release the GIL, so threads overlap.
-        Queries never fan out: on a 2-core host the query fan-out lost
-        end to end on every standing workload it reached, and won only
-        fractions of a millisecond on a few shapes measured alone.
-
-        Returns ``None`` — sequential fallback — when the fan-out is
-        disabled, the table is too small for threads to pay off, a
-        transaction delta must be merged (delta merge is inherently a
-        single ordered pass), or fault rules are armed for the
-        accelerator (injected faults must fire deterministically on the
-        single sequential scan, not on a racing worker).
-        """
-        workers = self.parallel_workers
-        if workers < 2:
-            return None
-        if delta is not None and not delta.is_empty:
-            return None
-        if self.fault_injector is not None and self.fault_injector.rules(
-            "accelerator"
-        ):
-            return None
-        table = self.storage_for(name)
-        table.zone_maps_enabled = self.zone_maps_enabled
-        chunks = table.visible_chunks(ranges)
-        skipped = table.last_scan_chunks_skipped
-        if len(chunks) < 2:
-            return None
-        total_rows = sum(len(chunk) for chunk in chunks)
-        if total_rows < self.parallel_min_rows:
-            return None
-        spans = _partition_chunks(chunks, workers)
-
-        wanted = list(columns) if columns is not None else None
-
-        def make_gather(span_chunks):
-            return lambda: table.gather_chunks(span_chunks, epoch, wanted)
-
-        busy = table.row_count / (
-            SCAN_ROWS_PER_SECOND * max(1, table.slice_count)
-        )
-
-        def finish(rows_scanned: int) -> None:
-            self.rows_scanned += rows_scanned
-            self.chunks_skipped += skipped
-            self.simulated_busy_seconds += busy
-            self.parallel_scans += 1
-
-        return ScanPartitions(
-            partitions=[make_gather(span) for span in spans],
-            workers=workers,
-            finish=finish,
-        )
-
     # -- queries -------------------------------------------------------------------------
 
     def execute_select(
@@ -907,31 +833,6 @@ def _batch_columns(
     if coerced:
         return list(columns_from_rows(schema, batch).values())
     return schema.coerce_rows(batch)
-
-
-def _partition_chunks(chunks: list, parts: int) -> list[list]:
-    """Split chunks into up to ``parts`` contiguous spans of ~equal rows.
-
-    Spans are contiguous in chunk order so that concatenating the
-    partitions' results reproduces the sequential scan's row order
-    byte-for-byte.
-    """
-    total = sum(len(chunk) for chunk in chunks)
-    spans: list[list] = []
-    current: list = []
-    accumulated = 0
-    for chunk in chunks:
-        current.append(chunk)
-        accumulated += len(chunk)
-        if (
-            len(spans) < parts - 1
-            and accumulated >= total * (len(spans) + 1) / parts
-        ):
-            spans.append(current)
-            current = []
-    if current:
-        spans.append(current)
-    return spans
 
 
 def _concat_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence, Union
 
 import numpy as np
@@ -57,38 +56,18 @@ _NO_WINDOW = slice(None)
 __all__ = [
     "VectorTableProvider",
     "VectorQueryEngine",
-    "ScanPartitions",
     "ScanWorkerPool",
 ]
 
 
-@dataclass(frozen=True)
-class ScanPartitions:
-    """A training scan split into independent chunk-span partitions.
-
-    ``partitions`` are thunks, each returning ``(row_ids, columns)`` for
-    one contiguous span of post-pruning chunks; concatenating their
-    results in list order reproduces the sequential scan's row order
-    exactly. ``finish`` must be called exactly once (from the
-    coordinating thread) with the total rows gathered, so the engine's
-    scan counters are updated without racing.
-    """
-
-    partitions: list
-    workers: int
-    finish: Callable[[int], None]
-
-
 class ScanWorkerPool:
-    """Process-wide thread pools for the training driver, keyed by size.
+    """Process-wide thread pools, keyed by size.
 
-    Queries never use it: their scans run one sequential pipeline. A
-    training CALL fans its snapshot gather and every epoch's
-    ``transition`` out here, because those kernels work on float64
-    matrices and release the GIL, so threads give real overlap. Pools
-    are shared across all engines in the process: many short-lived
-    systems (the test suite builds thousands) must not each spawn a
-    thread set.
+    Nothing in ``repro`` calls it: queries scan in one sequential
+    pipeline and every training epoch is one sequential pass. It stays
+    only because the standing benchmark's layer recorder
+    (``benchmarks/standing/layers.py``) imports and wraps it; the next
+    change to that benchmark deletes both.
     """
 
     _lock = threading.Lock()

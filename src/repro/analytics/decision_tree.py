@@ -50,14 +50,15 @@ class TreeNode:
 
 
 class DecisionTreeAggregate(uda.ModelAggregate):
-    """Level-wise (PLANET-style) CART as a mergeable aggregate.
+    """Level-wise (PLANET-style) CART on the aggregate contract.
 
     One epoch grows one tree level.  ``transition`` routes chunk rows
     through the partially built tree to the current frontier nodes and
     builds, per (frontier node, feature), an *exact* histogram of
-    distinct feature values × class counts.  Histograms merge by value
-    union and integer addition, so the merged statistics are identical
-    to what a single pass over the node's full row set would collect.
+    distinct feature values × class counts; a state that already holds
+    a node's histograms folds the new ones in by value union and
+    integer addition, so the statistics equal what a single pass over
+    the node's full row set would collect.
     ``finalize`` then replays the reference's ``_best_split`` arithmetic
     over the histograms — cumulative per-class counts at every
     distinct-value boundary, in the same shapes, class order, and
@@ -134,18 +135,6 @@ class DecisionTreeAggregate(uda.ModelAggregate):
             else:
                 state[fid] = node_state
         return state
-
-    def merge(self, a, b):
-        if self.phase != "grow":
-            a["correct"] += b["correct"]
-            a["total"] += b["total"]
-            return a
-        for fid, node_state in b.items():
-            if fid in a:
-                a[fid] = _merge_node_state(a[fid], node_state)
-            else:
-                a[fid] = node_state
-        return a
 
     def finalize(self, state) -> bool:
         if self.phase != "grow":

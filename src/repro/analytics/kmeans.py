@@ -60,26 +60,24 @@ def _kmeanspp_init(matrix: np.ndarray, k: int, rng) -> np.ndarray:
 
 
 class KMeansAggregate(uda.ModelAggregate):
-    """K-means as a mergeable aggregate, numerically identical to the
+    """K-means on the aggregate contract, numerically identical to the
     single-pass reference loop in ``tests/oracles/analytics.py`` (bitwise
-    on a sequential pass below eight features, where the per-feature
-    distance kernel equals the reference's broadcast sum).
+    below eight features, where the per-feature distance kernel equals
+    the reference's broadcast sum).
 
     Three phases, each one or more epochs:
 
-    * ``collect`` — one epoch that concatenates the chunks back into the
-      full matrix for the inherently sequential k-means++ seeding (the
-      seeding scans rows in order with a running RNG, so it cannot be
-      split; everything after it can).
+    * ``collect`` — one epoch that keeps the chunk's matrix for the
+      k-means++ seeding, which scans rows in order with a running RNG.
     * ``lloyd`` — one epoch per Lloyd iteration. ``transition`` assigns
-      chunk rows to the nearest current centroid and accumulates
-      per-cluster sums/counts; ``finalize`` recomputes centroids as
-      sum/count (bitwise what ``members.mean`` computes) and checks the
-      shift against the tolerance.
-    * ``score`` — one epoch computing the full distance matrix per
-      chunk.  The final distances index those matrices by the *last
-      Lloyd assignment*, not a fresh argmin, because that is what the
-      reference implementation reports after its loop exits.
+      rows to the nearest current centroid and accumulates per-cluster
+      sums/counts; ``finalize`` recomputes centroids as sum/count
+      (bitwise what ``members.mean`` computes) and checks the shift
+      against the tolerance.
+    * ``score`` — one epoch computing the full distance matrix.  The
+      final distances index it by the *last Lloyd assignment*, not a
+      fresh argmin, because that is what the reference implementation
+      reports after its loop exits.
     """
 
     kind = "KMEANS"
@@ -107,43 +105,29 @@ class KMeansAggregate(uda.ModelAggregate):
             return {
                 "sums": np.zeros((self.k, features)),
                 "counts": np.zeros(self.k, dtype=np.int64),
-                "assignment_parts": [],
             }
-        return {"parts": []}
+        return {}
 
     def transition(self, state, chunk):
         if self.phase == "collect":
-            state["parts"].append(chunk.matrix)
+            state["matrix"] = chunk.matrix
             return state
+        distances = kmeans_sq_distances(chunk.matrix, self.centroids)
         if self.phase == "lloyd":
-            distances = kmeans_sq_distances(chunk.matrix, self.centroids)
             assignments = distances.argmin(axis=1)
             for cluster in range(self.k):
                 members = chunk.matrix[assignments == cluster]
                 if len(members):
                     state["sums"][cluster] += members.sum(axis=0)
                     state["counts"][cluster] += len(members)
-            state["assignment_parts"].append(assignments)
+            state["assignments"] = assignments
             return state
-        distances = kmeans_sq_distances(chunk.matrix, self.centroids)
-        state["parts"].append(distances)
+        state["distances"] = distances
         return state
-
-    def merge(self, a, b):
-        if self.phase == "lloyd":
-            a["sums"] += b["sums"]
-            a["counts"] += b["counts"]
-            a["assignment_parts"].extend(b["assignment_parts"])
-            return a
-        a["parts"].extend(b["parts"])
-        return a
 
     def finalize(self, state) -> bool:
         if self.phase == "collect":
-            parts = state["parts"]
-            matrix = (
-                np.concatenate(parts, axis=0) if parts else np.empty((0, 0))
-            )
+            matrix = state["matrix"]
             rows = matrix.shape[0]
             if rows < self.k:
                 raise AnalyticsError(
@@ -169,20 +153,12 @@ class KMeansAggregate(uda.ModelAggregate):
             shift = float(np.abs(updated - self.centroids).max())
             self.centroids = updated
             self.iterations += 1
-            self._assignments = np.concatenate(state["assignment_parts"])
+            self._assignments = state["assignments"]
             if shift <= self.tolerance or self.iterations >= self.max_iterations:
                 self.phase = "score"
             return False
-        offset = 0
-        best_parts = []
-        for distances in state["parts"]:
-            rows = distances.shape[0]
-            part = self._assignments[offset:offset + rows]
-            best_parts.append(distances[np.arange(rows), part])
-            offset += rows
-        best = (
-            np.concatenate(best_parts) if best_parts else np.zeros(0)
-        )
+        distances = state["distances"]
+        best = distances[np.arange(distances.shape[0]), self._assignments]
         self._result = KMeansResult(
             centroids=self.centroids,
             assignments=self._assignments,

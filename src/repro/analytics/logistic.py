@@ -1,14 +1,11 @@
 """Logistic regression via in-database SGD on the aggregate contract.
 
 Bismarck-style incremental gradient descent expressed as a
-:class:`~repro.analytics.uda.ModelAggregate`: each epoch's per-partition
-state carries a *model replica* seeded from the previous epoch, the
-transition folds one chunk of rows through single-example gradient steps
-in scan order, and ``merge`` combines replicas by row-weighted model
-averaging (the shared-nothing parallel-SGD scheme). That makes the
-trainer shard-clean: per-shard partial models merge into one model
-without shipping per-row data, and a sequential pass (one partition) is
-plain SGD in deterministic layout order.
+:class:`~repro.analytics.uda.ModelAggregate`: each epoch's state carries
+a copy of the model from the previous epoch, and the transition folds
+the chunk's rows through single-example gradient steps in scan order —
+plain SGD in deterministic layout order, so every shard count trains
+the same model.
 
 After the configured SGD epochs one extra scoring pass accumulates log
 loss and accuracy, mirroring ``LinRegAggregate``'s two-phase shape.
@@ -45,22 +42,15 @@ class LogRegResult:
 
 
 class LogisticSGDAggregate(uda.ModelAggregate):
-    """Logistic regression trained by per-row SGD, merged by averaging.
+    """Logistic regression trained by per-row SGD.
 
-    * SGD phase (``epochs`` passes): ``init`` hands every partition a
-      copy of the current model; ``transition`` runs one gradient step
-      per row (step size ``rate / (1 + decay * epoch)``); ``merge``
-      averages replicas weighted by the rows each one absorbed, so an
-      empty partition (weight 0) cannot drag the model back toward its
-      seed.
+    * SGD phase (``epochs`` passes): ``init`` hands the epoch a copy of
+      the current model; ``transition`` runs one gradient step per row
+      (step size ``rate / (1 + decay * epoch)``).  That is textbook SGD
+      in layout scan order, bitwise equal to ``logreg_sgd_reference``
+      in ``tests/oracles/analytics.py`` at every shard count.
     * Scoring phase (one pass): accumulates summed log loss and the
-      correct-prediction count; those are plain sums, so merging is
-      addition and partitioning cannot change the reported metrics.
-
-    On a sequential pass the driver folds a single state and ``merge``
-    never runs — training is then textbook SGD in layout scan order,
-    which is what makes shard counts 1/2/4 produce identical models (the
-    pool offers only unordered plans, which the epoch driver declines).
+      correct-prediction count.
     """
 
     kind = "LOGREG"
@@ -94,7 +84,7 @@ class LogisticSGDAggregate(uda.ModelAggregate):
         features = chunk.matrix[:, :-1]
         target = chunk.matrix[:, -1]
         if self.phase == "sgd":
-            if self.epoch == 0:  # the chunks are cached: check them once
+            if self.epoch == 0:  # the chunk is cached: check it once
                 bad = ~((target == 0.0) | (target == 1.0))
                 if bad.any():
                     raise AnalyticsError(
@@ -118,19 +108,6 @@ class LogisticSGDAggregate(uda.ModelAggregate):
         state["correct"] += int(((probs >= 0.5) == (target == 1.0)).sum())
         state["rows"] += features.shape[0]
         return state
-
-    def merge(self, a, b):
-        if self.phase == "sgd":
-            total = a["rows"] + b["rows"]
-            if total > 0:
-                a["weights"] = (
-                    a["weights"] * a["rows"] + b["weights"] * b["rows"]
-                ) / total
-            a["rows"] = total
-            return a
-        for key, value in b.items():
-            a[key] = a[key] + value
-        return a
 
     def finalize(self, state) -> bool:
         if self.phase == "sgd":

@@ -34,15 +34,15 @@ class NaiveBayesResult:
 
 
 class NaiveBayesAggregate(uda.ModelAggregate):
-    """Gaussian naive Bayes as a mergeable aggregate.
+    """Gaussian naive Bayes on the aggregate contract.
 
     Three single-pass epochs: per-class row counts and feature sums
     (→ priors and means), per-class sums of squared deviations from
     the *final* means (→ variances; the two-pass form sidesteps the
-    catastrophic cancellation a merged one-pass variance would risk,
-    and reproduces ``numpy.var`` bitwise on a single chunk), then a
-    scoring pass for the training accuracy through the same kernel as
-    ``PREDICT`` (:func:`repro.analytics.scoring.naive_bayes_kernel`).
+    catastrophic cancellation a one-pass variance would risk, and
+    reproduces ``numpy.var`` bitwise), then a scoring pass for the
+    training accuracy through the same kernel as ``PREDICT``
+    (:func:`repro.analytics.scoring.naive_bayes_kernel`).
     The single-pass reference fit is in ``tests/oracles/analytics.py``.
     """
 
@@ -89,23 +89,6 @@ class NaiveBayesAggregate(uda.ModelAggregate):
         state["correct"] += int((predictions == chunk.labels).sum())
         state["total"] += chunk.rows
         return state
-
-    def merge(self, a, b):
-        if self.phase == "counts":
-            for cls, count in b["counts"].items():
-                a["counts"][cls] = a["counts"].get(cls, 0) + count
-            for cls, total in b["sums"].items():
-                previous = a["sums"].get(cls)
-                a["sums"][cls] = (
-                    total if previous is None else previous + total
-                )
-            return a
-        if self.phase == "ssd":
-            a["ssd"] += b["ssd"]
-            return a
-        a["correct"] += b["correct"]
-        a["total"] += b["total"]
-        return a
 
     def finalize(self, state) -> bool:
         if self.phase == "counts":

@@ -30,7 +30,7 @@ class LinRegResult:
 
 
 class LinRegAggregate(uda.ModelAggregate):
-    """Least squares as a mergeable aggregate.
+    """Least squares on the aggregate contract.
 
     The chunk's matrix carries the features with the target as its
     *last* column.  Epoch one accumulates the Gram matrix
@@ -81,11 +81,6 @@ class LinRegAggregate(uda.ModelAggregate):
         state["ss_res"] += float((residuals**2).sum())
         state["ss_tot"] += float(((target - self.mean_y) ** 2).sum())
         return state
-
-    def merge(self, a, b):
-        for key, value in b.items():
-            a[key] = a[key] + value
-        return a
 
     def finalize(self, state) -> bool:
         if self.phase == "gram":

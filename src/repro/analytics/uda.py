@@ -1,26 +1,22 @@
 """Bismarck-style unified aggregation core for in-database training.
 
 Every trainer in ``repro.analytics`` is expressed as a
-:class:`ModelAggregate` — the classic user-defined-aggregate contract
-(``init`` / ``transition`` / ``merge`` / ``finalize``) popularised by
-Bismarck for in-RDBMS machine learning.  One epoch of training is then
-one pass over the CALL's pinned snapshot, and the snapshot is gathered
-*once*: the data cannot change inside one ``CALL``, so the epoch driver
-asks the accelerator for a partitioned scan plan a single time, builds
-one :class:`TrainingChunk` per partition on the shared scan worker pool,
-and every epoch — the scoring/accuracy pass included — runs
-``transition`` over those cached chunks, merges the per-partition states
-in partition order, and hands the merged state to ``finalize``.  When
-the accelerator declines to parallelise (small table, active transaction
-delta, armed fault rules, a sharded pool) the snapshot is one sequential whole-table
-chunk — the aggregates are written so both paths produce numerically
-identical models.
+:class:`ModelAggregate` — the user-defined-aggregate contract
+(``init`` / ``transition`` / ``finalize``) popularised by Bismarck for
+in-RDBMS machine learning.  The snapshot is gathered *once*: the data
+cannot change inside one ``CALL``, so :meth:`TrainingSource.gather`
+reads the pinned snapshot into one :class:`TrainingChunk`, and every
+epoch — the scoring/accuracy pass included — is one sequential
+``transition`` over that chunk from a fresh ``init`` state, handed to
+``finalize``.  The pass runs in the snapshot's layout order at every
+shard count, so a model does not depend on how the accelerator is
+deployed.
 
 Training epochs are admitted through workload management as
 ANALYTICS-class work (one admission per epoch, released at the epoch
 boundary, so a long training job cannot starve interactive statements),
 honour the statement's work budget for cooperative cancellation at
-chunk boundaries, and emit ``analytics.*`` spans, metrics, and one
+epoch boundaries, and emit ``analytics.*`` spans, metrics, and one
 profiler row per epoch.
 """
 
@@ -33,7 +29,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.accelerator.executor import ScanWorkerPool
 from repro.analytics.framework import numeric_matrix
 from repro.errors import AnalyticsError, UnknownObjectError
 from repro.obs.profile import OperatorStats
@@ -53,7 +48,7 @@ __all__ = [
 
 @dataclass
 class TrainingChunk:
-    """One batch of training data handed to ``transition``.
+    """A CALL's training data, handed to every epoch's ``transition``.
 
     ``matrix`` is the float64 feature matrix (rows × columns, in the
     source's declared column order); ``labels`` is an object array of
@@ -75,23 +70,18 @@ class TrainingChunk:
 class TrainingReport:
     """What the epoch driver did, for model metadata and telemetry."""
 
-    rows: int = 0  # rows seen by the last full pass
+    rows: int = 0  # rows in the gathered snapshot
     epochs: int = 0
-    parallel_epochs: int = 0
-    partitions: int = 0  # fan-out of the last parallel epoch
 
 
 class ModelAggregate:
     """The shared trainer contract.
 
-    * ``init`` returns a fresh, empty per-partition state.
-    * ``transition(state, chunk)`` folds one chunk into a state and
-      returns it.  Chunks within a partition arrive in scan order.
-    * ``merge(a, b)`` combines two states; ``a`` precedes ``b`` in scan
-      order (the driver folds partition states left to right, so
-      order-sensitive aggregates see the deterministic layout order).
-    * ``finalize(state)`` consumes the merged state for this epoch and
-      returns ``True`` when training is complete.  Multi-phase trainers
+    * ``init`` returns a fresh, empty state for one epoch.
+    * ``transition(state, chunk)`` folds the CALL's chunk into the state
+      and returns it; the chunk's rows are in scan order.
+    * ``finalize(state)`` consumes the epoch's state and returns
+      ``True`` when training is complete.  Multi-phase trainers
       (Lloyd iterations, level-wise tree growth, two-pass statistics)
       return ``False`` to request another epoch.
     * ``result()`` returns the fitted model once ``finalize`` returned
@@ -106,9 +96,6 @@ class ModelAggregate:
     def transition(self, state: object, chunk: TrainingChunk) -> object:
         raise NotImplementedError
 
-    def merge(self, a: object, b: object) -> object:
-        raise NotImplementedError
-
     def finalize(self, state: object) -> bool:
         raise NotImplementedError
 
@@ -121,8 +108,8 @@ class TrainingSource:
 
     Captures the statement snapshot (epoch + own-transaction delta) at
     construction and :meth:`gather` reads it once, so every epoch sees
-    the same rows.  Column existence is validated once here; chunks are
-    built by :func:`~repro.analytics.framework.numeric_matrix`, the
+    the same rows.  Column existence is validated once here; the chunk
+    is built by :func:`~repro.analytics.framework.numeric_matrix`, the
     reader behind ``ProcedureContext.read_matrix``, so a trainer and a
     scoring procedure reject NULL or non-numeric data with the same
     message.
@@ -171,37 +158,11 @@ class TrainingSource:
 
     # -- the one scan ---------------------------------------------------------
 
-    def gather(self, budget=None) -> tuple[list[TrainingChunk], int]:
-        """Scan the pinned snapshot once: ``(chunks, workers)``.
-
-        The ordered partition list, one chunk each, with the pool width
-        when the accelerator offers a parallel plan; otherwise the whole
-        visible table as one chunk and ``workers`` 0.  A sharded pool
-        never offers one: it trains over its layout-ordered snapshot, so
-        models stay numerically identical at every shard count.
-        """
-        plan = self._engine.partition_scan(
+    def gather(self) -> TrainingChunk:
+        """Scan the pinned snapshot once, as one chunk in layout order."""
+        __, columns, __ = self._engine.scan_snapshot(
             self.table, self._epoch, delta=self._delta, columns=self._columns
         )
-        if plan is None:
-            __, columns, __ = self._engine.scan_snapshot(
-                self.table, self._epoch, delta=self._delta,
-                columns=self._columns,
-            )
-            return [self.build_chunk(columns)], 0
-
-        def build(gather):
-            if budget is not None:
-                budget.check()
-            return self.build_chunk(gather()[1])
-
-        chunks = ScanWorkerPool.run(plan.workers, build, plan.partitions)
-        plan.finish(sum(chunk.rows for chunk in chunks))
-        return chunks, plan.workers
-
-    # -- chunk construction --------------------------------------------------
-
-    def build_chunk(self, columns: dict) -> TrainingChunk:
         matrix = numeric_matrix(self.table, columns, self.matrix_columns)
         rows = matrix.shape[0]
         labels = None
@@ -228,12 +189,10 @@ def train(
     """Drive ``aggregate`` over ``source`` until ``finalize`` says done.
 
     The snapshot is gathered once, inside the first epoch's admission;
-    each epoch is then one full pass over the cached chunks:
-    partition-parallel on the scan worker pool when the accelerator
-    offered a plan, sequential otherwise.  Epochs are admitted as
-    ANALYTICS-class work and the statement budget is checked at every
-    chunk boundary so cancellation lands between chunks, never
-    mid-kernel.
+    each epoch is then one sequential pass over the cached chunk.
+    Epochs are admitted as ANALYTICS-class work and the statement
+    budget is checked before and after each admission, so cancellation
+    lands between epochs, never mid-kernel.
     """
     system = source.system
     tracer = system.tracer
@@ -258,7 +217,7 @@ def train(
     ) as train_span:
         try:
             done = False
-            chunks = rows = None
+            chunk = rows = None
             while not done:
                 if report.epochs >= max_epochs:
                     raise AnalyticsError(
@@ -283,19 +242,15 @@ def train(
                         model=aggregate.kind,
                         epoch=report.epochs,
                     ) as span:
-                        if chunks is None:
-                            chunks, workers = source.gather(budget)
-                            parallel = workers > 0
-                            partitions = len(chunks) if parallel else 1
-                            rows = sum(chunk.rows for chunk in chunks)
-                            report.rows, report.partitions = rows, partitions
-                        state = _run_epoch(aggregate, chunks, workers, budget)
-                        if parallel:
-                            report.parallel_epochs += 1
-                        done = aggregate.finalize(state)
-                        span.annotate(
-                            rows=rows, partitions=partitions, parallel=parallel
+                        if chunk is None:
+                            chunk = source.gather()
+                            rows = report.rows = chunk.rows
+                        if budget is not None:
+                            budget.check()
+                        done = aggregate.finalize(
+                            aggregate.transition(aggregate.init(), chunk)
                         )
+                        span.annotate(rows=rows)
                 finally:
                     wlm.release(ticket)
                 elapsed = time.perf_counter() - epoch_started
@@ -314,14 +269,8 @@ def train(
                         estimated_rows=rows,
                     )
                     stats.observe(rows, elapsed, rows_in=rows)
-                    stats.parallel = parallel
-                    stats.batches = max(partitions, 1)
                     profile.operators.append(stats)
-            train_span.annotate(
-                epochs=report.epochs,
-                rows=report.rows,
-                parallel_epochs=report.parallel_epochs,
-            )
+            train_span.annotate(epochs=report.epochs, rows=report.rows)
         except BaseException as exc:
             failed = type(exc).__name__
             raise
@@ -334,23 +283,3 @@ def train(
                 )
     return report
 
-
-def _run_epoch(aggregate, chunks, workers, budget):
-    """One pass of ``transition`` over the CALL's cached chunks, merged
-    left to right.  ``budget`` is passed explicitly: contextvars do not
-    propagate into the pool threads.
-    """
-
-    def task(chunk):
-        if budget is not None:
-            budget.check()
-        return aggregate.transition(aggregate.init(), chunk)
-
-    if workers:
-        states = ScanWorkerPool.run(workers, task, chunks)
-    else:
-        states = [task(chunk) for chunk in chunks]
-    merged = states[0]
-    for state in states[1:]:
-        merged = aggregate.merge(merged, state)
-    return merged

@@ -154,7 +154,6 @@ class AcceleratedDatabase:
         profile_retention: int = 128,
         slow_query_threshold_seconds: float = 1.0,
         slow_query_capacity: int = 64,
-        parallel_workers: int = 4,
         shards: Optional[int] = None,
         plan_cache_capacity: int = 512,
         wlm_enabled: bool = False,
@@ -210,7 +209,6 @@ class AcceleratedDatabase:
                 chunk_rows=chunk_rows,
                 fault_injector=self.faults,
                 tracer=self.tracer,
-                parallel_workers=parallel_workers,
                 failure_threshold=failure_threshold,
                 cooldown_seconds=cooldown_seconds,
                 bandwidth_bytes_per_second=bandwidth_bytes_per_second,
@@ -223,7 +221,6 @@ class AcceleratedDatabase:
                 chunk_rows=chunk_rows,
                 fault_injector=self.faults,
                 tracer=self.tracer,
-                parallel_workers=parallel_workers,
             )
         # GROOM reclaims only what no open transaction's snapshot sees.
         self.accelerator.oldest_snapshot = (
@@ -387,7 +384,6 @@ class AcceleratedDatabase:
             "chunks_skipped": accelerator.chunks_skipped,
             "simulated_busy_seconds": accelerator.simulated_busy_seconds,
             "current_epoch": accelerator.current_epoch,
-            "parallel_scans": accelerator.parallel_scans,
         }
         pool = self.accelerator_pool
         if pool is not None:

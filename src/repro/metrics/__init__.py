@@ -1,10 +1,9 @@
-"""Instrumentation: movement counters and timing helpers."""
+"""Instrumentation: movement counters and byte estimation."""
 
 from repro.metrics.counters import (
     MovementStats,
     ReplicationStats,
-    Timer,
     estimate_rows_bytes,
 )
 
-__all__ = ["MovementStats", "ReplicationStats", "Timer", "estimate_rows_bytes"]
+__all__ = ["MovementStats", "ReplicationStats", "estimate_rows_bytes"]

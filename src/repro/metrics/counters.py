@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime
 import decimal
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -93,28 +92,6 @@ class ReplicationStats:
     batches_abandoned: int = 0
     drains_skipped_offline: int = 0
     simulated_backoff_seconds: float = 0.0
-
-    @property
-    def staleness_records(self) -> int:
-        """Alias for ``backlog`` under its experiment name."""
-        return self.backlog
-
-
-class Timer:
-    """Context-manager stopwatch; re-entering accumulates splits."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed += time.perf_counter() - self._start
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
 
 
 def estimate_value_bytes(value) -> int:

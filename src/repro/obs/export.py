@@ -121,7 +121,6 @@ def profile_to_dict(profile: "StatementProfile") -> dict:
                 "batches": op.batches,
                 "wall_ms": round(op.wall_seconds * 1000.0, 6),
                 "chunks_skipped": op.chunks_skipped,
-                "parallel": op.parallel,
                 "fused": op.fused,
                 "executed": op.executed,
             }

@@ -96,13 +96,7 @@ class Histogram:
         """q-th percentile (0..100) of the retained window."""
         with self._lock:
             window = sorted(self._window)
-        if not window:
-            return 0.0
-        rank = (len(window) - 1) * (q / 100.0)
-        low = int(rank)
-        high = min(low + 1, len(window) - 1)
-        fraction = rank - low
-        return window[low] * (1.0 - fraction) + window[high] * fraction
+        return _percentile(window, q)
 
     def summary(self) -> dict[str, float]:
         with self._lock:
@@ -111,26 +105,27 @@ class Histogram:
             minimum = self.min
             maximum = self.max
             window = sorted(self._window)
-
-        def pct(q: float) -> float:
-            if not window:
-                return 0.0
-            rank = (len(window) - 1) * (q / 100.0)
-            low = int(rank)
-            high = min(low + 1, len(window) - 1)
-            fraction = rank - low
-            return window[low] * (1.0 - fraction) + window[high] * fraction
-
         return {
             "count": count,
             "total": total,
             "mean": total / count if count else 0.0,
             "min": minimum if minimum is not None else 0.0,
             "max": maximum if maximum is not None else 0.0,
-            "p50": pct(50),
-            "p95": pct(95),
-            "p99": pct(99),
+            "p50": _percentile(window, 50),
+            "p95": _percentile(window, 95),
+            "p99": _percentile(window, 99),
         }
+
+
+def _percentile(window: list[float], q: float) -> float:
+    """Linearly interpolated q-th percentile (0..100) of a sorted window."""
+    if not window:
+        return 0.0
+    rank = (len(window) - 1) * (q / 100.0)
+    low = int(rank)
+    high = min(low + 1, len(window) - 1)
+    fraction = rank - low
+    return window[low] * (1.0 - fraction) + window[high] * fraction
 
 
 class MetricsRegistry:

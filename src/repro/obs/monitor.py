@@ -20,7 +20,7 @@ equivalents as *virtual tables* under the ``SYSACCEL`` schema:
 * ``SYSACCEL.MON_OPERATORS`` — one row per plan operator of every
   retained statement profile (EXPLAIN ANALYZE data at rest): actual vs.
   estimated rows, Q-error, wall time, batches, chunks pruned, and the
-  parallel/fused/executed markers;
+  fused/executed markers;
 * ``SYSACCEL.MON_QERROR`` — the cardinality-feedback store: accumulated
   estimate/actual pairs per plan-node fingerprint with mean/max Q-error
   (the standing E17 benchmark surface the cost model trains against);
@@ -139,7 +139,6 @@ _SCHEMAS: dict[str, TableSchema] = {
             Column("BATCHES", INTEGER),
             Column("WALL_MS", DOUBLE),
             Column("CHUNKS_SKIPPED", BIGINT),
-            Column("PARALLEL", VarcharType(1)),
             Column("FUSED", VarcharType(1)),
             Column("EXECUTED", VarcharType(1)),
             Column("FAILBACK", VarcharType(1)),
@@ -443,7 +442,6 @@ def _operators_rows(system: "AcceleratedDatabase") -> list[tuple]:
                     op.batches,
                     op.wall_seconds * 1000.0,
                     op.chunks_skipped,
-                    _flag(op.parallel),
                     _flag(op.fused),
                     _flag(op.executed),
                     _flag(profile.failback),

@@ -4,9 +4,8 @@ Phase-level spans (repro.obs.trace) say where a *statement* spent its
 time; this module says where a *plan* spent it. Every logical operator
 (Scan/Filter/Join/Project/Aggregate/Sort/Limit/SetOp/SubqueryBind) of an
 executed statement gets one :class:`OperatorStats` record — rows in/out,
-batches, inclusive wall time, zone-map chunks pruned, worker-pool vs.
-sequential training epochs, engine — filled in by the plan walkers of both
-executors. Three consumers sit on top:
+batches, inclusive wall time, zone-map chunks pruned, engine — filled in
+by the plan walkers of both executors. Three consumers sit on top:
 
 * ``EXPLAIN ANALYZE`` renders the annotated tree (actual vs. estimated
   cardinality and per-operator Q-error) through the same formatter plain
@@ -393,15 +392,12 @@ class OperatorStats:
     actual_rows: int = 0
     #: Rows consumed (scans: rows read before filtering).
     rows_in: int = 0
-    #: Executions/batches: partitions of a parallel training epoch,
-    #: otherwise 1.
+    #: Executions/batches: how many times the operator was observed.
     batches: int = 0
     #: Inclusive wall time (the operator plus the subtree it drains).
     wall_seconds: float = 0.0
     #: Zone-map chunks the scan skipped (accelerator scans only).
     chunks_skipped: int = 0
-    #: True when a training epoch folded its partitions on the worker pool.
-    parallel: bool = False
     #: True once the operator actually ran (a pruned/fused node may not).
     executed: bool = False
     #: True when the operator was collapsed into a scan pipeline (its
@@ -434,8 +430,6 @@ class OperatorStats:
         """How the operator ran — EXPLAIN ANALYZE's DETAIL column and
         the rendered profile share this."""
         flags = []
-        if self.parallel:
-            flags.append("parallel")
         if self.fused:
             flags.append("fused")
         if not self.executed:
@@ -558,8 +552,8 @@ class StatementProfile:
         self, node: logical.PlanNode, rows_out: int
     ) -> None:
         """Credit a Filter chain that an executor collapsed into a scan
-        pipeline (or a whole-statement partial aggregate): each fused
-        filter reports the pipeline's output as its own."""
+        pipeline: each fused filter reports the pipeline's output as its
+        own."""
         while isinstance(node, logical.Filter):
             stats = self._by_node.get(id(node))
             if stats is not None and not stats.executed:

@@ -387,7 +387,6 @@ class AcceleratorPool(AcceleratorEngine):
         chunk_rows: int = 65536,
         fault_injector=None,
         tracer=None,
-        parallel_workers: int = 4,
         failure_threshold: int = 3,
         cooldown_seconds: float = 0.1,
         bandwidth_bytes_per_second: float = 1_000_000_000.0,
@@ -401,7 +400,6 @@ class AcceleratorPool(AcceleratorEngine):
             chunk_rows=chunk_rows,
             fault_injector=fault_injector,
             tracer=tracer,
-            parallel_workers=parallel_workers,
         )
         self.shards = shards
         self._shard_list = [
@@ -571,7 +569,7 @@ class AcceleratorPool(AcceleratorEngine):
             ShardMap(table=name, spec=spec, generation=generation),
         )
 
-    # -- training scans ------------------------------------------------------
+    # -- benchmark hook ------------------------------------------------------
 
     def partition_scan(
         self,
@@ -581,13 +579,13 @@ class AcceleratorPool(AcceleratorEngine):
         delta=None,
         columns: Optional[Sequence[str]] = None,
     ) -> None:
-        """No training fan-out on a pool: always ``None``.
+        """A stub that always returns ``None``; nothing in ``repro`` calls it.
 
-        Concatenated shard spans are not the single-instance scan order,
-        and the epoch driver's left-to-right merge is part of the trainer
-        contract, so sharded training scans the layout-ordered snapshot
-        and trains bit-for-bit as one instance does. The base-class plan
-        cannot read a :class:`ShardedTable`, hence this override.
+        Training scans the layout-ordered snapshot sequentially. The
+        standing benchmark's layer recorder
+        (``benchmarks/standing/layers.py``) still wraps this method by
+        name, so it stays until the next change to that benchmark
+        deletes both.
         """
         return None
 

@@ -7,7 +7,7 @@ optionally rewritten by a rule pipeline — constant folding, predicate
 pushdown through Project/Join into Scan, and projection pruning so scans
 only materialise referenced columns. Both physical backends walk the same
 tree: the DB2 engine interprets it row-at-a-time, the accelerator lowers
-it to vectorised / chunk-parallel kernels.
+it to vectorised column kernels.
 
 The rewriter is deliberately conservative: every rule preserves result
 *bytes* (values and row order) for both backends, which the differential

@@ -6,7 +6,7 @@ unchanged; the differential tests hold the product to them.
 
 - ``kmeans_fit`` (with its own ``(n, k, d)`` broadcast distance,
   ``_pairwise_sq_distances``) is what ``KMeansAggregate`` must equal —
-  bitwise on a sequential pass below eight features;
+  bitwise below eight features;
 - ``linreg_fit`` is the ``lstsq`` fit ``LinRegAggregate``'s normal
   equations must agree with to 1e-9;
 - ``naive_bayes_fit`` and its ``naive_bayes_predict`` are the
@@ -18,7 +18,7 @@ unchanged; the differential tests hold the product to them.
   the masked walk (``repro.analytics.scoring.tree_leaves``) must agree
   with;
 - ``logreg_sgd_reference`` is the straight-line SGD that
-  ``LogisticSGDAggregate`` must equal bitwise on a sequential pass;
+  ``LogisticSGDAggregate`` must equal bitwise;
   ``sigmoid`` is the array round-trip it pays per row, which is part of
   what defines its rounding.
 """
@@ -57,7 +57,7 @@ def logreg_sgd_reference(
     """Straight-line sequential SGD; oracle for the differential tests.
 
     Returns the weight vector (intercept first), reproducing exactly
-    what the aggregate computes on a single sequential partition.
+    what the aggregate computes.
     """
     weights = np.zeros(matrix.shape[1] + 1)
     for epoch in range(epochs):

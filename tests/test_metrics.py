@@ -8,7 +8,6 @@ import decimal
 from repro.federation.network import Interconnect
 from repro.metrics.counters import (
     MovementStats,
-    Timer,
     estimate_rows_bytes,
     estimate_value_bytes,
 )
@@ -109,29 +108,6 @@ class TestByteEstimation:
 
     def test_empty(self):
         assert estimate_rows_bytes([]) == 0
-
-
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as timer:
-            sum(range(1000))
-        assert timer.elapsed > 0
-
-    def test_reentry_accumulates(self):
-        timer = Timer()
-        with timer:
-            sum(range(1000))
-        first = timer.elapsed
-        with timer:
-            sum(range(1000))
-        assert timer.elapsed > first
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            sum(range(100))
-        timer.reset()
-        assert timer.elapsed == 0.0
 
 
 class TestSystemMovement:

@@ -311,6 +311,29 @@ class TestMetricsPrimitives:
         assert summary["p50"] == pytest.approx(50.5)
         assert summary["p99"] == pytest.approx(99.01)
 
+    @pytest.mark.parametrize(
+        "values, window, expected_p50",
+        [
+            ([], 1024, 0.0),
+            ([7.0], 1024, 7.0),
+            ([4.0, 2.0], 1024, 3.0),
+            ([9.0, 1.0, 5.0, 3.0, 7.0, 2.0, 8.0], 1024, 5.0),
+            # Only the last four survive the window: 6, 7, 8, 9.
+            (list(range(10)), 4, 7.5),
+        ],
+        ids=["empty", "one", "two", "unsorted", "wrapped"],
+    )
+    def test_summary_percentiles_are_percentile(
+        self, values, window, expected_p50
+    ):
+        hist = MetricsRegistry().histogram("h", window=window)
+        for value in values:
+            hist.observe(value)
+        summary = hist.summary()
+        assert summary["p50"] == expected_p50
+        for q in (50, 95, 99):
+            assert summary[f"p{q}"] == hist.percentile(q)
+
     def test_histogram_window_bound(self):
         registry = MetricsRegistry()
         hist = registry.histogram("h", window=10)

@@ -2,8 +2,8 @@
 
 Covers the two correctness fixes of the columnar read path — int64
 zone-map precision and distribution-hash scalar normalisation — plus:
-queries scan sequentially while training alone fans out over the worker
-pool, and cached plans must be invalidated by DDL but not by grants.
+queries and training scan sequentially, never on the worker pool, and
+cached plans must be invalidated by DDL but not by grants.
 """
 
 import datetime
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.accelerator import AcceleratorEngine
-from repro.accelerator.engine import _partition_chunks
 from repro.catalog import Catalog, Column, TableLocation, TableSchema
 from repro.federation.router import normalize_sql
 from repro.federation.system import AcceleratedDatabase
@@ -179,8 +178,9 @@ class TestDistinctWithNulls:
 
 
 class TestQueriesScanSequentially:
-    """Every accelerator SELECT runs the one sequential scan pipeline;
-    only a training CALL fans out over the worker pool."""
+    """Every accelerator SELECT runs the one sequential scan pipeline,
+    and a training CALL makes one sequential pass per epoch: neither
+    reaches the worker pool."""
 
     QUERIES = [
         "SELECT COUNT(*) FROM F",
@@ -217,7 +217,6 @@ class TestQueriesScanSequentially:
         db.db2.insert_rows(txn, "F", rows)
         db.db2.commit(txn)
         db.add_table_to_accelerator("F")
-        assert db.accelerator.parallel_min_rows < 20_000
 
         calls = []
         original = ScanWorkerPool.run.__func__
@@ -234,101 +233,14 @@ class TestQueriesScanSequentially:
             result = conn.execute(sql)
             assert result.engine == "ACCELERATOR", sql
             assert result.rows == expected.rows, sql
-        assert db.accelerator.parallel_scans == 0
         assert calls == []
 
         conn.execute(
             "CALL INZA.KMEANS('intable=F, outtable=KM_F, id=ID, k=3, "
             "randseed=7, model=KM_F, incolumn=X')"
         )
-        if db.accelerator_pool is not None:
-            # A sharded pool trains over its layout-ordered snapshot.
-            assert db.accelerator.parallel_scans == 0
-            assert calls == []
-            return
-        assert db.accelerator.parallel_scans == 1
-        assert calls and set(calls) == {db.accelerator.parallel_workers}
-
-
-class TestTrainingPlanFallbacks:
-    """``partition_scan`` now serves training alone; it still declines
-    the cases where threads cannot pay or must not run."""
-
-    def make_engine(self, rows, **kwargs):
-        catalog = Catalog()
-        engine = AcceleratorEngine(
-            catalog, slice_count=4, chunk_rows=4096, parallel_workers=4,
-            **kwargs,
-        )
-        schema = TableSchema([Column("ID", INTEGER, nullable=False)])
-        descriptor = catalog.create_table(
-            "S", schema, location=TableLocation.ACCELERATOR_ONLY
-        )
-        engine.create_storage(descriptor)
-        engine.bulk_insert("S", [(i,) for i in range(rows)])
-        return engine
-
-    def test_large_table_gets_a_plan(self):
-        engine = self.make_engine(40_000)
-        plan = engine.partition_scan("S", engine.current_epoch)
-        assert plan is not None and plan.workers == 4
-        assert len(plan.partitions) > 1
-
-    def test_small_tables_stay_sequential(self):
-        engine = self.make_engine(100)
-        assert engine.partition_scan("S", engine.current_epoch) is None
-
-    def test_armed_faults_force_sequential_path(self):
-        from repro.federation.faults import FaultInjector
-
-        faults = FaultInjector(seed=1)
-        engine = self.make_engine(40_000, fault_injector=faults)
-        assert engine.partition_scan("S", engine.current_epoch) is not None
-        faults.add("accelerator", "crash", probability=0.0)
-        assert engine.partition_scan("S", engine.current_epoch) is None
-
-    def test_pending_delta_forces_sequential_path(self):
-        from repro.accelerator.deltas import DeltaBuffer
-
-        engine = self.make_engine(40_000)
-        delta = DeltaBuffer("S")
-        assert (
-            engine.partition_scan("S", engine.current_epoch, delta=delta)
-            is not None
-        )
-        delta.insert([(40_000,)])
-        assert (
-            engine.partition_scan("S", engine.current_epoch, delta=delta)
-            is None
-        )
-
-
-class TestPartitionChunks:
-    class _FakeChunk:
-        def __init__(self, length):
-            self.length = length
-
-        def __len__(self):
-            return self.length
-
-    def chunks(self, *lengths):
-        return [self._FakeChunk(n) for n in lengths]
-
-    def test_order_preserved_and_complete(self):
-        chunks = self.chunks(10, 20, 30, 40, 50)
-        spans = _partition_chunks(chunks, 3)
-        flattened = [chunk for span in spans for chunk in span]
-        assert flattened == chunks
-        assert 1 < len(spans) <= 3
-
-    def test_never_more_spans_than_requested(self):
-        spans = _partition_chunks(self.chunks(*([5] * 17)), 4)
-        assert len(spans) <= 4
-        assert sum(len(s) for s in spans) == 17
-
-    def test_single_chunk_single_span(self):
-        chunks = self.chunks(100)
-        assert _partition_chunks(chunks, 4) == [chunks]
+        assert db.models.get("KM_F").rows_trained == 20_000
+        assert calls == []
 
 
 class TestPlanCache:

@@ -1,14 +1,13 @@
 """Differential tests: unified-aggregate trainers vs. legacy fits.
 
-The PR that introduced ``repro.analytics.uda`` refactored every trainer
-onto the shared ModelAggregate contract.  These tests prove the refactor
-is numerically faithful: for each workload and each trainer, the model
-produced through ``CALL INZA.*`` (which now runs the epoch driver, with
-partition-parallel scans at ``workers=4``) must match what the untouched
-reference implementations (``kmeans_fit``, ``linreg_fit``, ... in
-``tests/oracles/analytics.py``) compute on the same matrix — exactly
-for counts, trees, and assignments, and within 1e-9 for floating-point
-parameters.
+Every trainer runs on the shared ModelAggregate contract, one
+sequential pass per epoch.  These tests prove it is numerically
+faithful: for each workload and each trainer, the model produced
+through ``CALL INZA.*`` must match what the untouched reference
+implementations (``kmeans_fit``, ``linreg_fit``, ... in
+``tests/oracles/analytics.py``) compute on the same matrix — bitwise
+for k-means and logistic SGD, exactly for counts, trees and
+assignments, and within 1e-9 for the other floating-point parameters.
 """
 
 import numpy as np
@@ -30,20 +29,20 @@ from tests.oracles.analytics import (
     linreg_fit,
     logreg_sgd_reference,
     naive_bayes_fit,
-    sigmoid,
 )
 
-WORKERS = (1, 4)
+
+#: Shard counts every CALL is trained at: the oracle is shard-blind, so
+#: matching it at each count also proves the model ignores the count.
+#: ``None`` takes the ``SHARDS`` environment default (1 when unset), so
+#: a run under ``SHARDS=2`` covers 2 and 4 shards.
+SHARDS = (None, 4)
 
 
-def make_system(workers: int) -> AcceleratedDatabase:
-    db = AcceleratedDatabase(
-        slice_count=2, chunk_rows=64, parallel_workers=workers
+def make_system(shards: int | None, **options) -> AcceleratedDatabase:
+    return AcceleratedDatabase(
+        slice_count=2, chunk_rows=64, shards=shards, **options
     )
-    # Real deployments only fan out over big tables; the tests use small
-    # ones, so drop the floor to force the partitioned path at workers=4.
-    db.accelerator.parallel_min_rows = 64
-    return db
 
 
 def reference_frame(db, conn, table, feature_columns, label_column=None):
@@ -54,18 +53,6 @@ def reference_frame(db, conn, table, feature_columns, label_column=None):
         ctx.read_labels(table, label_column) if label_column else None
     )
     return matrix, labels
-
-
-def assert_parallel_path(db, workers):
-    """workers=4 must actually have exercised partitioned training."""
-    if db.accelerator_pool is not None:
-        # A sharded pool offers no plan: training must stay numerically
-        # identical at every shard count, so it runs sequentially.
-        assert db.accelerator.parallel_scans == 0
-    elif workers > 1:
-        assert db.accelerator.parallel_scans > 0
-    else:
-        assert db.accelerator.parallel_scans == 0
 
 
 def assert_same_tree(a, b):
@@ -79,22 +66,17 @@ def assert_same_tree(a, b):
         assert_same_tree(a.right, b.right)
 
 
-@pytest.fixture(params=WORKERS)
-def workers(request):
-    return request.param
-
-
 class TestChurnWorkload:
     FEATURES = ["TENURE_MONTHS", "MONTHLY_CHARGES", "SUPPORT_CALLS"]
 
-    @pytest.fixture
-    def setup(self, workers):
-        db = make_system(workers)
+    @pytest.fixture(params=SHARDS)
+    def setup(self, request):
+        db = make_system(request.param)
         conn = db.connect()
         create_churn_table(conn, count=600, accelerate=True)
         return db, conn
 
-    def test_kmeans_identical(self, setup, workers):
+    def test_kmeans_identical(self, setup):
         db, conn = setup
         conn.execute(
             "CALL INZA.KMEANS('intable=CHURN, outtable=KM_OUT, id=CUST_ID, "
@@ -104,29 +86,22 @@ class TestChurnWorkload:
         matrix, __ = reference_frame(db, conn, "CHURN", self.FEATURES)
         reference = kmeans_fit(matrix, 4, seed=7)
         model = db.models.get("KM_CHURN")
-        np.testing.assert_allclose(
-            model.payload["centroids"], reference.centroids,
-            rtol=1e-9, atol=1e-12,
+        np.testing.assert_array_equal(
+            model.payload["centroids"], reference.centroids
         )
         assert model.metrics["iterations"] == reference.iterations
-        assert model.metrics["inertia"] == pytest.approx(
-            reference.inertia, rel=1e-9
-        )
+        assert model.metrics["inertia"] == reference.inertia
         out = conn.execute(
             "SELECT cust_id, cluster_id, distance FROM km_out ORDER BY cust_id"
         ).rows
         assert [r[1] for r in out] == [
             int(c) for c in reference.assignments
         ]
-        np.testing.assert_allclose(
-            np.array([r[2] for r in out]), reference.distances,
-            rtol=1e-9, atol=1e-12,
+        np.testing.assert_array_equal(
+            np.array([r[2] for r in out]), reference.distances
         )
-        assert_parallel_path(db, workers)
 
-    def test_kmeans_sequential_bitwise(self, setup, workers):
-        if workers != 1:
-            pytest.skip("bitwise identity is a sequential-path guarantee")
+    def test_kmeans_sequential_bitwise(self, setup):
         db, conn = setup
         conn.execute(
             "CALL INZA.KMEANS('intable=CHURN, outtable=KB_OUT, id=CUST_ID, "
@@ -139,7 +114,7 @@ class TestChurnWorkload:
         assert np.array_equal(model.payload["centroids"], reference.centroids)
         assert model.metrics["inertia"] == reference.inertia
 
-    def test_linreg_identical(self, setup, workers):
+    def test_linreg_identical(self, setup):
         db, conn = setup
         conn.execute(
             "CALL INZA.LINEAR_REGRESSION('intable=CHURN, "
@@ -166,9 +141,8 @@ class TestChurnWorkload:
         assert model.metrics["rmse"] == pytest.approx(
             reference.rmse, rel=1e-9
         )
-        assert_parallel_path(db, workers)
 
-    def test_naive_bayes_identical(self, setup, workers):
+    def test_naive_bayes_identical(self, setup):
         db, conn = setup
         conn.execute(
             "CALL INZA.NAIVEBAYES('intable=CHURN, class=CHURNED, "
@@ -192,9 +166,8 @@ class TestChurnWorkload:
             fit.variances, reference.variances, rtol=1e-9, atol=1e-12
         )
         assert fit.training_accuracy == reference.training_accuracy
-        assert_parallel_path(db, workers)
 
-    def test_decision_tree_identical(self, setup, workers):
+    def test_decision_tree_identical(self, setup):
         db, conn = setup
         conn.execute(
             "CALL INZA.DECTREE('intable=CHURN, class=CHURNED, "
@@ -215,20 +188,19 @@ class TestChurnWorkload:
             p == t for p, t in zip(predictions, labels)
         ) / len(labels)
         assert model.metrics["training_accuracy"] == accuracy
-        assert_parallel_path(db, workers)
 
 
 class TestStarSchemaWorkload:
-    @pytest.fixture
-    def setup(self, workers):
-        db = make_system(workers)
+    @pytest.fixture(params=SHARDS)
+    def setup(self, request):
+        db = make_system(request.param)
         conn = db.connect()
         create_star_schema(
             conn, customers=80, products=30, transactions=700
         )
         return db, conn
 
-    def test_kmeans_on_fact_table(self, setup, workers):
+    def test_kmeans_on_fact_table(self, setup):
         db, conn = setup
         conn.execute(
             "CALL INZA.KMEANS('intable=TRANSACTIONS, outtable=TX_SEG, "
@@ -240,14 +212,13 @@ class TestStarSchemaWorkload:
         )
         reference = kmeans_fit(matrix, 3, seed=11)
         model = db.models.get("KM_TX")
-        np.testing.assert_allclose(
-            model.payload["centroids"], reference.centroids,
-            rtol=1e-9, atol=1e-12,
+        np.testing.assert_array_equal(
+            model.payload["centroids"], reference.centroids
         )
         assert model.metrics["iterations"] == reference.iterations
-        assert_parallel_path(db, workers)
+        assert model.metrics["inertia"] == reference.inertia
 
-    def test_linreg_amount_from_quantity(self, setup, workers):
+    def test_linreg_amount_from_quantity(self, setup):
         db, conn = setup
         conn.execute(
             "CALL INZA.LINEAR_REGRESSION('intable=TRANSACTIONS, "
@@ -267,13 +238,12 @@ class TestStarSchemaWorkload:
         assert model.metrics["rmse"] == pytest.approx(
             reference.rmse, rel=1e-9
         )
-        assert_parallel_path(db, workers)
 
 
 class TestSocialMediaWorkload:
-    @pytest.fixture
-    def setup(self, workers):
-        db = make_system(workers)
+    @pytest.fixture(params=SHARDS)
+    def setup(self, request):
+        db = make_system(request.param)
         conn = db.connect()
         conn.execute(SOCIAL_DDL)
         IdaaLoader(db, batch_size=200).load(
@@ -283,7 +253,7 @@ class TestSocialMediaWorkload:
         )
         return db, conn
 
-    def test_naive_bayes_topic_from_engagement(self, setup, workers):
+    def test_naive_bayes_topic_from_engagement(self, setup):
         db, conn = setup
         conn.execute(
             "CALL INZA.NAIVEBAYES('intable=SOCIAL_POSTS, class=TOPIC, "
@@ -304,9 +274,8 @@ class TestSocialMediaWorkload:
             fit.variances, reference.variances, rtol=1e-9, atol=1e-12
         )
         assert fit.training_accuracy == reference.training_accuracy
-        assert_parallel_path(db, workers)
 
-    def test_decision_tree_exact_structure(self, setup, workers):
+    def test_decision_tree_exact_structure(self, setup):
         db, conn = setup
         conn.execute(
             "CALL INZA.DECTREE('intable=SOCIAL_POSTS, class=TOPIC, "
@@ -320,12 +289,12 @@ class TestSocialMediaWorkload:
         reference = decision_tree_fit(matrix, labels, max_depth=4)
         model = db.models.get("DT_SOCIAL")
         assert_same_tree(model.payload["root"], reference)
-        assert_parallel_path(db, workers)
 
 
 class TestTrainingTelemetry:
-    def test_epochs_metrics_and_profiler_rows(self):
-        db = make_system(1)
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_epochs_metrics_and_profiler_rows(self, shards):
+        db = make_system(shards)
         conn = db.connect()
         create_churn_table(conn, count=200, accelerate=True)
         before = db.metrics.counter("analytics.epochs").value
@@ -348,8 +317,9 @@ class TestTrainingTelemetry:
         ] * 3
         assert all(op.actual_rows == 200 for op in profiles[-1].operators)
 
-    def test_train_spans_emitted(self):
-        db = make_system(1)
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_train_spans_emitted(self, shards):
+        db = make_system(shards)
         conn = db.connect()
         create_churn_table(conn, count=150, accelerate=True)
         conn.execute(
@@ -367,17 +337,15 @@ class TestTrainingTelemetry:
 
 
 class TestLogisticSGD:
-    """The SGD trainer added with the scale-out PR: sequential passes
-    must match a straight-line SGD oracle bit-for-bit, the parallel path
-    must converge via row-weighted model averaging, and the merge rule
-    itself is proved directly on hand-built per-shard states."""
+    """The SGD trainer: every ``CALL`` must match a straight-line SGD
+    oracle bit-for-bit, at every shard count."""
 
     EPOCHS = 10
     RATE = 0.5
 
-    @pytest.fixture
-    def setup(self, workers):
-        db = make_system(workers)
+    @pytest.fixture(params=SHARDS)
+    def setup(self, request):
+        db = make_system(request.param)
         conn = db.connect()
         conn.execute(
             "CREATE TABLE PTS (ID INTEGER NOT NULL, X1 DOUBLE, "
@@ -401,36 +369,60 @@ class TestLogisticSGD:
             f"epochs={self.EPOCHS}, rate={self.RATE}')"
         )
 
-    def test_model_matches_reference(self, setup, workers):
+    def test_model_matches_reference(self, setup):
         db, conn = setup
         self._train(conn)
-        assert_parallel_path(db, workers)
         model = db.models.get("LR")
         matrix, labels = reference_frame(db, conn, "PTS", ["X1", "X2"], "Y")
         target = np.array(labels, dtype=np.float64)
         reference = logreg_sgd_reference(
             matrix, target, epochs=self.EPOCHS, rate=self.RATE
         )
-        if workers == 1:
-            # Sequential layout-order SGD: bitwise-equal to the oracle.
-            assert model.payload["intercept"] == reference[0]
-            np.testing.assert_array_equal(
-                model.payload["coefficients"], reference[1:]
-            )
-        else:
-            # Partition-parallel training averages per-partition model
-            # replicas; exact floats differ from sequential SGD but the
-            # fitted separator must agree with the oracle's labels.
-            ref_probs = sigmoid(reference[0] + matrix @ reference[1:])
-            own_probs = sigmoid(
-                model.payload["intercept"]
-                + matrix @ np.asarray(model.payload["coefficients"])
-            )
-            agreement = ((ref_probs >= 0.5) == (own_probs >= 0.5)).mean()
-            assert agreement >= 0.95
+        # Layout-order SGD: bitwise-equal to the oracle.
+        assert model.payload["intercept"] == reference[0]
+        np.testing.assert_array_equal(
+            model.payload["coefficients"], reference[1:]
+        )
         assert model.metrics["accuracy"] >= 0.9
 
-    def test_predict_expression_matches_procedure(self, setup, workers):
+    def test_default_system_at_sixteen_thousand_rows(self):
+        # 16,384 rows on a default system is where training once split
+        # the snapshot across worker threads and averaged their models;
+        # one sequential pass must give the oracle's SGD.
+        rows = 16_384
+        db = AcceleratedDatabase()
+        conn = db.connect()
+        conn.execute(
+            "CREATE TABLE WIDE_PTS (ID INTEGER NOT NULL, X DOUBLE, "
+            "Y INTEGER) IN ACCELERATOR"
+        )
+        rng = np.random.default_rng(16_384)
+        x = rng.normal(0.0, 1.0, rows)
+        y = x + rng.normal(0.0, 0.5, rows) < 0.0
+        IdaaLoader(db, batch_size=rows).load(
+            IterableSource(
+                [(i, float(x[i]), int(y[i])) for i in range(rows)],
+                ["ID", "X", "Y"],
+            ),
+            "WIDE_PTS",
+            conn,
+        )
+        conn.execute(
+            "CALL INZA.LOGISTIC_REGRESSION('intable=WIDE_PTS, target=Y, "
+            "model=LR_WIDE, id=ID, incolumn=X, epochs=2')"
+        )
+        matrix, labels = reference_frame(db, conn, "WIDE_PTS", ["X"], "Y")
+        reference = logreg_sgd_reference(
+            matrix, np.array(labels, dtype=np.float64), epochs=2
+        )
+        model = db.models.get("LR_WIDE")
+        assert model.rows_trained == rows
+        assert model.payload["intercept"] == reference[0]
+        np.testing.assert_array_equal(
+            model.payload["coefficients"], reference[1:]
+        )
+
+    def test_predict_expression_matches_procedure(self, setup):
         db, conn = setup
         self._train(conn)
         conn.execute(
@@ -445,32 +437,7 @@ class TestLogisticSGD:
         ).rows
         assert proc_rows == expr_rows
 
-    def test_merge_is_row_weighted_average(self):
-        aggregate = LogisticSGDAggregate(2, epochs=1)
-        a = {"weights": np.array([1.0, 2.0, 3.0]), "rows": 30}
-        b = {"weights": np.array([5.0, 6.0, 7.0]), "rows": 10}
-        merged = aggregate.merge(a, b)
-        np.testing.assert_allclose(
-            merged["weights"],
-            (np.array([1.0, 2.0, 3.0]) * 30 + np.array([5.0, 6.0, 7.0]) * 10)
-            / 40,
-        )
-        assert merged["rows"] == 40
-        # An empty shard (weight zero) cannot drag the model toward its
-        # untouched seed replica.
-        before = merged["weights"].copy()
-        empty = {"weights": np.zeros(3), "rows": 0}
-        merged = aggregate.merge(merged, empty)
-        np.testing.assert_array_equal(merged["weights"], before)
-        # Scoring-phase states merge by plain summation.
-        aggregate.phase = "score"
-        scored = aggregate.merge(
-            {"log_loss": 1.0, "correct": 10, "rows": 20},
-            {"log_loss": 2.0, "correct": 5, "rows": 10},
-        )
-        assert scored == {"log_loss": 3.0, "correct": 15, "rows": 30}
-
-    def test_rejects_non_binary_target(self, setup, workers):
+    def test_rejects_non_binary_target(self, setup):
         from repro.errors import AnalyticsError
 
         db, conn = setup
@@ -488,7 +455,7 @@ class TestLogisticSGD:
 
 
 def sgd_sequential(matrix, target, source_order="C", **params):
-    """The trained weights of one sequential partition, driven as the
+    """The trained weights of the aggregate, driven as the
     epoch driver drives it: one cached chunk, every epoch over it."""
     stacked = np.column_stack([matrix, target])
     if source_order == "F":
@@ -566,8 +533,9 @@ class TestLogisticSGDBitwise:
         reference = logreg_sgd_reference(matrix, target, epochs=4, rate=0.5)
         assert own.tobytes() == reference.tobytes()
 
-    def test_churn_table_through_call(self):
-        db = make_system(1)
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_churn_table_through_call(self, shards):
+        db = make_system(shards)
         conn = db.connect()
         create_churn_table(conn, count=400, accelerate=True)
         features = ["TENURE_MONTHS", "MONTHLY_CHARGES", "SUPPORT_CALLS",
@@ -625,12 +593,9 @@ class TestScanOncePerCall:
     }
 
     @pytest.mark.parametrize("model", sorted(CALLS))
-    def test_each_trainer_scans_once(self, model, workers):
-        db = AcceleratedDatabase(
-            slice_count=2, chunk_rows=64, parallel_workers=workers,
-            wlm_enabled=True,
-        )
-        db.accelerator.parallel_min_rows = 64
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_each_trainer_scans_once(self, shards, model):
+        db = make_system(shards, wlm_enabled=True)
         conn = db.connect()
         create_churn_table(conn, count=300, accelerate=True)
         conn.execute(
@@ -646,7 +611,6 @@ class TestScanOncePerCall:
         scan = one_scan(db, conn, "CHURN_SPEND")
         assert scan == 300
         scanned = db.accelerator.rows_scanned
-        parallel_scans = db.accelerator.parallel_scans
         epochs = db.metrics.counter("analytics.epochs").value
         admitted = analytics_admissions(db)
         conn.execute(sql)
@@ -659,11 +623,10 @@ class TestScanOncePerCall:
             == trained.epochs_trained
         )
         assert analytics_admissions(db) - admitted == trained.epochs_trained
-        if workers > 1 and db.accelerator_pool is None:
-            assert db.accelerator.parallel_scans - parallel_scans == 1
 
-    def test_inside_a_transaction_with_an_own_delta(self):
-        db = make_system(4)
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_inside_a_transaction_with_an_own_delta(self, shards):
+        db = make_system(shards)
         conn = db.connect()
         conn.execute(
             "CREATE TABLE PTS (ID INTEGER NOT NULL, X DOUBLE, Y INTEGER) "
@@ -688,12 +651,11 @@ class TestScanOncePerCall:
         model = db.models.get("LR_TXN")
         assert model.rows_trained == 201  # own writes visible, every epoch
         assert model.epochs_trained == 7
-        # A delta forces the single ordered pass even at workers=4.
-        assert db.accelerator.parallel_scans == 0
         conn.execute("ROLLBACK")
 
-    def test_partition_parallel_epochs_share_one_gather(self):
-        db = make_system(4)
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_epochs_share_one_gather(self, shards):
+        db = make_system(shards)
         conn = db.connect()
         create_churn_table(conn, count=600, accelerate=True)
         scan = one_scan(db, conn, "CHURN")
@@ -705,13 +667,6 @@ class TestScanOncePerCall:
         report = uda.train(LogisticSGDAggregate(2, epochs=3), source)
         assert db.accelerator.rows_scanned - scanned == scan == 600
         assert report.epochs == 4 and report.rows == 600
-        if db.accelerator_pool is not None:
-            # A sharded pool offers no partitioned plan.
-            assert report.parallel_epochs == 0
-            return
-        assert db.accelerator.parallel_scans == 1
-        assert report.parallel_epochs == 4
-        assert report.partitions == 4
 
 
 def hand_built_tree():
@@ -796,8 +751,9 @@ class TestMaskedTreeWalk:
         assert [leaves[i].prediction for i in positions] == predictions
         assert [leaves[i].confidence for i in positions] == confidences
 
-    def test_procedure_and_expression_score_like_the_descent(self, workers):
-        db = make_system(workers)
+    @pytest.mark.parametrize("shards", SHARDS)
+    def test_procedure_and_expression_score_like_the_descent(self, shards):
+        db = make_system(shards)
         conn = db.connect()
         conn.execute(
             "CREATE TABLE GRID (ID INTEGER NOT NULL, A DOUBLE, B DOUBLE, "
