@@ -27,7 +27,7 @@ from repro.db2.changelog import ChangeRecord
 from repro.errors import ReplicationError, ReproError, UnknownObjectError
 from repro.obs.trace import NULL_SPAN
 from repro.sql import ast
-from repro.sql.expressions import Scope, VColumn, compile_vector
+from repro.sql.expressions import Scope, VColumn, compile_vector, concat_columns
 from repro.sql.planning import extract_column_ranges
 from repro.storage.column_store import ColumnStoreTable
 from repro.wlm.budget import current_budget
@@ -287,7 +287,10 @@ class AcceleratorEngine:
                 track_insert(record.after)
                 continue
             if lookup is None:
-                lookup = self._build_row_lookup(table, epoch - 1)
+                row_ids, rows = _visible_rows(table, epoch - 1)
+                lookup = {}
+                for row_id, row in zip(row_ids.tolist(), rows):
+                    lookup.setdefault(row, []).append(row_id)
                 for placeholder, row in pending_inserts.items():
                     lookup.setdefault(row, []).append(placeholder)
             before = tuple(record.before)
@@ -327,18 +330,6 @@ class AcceleratorEngine:
             self._lookup_cache[key] = lookup
         self._publish_epoch(epoch)
         return len(records)
-
-    def _build_row_lookup(
-        self, table: ColumnStoreTable, epoch: int
-    ) -> dict[tuple, list[int]]:
-        row_ids, columns = table.read_visible(epoch)
-        ordered = [columns[c.name] for c in table.schema.columns]
-        object_columns = [col.to_objects() for col in ordered]
-        lookup: dict[tuple, list[int]] = {}
-        for index, row_id in enumerate(row_ids):
-            row = tuple(values[index] for values in object_columns)
-            lookup.setdefault(row, []).append(int(row_id))
-        return lookup
 
     def apply_delta(self, delta: DeltaBuffer) -> int:
         """Commit a transaction's AOT delta at a fresh epoch."""
@@ -432,15 +423,6 @@ class AcceleratorEngine:
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
-    def _live_rows_locked(self, table: ColumnStoreTable) -> list[tuple]:
-        row_ids, columns = table.read_visible(self.current_epoch)
-        ordered = [columns[c.name] for c in table.schema.columns]
-        object_columns = [col.to_objects() for col in ordered]
-        return [
-            tuple(values[i] for values in object_columns)
-            for i in range(len(row_ids))
-        ]
-
     def capture_state(self) -> dict:
         """Consistent image of every table + watermarks, one lock hold.
 
@@ -451,7 +433,7 @@ class AcceleratorEngine:
         """
         with self._write_lock:
             tables = {
-                key: self._live_rows_locked(table)
+                key: _visible_rows(table, self.current_epoch)[1]
                 for key, table in sorted(self._tables.items())
             }
             return {
@@ -464,7 +446,7 @@ class AcceleratorEngine:
         """Live rows of one table at the current epoch (write-blocked)."""
         table = self.storage_for(name)
         with self._write_lock:
-            return self._live_rows_locked(table)
+            return _visible_rows(table, self.current_epoch)[1]
 
     def wipe(self) -> None:
         """Simulate a crash: every piece of volatile state is lost.
@@ -563,17 +545,12 @@ class AcceleratorEngine:
         if insert_indexes:
             inserted_rows = [delta.inserted[i] for i in insert_indexes]
             extra = columns_from_rows(table.schema, inserted_rows)
-            merged: dict[str, VColumn] = {}
-            for column in wanted:
-                base_col = columns_read[column.name]
-                add_col = extra[column.name]
-                values = _concat_values(base_col.values, add_col.values)
-                mask = _concat_optional_masks(
-                    base_col.mask, add_col.mask, len(base_col.values),
-                    len(add_col.values),
+            columns_read = {
+                column.name: concat_columns(
+                    [columns_read[column.name], extra[column.name]]
                 )
-                merged[column.name] = VColumn(values=values, mask=mask)
-            columns_read = merged
+                for column in wanted
+            }
             delta_ids = np.array(
                 [-(i + 1) for i in insert_indexes], dtype=np.int64
             )
@@ -835,16 +812,11 @@ def _batch_columns(
     return schema.coerce_rows(batch)
 
 
-def _concat_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.dtype == b.dtype:
-        return np.concatenate([a, b])
-    return np.concatenate([a.astype(object), b.astype(object)])
-
-
-def _concat_optional_masks(a, b, a_len: int, b_len: int):
-    if a is None and b is None:
-        return None
-    left = a if a is not None else np.zeros(a_len, dtype=bool)
-    right = b if b is not None else np.zeros(b_len, dtype=bool)
-    merged = np.concatenate([left, right])
-    return merged if merged.any() else None
+def _visible_rows(
+    table: ColumnStoreTable, epoch: int
+) -> tuple[np.ndarray, list[tuple]]:
+    """Every row of ``table`` visible at ``epoch``, boxed, with its id."""
+    row_ids, columns = table.read_visible(epoch)
+    return row_ids, rows_from_columns(
+        [columns[c.name] for c in table.schema.columns]
+    )

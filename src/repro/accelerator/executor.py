@@ -32,6 +32,7 @@ from repro.sql.expressions import (
     VColumn,
     compile_scalar,
     compile_vector,
+    concat_columns,
     expression_label,
 )
 from repro.sql.correlation import SubqueryExecutor
@@ -887,7 +888,7 @@ def _combine_set_tables(op: str, left: VTable, right: VTable) -> VTable:
     if op in ("UNION ALL", "UNION"):
         table = VTable(
             left.scope,
-            [_concat_columns(a, b) for a, b in zip(left.columns, right.columns)],
+            [concat_columns([a, b]) for a, b in zip(left.columns, right.columns)],
             left.length + right.length,
         )
         if op == "UNION ALL":
@@ -1302,7 +1303,7 @@ def _null_extend(
     if not len(missing):
         return table
     pad_cols = left.gather(missing) + _all_null_columns(right, len(missing))
-    merged = [_concat_columns(a, b) for a, b in zip(table.columns, pad_cols)]
+    merged = [concat_columns([a, b]) for a, b in zip(table.columns, pad_cols)]
     in_left_order = np.argsort(np.concatenate([matched, missing]), kind="stable")
     return VTable(table.scope, merged, len(in_left_order)).take(in_left_order)
 
@@ -1318,14 +1319,3 @@ def _all_null_columns(table: VTable, count: int) -> list[VColumn]:
         )
         for col in table.columns
     ]
-
-
-def _concat_columns(*parts: VColumn) -> VColumn:
-    """``parts`` end to end (boxed when their dtypes differ)."""
-    values = [part.values for part in parts]
-    if len({v.dtype for v in values}) > 1:
-        values = [v.astype(object) for v in values]
-    merged = np.concatenate([part.null_mask() for part in parts])
-    return VColumn(
-        values=np.concatenate(values), mask=merged if merged.any() else None
-    )

@@ -323,7 +323,8 @@ def _accel_get_health(ctx: ProcedureContext) -> str:
             link = shard.interconnect.snapshot()
             ctx.log(
                 f"shard{shard.shard_id}: state={state} "
-                f"rows={shard.row_count} scans={shard.scans} "
+                f"rows={pool.shard_row_count(shard.shard_id)} "
+                f"scans={shard.scans} "
                 f"rows_scanned={shard.rows_scanned} "
                 f"rows_written={shard.rows_written} "
                 f"failures={circuit.failures_total} "

@@ -382,8 +382,8 @@ def _shards_rows(system: "AcceleratedDatabase") -> list[tuple]:
                 shard.shard_id,
                 circuit.state.value if shard.alive else "DOWN",
                 _flag(shard.alive),
-                len(shard.tables),
-                shard.row_count,
+                len(pool.shard_parts(shard.shard_id)),
+                pool.shard_row_count(shard.shard_id),
                 lost,
                 shard.scans,
                 shard.rows_scanned,

@@ -41,8 +41,8 @@ from repro.errors import ReproError, ShardUnavailableError
 from repro.federation.health import HealthMonitor
 from repro.federation.network import Interconnect
 from repro.shard.placement import PartitionSpec, ShardMap, default_spec
-from repro.sql.expressions import VColumn
-from repro.storage.column_store import ColumnStoreTable
+from repro.sql.expressions import VColumn, concat_columns
+from repro.storage.column_store import ColumnStoreTable, empty_read
 
 __all__ = [
     "AcceleratorPool",
@@ -55,9 +55,10 @@ __all__ = [
 class AcceleratorShard:
     """One accelerator instance of the pool.
 
-    Owns its table partitions, its own circuit breaker, its own
-    byte-accounting interconnect link, and its own fault site so tests
-    and operators can fail instances independently.
+    Owns its own circuit breaker, its own byte-accounting interconnect
+    link, and its own fault site so tests and operators can fail
+    instances independently. Its table partitions are the pool's live
+    facades' ``parts[shard_id]`` (:meth:`AcceleratorPool.shard_parts`).
     """
 
     def __init__(
@@ -73,16 +74,11 @@ class AcceleratorShard:
         #: False after a kill until the shard is rebuilt; unlike an open
         #: circuit this never half-opens on its own.
         self.alive = True
-        self.tables: dict[str, ColumnStoreTable] = {}
         # Instrumentation (surfaced by SYSACCEL.MON_SHARDS).
         self.scans = 0
         self.rows_scanned = 0
         self.rows_written = 0
         self.simulated_busy_seconds = 0.0
-
-    @property
-    def row_count(self) -> int:
-        return sum(part.row_count for part in self.tables.values())
 
 
 class ShardedTable:
@@ -151,17 +147,6 @@ class ShardedTable:
 
     def byte_count(self, epoch: Optional[int] = None) -> int:
         return sum(part.byte_count(epoch) for part in self.parts)
-
-    def fetch_rows(self, row_ids: Sequence[int]) -> list[tuple]:
-        out = []
-        for row_id in row_ids:
-            for part in self.parts:
-                if int(row_id) in part._locator:
-                    out.extend(part.fetch_rows([row_id]))
-                    break
-            else:
-                raise KeyError(int(row_id))
-        return out
 
     # -- write path ----------------------------------------------------------
 
@@ -322,10 +307,7 @@ class ShardedTable:
         wanted: list[str],
     ) -> tuple[np.ndarray, dict[str, VColumn]]:
         if not gathered or not len(order_ids):
-            empty = np.empty(0, dtype=np.int64)
-            return empty, {
-                name: self._empty_column(name) for name in wanted
-            }
+            return empty_read(self.schema, wanted)
         merged_ids = np.concatenate([ids for ids, _ in gathered])
         sorter = np.argsort(merged_ids, kind="stable")
         sorted_ids = merged_ids[sorter]
@@ -334,46 +316,14 @@ class ShardedTable:
         valid = sorted_ids[pos] == order_ids
         take = sorter[pos[valid]]
         row_ids = order_ids[valid]
-        lengths = [len(ids) for ids, _ in gathered]
         out: dict[str, VColumn] = {}
         for name in wanted:
-            values = _concat_arrays(
-                [cols[name].values for _, cols in gathered]
-            )[take]
-            mask = _concat_masks(
-                [cols[name].mask for _, cols in gathered], lengths
-            )
-            if mask is not None:
-                mask = mask[take]
-                if not mask.any():
-                    mask = None
-            out[name] = VColumn(values=values, mask=mask)
+            column = concat_columns([cols[name] for _, cols in gathered])
+            column = column.take(take)
+            if column.mask is not None and not column.mask.any():
+                column.mask = None
+            out[name] = column
         return row_ids, out
-
-    def _empty_column(self, name: str) -> VColumn:
-        dtype = self.schema.column(name).sql_type.numpy_dtype
-        return VColumn(values=np.empty(0, dtype=dtype))
-
-
-def _concat_arrays(parts: list[np.ndarray]) -> np.ndarray:
-    if len(parts) == 1:
-        return parts[0]
-    if len({p.dtype for p in parts}) == 1:
-        return np.concatenate(parts)
-    return np.concatenate([p.astype(object) for p in parts])
-
-
-def _concat_masks(
-    masks: list[Optional[np.ndarray]], lengths: list[int]
-) -> Optional[np.ndarray]:
-    if all(m is None for m in masks):
-        return None
-    return np.concatenate(
-        [
-            m if m is not None else np.zeros(n, dtype=bool)
-            for m, n in zip(masks, lengths)
-        ]
-    )
 
 
 class AcceleratorPool(AcceleratorEngine):
@@ -442,6 +392,14 @@ class AcceleratorPool(AcceleratorEngine):
     @property
     def shard_list(self) -> list[AcceleratorShard]:
         return list(self._shard_list)
+
+    def shard_parts(self, shard_id: int) -> list[ColumnStoreTable]:
+        """The shard's partition of every table, from the live facades."""
+        return [facade.parts[shard_id] for facade in self._tables.values()]
+
+    def shard_row_count(self, shard_id: int) -> int:
+        """Live rows the shard holds over every table."""
+        return sum(part.row_count for part in self.shard_parts(shard_id))
 
     @property
     def live_shards(self) -> int:
@@ -521,11 +479,6 @@ class AcceleratorPool(AcceleratorEngine):
             key, descriptor.schema, descriptor.distribute_on, spec
         )
 
-    def drop_storage(self, name: str) -> None:
-        super().drop_storage(name)
-        for shard in self._shard_list:
-            shard.tables.pop(name.upper(), None)
-
     def _build_facade(
         self,
         name: str,
@@ -549,16 +502,15 @@ class AcceleratorPool(AcceleratorEngine):
             distribute_on=distribute_on,
             chunk_rows=self.chunk_rows,
         )
-        parts = []
-        for shard in self._shard_list:
-            part = ColumnStoreTable(
+        parts = [
+            ColumnStoreTable(
                 schema,
                 slice_count=self.slice_count,
                 distribute_on=distribute_on,
                 chunk_rows=self.chunk_rows,
             )
-            shard.tables[name] = part
-            parts.append(part)
+            for _ in self._shard_list
+        ]
         return ShardedTable(
             self,
             name,
@@ -615,11 +567,6 @@ class AcceleratorPool(AcceleratorEngine):
         fresh.layout._next_row_id = table.layout._next_row_id
         return fresh
 
-    def wipe(self) -> None:
-        super().wipe()
-        for shard in self._shard_list:
-            shard.tables.clear()
-
     def restore_table(
         self,
         descriptor,
@@ -657,19 +604,17 @@ class AcceleratorPool(AcceleratorEngine):
         """
         shard = self.shard(shard_id)
         with self._write_lock:
-            lost_rows = shard.row_count
+            lost_rows = self.shard_row_count(shard_id)
             shard.alive = False
             shard.health.force_offline()
-            for key, facade in self._tables.items():
-                part = ColumnStoreTable(
+            for facade in self._tables.values():
+                facade.parts[shard_id] = ColumnStoreTable(
                     facade.schema,
                     slice_count=self.slice_count,
                     distribute_on=facade.distribute_on,
                     chunk_rows=self.chunk_rows,
                 )
-                facade.parts[shard_id] = part
                 facade.lost_shards.add(shard_id)
-                shard.tables[key] = part
             self._lookup_cache.clear()
         self._notify_capacity()
         return lost_rows
@@ -680,12 +625,6 @@ class AcceleratorPool(AcceleratorEngine):
         shard.alive = True
         shard.health.reset()
         self._notify_capacity()
-
-    def reload_facade(self, name: str) -> None:
-        """Clear a table's lost-shard marks after a system-level reload."""
-        table = self._tables.get(name.upper())
-        if table is not None:
-            table.lost_shards.clear()
 
     def _notify_capacity(self) -> None:
         listener = self.capacity_listener

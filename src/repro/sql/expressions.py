@@ -31,6 +31,7 @@ __all__ = [
     "Scope",
     "VColumn",
     "compile_scalar",
+    "concat_columns",
     "compile_vector",
     "SCALAR_FUNCTIONS",
     "expression_label",
@@ -644,6 +645,21 @@ class VColumn:
         else:
             values = np.array(items, dtype=object)
         return VColumn(values=values, mask=mask if has_nulls else None)
+
+
+def concat_columns(parts: Sequence[VColumn]) -> VColumn:
+    """``parts`` end to end, boxed to objects when their dtypes differ;
+    the mask is None when no entry is NULL. One part comes back as is."""
+    if len(parts) == 1:
+        return parts[0]
+    values = [part.values for part in parts]
+    if len({v.dtype for v in values}) > 1:
+        values = [v.astype(object) for v in values]
+    mask = None
+    if any(part.mask is not None for part in parts):
+        merged = np.concatenate([part.null_mask() for part in parts])
+        mask = merged if merged.any() else None
+    return VColumn(values=np.concatenate(values), mask=mask)
 
 
 def _broadcast_literal(value, length: int) -> VColumn:

@@ -29,7 +29,13 @@ from repro.errors import ReproError
 from repro.sql.expressions import VColumn
 from repro.storage.zone_maps import ZoneMap
 
-__all__ = ["Chunk", "ColumnStoreTable", "NEVER_DELETED", "distinct_keys"]
+__all__ = [
+    "Chunk",
+    "ColumnStoreTable",
+    "NEVER_DELETED",
+    "distinct_keys",
+    "empty_read",
+]
 
 #: Sentinel delete epoch for live rows.
 NEVER_DELETED = np.iinfo(np.int64).max
@@ -83,6 +89,19 @@ def distinct_keys(
     first[inverse[::-1]] = np.arange(len(inverse) - 1, -1, -1)
     picked = [column.take(first).to_objects() for column in key_columns]
     return list(zip(*picked)), inverse
+
+
+def empty_read(
+    schema: TableSchema, names: Sequence[str]
+) -> tuple[np.ndarray, dict[str, VColumn]]:
+    """A read that matched no row: no ids, and an empty column of each
+    named column's dtype."""
+    return np.empty(0, dtype=np.int64), {
+        name: VColumn(
+            values=np.empty(0, dtype=schema.column(name).sql_type.numpy_dtype)
+        )
+        for name in names
+    }
 
 
 class Chunk:
@@ -258,7 +277,6 @@ class ColumnStoreTable:
         self.chunk_rows = chunk_rows
         self._slices: list[list[Chunk]] = [[] for _ in range(slice_count)]
         self._next_row_id = 0
-        self._locator: dict[int, tuple[int, int, int]] = {}
         self._live_rows = 0
         self.zone_maps_enabled = True
 
@@ -348,25 +366,12 @@ class ColumnStoreTable:
                     chunks.append(chunk)
                 else:
                     chunks[-1] = chunk
-                self._locate(
-                    chunk.row_ids[base:], slice_id, len(chunks) - 1, base
-                )
         self._live_rows += (
             count
             if versions is None
             else int(np.count_nonzero(versions[1] == NEVER_DELETED))
         )
         return row_ids
-
-    def _locate(
-        self, ids: np.ndarray, slice_id: int, chunk_index: int, base: int
-    ) -> None:
-        self._locator.update(
-            {
-                row_id: (slice_id, chunk_index, base + offset)
-                for offset, row_id in enumerate(ids.tolist())
-            }
-        )
 
     def _rows_by_slice(
         self, columns: Sequence[VColumn], count: int
@@ -407,20 +412,35 @@ class ColumnStoreTable:
     @property
     def stored_rows(self) -> int:
         """Rows physically held, deleted versions included."""
-        return len(self._locator)
+        return sum(len(chunk) for _, chunk in self.iter_chunks())
 
     def mark_deleted(self, row_ids: Sequence[int], epoch: int) -> int:
-        """Stamp ``delete_epoch`` for the given rows; returns count."""
+        """Stamp ``delete_epoch`` for the given live rows; returns how
+        many were stamped. A duplicate id counts once; an absent or
+        already-deleted id is skipped.
+
+        Each chunk's ``row_ids`` is the only map from an id to its row, so
+        every chunk is matched with one vector comparison until all ids
+        are found. The ids of a chunk are not ascending after a keyless
+        GROOM that follows deletes, so the match cannot binary-search.
+        """
+        ids = np.unique(np.asarray(row_ids, dtype=np.int64))
+        unfound = len(ids)
         deleted = 0
-        for row_id in row_ids:
-            location = self._locator.get(int(row_id))
-            if location is None:
+        for _, chunk in self.iter_chunks():
+            if not unfound:
+                break
+            if len(ids) == 1:
+                hit = chunk.row_ids == ids[0]
+            else:
+                hit = np.isin(chunk.row_ids, ids)
+            found = int(np.count_nonzero(hit))
+            if not found:
                 continue
-            slice_id, chunk_index, offset = location
-            chunk = self._slices[slice_id][chunk_index]
-            if chunk.delete_epochs[offset] == NEVER_DELETED:
-                chunk.delete_epochs[offset] = epoch
-                deleted += 1
+            unfound -= found
+            hit &= chunk.delete_epochs == NEVER_DELETED
+            chunk.delete_epochs[hit] = epoch
+            deleted += int(np.count_nonzero(hit))
         self._live_rows -= deleted
         return deleted
 
@@ -452,8 +472,7 @@ class ColumnStoreTable:
         query predicate; chunks whose zone maps exclude the range are
         skipped entirely (the scan still re-applies the full predicate).
         Resets and updates the ``last_scan_chunks_*`` counters. The order
-        is the sequential scan order, so concatenating per-chunk results
-        from any contiguous partitioning reproduces it exactly.
+        is the sequential scan order that :meth:`gather_chunks` keeps.
         """
         self.last_scan_chunks_skipped = 0
         self.last_scan_chunks_total = 0
@@ -479,8 +498,8 @@ class ColumnStoreTable:
     ) -> tuple[np.ndarray, dict[str, VColumn]]:
         """Materialise the rows of ``chunks`` visible at ``epoch``.
 
-        Pure read: touches no table-level counters, so disjoint chunk
-        spans can be gathered concurrently from worker threads. Returns
+        Pure read: touches no table-level counters, so a caller may
+        gather any chunk list it holds, at any snapshot. Returns
         (row_ids, {column: VColumn}).
         """
         return self._gather(
@@ -538,10 +557,7 @@ class ColumnStoreTable:
                         else np.zeros(int(visible.sum()), bool)
                     )
         if not id_parts:
-            empty_ids = np.empty(0, dtype=np.int64)
-            return empty_ids, {
-                name: self._empty_column(name) for name in wanted
-            }
+            return empty_read(self.schema, wanted)
         row_ids = np.concatenate(id_parts)
         out: dict[str, VColumn] = {}
         for name in wanted:
@@ -558,28 +574,6 @@ class ColumnStoreTable:
     ) -> tuple[np.ndarray, dict[str, VColumn]]:
         """Materialise all rows visible at ``epoch`` after zone-map pruning."""
         return self.gather_chunks(self.visible_chunks(ranges), epoch, columns)
-
-    def _empty_column(self, name: str) -> VColumn:
-        dtype = self.schema.column(name).sql_type.numpy_dtype
-        return VColumn(values=np.empty(0, dtype=dtype))
-
-    def fetch_rows(self, row_ids: Sequence[int]) -> list[tuple]:
-        """Random access by row id (replication/delta bookkeeping)."""
-        out: list[tuple] = []
-        names = self.schema.column_names
-        for row_id in row_ids:
-            slice_id, chunk_index, offset = self._locator[int(row_id)]
-            chunk = self._slices[slice_id][chunk_index]
-            row = []
-            for name in names:
-                mask = chunk.masks.get(name)
-                if mask is not None and mask[offset]:
-                    row.append(None)
-                else:
-                    value = chunk.columns[name][offset]
-                    row.append(value.item() if hasattr(value, "item") else value)
-            out.append(tuple(row))
-        return out
 
     def byte_count(self, epoch: Optional[int] = None) -> int:
         """Estimated serialized size of rows visible at ``epoch`` (or all)."""

@@ -144,5 +144,3 @@ def _seal_chunk(
         chunks.append(chunk)
     else:
         chunks[chunk_index] = chunk
-    for offset, row_id in enumerate(ids):
-        table._locator[row_id] = (slice_id, chunk_index, offset)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import datetime
 import decimal
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,7 +118,9 @@ def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
 def assert_same_table(new: ColumnStoreTable, old: ColumnStoreTable) -> None:
     assert new.row_count == old.row_count
     assert new._next_row_id == old._next_row_id
-    assert new._locator == old._locator
+    assert new.stored_rows == old.stored_rows
+    # Same chunk counts per slice and the same ids in every chunk: each
+    # row lives at the same (slice, chunk, offset) in both tables.
     assert [len(s) for s in new._slices] == [len(s) for s in old._slices]
     for (slice_a, a), (slice_b, b) in zip(new.iter_chunks(), old.iter_chunks()):
         assert slice_a == slice_b
@@ -588,6 +592,32 @@ def test_insert_select_boxes_no_rows(shards, monkeypatch):
     assert boxed == []
     assert conn.execute("SELECT COUNT(*) FROM copy").rows == [(40,)]
     assert boxed == [1]
+
+
+def test_a_landing_keeps_only_the_rows_columns():
+    """An ``INSERT INTO aot SELECT`` keeps its rows' arrays and nothing per
+    row beside them: ID, V, row id and the two epochs are 40 bytes."""
+    rows = 20_000
+    db = AcceleratedDatabase(shards=1)
+    conn = db.connect()
+    for name in ("SRC", "DST"):
+        conn.execute(f"CREATE TABLE {name} (ID INTEGER, V DOUBLE) IN ACCELERATOR")
+    for low in range(0, rows, 5_000):
+        conn.execute(
+            "INSERT INTO SRC VALUES "
+            + ", ".join(f"({i}, {i * 0.5})" for i in range(low, low + 5_000))
+        )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        conn.execute("INSERT INTO DST SELECT id, v FROM src")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert db.accelerator.storage_for("DST").row_count == rows
+    assert retained / rows <= 64
 
 
 # ---------------------------------------------------------------------------

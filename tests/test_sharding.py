@@ -428,6 +428,39 @@ class TestShardObservability:
         ).rows
         assert rows == [("DOWN", "N", 1)]
 
+    def test_mon_shards_counts_the_live_parts_after_a_failed_groom(self):
+        db = AcceleratedDatabase(shards=2, slice_count=2, chunk_rows=32)
+        conn = db.connect()
+        conn.execute("CREATE TABLE G (A INTEGER NOT NULL) IN ACCELERATOR")
+        conn.execute(
+            "INSERT INTO G VALUES " + ", ".join(f"({i})" for i in range(100))
+        )
+        conn.execute("DELETE FROM g WHERE a < 10")
+        table = db.accelerator.storage_for("G")
+        # Shard 1 admits the GROOM's read of the old rows, then fails the
+        # successor's write: the table keeps its old storage.
+        site = db.accelerator_pool.shard(1).fault_site
+        db.faults.add(site, schedule=[db.faults.calls.get(site, 0) + 2])
+        with pytest.raises(ShardUnavailableError):
+            conn.execute("CALL SYSPROC.ACCEL_GROOM_TABLES('tables=G')")
+        assert db.accelerator.storage_for("G") is table
+        assert conn.execute("SELECT COUNT(*) FROM g").scalar() == 90
+        rows = conn.execute(
+            "SELECT SHARD_ID, TABLES, ROW_COUNT FROM SYSACCEL.MON_SHARDS "
+            "ORDER BY SHARD_ID"
+        ).rows
+        assert rows == [
+            (shard_id, 1, part.row_count)
+            for shard_id, part in enumerate(table.parts)
+        ]
+        assert sum(row[2] for row in rows) == 90
+        lines = [r[0] for r in conn.execute(
+            "CALL SYSPROC.ACCEL_GET_HEALTH('')"
+        ).rows]
+        assert [l.split()[2] for l in lines if l.startswith("shard")] == [
+            f"rows={part.row_count}" for part in table.parts
+        ]
+
     def test_mon_shards_single_instance_synthetic_row(self):
         db = AcceleratedDatabase(shards=1, slice_count=2, chunk_rows=32)
         conn = db.connect()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.catalog import Column, TableSchema
+from repro.catalog.schema import rows_from_columns
 from repro.errors import ReproError
 from repro.sql.types import DOUBLE, INTEGER, VarcharType
 from repro.storage.column_store import ColumnStoreTable, NEVER_DELETED
@@ -147,15 +148,48 @@ class TestColumnStore:
         layout_b = [[len(c) for c in chunks] for chunks in table_b._slices]
         assert layout_a == layout_b
 
-    def test_fetch_rows_round_trips(self, schema):
-        table, row_ids = self.make(schema, rows=10)
-        rows = table.fetch_rows(row_ids[3:5])
-        assert rows == [(3, 3.0, "n3"), (4, 4.0, "n4")]
+    @staticmethod
+    def rows_by_id(table, epoch, ids):
+        row_ids, columns = table.read_visible(epoch)
+        rows = rows_from_columns([columns[c.name] for c in table.schema.columns])
+        by_id = dict(zip(row_ids.tolist(), rows))
+        return [by_id[int(row_id)] for row_id in ids]
 
-    def test_fetch_preserves_nulls(self, schema):
+    def test_rows_round_trip_by_id(self, schema):
+        table, row_ids = self.make(schema, rows=10)
+        rows = self.rows_by_id(table, 1, row_ids[3:5])
+        assert rows == [(3, 3.0, "n3"), (4, 4.0, "n4")]
+        assert [type(v) for v in rows[0]] == [int, float, str]
+
+    def test_read_preserves_nulls(self, schema):
         table = ColumnStoreTable(schema)
         ids = table.append_rows([(1, None, None)], epoch=1)
-        assert table.fetch_rows(ids) == [(1, None, None)]
+        assert self.rows_by_id(table, 1, ids) == [(1, None, None)]
+
+    def test_mark_deleted_counts_each_live_row_once(self, schema):
+        table, row_ids = self.make(schema, rows=10, slice_count=2, chunk_rows=4)
+        assert table.mark_deleted([3], epoch=2) == 1
+        assert table.mark_deleted([3], epoch=3) == 0
+        assert table.mark_deleted([5, 5, 6, 99, 3], epoch=4) == 2
+        assert table.mark_deleted([], epoch=5) == 0
+        assert table.row_count == 7
+        assert table.stored_rows == 10
+        assert sorted(table.read_visible(epoch=4)[0].tolist()) == [
+            0, 1, 2, 4, 7, 8, 9,
+        ]
+        assert len(table.read_visible(epoch=2)[0]) == 9
+
+    def test_mark_deleted_finds_ids_in_unsorted_chunks(self, schema):
+        table = ColumnStoreTable(schema, slice_count=1, chunk_rows=8)
+        ids = np.array([7, 3, 12, 0, 5], dtype=np.int64)
+        table.append_rows(
+            [(i, float(i), None) for i in ids.tolist()], epoch=1, row_ids=ids
+        )
+        assert table._slices[0][0].row_ids.tolist() == [7, 3, 12, 0, 5]
+        assert table.mark_deleted([0, 12, 4], epoch=2) == 2
+        live, columns = table.read_visible(epoch=2)
+        assert live.tolist() == [7, 3, 5]
+        assert columns["ID"].values.tolist() == [7, 3, 5]
 
     def test_truncate_is_versioned(self, schema):
         table, __ = self.make(schema, rows=10)

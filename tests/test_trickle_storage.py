@@ -19,7 +19,12 @@ import numpy as np
 import pytest
 
 from repro import AcceleratedDatabase
-from repro.catalog.schema import Column, TableSchema, columns_from_rows
+from repro.catalog.schema import (
+    Column,
+    TableSchema,
+    columns_from_rows,
+    rows_from_columns,
+)
 from repro.errors import ReproError
 from repro.shard.pool import ShardedTable
 from repro.sql.types import BIGINT, DOUBLE, INTEGER, VarcharType
@@ -159,6 +164,14 @@ def _read(table: ColumnStoreTable, chunks, epoch: int):
     return row_ids.tolist(), {
         name: column.to_objects() for name, column in columns.items()
     }
+
+
+def _rows_by_id(table: ColumnStoreTable, epoch: int, ids) -> list[tuple]:
+    """The rows visible at ``epoch`` with the given ids, in ``ids`` order."""
+    row_ids, columns = table.read_visible(epoch)
+    rows = rows_from_columns([columns[c.name] for c in table.schema.columns])
+    by_id = dict(zip(row_ids.tolist(), rows))
+    return [by_id[row_id] for row_id in ids]
 
 
 def test_readers_keep_their_snapshot_across_extensions():
@@ -302,7 +315,7 @@ def test_null_masks_survive_an_extension(first_null):
     _append(table, second, epoch=2)
     _append(table, [(3, 4.0)], epoch=3)
     expected = first + second + [(3, 4.0)]
-    assert table.fetch_rows(range(4)) == expected
+    assert _rows_by_id(table, 3, range(4)) == expected
     assert _read(table, table.visible_chunks(), 3)[1]["V"] == [
         row[1] for row in expected
     ]
@@ -312,13 +325,13 @@ def test_null_masks_survive_an_extension(first_null):
     assert mask.tolist() == [row[1] is None for row in expected]
 
 
-def test_deletes_and_fetches_reach_rows_in_an_extended_tail():
+def test_deletes_and_reads_reach_rows_in_an_extended_tail():
     table = _table(chunk_rows=8, ID=INTEGER)
     for i in range(20):
         _append(table, [(i,)], epoch=i + 1)
     assert [len(chunk) for chunk in table._slices[0]] == [8, 8, 4]
-    assert table._locator[19] == (0, 2, 3)
-    assert table.fetch_rows([7, 8, 19]) == [(7,), (8,), (19,)]
+    assert table._slices[0][2].row_ids[3] == 19
+    assert _rows_by_id(table, 20, [7, 8, 19]) == [(7,), (8,), (19,)]
     assert table.mark_deleted([5, 17, 19], epoch=30) == 3
     assert table.mark_deleted([17], epoch=31) == 0
     assert table.row_count == 17
@@ -555,3 +568,71 @@ def test_drain_groom_drain_matches_a_lookup_rebuild(shards):
     conn = kept.connect()
     conn.set_acceleration("NONE")
     assert rows == sorted(conn.execute("SELECT * FROM r").rows, key=repr)
+
+
+# ---------------------------------------------------------------------------
+# Deletes after a keyless GROOM: chunks hold ids out of order
+# ---------------------------------------------------------------------------
+
+
+def _has_unsorted_chunk(table) -> bool:
+    return any(
+        np.any(np.diff(chunk.row_ids) < 0)
+        for store in _stores(table)
+        for _, chunk in store.iter_chunks()
+    )
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_deletes_reach_rows_after_a_keyless_groom(shards):
+    db = _system(shards)
+    conn = db.connect()
+    conn.execute("CREATE TABLE K (ID INTEGER, V DOUBLE) IN ACCELERATOR")
+    conn.execute("CREATE TABLE KT (ID INTEGER, V DOUBLE)")
+    conn.execute("CREATE TABLE R (ID INTEGER NOT NULL PRIMARY KEY, V DOUBLE)")
+    db.add_table_to_accelerator("R")
+    for batch in range(3):
+        values = ", ".join(
+            f"({i}, {i * 0.5})" for i in range(batch * 40, batch * 40 + 40)
+        )
+        for name in ("K", "KT", "R"):
+            conn.execute(f"INSERT INTO {name} VALUES {values}")
+    for name in ("K", "KT", "R"):
+        conn.execute(f"DELETE FROM {name} WHERE MOD(id, 7) = 0 AND id < 60")
+    db.replication.drain()
+    # Each slice held ids from three batches; the groom re-splits the
+    # survivors into even blocks, so a block crosses a slice boundary
+    # and a chunk's ids fall back.
+    for name in ("K", "R"):
+        db.accelerator.groom(name)
+        assert _has_unsorted_chunk(db.accelerator.storage_for(name)), name
+
+    for name in ("K", "KT"):
+        conn.execute(f"DELETE FROM {name} WHERE v > 30 AND v < 40")
+        conn.execute(f"UPDATE {name} SET v = v + 100 WHERE MOD(id, 5) = 1")
+    conn.execute("DELETE FROM r WHERE MOD(id, 5) = 2")
+    conn.execute("UPDATE r SET v = -v WHERE MOD(id, 9) = 4")
+    db.replication.drain()
+
+    # The storage surface: a duplicate id counts once, an absent one is
+    # skipped, a deleted one is not stamped again.
+    table = db.accelerator.storage_for("K")
+    row_ids, columns = table.read_visible(db.accelerator.current_epoch)
+    target = int(row_ids[len(row_ids) // 2])
+    target_id = columns["ID"].values[len(row_ids) // 2]
+    absent = table._next_row_id + 5
+    epoch = db.accelerator.current_epoch + 1
+    assert table.mark_deleted([target, absent, target], epoch) == 1
+    db.accelerator._publish_epoch(epoch)
+    assert table.mark_deleted([target, absent], epoch + 1) == 0
+    conn.execute(f"DELETE FROM kt WHERE id = {target_id}")
+
+    for accelerated, twin in (("k", "kt"), ("r", "r")):
+        conn.set_acceleration("NONE")
+        expected = conn.execute(f"SELECT id, v FROM {twin} ORDER BY id").rows
+        assert _accel_rows(conn, f"SELECT id, v FROM {accelerated} ORDER BY id") == (
+            expected
+        )
+        table = db.accelerator.storage_for(accelerated)
+        assert table.row_count == len(expected)
+        assert table.stored_rows == sum(len(c) for _, c in table.iter_chunks())
