@@ -753,7 +753,7 @@ class AcceleratorEngine:
         scope = Scope([(name, c.name) for c in schema.columns])
         binding_columns = {i: c.name for i, c in enumerate(schema.columns)}
         ranges = (
-            extract_column_ranges(where, scope, binding_columns)
+            extract_column_ranges(where, scope, binding_columns, params)
             if where is not None
             else {}
         )
@@ -778,7 +778,7 @@ class AcceleratorEngine:
         if where is None:
             return np.ones(length, dtype=bool)
         fn = compile_vector(
-            where, scope, params, self._dml_resolver(scope)
+            where, scope, params, self._dml_resolver(scope, params)
         )
         result = fn(columns, length)
         mask = result.values.astype(bool)
@@ -786,13 +786,13 @@ class AcceleratorEngine:
             mask &= ~result.mask
         return mask
 
-    def _dml_resolver(self, scope: Scope):
+    def _dml_resolver(self, scope: Scope, params: Sequence[object]):
         from repro.sql.correlation import SubqueryExecutor
 
         return SubqueryExecutor(
             scope,
             lambda table: self.storage_for(table).schema.column_names,
-            lambda query: self.execute_select(query)[1],
+            lambda query: self.execute_select(query, params=params)[1],
         )
 
 

@@ -208,7 +208,13 @@ class VectorQueryEngine:
                 where, scope, self._params, self._resolver(scope)
             )
         try:
-            key = (id(where), tuple(scope.entries), tuple(self._params))
+            # Typed: 2 and 2.0 are equal keys but compile different
+            # kernels (integer division truncates).
+            params = tuple(self._params)
+            key = (
+                id(where), tuple(scope.entries), params,
+                tuple(map(type, params)),
+            )
             hash(key)
         except TypeError:
             return compile_vector(where, scope, self._params)
@@ -474,7 +480,9 @@ class VectorQueryEngine:
         )
         range_parts = parts + ([hint] if hint is not None else [])
         ranges = (
-            extract_column_ranges(_and_all(range_parts), scope, binding_columns)
+            extract_column_ranges(
+                _and_all(range_parts), scope, binding_columns, self._params
+            )
             if range_parts
             else {}
         )

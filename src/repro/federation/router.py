@@ -27,16 +27,18 @@ extension:
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from repro.catalog import Catalog, TableLocation
 from repro.errors import (
     AcceleratorUnavailableError,
     RoutingError,
+    SqlError,
     UnknownObjectError,
 )
 from repro.federation.health import HealthMonitor
@@ -51,7 +53,10 @@ __all__ = [
     "CachedPlan",
     "KernelCache",
     "PlanCache",
-    "normalize_sql",
+    "RouteFacts",
+    "StatementShape",
+    "lift_changes_meaning",
+    "scan_statement",
 ]
 
 
@@ -83,6 +88,17 @@ class RoutingDecision:
     reason: str
 
 
+@dataclass(frozen=True)
+class RouteFacts:
+    """:meth:`QueryRouter.classify`'s verdicts on one statement."""
+
+    has_aot: bool  # references an accelerator-only table
+    has_plain_db2: bool  # references a table with no accelerator copy
+    all_on_accelerator: bool  # every referenced table is visible there
+    point_lookup: bool  # primary-key equality on one table
+    analytical: bool  # set operation, aggregate, DISTINCT, join, derived
+
+
 class QueryRouter:
     """Stateless routing policy over the shared catalog."""
 
@@ -101,27 +117,54 @@ class QueryRouter:
 
     # -- queries ---------------------------------------------------------------
 
+    def classify(
+        self, stmt: Union[ast.SelectStatement, ast.SetOperation]
+    ) -> RouteFacts:
+        """The statement-only half of routing: where the referenced
+        tables live and what shape the query has. Nothing here depends
+        on the session, the accelerator's health or row estimates, so a
+        plan computes it once (at bind) and every execution reuses it."""
+        has_aot = False
+        has_plain_db2 = False
+        tables = stmt.referenced_tables()
+        all_on_accelerator = bool(tables)
+        for name in tables:
+            location = self.catalog.table(name.upper()).location
+            if location is TableLocation.ACCELERATOR_ONLY:
+                has_aot = True
+            elif location is TableLocation.DB2_ONLY:
+                has_plain_db2 = True
+                all_on_accelerator = False
+        return RouteFacts(
+            has_aot=has_aot,
+            has_plain_db2=has_plain_db2,
+            all_on_accelerator=all_on_accelerator,
+            point_lookup=self._is_point_lookup(stmt),
+            analytical=self._is_analytical(stmt),
+        )
+
     def route_query(
         self,
-        stmt: Union[ast.SelectStatement, ast.SetOperation],
+        facts: RouteFacts,
         mode: AccelerationMode,
         estimated_rows: Optional[int] = None,
         cost_advice=None,
     ) -> RoutingDecision:
-        """Route a query; ``cost_advice`` is an optional
+        """Route a query by its plan's :meth:`classify` verdicts;
+        ``cost_advice`` is an optional
         :class:`repro.sql.stats.PlanCost` from the cost-based optimizer.
         When present it replaces the ENABLE-mode row-threshold heuristic;
         AOT constraints, mode semantics, point lookups, and health
         failback always take precedence over it.
         """
-        decision, has_aot = self._nominal_route(
-            stmt, mode, estimated_rows, cost_advice
+        decision = self._nominal_route(
+            facts, mode, estimated_rows, cost_advice
         )
         if decision.engine != "ACCELERATOR" or self.health is None:
             return decision
         if self.health.allow_request():
             return decision
-        return self.failback_decision(mode, has_aot=has_aot)
+        return self.failback_decision(mode, has_aot=facts.has_aot)
 
     def failback_decision(
         self, mode: AccelerationMode, has_aot: bool
@@ -145,26 +188,14 @@ class QueryRouter:
 
     def _nominal_route(
         self,
-        stmt: Union[ast.SelectStatement, ast.SetOperation],
+        facts: RouteFacts,
         mode: AccelerationMode,
         estimated_rows: Optional[int] = None,
         cost_advice=None,
-    ) -> tuple[RoutingDecision, bool]:
-        """Health-blind routing; returns (decision, references-an-AOT)."""
-        tables = [name.upper() for name in stmt.referenced_tables()]
-        has_aot = False
-        has_plain_db2 = False
-        all_on_accelerator = bool(tables)
-        for name in tables:
-            descriptor = self.catalog.table(name)
-            if descriptor.location is TableLocation.ACCELERATOR_ONLY:
-                has_aot = True
-            elif descriptor.location is TableLocation.DB2_ONLY:
-                has_plain_db2 = True
-                all_on_accelerator = False
-
-        if has_aot:
-            if has_plain_db2:
+    ) -> RoutingDecision:
+        """Health-blind routing."""
+        if facts.has_aot:
+            if facts.has_plain_db2:
                 raise RoutingError(
                     "query combines an accelerator-only table with a "
                     "non-accelerated DB2 table; no engine can see both "
@@ -176,39 +207,33 @@ class QueryRouter:
                     "query references an accelerator-only table but "
                     "CURRENT QUERY ACCELERATION is NONE"
                 )
-            return RoutingDecision("ACCELERATOR", "references an AOT"), True
+            return RoutingDecision("ACCELERATOR", "references an AOT")
 
-        if mode is AccelerationMode.NONE or not all_on_accelerator:
+        if mode is AccelerationMode.NONE or not facts.all_on_accelerator:
             reason = (
                 "acceleration disabled"
                 if mode is AccelerationMode.NONE
                 else "references non-accelerated tables"
             )
-            return RoutingDecision("DB2", reason), False
+            return RoutingDecision("DB2", reason)
 
         if mode is AccelerationMode.ALL:
-            return RoutingDecision("ACCELERATOR", "acceleration mode ALL"), False
+            return RoutingDecision("ACCELERATOR", "acceleration mode ALL")
 
         # ENABLE (with or without FAILBACK): cost-based offload when the
         # optimizer produced advice, heuristic offload otherwise.
-        if self._is_point_lookup(stmt):
-            return RoutingDecision("DB2", "primary-key point lookup"), False
+        if facts.point_lookup:
+            return RoutingDecision("DB2", "primary-key point lookup")
         if cost_advice is not None:
-            return (
-                RoutingDecision(cost_advice.engine, cost_advice.describe()),
-                False,
-            )
-        if self._is_analytical(stmt):
-            return (
-                RoutingDecision("ACCELERATOR", "analytical query shape"),
-                False,
-            )
+            return RoutingDecision(cost_advice.engine, cost_advice.describe())
+        if facts.analytical:
+            return RoutingDecision("ACCELERATOR", "analytical query shape")
         if (
             estimated_rows is not None
             and estimated_rows >= self.offload_row_threshold
         ):
-            return RoutingDecision("ACCELERATOR", "large estimated scan"), False
-        return RoutingDecision("DB2", "small non-analytical query"), False
+            return RoutingDecision("ACCELERATOR", "large estimated scan")
+        return RoutingDecision("DB2", "small non-analytical query")
 
     def _is_analytical(
         self, stmt: Union[ast.SelectStatement, ast.SetOperation]
@@ -267,22 +292,6 @@ class QueryRouter:
                     break
         return all(column in bound for column in pk)
 
-    def is_cheap_statement(
-        self, stmt: Union[ast.SelectStatement, ast.SetOperation]
-    ) -> bool:
-        """WLM bypass hint: should this query skip admission queueing?
-
-        A primary-key point lookup finishes in microseconds on either
-        engine; parking it behind queued analytics would invert the
-        latency goal, so the admission controller lets it through
-        without consuming a slot. (Tiny scans are bypassed separately,
-        by the workload manager's row-estimate threshold.)
-        """
-        try:
-            return self._is_point_lookup(stmt)
-        except (RoutingError, UnknownObjectError):
-            return False
-
     # -- DML -----------------------------------------------------------------------
 
     def route_dml(self, table: str) -> RoutingDecision:
@@ -301,42 +310,270 @@ class QueryRouter:
 
 # -- statement plan cache ----------------------------------------------------------
 
+#: One token the shape scanner acts on, found by its lead character:
+#: a string literal (``''`` escapes), a quoted identifier, a ``--`` or
+#: ``/* */`` comment, a ``?`` marker, or a numeric literal spelled as
+#: the lexer reads it. Everything between two tokens is plain SQL text.
+_TOKEN = re.compile(
+    r"""([\d.'"?/-](?:(?<=')[^']*(?:''[^']*)*'|(?<=")[^"]*"|(?<=-)-[^\n]*"""
+    r"""|(?<=/)\*.*?\*/|(?<=\?)|(?<=\d)\d*(?:\.\d+)?(?:[eE][+-]?\d+)?"""
+    r"""|(?<=\.)\d+(?:[eE][+-]?\d+)?))""",
+    re.S,
+)
 
-def normalize_sql(sql: str) -> str:
-    """Whitespace/case-insensitive cache key for a statement's text.
+#: Statements whose literals are lifted out of the cache key.
+_SHAPED_VERBS = ("SELECT", "INSERT", "UPDATE", "DELETE")
 
-    Collapses whitespace runs and upper-cases characters *outside*
-    single-quoted string literals only — ``'a  b'`` and ``'A  B'`` are
-    different values and must not collide. A doubled quote inside a
-    literal (``'it''s'``) toggles out and straight back in, which
-    preserves it verbatim.
+#: A count after these words is a row count, not a value: it stays in
+#: the key (``LIMIT ?`` would not parse).
+_ROW_COUNT_WORDS = ("LIMIT", "OFFSET", "FIRST", "NEXT")
+
+_INT64_MAX = 2**63 - 1
+
+#: Whitespace and comments before a statement's first word (``\s`` is
+#: the lexer's ``str.isspace``).
+_LEAD = re.compile(r"(?:\s+|--[^\n]*|/\*.*?\*/)*", re.S)
+
+#: ``INSERT INTO t [(cols)] VALUES``: a bulk row batch when long.
+_VALUES_INSERT = re.compile(
+    r"INSERT\s+INTO\s+[\w.]+\s*(?:\([^)]*\)\s*)?VALUES\b", re.I
+)
+
+#: An ``INSERT … VALUES`` with more tokens than this is a batch of data,
+#: not a statement shape: it is parsed each time and never cached,
+#: because a stored plan pins its whole AST (about 130 bytes per value)
+#: and batches rarely repeat their row count.
+_MAX_TOKENS = 256
+
+#: Stands, in :attr:`StatementShape.values`, for a ``?`` the caller
+#: binds.
+_CALLER = object()
+
+
+class StatementShape:
+    """One statement text split into its plan-cache key and its values.
+
+    ``key`` is the text with every numeric and string literal replaced by
+    a ``?`` marker, whitespace collapsed and everything upper-cased —
+    the statement's *shape*. ``values`` holds one entry per marker of
+    ``key``, in order: a lifted literal's value (typed as the parser
+    types it) or, for a ``?`` already in the text, a slot the caller's
+    parameters fill. ``text`` is the key with the literals put back —
+    one *binding* of the shape, under which cardinality feedback is
+    recorded so one literal's observed rows never estimate another's.
     """
-    out: list[str] = []
-    in_string = False
-    pending_space = False
-    for ch in sql:
-        if in_string:
-            out.append(ch)
-            if ch == "'":
-                in_string = False
+
+    __slots__ = ("key", "values", "lifted", "_callers", "_tokens", "_text")
+
+    def __init__(
+        self,
+        key: str,
+        values: tuple = (),
+        tokens: tuple = (),
+        lifted: bool = False,
+        callers: bool = False,
+    ) -> None:
+        self.key = key
+        self.values = values
+        self.lifted = lifted
+        self._callers = callers
+        self._tokens = tokens
+        self._text = key if not lifted else None
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            pieces = self.key.split("?")
+            out = [pieces[0]]
+            for token, piece in zip(self._tokens, pieces[1:]):
+                out.append(token)
+                out.append(piece)
+            self._text = "".join(out)
+        return self._text
+
+    def unlifted(self) -> "StatementShape":
+        """The same statement keyed by its text, literals in place."""
+        return StatementShape(self.text)
+
+    def params(self, given: Sequence[object]) -> Sequence[object]:
+        """One execution's parameter values: the lifted literals, with
+        the caller's ``given`` values in the slots of its own markers."""
+        if not self.lifted:
+            return given
+        if not self._callers:
+            return self.values
+        supplied = iter(given)
+        bound = []
+        for value in self.values:
+            if value is _CALLER:
+                value = next(supplied, _CALLER)
+                if value is _CALLER:
+                    raise SqlError(
+                        f"missing value for parameter {len(given) + 1}"
+                    )
+            bound.append(value)
+        return tuple(bound)
+
+
+def scan_statement(sql: str) -> Optional[StatementShape]:
+    """Split ``sql`` into its shape and literal values (one regex pass).
+
+    Only SELECT, set operations, INSERT, UPDATE and DELETE are shaped
+    (leading comments are skipped); every other statement, and an
+    ``INSERT … VALUES`` batch of ``_MAX_TOKENS`` or more tokens, returns
+    None — it is never cached. A text with a quoted identifier is keyed
+    verbatim (its case and spacing are significant). Literals that
+    cannot become parameters stay in the key: row counts after
+    LIMIT/OFFSET/FETCH FIRST, and integers beyond int64
+    (``-9223372036854775808`` folds only as a literal). Values are what
+    the parser builds: ``int`` unless the number has a ``.`` or an
+    exponent, and strings with ``''`` unescaped.
+    """
+    start = _LEAD.match(sql).end()
+    verb = sql[start : start + 6].upper()
+    if not (verb[:1] == "(" or verb in _SHAPED_VERBS):
+        return None
+    batch = verb == "INSERT" and _VALUES_INSERT.match(sql, start) is not None
+    parts = _TOKEN.split(sql, _MAX_TOKENS if batch else 0)
+    if batch and len(parts) > 2 * _MAX_TOKENS:
+        return None
+    if len(parts) == 1:
+        return StatementShape(" ".join(sql.split()).upper())
+    values = []
+    tokens = []
+    callers = 0
+    for i in range(1, len(parts), 2):
+        token = parts[i]
+        lead = token[0]
+        if lead == "'":
+            values.append(token[1:-1].replace("''", "'"))
+        elif lead == "?":
+            values.append(_CALLER)
+            callers += 1
+        elif lead == "-" or lead == "/":
+            parts[i] = " "  # a comment
             continue
-        if ch.isspace():
-            pending_space = True
-            continue
-        if pending_space and out:
-            out.append(" ")
-        pending_space = False
-        out.append(ch.upper())
-        if ch == "'":
-            in_string = True
-    return "".join(out)
+        elif lead == '"':
+            return StatementShape(sql.strip())
+        else:
+            before = parts[i - 1]
+            last = before[-1:]
+            if last.isalnum() or last == "_":
+                continue  # a digit inside an identifier such as T1
+            if "." in token or "e" in token or "E" in token:
+                values.append(float(token))
+            else:
+                value = int(token)
+                # Every row-count word ends in T: most numbers skip the
+                # word check.
+                if value > _INT64_MAX or (
+                    before[-2:-1] in "tT"
+                    and before.rstrip()[-6:].upper().endswith(_ROW_COUNT_WORDS)
+                ):
+                    continue
+                values.append(value)
+        tokens.append(token)
+        parts[i] = " ? "
+    key = " ".join("".join(parts).split()).upper()
+    return StatementShape(
+        key, tuple(values), tuple(tokens), len(tokens) > callers, callers > 0
+    )
+
+
+#: Operators the logical planner folds when both operands are literals.
+_FOLDED_OPS = frozenset(("+", "-", "*", "/", "=", "<>", "<", "<=", ">", ">="))
+
+
+def lift_changes_meaning(stmt) -> bool:
+    """Would the parsed shape ``stmt`` mean or plan something else than
+    a text with literals at its markers does? It would where a marker is
+
+    * a bare ORDER BY item: the literal was a column position, the
+      marker is a constant;
+    * in a GROUP BY expression: the engines match select-list, HAVING
+      and ORDER BY expressions to the group keys structurally, and one
+      literal written twice lifts to two markers with different indexes;
+    * an operand of ``+ - * /`` or a comparison whose other operand is
+      constant too: the planner folds ``2 + 3`` (or ``1 = 1``) into one
+      literal, and zone maps, estimates and so the route read that.
+
+    Every marker counts, the caller's own ``?`` too: a key the cache
+    holds a plan under is one every text of the shape may share.
+    """
+
+    def is_marker(expr) -> bool:
+        return isinstance(expr, ast.Parameter)
+
+    def constant(expr) -> bool:
+        if isinstance(expr, ast.UnaryOp):
+            return constant(expr.operand)
+        if isinstance(expr, ast.BinaryOp):
+            return expr.op in _FOLDED_OPS and folds(expr)
+        return isinstance(expr, ast.Literal) or is_marker(expr)
+
+    def folds(expr) -> bool:
+        return constant(expr.left) and constant(expr.right)
+
+    for block, exprs in _blocks(stmt):
+        for order in getattr(block, "order_by", ()):
+            if is_marker(order.expression):
+                return True
+        for expr in getattr(block, "group_by", ()):
+            if any(is_marker(node) for node in expr.walk()):
+                return True
+        for expr in exprs:
+            for node in expr.walk():
+                if (
+                    isinstance(node, ast.BinaryOp)
+                    and node.op in _FOLDED_OPS
+                    and folds(node)
+                    and any(is_marker(inner) for inner in node.walk())
+                ):
+                    return True
+    return False
+
+
+def _blocks(node):
+    """Every query block of a statement — each SELECT and set operation,
+    nested ones too, and a DML statement itself — with the expressions
+    that are its own (a nested block's come with that block)."""
+    if isinstance(node, ast.SetOperation):
+        yield node, ()
+        yield from _blocks(node.left)
+        yield from _blocks(node.right)
+        return
+    if isinstance(node, ast.SelectStatement):
+        exprs = list(node.iter_expressions())
+        yield from _from_blocks(node.from_item)
+    elif isinstance(node, ast.InsertStatement):
+        exprs = [expr for row in node.values or () for expr in row]
+        if node.select is not None:
+            yield from _blocks(node.select)
+    else:  # UPDATE / DELETE
+        exprs = [expr for __, expr in getattr(node, "assignments", ())]
+        if node.where is not None:
+            exprs.append(node.where)
+    yield node, exprs
+    for expr in exprs:
+        for inner in expr.walk():
+            if isinstance(inner, ast.SubqueryExpression):
+                yield from _blocks(inner.query)
+
+
+def _from_blocks(item):
+    if isinstance(item, ast.SubquerySource):
+        yield from _blocks(item.query)
+    elif isinstance(item, ast.Join):
+        yield from _from_blocks(item.left)
+        yield from _from_blocks(item.right)
 
 
 class KernelCache:
     """Compiled-predicate cache attached to one cached plan.
 
-    Maps ``(id(expr), scope entries, params)`` to ``(expr, kernel)`` so
-    repeated executions of the same statement skip ``compile_vector``.
+    Maps ``(id(expr), scope entries, params, param types)`` to
+    ``(expr, kernel)`` so repeated executions of the same statement skip
+    ``compile_vector``.
     Keys use ``id(expr)``, which is only sound because every entry pins
     the expression it was compiled from: a live pin means no other
     object can ever be allocated at that id, so an id-keyed hit is
@@ -371,29 +608,30 @@ class KernelCache:
 class CachedPlan:
     """A parsed (and, after first execution, prepared) statement.
 
-    ``statement`` is the parse result; the remaining analysis fields are
-    filled lazily by the first execution (``prepared`` flips to True) so
-    later executions skip view expansion and table classification.
-    ``logical`` holds the bound-and-rewritten :mod:`repro.sql.logical`
-    plan of the expanded statement — built once, then handed to whichever
-    engine the router picks (both executors lower the same plan). Caching
-    the plan also pins its expression nodes, which is what makes the
-    id-keyed :class:`KernelCache` sound across executions.
-    Authorisation is deliberately NOT cached — privilege checks run on
-    every execution, which is why GRANT/REVOKE need not invalidate.
+    ``statement`` is the parse result — of the statement's *shape* when
+    its literals were lifted, so every binding of the shape shares it.
+    The remaining analysis fields are filled lazily by the first
+    execution (``prepared`` flips to True) so later executions skip view
+    expansion, table classification and routing's statement-only
+    verdicts (``route_facts``). ``logical`` holds the bound-and-rewritten
+    :mod:`repro.sql.logical` plan of the expanded statement — built
+    once, then handed to whichever engine the router picks (both
+    executors lower the same plan). Caching the plan also pins its
+    expression nodes, which is what makes the id-keyed
+    :class:`KernelCache` sound across executions. Authorisation is
+    deliberately NOT cached — privilege checks run on every execution,
+    which is why GRANT/REVOKE need not invalidate.
 
-    A query that does not come from the text cache (AST input, the
-    sub-select of INSERT … SELECT or CTAS, an EXPLAIN target) runs on
+    INSERT, UPDATE and DELETE are cached too (``statement`` is the DML;
+    an INSERT … SELECT keeps its sub-select's plan in ``select_plan``).
+    A query that does not come from the plan cache (AST input, the
+    sub-select of CTAS, an EXPLAIN target) runs on
     ``CachedPlan(statement)``: the same currency, never stored or looked
-    up, and with no ``key`` to look cardinality feedback up under.
+    up.
     """
 
-    statement: object  # ast.SelectStatement | ast.SetOperation
+    statement: object  # query or DML statement
     generation: int = 0  # catalog generation at store(); unused when unkeyed
-    #: The normalised-SQL cache key — doubles (with ``generation``) as
-    #: the profiler's plan fingerprint for the cardinality-feedback
-    #: store, so feedback survives plan-cache eviction and re-parse.
-    key: Optional[str] = None
     kernels: KernelCache = field(default_factory=KernelCache)
     prepared: bool = False
     monitored: frozenset = frozenset()
@@ -403,11 +641,24 @@ class CachedPlan:
     direct_tables: frozenset = frozenset()
     tables: frozenset = frozenset()
     predicts: tuple = ()  # ast.Predict nodes of the expanded statement
+    route_facts: Optional[RouteFacts] = None
+    select_plan: Optional["CachedPlan"] = None
     executions: int = 0
 
 
+#: A refused shape's entry in :class:`PlanCache`.
+_REFUSED = object()
+
+
 class PlanCache:
-    """LRU statement-plan cache keyed by normalised SQL text.
+    """LRU statement-plan cache keyed by statement shape.
+
+    :func:`scan_statement` lifts a statement's literals out of its key,
+    so a fresh key, amount or note finds the plan its shape already has;
+    the values travel as parameters. A shape whose lift would change its
+    meaning (:func:`lift_changes_meaning`, or a shape that does not
+    parse) is *refused*: a marker under its key, evicted like a plan,
+    remembers it, and its texts are keyed with their literals in place.
 
     Entries record the catalog generation they were compiled under;
     a lookup after any DDL (create/drop table or view, placement move)
@@ -417,39 +668,66 @@ class PlanCache:
 
     def __init__(self, capacity: int = 512) -> None:
         self.capacity = capacity
-        self._entries: "OrderedDict[str, CachedPlan]" = OrderedDict()
+        #: Key → plan, or ``_REFUSED`` for a refused shape.
+        self._entries: "OrderedDict[str, object]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
 
-    def lookup(self, sql: str, generation: int) -> Optional[CachedPlan]:
-        # Misses are counted in store(), not here: lookup() also runs for
-        # statements that turn out to be DML/DDL (unknown before parsing),
-        # and those must not drag the query hit rate down.
-        key = normalize_sql(sql)
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is None:
-                return None
-            if plan.generation != generation:
-                del self._entries[key]
-                self.invalidations += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return plan
+    def lookup(
+        self, sql: str, generation: int, miss: Optional[list] = None
+    ) -> Optional[tuple[CachedPlan, StatementShape]]:
+        """The cached plan of ``sql``'s shape and the shape, or None.
 
-    def store(self, sql: str, statement, generation: int) -> CachedPlan:
-        key = normalize_sql(sql)
-        plan = CachedPlan(statement=statement, generation=generation, key=key)
+        On a miss, ``miss`` (when given) receives the shape the text is
+        to be stored under — the unlifted one for a refused shape, None
+        for a statement that is never cached — so the caller parses it
+        without scanning the text again.
+        """
+        # Misses are counted in store(), not here: lookup() also runs for
+        # statements that are never stored (DDL, CALL, SET, …), and those
+        # must not drag the hit rate down.
+        shape = scan_statement(sql)
+        with self._lock:
+            plan = None
+            if shape is not None:
+                plan = self._entries.get(shape.key)
+                if plan is _REFUSED:
+                    self._entries.move_to_end(shape.key)
+                    # A text with the caller's own ``?`` where literals
+                    # would mean something else is never cached.
+                    shape = shape.unlifted() if shape.lifted else None
+                    plan = None if shape is None else self._entries.get(shape.key)
+            if plan is not None and plan.generation != generation:
+                del self._entries[shape.key]
+                self.invalidations += 1
+                plan = None
+            if plan is None:
+                if miss is not None:
+                    miss.append(shape)
+                return None
+            self._entries.move_to_end(shape.key)
+            self.hits += 1
+            return plan, shape
+
+    def store(self, key: str, statement, generation: int) -> CachedPlan:
+        plan = CachedPlan(statement=statement, generation=generation)
         with self._lock:
             self.misses += 1
-            self._entries[key] = plan
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            self._put(key, plan)
         return plan
+
+    def refuse(self, key: str) -> None:
+        """Key shape ``key``'s texts with their literals from now on."""
+        with self._lock:
+            self._put(key, _REFUSED)
+
+    def _put(self, key, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:
@@ -466,16 +744,13 @@ class PlanCache:
     def snapshot(self) -> dict:
         """Metrics-source view (see MON_PLAN_CACHE / metrics registry)."""
         with self._lock:
-            kernel_hits = sum(p.kernels.hits for p in self._entries.values())
-            kernel_misses = sum(
-                p.kernels.misses for p in self._entries.values()
-            )
+            plans = [p for p in self._entries.values() if p is not _REFUSED]
             return {
                 "size": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
                 "invalidations": self.invalidations,
                 "hit_rate": round(self.hit_rate, 6),
-                "kernel_hits": kernel_hits,
-                "kernel_misses": kernel_misses,
+                "kernel_hits": sum(p.kernels.hits for p in plans),
+                "kernel_misses": sum(p.kernels.misses for p in plans),
             }

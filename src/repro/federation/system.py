@@ -41,6 +41,7 @@ from repro.errors import (
     AuthorizationError,
     DuplicateObjectError,
     LinkError,
+    ReproError,
     ShardUnavailableError,
     SqlError,
     StatementCancelledError,
@@ -58,6 +59,8 @@ from repro.federation.router import (
     PlanCache,
     QueryRouter,
     RoutingDecision,
+    StatementShape,
+    lift_changes_meaning,
 )
 from repro.federation.views import expand_views
 from repro.metrics.counters import MovementStats, SizedRows, estimate_rows_bytes
@@ -255,8 +258,8 @@ class AcceleratedDatabase:
             offload_row_threshold=offload_row_threshold,
             health=self.health,
         )
-        #: Statement-plan cache: parsed/prepared SELECTs keyed by
-        #: normalised SQL, invalidated by catalog generation bumps.
+        #: Statement-plan cache: parsed/prepared queries and DML keyed by
+        #: statement shape, invalidated by catalog generation bumps.
         self.plan_cache = PlanCache(capacity=plan_cache_capacity)
         #: Workload manager: service classes, per-engine admission gates,
         #: statement budgets, load shedding. Ships disabled (zero-cost
@@ -632,6 +635,13 @@ class AcceleratedDatabase:
 _QUERY_TYPES = (ast.SelectStatement, ast.SetOperation)
 _TXN_CONTROL = (ast.BeginStatement, ast.CommitStatement, ast.RollbackStatement)
 
+
+def _unkeyed_plan(stmt: ast.Statement) -> Optional[CachedPlan]:
+    """The plan of a query the plan cache does not hold (None for any
+    other statement): never stored or looked up."""
+    return CachedPlan(stmt) if isinstance(stmt, _QUERY_TYPES) else None
+
+
 #: DML statement class → (privilege needed on the target, name of the
 #: engine method that applies it; INSERT lands rows via ``_land_rows``).
 _DML = {
@@ -647,12 +657,17 @@ class _StatementRun:
     outlives :meth:`Connection._execute_statement`."""
 
     txn: Transaction
+    #: The caller's parameters with the statement's lifted literals.
     params: Sequence[object]
     #: The WLM tier the statement is admitted under.
     service_class: str
-    #: The query this statement runs — its own text's cached (or
-    #: unkeyed) plan, or the EXPLAIN ANALYZE target's; None otherwise.
+    #: The statement's own plan — its shape's cached plan (query or
+    #: DML), an unkeyed plan for a query AST, or the EXPLAIN ANALYZE
+    #: target's; None otherwise.
     plan: Optional[CachedPlan]
+    #: The text's shape; its ``text`` is the binding the top-level
+    #: query's cardinality feedback is keyed by (None for an AST).
+    shape: Optional[StatementShape] = None
     #: EXPLAIN ANALYZE profiles its statement even while the system
     #: profiler is disabled.
     force_profile: bool = False
@@ -851,7 +866,7 @@ class Connection:
     ) -> Result:
         system = self._system
         with self._span("statement", user=self.user.name) as span:
-            stmt, plan = self._resolve_statement(sql)
+            stmt, plan, shape = self._resolve_statement(sql)
             handler, label = self._statement_kind(stmt)
             span.annotate(statement=label)
             if isinstance(stmt, _TXN_CONTROL):
@@ -861,13 +876,15 @@ class Connection:
                 handler(self, stmt, None)
                 return Result(message=label.upper(), engine="DB2")
 
+            if shape is not None:
+                params = shape.params(params)
             autocommit = not self._explicit
             if autocommit:
                 self._txn = system.db2.txn_manager.begin()
             txn = self._txn
             assert txn is not None
             savepoint = self._statement_savepoint(txn)
-            run = _StatementRun(txn, params, service_class, plan)
+            run = _StatementRun(txn, params, service_class, plan, shape)
             self.last_decision = None
             started = time.perf_counter()
             try:
@@ -920,31 +937,57 @@ class Connection:
 
     def _resolve_statement(
         self, sql: Union[str, ast.Statement]
-    ) -> tuple[ast.Statement, Optional[CachedPlan]]:
-        """Parse stage: the statement, and its plan when it is a query.
+    ) -> tuple[ast.Statement, Optional[CachedPlan], Optional[StatementShape]]:
+        """Parse stage: the statement, its plan when it is a query or
+        DML, and the shape of its text.
 
-        Query text goes through the statement-plan cache: a hit returns
-        the cached statement without re-parsing, a miss parses and
-        stores a fresh plan (DML and DDL are not worth caching and carry
-        no plan). A pre-parsed query bypasses the cache entirely and
-        gets an unkeyed plan.
+        Text goes through the statement-plan cache, keyed by shape: a
+        hit returns the cached statement without lexing, parsing,
+        binding or planning it, and its lifted literals bind as
+        parameters. A miss parses the shape once and stores its plan.
+        Other statements (DDL, CALL, SET, GRANT, EXPLAIN, transaction
+        verbs, long ``INSERT … VALUES`` batches) are parsed every time
+        and carry no plan. A pre-parsed query bypasses the cache
+        entirely and gets an unkeyed plan.
         """
         with self._span("parse") as span:
             if not isinstance(sql, str):
-                if isinstance(sql, _QUERY_TYPES):
-                    return sql, CachedPlan(sql)
-                return sql, None
-            cache = self._system.plan_cache
+                return sql, _unkeyed_plan(sql), None
             generation = self._system.catalog.generation
-            plan = cache.lookup(sql, generation)
-            if plan is None:
-                stmt = parse_statement(sql)
-                if isinstance(stmt, _QUERY_TYPES):
-                    plan = cache.store(sql, stmt, generation)
-                return stmt, plan
+            miss: list = []
+            found = self._system.plan_cache.lookup(sql, generation, miss)
+            if found is None:
+                return self._parse_and_store(sql, miss[0], generation)
+            plan, shape = found
             if plan.executions:
                 span.annotate(plan_cache="hit")
-            return plan.statement, plan
+            return plan.statement, plan, shape
+
+    def _parse_and_store(
+        self, sql: str, shape: Optional[StatementShape], generation: int
+    ) -> tuple[ast.Statement, Optional[CachedPlan], Optional[StatementShape]]:
+        """A plan-cache miss: parse ``sql`` — its shape, when literals
+        were lifted — and store the plan under the shape's key. A shape
+        whose markers would change its meaning is refused: its texts
+        are keyed with their literals, and one with the caller's own
+        ``?`` there runs unkeyed."""
+        if shape is None:  # never cached
+            stmt = parse_statement(sql)
+            return stmt, _unkeyed_plan(stmt), None
+        cache = self._system.plan_cache
+        try:
+            stmt = parse_statement(shape.key if shape.lifted else sql)
+        except ReproError:
+            if not shape.lifted:
+                raise
+            stmt = None  # e.g. a lifted VARCHAR(16) length
+        if stmt is None or (shape.values and lift_changes_meaning(stmt)):
+            cache.refuse(shape.key)
+            if not shape.lifted:
+                return stmt, _unkeyed_plan(stmt), None
+            shape = shape.unlifted()
+            stmt = parse_statement(sql)
+        return stmt, cache.store(shape.key, stmt, generation), shape
 
     def _statement_kind(self, stmt: ast.Statement):
         """(handler, label) of a statement from the dispatch table."""
@@ -1208,7 +1251,7 @@ class Connection:
         """Bind stage: resolve the statement's names and build its
         logical plan, once per plan.
 
-        A prepared plan (a text-cache hit) skips all of it; the catalog
+        A prepared plan (a plan-cache hit) skips all of it; the catalog
         generation it was prepared under is what keeps that sound.
         """
         if plan.prepared:
@@ -1250,6 +1293,13 @@ class Connection:
             table_rows=self._system._live_row_count,
             table_columns=self._system._table_columns,
         )
+        if not plan.monitored:
+            try:
+                plan.route_facts = self._system.router.classify(plan.expanded)
+            except ReproError:
+                # An unknown name: left to the authorize and route
+                # stages, which report it in their own order.
+                plan.route_facts = None
         plan.prepared = True
 
     def _authorize(self, plan: CachedPlan) -> None:
@@ -1281,16 +1331,26 @@ class Connection:
         self._authorize(plan)
         return plan
 
-    def _route(self, plan: CachedPlan, mode: AccelerationMode):
+    def _route(
+        self,
+        plan: CachedPlan,
+        mode: AccelerationMode,
+        params: Sequence[object] = (),
+        fingerprint: Optional[str] = None,
+    ):
         """Route stage: (decision, per-node estimates, root row
         estimate, PlanCost advice). Re-runs per execution — the special
         register, health state and row estimates all change without
-        bumping the catalog generation.
+        bumping the catalog generation; only the plan's statement-only
+        verdicts (``route_facts``) are reused.
 
         The row estimate is the logical plan's *root* estimate — a
         ``LIMIT 5`` probe on a million-row table estimates 5 rows, not
         the sum of every referenced table's cardinality (which made the
         WLM admit such probes as heavy and the router offload them).
+        ``params`` resolve parameter markers in predicates, so a lifted
+        literal is estimated as its value. ``fingerprint`` is the
+        binding cardinality feedback is looked up under (None: none).
         When any referenced table has no storage on either engine,
         everything degrades to None so routing falls back to the shape
         heuristic instead of trusting a silent 0.
@@ -1305,23 +1365,30 @@ class Connection:
         estimates = estimated_rows = cost_advice = None
         if all(table_rows(name) is not None for name in plan.tables):
             feedback = None
-            if plan.key is not None:
+            if fingerprint is not None:
                 lookup = system.profiler.feedback.lookup
-                fingerprint, generation = plan.key, system.catalog.generation
+                generation = system.catalog.generation
 
                 def feedback(path):
                     return lookup(fingerprint, generation, path)
 
             estimates = estimate_plan(
-                logical, table_rows, stats=system.stats, feedback=feedback
+                logical,
+                table_rows,
+                stats=system.stats,
+                feedback=feedback,
+                params=params,
             )
             estimated_rows = estimates.get(id(logical))
             cost_advice = system.cost_model.plan_costs(
                 logical, estimates, base_rows=table_rows
             )
         with self._span("route", mode=mode.value) as route_span:
+            facts = plan.route_facts
+            if facts is None:  # raises bind's unknown-name error
+                facts = system.router.classify(plan.expanded)
             decision = system.router.route_query(
-                plan.expanded,
+                facts,
                 mode,
                 estimated_rows=estimated_rows,
                 cost_advice=cost_advice,
@@ -1335,23 +1402,24 @@ class Connection:
         self,
         run: "_StatementRun",
         engine: str,
-        stmt=None,
+        cheap: bool = False,
         estimated_rows: Optional[int] = None,
         estimated_cost: Optional[float] = None,
     ) -> None:
         """Admit stage: pass the statement through ``engine``'s gate.
 
-        One ticket per statement: a nested select (INSERT ... SELECT,
-        CTAS) reuses the ticket its statement already holds, so no
-        statement ever waits on a second gate while holding slots on a
-        first — admission cannot deadlock across engines. No-op while
-        the WLM is disabled.
+        A ``cheap`` statement (a primary-key point lookup, which finishes
+        in microseconds on either engine) bypasses the queue without
+        taking a slot: parking it behind queued analytics would invert
+        the latency goal. One ticket per statement: a nested select
+        (INSERT ... SELECT, CTAS) reuses the ticket its statement already
+        holds, so no statement ever waits on a second gate while holding
+        slots on a first — admission cannot deadlock across engines.
+        No-op while the WLM is disabled.
         """
-        system = self._system
-        wlm = system.wlm
+        wlm = self._system.wlm
         if not wlm.enabled or run.ticket is not None:
             return
-        cheap = stmt is not None and system.router.is_cheap_statement(stmt)
         with self._span(
             "wlm.admit", engine=engine, service_class=run.service_class
         ) as span:
@@ -1369,7 +1437,12 @@ class Connection:
             )
 
     def _execute_select_on(
-        self, engine: str, plan: CachedPlan, run: "_StatementRun", estimates
+        self,
+        engine: str,
+        plan: CachedPlan,
+        run: "_StatementRun",
+        estimates,
+        fingerprint: Optional[str],
     ) -> tuple[list[str], list[tuple]]:
         """Execute stage: run the bound plan on the routed engine, under
         a profile when the profiler (or EXPLAIN ANALYZE) asks for one.
@@ -1383,7 +1456,7 @@ class Connection:
                 plan.logical,
                 lambda name: system._live_row_count(name) or 0,
                 engine=engine,
-                fingerprint=plan.key,
+                fingerprint=fingerprint,
                 generation=system.catalog.generation,
                 estimates=estimates,
             )
@@ -1430,8 +1503,15 @@ class Connection:
         plan.executions += 1
         self._bind(plan)
         self._authorize(plan)
+        # Feedback is keyed by the statement's own binding; a sub-select
+        # (INSERT … SELECT, CTAS) records none.
+        fingerprint = (
+            run.shape.text
+            if plan is run.plan and run.shape is not None
+            else None
+        )
         decision, estimates, estimated_rows, cost_advice = self._route(
-            plan, mode
+            plan, mode, run.params, fingerprint
         )
         self.last_decision = decision.reason
         if plan.monitored:
@@ -1455,11 +1535,16 @@ class Connection:
                 if decision.engine == "ACCELERATOR"
                 else cost_advice.db2
             )
+        facts = plan.route_facts
         self._admit(
-            run, decision.engine, plan.expanded, estimated_rows, estimated_cost
+            run,
+            decision.engine,
+            facts is not None and facts.point_lookup,
+            estimated_rows,
+            estimated_cost,
         )
         columns, rows = self._execute_select_on(
-            decision.engine, plan, run, estimates
+            decision.engine, plan, run, estimates, fingerprint
         )
         return columns, rows, decision.engine
 
@@ -1546,8 +1631,15 @@ class Connection:
             source_engine = "DB2"
             self._admit(run, decision.engine, estimated_rows=len(source))
         else:
+            plan = run.plan
+            if plan is None:  # an AST: nothing to keep the plan on
+                select_plan = CachedPlan(stmt.select)
+            else:
+                if plan.select_plan is None:
+                    plan.select_plan = CachedPlan(stmt.select)
+                select_plan = plan.select_plan
             __, source, source_engine = self._run_subselect(
-                stmt.select, run, descriptor.is_aot
+                select_plan, run, descriptor.is_aot
             )
         count = self._land_rows(
             run,
@@ -1559,13 +1651,15 @@ class Connection:
         )
         return Result(engine=decision.engine, rowcount=count)
 
-    def _run_subselect(self, select, run: "_StatementRun", to_aot: bool):
+    def _run_subselect(
+        self, plan: CachedPlan, run: "_StatementRun", to_aot: bool
+    ):
         """The sub-select of INSERT … SELECT or CTAS. An AOT target
         forces it onto the accelerator whenever its sources are visible
         there (mode ALL semantics); the whole statement then executes in
         place."""
         mode = AccelerationMode.ALL if to_aot else self.acceleration
-        return self._run_select(CachedPlan(select), run, mode)
+        return self._run_select(plan, run, mode)
 
     def _land_rows(
         self,
@@ -1680,7 +1774,7 @@ class Connection:
 
         if stmt.as_select is not None:
             source_columns, source_rows, source_engine = self._run_subselect(
-                stmt.as_select, run, stmt.in_accelerator
+                CachedPlan(stmt.as_select), run, stmt.in_accelerator
             )
             schema = self._schema_from_columns(
                 source_columns,

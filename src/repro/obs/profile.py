@@ -37,7 +37,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.sql import ast, logical
 from repro.sql.planning import split_conjuncts
@@ -197,6 +197,7 @@ def estimate_plan(
     table_rows: Callable[[str], int],
     stats=None,
     feedback: Optional[Callable[[str], Optional[int]]] = None,
+    params: Sequence[object] = (),
 ) -> dict[int, int]:
     """Estimated output rows per node, keyed by ``id(node)``.
 
@@ -212,7 +213,9 @@ def estimate_plan(
     model wherever an earlier execution of the same plan fingerprint
     recorded ground truth; corrections propagate upward through the
     plan. Empty inputs always estimate 0 — never the old ``max(1, ...)``
-    floor, which charged every empty-table scan a phantom row.
+    floor, which charged every empty-table scan a phantom row. With
+    ``stats``, predicates read ``?`` markers as the values ``params``
+    binds them to (the legacy model never reads a constant).
     """
     estimates: dict[int, int] = {}
     binding_stats: dict[str, object] = {}
@@ -238,7 +241,7 @@ def estimate_plan(
         ):
             owner = _column_binding_stats(expr, binding_stats)
             if owner is not None:
-                return owner.predicate_selectivity(conjunct)
+                return owner.predicate_selectivity(conjunct, params)
         return 1.0 / _FILTER_SELECTIVITY
 
     def equi_join_selectivity(condition) -> Optional[float]:
@@ -295,7 +298,10 @@ def estimate_plan(
             if node.predicate is not None:
                 if table_stats is not None:
                     rows = _scaled_rows(
-                        rows, table_stats.predicate_selectivity(node.predicate)
+                        rows,
+                        table_stats.predicate_selectivity(
+                            node.predicate, params
+                        ),
                     )
                 else:
                     rows = max(1, rows // _FILTER_SELECTIVITY) if rows else 0
@@ -614,8 +620,8 @@ class FeedbackEntry:
 
 class CardinalityFeedback:
     """Bounded (estimate, actual) accumulator keyed by plan-node
-    fingerprint: (normalised statement text, catalog generation,
-    node path). LRU evicted at ``capacity`` entries."""
+    fingerprint: (normalised statement text with its literals, catalog
+    generation, node path). LRU evicted at ``capacity`` entries."""
 
     def __init__(self, capacity: int = 2048) -> None:
         self.capacity = capacity

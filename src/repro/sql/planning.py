@@ -9,7 +9,7 @@ NULLs-high sort helper.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.errors import ParseError
 from repro.sql import ast
@@ -168,11 +168,13 @@ def extract_column_ranges(
     where: Optional[ast.Expression],
     scope: Scope,
     binding_columns: dict[int, str],
+    params: Sequence[object] = (),
 ) -> dict[str, tuple[Optional[Union[int, float]], Optional[Union[int, float]]]]:
     """Derive per-column [low, high] bounds from simple WHERE conjuncts.
 
     Used for zone-map pruning: only conjuncts of the shape
-    ``col <op> numeric-literal`` (or BETWEEN literals) contribute.
+    ``col <op> numeric-literal`` (or BETWEEN literals) contribute; a
+    ``?`` marker counts as the literal ``params`` binds it to.
     ``binding_columns`` maps scope positions to the scanned table's column
     names, so only the scanned table's predicates are extracted. Integer
     literals are kept as Python ints — rounding them to float64 would
@@ -194,8 +196,8 @@ def extract_column_ranges(
     for conjunct in split_conjuncts(where):
         if isinstance(conjunct, ast.Between) and not conjunct.negated:
             column = _bound_column(conjunct.operand, scope, binding_columns)
-            low = _literal_number(conjunct.lower)
-            high = _literal_number(conjunct.upper)
+            low = literal_number(conjunct.lower, params)
+            high = literal_number(conjunct.upper, params)
             if column is not None and (low is not None or high is not None):
                 note(column, low, high)
             continue
@@ -209,7 +211,7 @@ def extract_column_ranges(
             (conjunct.right, conjunct.left, True),
         ):
             column = _bound_column(column_side, scope, binding_columns)
-            value = _literal_number(literal_side)
+            value = literal_number(literal_side, params)
             if column is None or value is None:
                 continue
             effective = op
@@ -239,27 +241,29 @@ def _bound_column(
     return binding_columns.get(index)
 
 
-def literal_number(expr: ast.Expression) -> Optional[Union[int, float]]:
-    """Numeric value of a (possibly negated) literal, else None.
+def literal_number(
+    expr: ast.Expression, params: Sequence[object] = ()
+) -> Optional[Union[int, float]]:
+    """Numeric value of a (possibly negated) literal or bound ``?``
+    marker, else None.
 
     Shared by zone-map range extraction and the statistics module's
-    predicate-selectivity analysis.
+    predicate-selectivity analysis, so a statement estimates and prunes
+    alike whether its constants are literals or parameters.
     """
-    return _literal_number(expr)
-
-
-def _literal_number(expr: ast.Expression) -> Optional[Union[int, float]]:
+    negate = isinstance(expr, ast.UnaryOp) and expr.op == "-"
+    if negate:
+        expr = expr.operand
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+    elif isinstance(expr, ast.Parameter) and expr.index < len(params):
+        value = params[expr.index]
+    else:
+        return None
+    if not isinstance(value, (int, float)):
+        return None
     # Integer literals stay Python ints: float64 cannot represent every
     # int64, and a rounded bound over-prunes at the 2**53 boundary.
-    if isinstance(expr, ast.Literal) and isinstance(expr.value, (int, float)):
-        value = expr.value
-        return value if isinstance(value, int) else float(value)
-    if (
-        isinstance(expr, ast.UnaryOp)
-        and expr.op == "-"
-        and isinstance(expr.operand, ast.Literal)
-        and isinstance(expr.operand.value, (int, float))
-    ):
-        value = expr.operand.value
-        return -value if isinstance(value, int) else -float(value)
-    return None
+    if not isinstance(value, int):
+        value = float(value)
+    return -value if negate else value

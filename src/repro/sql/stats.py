@@ -201,26 +201,31 @@ class TableStatistics:
 
     # -- predicate selectivity ------------------------------------------------
 
-    def predicate_selectivity(self, predicate: ast.Expression) -> float:
-        """Estimated fraction of rows satisfying ``predicate``.
+    def predicate_selectivity(
+        self, predicate: ast.Expression, params: Sequence[object] = ()
+    ) -> float:
+        """Estimated fraction of rows satisfying ``predicate``; ``?``
+        markers count as the values ``params`` binds them to.
 
         Only used for single-table predicates (pushed scan predicates),
         so column refs are resolved by name alone.
         """
         selectivity = 1.0
         for conjunct in split_conjuncts(predicate):
-            selectivity *= self._conjunct_selectivity(conjunct)
+            selectivity *= self._conjunct_selectivity(conjunct, params)
         return min(1.0, max(0.0, selectivity))
 
-    def _conjunct_selectivity(self, conjunct: ast.Expression) -> float:
+    def _conjunct_selectivity(
+        self, conjunct: ast.Expression, params: Sequence[object]
+    ) -> float:
         if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "OR":
-            left = self._conjunct_selectivity(conjunct.left)
-            right = self._conjunct_selectivity(conjunct.right)
+            left = self._conjunct_selectivity(conjunct.left, params)
+            right = self._conjunct_selectivity(conjunct.right, params)
             return min(1.0, left + right)
         if isinstance(conjunct, ast.Between) and not conjunct.negated:
             column = self._own_column(conjunct.operand)
-            low = literal_number(conjunct.lower)
-            high = literal_number(conjunct.upper)
+            low = literal_number(conjunct.lower, params)
+            high = literal_number(conjunct.upper, params)
             if column is not None:
                 return self._range_selectivity(column, low, high, True, True)
             return _DEFAULT_SELECTIVITY
@@ -236,18 +241,20 @@ class TableStatistics:
                 return min(1.0, len(conjunct.items) / column.ndv)
             return _DEFAULT_SELECTIVITY
         if isinstance(conjunct, ast.BinaryOp):
-            return self._comparison_selectivity(conjunct)
+            return self._comparison_selectivity(conjunct, params)
         return _DEFAULT_SELECTIVITY
 
-    def _comparison_selectivity(self, conjunct: ast.BinaryOp) -> float:
+    def _comparison_selectivity(
+        self, conjunct: ast.BinaryOp, params: Sequence[object]
+    ) -> float:
         op = conjunct.op
         if op not in ("=", "<>", "<", "<=", ">", ">="):
             return _DEFAULT_SELECTIVITY
         column = self._own_column(conjunct.left)
-        value = literal_number(conjunct.right)
+        value = literal_number(conjunct.right, params)
         if column is None or value is None:
             column = self._own_column(conjunct.right)
-            value = literal_number(conjunct.left)
+            value = literal_number(conjunct.left, params)
             if column is None or value is None:
                 return _DEFAULT_SELECTIVITY
             op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)

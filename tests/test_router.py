@@ -32,7 +32,9 @@ def router():
 
 def route(router, sql, mode="ENABLE", rows=None):
     return router.route_query(
-        parse_statement(sql), AccelerationMode(mode), estimated_rows=rows
+        router.classify(parse_statement(sql)),
+        AccelerationMode(mode),
+        estimated_rows=rows,
     )
 
 
@@ -155,7 +157,7 @@ class TestCostAdvice:
         from repro.sql.stats import PlanCost
 
         decision = router.route_query(
-            parse_statement("SELECT x FROM accel2 WHERE y > 1"),
+            router.classify(parse_statement("SELECT x FROM accel2 WHERE y > 1")),
             AccelerationMode("ENABLE"),
             cost_advice=PlanCost(db2=100.0, accelerator=10.0),
         )
@@ -168,7 +170,7 @@ class TestCostAdvice:
         # The shape heuristic alone would offload this aggregate; the
         # cost advice keeps a cheap one on DB2.
         decision = router.route_query(
-            parse_statement("SELECT SUM(y) FROM accel2"),
+            router.classify(parse_statement("SELECT SUM(y) FROM accel2")),
             AccelerationMode("ENABLE"),
             cost_advice=PlanCost(db2=5.0, accelerator=50.0),
         )
@@ -178,7 +180,7 @@ class TestCostAdvice:
         from repro.sql.stats import PlanCost
 
         decision = router.route_query(
-            parse_statement("SELECT v FROM accel WHERE id = 5"),
+            router.classify(parse_statement("SELECT v FROM accel WHERE id = 5")),
             AccelerationMode("ENABLE"),
             cost_advice=PlanCost(db2=100.0, accelerator=1.0),
         )
@@ -189,7 +191,7 @@ class TestCostAdvice:
         from repro.sql.stats import PlanCost
 
         decision = router.route_query(
-            parse_statement("SELECT x FROM accel2"),
+            router.classify(parse_statement("SELECT x FROM accel2")),
             AccelerationMode("NONE"),
             cost_advice=PlanCost(db2=100.0, accelerator=1.0),
         )
