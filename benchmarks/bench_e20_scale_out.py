@@ -5,8 +5,8 @@ pool (``repro.shard``) behind the same engine interface. This
 experiment checks the two claims that make sharding worth having:
 
 * **transparency** — the same analytic workload returns byte-identical
-  rows at 1, 2, and 4 shards (the coordinator's layout oracle preserves
-  single-instance row order through per-shard gathers);
+  rows at 1, 2, and 4 shards (the coordinator merges the per-shard
+  gathers by row id, the single instance's scan order);
 * **scan scaling** — the modeled critical path of the workload shrinks
   with the shard count. Wall clock on a single-core host cannot show
   this (the fan-out is simulated in-process), so the gated observable

@@ -76,12 +76,12 @@ def main() -> None:
     )
     conn.execute("DELETE FROM worklist WHERE t_amount < 1000")
     table = db.accelerator.storage_for("WORKLIST")
-    physical = sum(len(c) for __, c in table.iter_chunks())
+    physical = sum(len(c) for c in table.iter_chunks())
     print(f"\nWORKLIST before groom: {table.row_count} live rows, "
           f"{physical} physical rows")
     show_call(conn, "CALL SYSPROC.ACCEL_GROOM_TABLES('tables=WORKLIST')")
     table = db.accelerator.storage_for("WORKLIST")
-    physical = sum(len(c) for __, c in table.iter_chunks())
+    physical = sum(len(c) for c in table.iter_chunks())
     print(f"WORKLIST after groom:  {table.row_count} live rows, "
           f"{physical} physical rows")
 

@@ -1,6 +1,6 @@
 """The simulated accelerator (Netezza-style columnar OLAP engine).
 
-Columnar storage with data slices and zone maps, vectorised query
+Chunked columnar storage with zone maps, vectorised query
 execution over numpy, epoch-based MVCC snapshot isolation, and — the
 paper's extension — transaction-scoped delta buffers that make a DB2
 transaction's own uncommitted AOT changes visible to its queries.

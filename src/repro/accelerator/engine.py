@@ -34,7 +34,7 @@ from repro.wlm.budget import current_budget
 
 __all__ = ["AcceleratorEngine", "GroomStats"]
 
-#: Simulated per-slice scan speed (rows/second) for the busy-time model.
+#: Simulated per-SPU scan speed (rows/second) for the busy-time model.
 SCAN_ROWS_PER_SECOND = 5_000_000.0
 
 
@@ -95,7 +95,11 @@ class AcceleratorEngine:
         fault_injector=None,
         tracer=None,
     ) -> None:
+        if slice_count < 1:
+            raise ReproError("slice_count must be >= 1")
         self.catalog = catalog
+        #: Modeled SPU count: a scan's busy time is its rows over
+        #: ``SCAN_ROWS_PER_SECOND × slice_count``. Storage is not sliced.
         self.slice_count = slice_count
         self.chunk_rows = chunk_rows
         #: Optional :class:`repro.federation.faults.FaultInjector`; every
@@ -147,10 +151,7 @@ class AcceleratorEngine:
         if key in self._tables:
             raise ReproError(f"accelerator storage for {key} already exists")
         self._tables[key] = ColumnStoreTable(
-            descriptor.schema,
-            slice_count=self.slice_count,
-            distribute_on=descriptor.distribute_on,
-            chunk_rows=self.chunk_rows,
+            descriptor.schema, chunk_rows=self.chunk_rows
         )
 
     def drop_storage(self, name: str) -> None:
@@ -395,12 +396,7 @@ class AcceleratorEngine:
 
     def _empty_successor(self, key: str, table: ColumnStoreTable):
         """Empty storage shaped like ``table`` that continues its row ids."""
-        fresh = ColumnStoreTable(
-            table.schema,
-            slice_count=table.slice_count,
-            distribute_on=table.distribute_on,
-            chunk_rows=table.chunk_rows,
-        )
+        fresh = ColumnStoreTable(table.schema, chunk_rows=table.chunk_rows)
         fresh._next_row_id = table._next_row_id
         return fresh
 
@@ -480,10 +476,7 @@ class AcceleratorEngine:
         with self._write_lock:
             self._lookup_cache.pop(key, None)
             table = ColumnStoreTable(
-                descriptor.schema,
-                slice_count=self.slice_count,
-                distribute_on=descriptor.distribute_on,
-                chunk_rows=self.chunk_rows,
+                descriptor.schema, chunk_rows=self.chunk_rows
             )
             if rows:
                 table.append_rows([tuple(r) for r in rows], epoch=0)
@@ -524,7 +517,7 @@ class AcceleratorEngine:
         self.rows_scanned += len(row_ids)
         self.chunks_skipped += table.last_scan_chunks_skipped
         self.simulated_busy_seconds += table.row_count / (
-            SCAN_ROWS_PER_SECOND * max(1, table.slice_count)
+            SCAN_ROWS_PER_SECOND * self.slice_count
         )
         if delta is None or delta.is_empty:
             return row_ids, columns_read, len(row_ids)

@@ -4,8 +4,7 @@ Every accelerated table (copy or AOT) in a pool deployment carries a
 :class:`PartitionSpec` describing how its rows are spread over the
 shards:
 
-* ``HASH(c1, …)`` — rows are placed by a CRC32 hash of the key columns,
-  the same hash the column store already uses for slice placement.
+* ``HASH(c1, …)`` — rows are placed by a CRC32 hash of the key columns.
   Equality predicates on the full key prune the scan to one shard.
 * ``RANGE(c)`` — rows are placed by comparing the single key column
   against an ascending boundary list (computed from data quantiles at
@@ -25,6 +24,7 @@ answer costs performance, never correctness.
 
 from __future__ import annotations
 
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,19 +32,64 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import CatalogError
-
-# Shard placement reuses the column store's row hash so HASH placement
-# over the DISTRIBUTE BY columns lines up with slice placement.
-from repro.storage.column_store import _hash_key, distinct_keys
+from repro.sql.expressions import VColumn
 
 __all__ = [
     "PartitionSpec",
     "ShardMap",
     "default_spec",
+    "distinct_keys",
     "range_boundaries",
 ]
 
 _METHODS = ("HASH", "RANGE", "RANDOM")
+
+
+def _hash_key(values: tuple) -> int:
+    """Deterministic placement hash (Python's hash() is salted).
+
+    Key values are normalised to plain Python scalars first: the hash is
+    over ``repr``, and ``np.int64(5)`` / ``np.str_('a')`` repr differently
+    from ``5`` / ``'a'`` even though they are the same logical key — which
+    would route replication-applied and directly loaded copies of a row to
+    different shards.
+    """
+    normalized = tuple(
+        value.item() if isinstance(value, np.generic) else value
+        for value in values
+    )
+    return zlib.crc32(repr(normalized).encode("utf-8"))
+
+
+def distinct_keys(
+    key_columns: Sequence[VColumn],
+) -> tuple[list[tuple], np.ndarray]:
+    """The distinct rows of aligned key columns, and each row's key.
+
+    Returns ``(keys, inverse)``: ``keys`` are tuples of plain Python
+    values (NULL is None) and row *i* carries ``keys[inverse[i]]`` — so a
+    routing function over keys (:meth:`PartitionSpec.shard_for_row`) runs
+    once per distinct key instead of once per row. Values are told apart
+    exactly as ``repr`` tells them apart, because that is what the hash
+    reads: floats by bit pattern (0.0 and -0.0 are two keys).
+    """
+    probes = []
+    for column in key_columns:
+        values = column.values
+        if values.dtype.kind == "f":
+            values = np.ascontiguousarray(values).view(np.int64)
+        probes.append(VColumn(values=values, mask=column.mask).to_objects())
+    rank: dict[tuple, int] = {}
+    inverse = np.fromiter(
+        (rank.setdefault(probe, len(rank)) for probe in zip(*probes)),
+        dtype=np.int64,
+        count=len(key_columns[0]),
+    )
+    # First row of each key: written back to front, the front row stays.
+    first = np.empty(len(rank), dtype=np.int64)
+    first[inverse[::-1]] = np.arange(len(inverse) - 1, -1, -1)
+    picked = [column.take(first).to_objects() for column in key_columns]
+    return list(zip(*picked)), inverse
 
 
 @dataclass(frozen=True)
@@ -192,8 +237,8 @@ def default_spec(descriptor) -> PartitionSpec:
     """Placement when no ``DISTRIBUTE BY`` was declared.
 
     Tables with a ``DISTRIBUTE ON`` clause hash on those columns (the
-    natural reading: the declared distribution key governs both slice
-    and shard placement); everything else round-robins by row id.
+    natural reading: the declared distribution key governs shard
+    placement); everything else round-robins by row id.
     """
     if descriptor.distribute_on:
         return PartitionSpec(

@@ -9,15 +9,12 @@ per-shard column stores by the table's
 storage surface — replication apply, DML, grooming, checkpoint capture,
 snapshot scans, the vector executor — runs unchanged.
 
-**Byte identity.** The facade keeps a coordinator-side *layout* table: a
-``ColumnStoreTable`` with the same slice/chunk parameters as a
-single-instance table but only the partition-key columns materialised.
-Every append and delete is mirrored into it, so it assigns exactly the
-row ids a single accelerator would and reproduces the single-instance
-slice-major scan order. Reads fan out to the shards (with partition-key
-shard pruning and per-shard zone maps), then reorder the gathered rows
-into the layout order — so every downstream consumer sees the same
-bytes at every shard count.
+**Byte identity.** The facade assigns row ids exactly as a single
+accelerator would (fresh ids only grow), and a single instance scans in
+row-id order. Reads fan out to the shards (with partition-key shard
+pruning and per-shard zone maps), then one stable argsort on row id
+merges the shard reads — so every downstream consumer sees the same
+bytes at every shard count, in the order DB2 inserted the rows.
 
 **Resilience.** Each shard owns a health circuit, an interconnect link,
 and a fault site (``accelerator.shard<N>``). A failing shard raises
@@ -42,7 +39,12 @@ from repro.federation.health import HealthMonitor
 from repro.federation.network import Interconnect
 from repro.shard.placement import PartitionSpec, ShardMap, default_spec
 from repro.sql.expressions import VColumn, concat_columns
-from repro.storage.column_store import ColumnStoreTable, empty_read
+from repro.storage.column_store import (
+    Chunk,
+    ColumnStoreTable,
+    batch_row_ids,
+    empty_read,
+)
 
 __all__ = [
     "AcceleratorPool",
@@ -88,8 +90,8 @@ class ShardedTable:
     (``append_columns`` / ``mark_deleted`` / ``read_visible`` /
     ``iter_chunks`` + the bookkeeping attributes), so the
     single-instance write, replication, groom, and recovery logic runs
-    unchanged against a pool. See the module docstring for how the
-    layout table makes sharded reads byte-identical.
+    unchanged against a pool. Its counts are sums over the parts, so a
+    partition lost to a kill leaves them until it is reloaded.
     """
 
     def __init__(
@@ -97,31 +99,22 @@ class ShardedTable:
         pool: "AcceleratorPool",
         name: str,
         schema: TableSchema,
-        distribute_on: Optional[Sequence[str]],
-        layout: ColumnStoreTable,
         parts: list[ColumnStoreTable],
         shard_map: ShardMap,
     ) -> None:
         self._pool = pool
         self.name = name
         self.schema = schema
-        self.distribute_on = list(distribute_on or [])
-        #: The ordering/visibility oracle (partition-key columns only).
-        self.layout = layout
         #: Per-shard data partitions, indexed by shard id.
         self.parts = parts
         self.map = shard_map
-        self.slice_count = layout.slice_count
-        self.chunk_rows = layout.chunk_rows
+        self._next_row_id = 0
         self.zone_maps_enabled = True
         self.last_scan_chunks_skipped = 0
         self.last_scan_chunks_total = 0
         #: Shards whose partition of this table was lost to a kill and
         #: not reloaded yet; scans touching one fail fast.
         self.lost_shards: set[int] = set()
-        self._layout_positions = [
-            schema.position_of(c.name) for c in layout.schema.columns
-        ]
         self._key_positions = [
             schema.position_of(c) for c in shard_map.spec.columns
         ]
@@ -130,17 +123,17 @@ class ShardedTable:
 
     @property
     def row_count(self) -> int:
-        return self.layout.row_count
+        return sum(part.row_count for part in self.parts)
 
     @property
     def total_chunk_count(self) -> int:
-        return self.layout.total_chunk_count
+        return sum(part.total_chunk_count for part in self.parts)
 
     @property
-    def _next_row_id(self) -> int:
-        return self.layout._next_row_id
+    def stored_rows(self) -> int:
+        return sum(part.stored_rows for part in self.parts)
 
-    def iter_chunks(self) -> Iterator:
+    def iter_chunks(self) -> Iterator[Chunk]:
         """Data chunks of every shard (order-insensitive consumers only)."""
         for part in self.parts:
             yield from part.iter_chunks()
@@ -157,7 +150,8 @@ class ShardedTable:
         row_ids: Optional[np.ndarray] = None,
         versions: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
-        """Assign layout row ids, then route each row to its shard.
+        """Assign row ids as a single table would, then route each row
+        to its shard.
 
         The all-shards health check runs *before* any mutation so a dead
         shard aborts the batch atomically — replication's partial-batch
@@ -165,14 +159,10 @@ class ShardedTable:
         """
         pool = self._pool
         pool.require_write(self)
-        assigned = self.layout.append_columns(
-            [columns[p] for p in self._layout_positions],
-            epoch,
-            row_ids,
-            versions,
-        )
-        if not len(assigned):
-            return assigned
+        count = len(columns[0])
+        if not count:
+            return np.empty(0, dtype=np.int64)
+        assigned = batch_row_ids(self, count, row_ids)
         shard_of_row = self.map.spec.shards_for_columns(
             [columns[p] for p in self._key_positions], assigned, pool.shards
         )
@@ -204,26 +194,14 @@ class ShardedTable:
         packed = columns_from_rows(self.schema, rows)
         return self.append_columns(list(packed.values()), epoch, row_ids)
 
-    @property
-    def stored_rows(self) -> int:
-        return self.layout.stored_rows
-
     def mark_deleted(self, row_ids: Sequence[int], epoch: int) -> int:
         """Broadcast the delete; each shard stamps only the ids it owns."""
-        pool = self._pool
-        pool.require_write(self)
-        count = self.layout.mark_deleted(row_ids, epoch)
-        for part in self.parts:
-            part.mark_deleted(row_ids, epoch)
-        return count
+        self._pool.require_write(self)
+        return sum(part.mark_deleted(row_ids, epoch) for part in self.parts)
 
     def truncate(self, epoch: int) -> int:
-        pool = self._pool
-        pool.require_write(self)
-        removed = self.layout.truncate(epoch)
-        for part in self.parts:
-            part.truncate(epoch)
-        return removed
+        self._pool.require_write(self)
+        return sum(part.truncate(epoch) for part in self.parts)
 
     # -- read path -----------------------------------------------------------
 
@@ -233,13 +211,11 @@ class ShardedTable:
         columns: Optional[Sequence[str]] = None,
         ranges: Optional[dict[str, tuple]] = None,
     ) -> tuple[np.ndarray, dict[str, VColumn]]:
-        """Fan the scan out per shard, merge back in layout order.
+        """Fan the scan out per shard, merge back in row-id order.
 
-        The layout order list is *never* range-pruned (it must be a
-        superset of every shard's matches); the per-shard scans get both
-        partition-key shard pruning and their own zone maps. The
-        intersection is therefore a superset of the predicate's matches
-        in single-instance order, and the executor re-applies the full
+        The per-shard scans get both partition-key shard pruning and their
+        own zone maps, so the merge is a superset of the predicate's
+        matches in single-instance order; the executor re-applies the full
         predicate — same bytes out at every shard count.
         """
         pool = self._pool
@@ -248,7 +224,6 @@ class ShardedTable:
             if columns is not None
             else list(self.schema.column_names)
         )
-        order_ids, _ = self.layout.read_visible(epoch, columns=[])
         scan_ids = pool.shards_for_ranges(self, ranges)
         gathered: list[tuple[np.ndarray, dict[str, VColumn]]] = []
         skipped = 0
@@ -262,9 +237,7 @@ class ShardedTable:
             skipped += part.last_scan_chunks_skipped
             total += part.last_scan_chunks_total
             shard = pool.shard(shard_id)
-            busy = part.row_count / (
-                SCAN_ROWS_PER_SECOND * max(1, part.slice_count)
-            )
+            busy = part.row_count / (SCAN_ROWS_PER_SECOND * pool.slice_count)
             shard.scans += 1
             shard.rows_scanned += len(ids)
             shard.simulated_busy_seconds += busy
@@ -276,54 +249,54 @@ class ShardedTable:
         self.last_scan_chunks_skipped = skipped
         self.last_scan_chunks_total = total
         pool.simulated_critical_path_seconds += critical
-        return self._reorder(order_ids, gathered, wanted)
+        row_ids, out, _ = self._merge(gathered, wanted)
+        return row_ids, out
 
     def read_versions(
         self, floor: int, columns: Optional[Sequence[str]] = None
     ) -> tuple[np.ndarray, dict[str, VColumn], tuple[np.ndarray, np.ndarray]]:
-        """:meth:`ColumnStoreTable.read_versions` in layout order: the
-        layout table holds every row's epochs, the shards its values."""
+        """:meth:`ColumnStoreTable.read_versions` over every shard, in
+        row-id order."""
         wanted = (
             list(columns)
             if columns is not None
             else list(self.schema.column_names)
         )
-        order_ids, _, versions = self.layout.read_versions(floor, columns=[])
         gathered = []
+        versions = []
         for shard_id, part in enumerate(self.parts):
             self._pool.require_shard(shard_id, table=self)
-            ids, cols, _ = part.read_versions(floor, columns=wanted)
+            ids, cols, epochs = part.read_versions(floor, columns=wanted)
             if len(ids):
                 gathered.append((ids, cols))
-        row_ids, out = self._reorder(order_ids, gathered, wanted)
-        if len(row_ids) != len(order_ids):  # pragma: no cover - safety
-            raise ReproError(f"{self.name}: shard parts lost row versions")
-        return row_ids, out, versions
+                versions.append(epochs)
+        row_ids, out, order = self._merge(gathered, wanted)
+        empty = np.empty(0, dtype=np.int64)
+        inserts = np.concatenate([empty, *(v[0] for v in versions)])
+        deletes = np.concatenate([empty, *(v[1] for v in versions)])
+        if order is not None:
+            inserts, deletes = inserts[order], deletes[order]
+        return row_ids, out, (inserts, deletes)
 
-    def _reorder(
+    def _merge(
         self,
-        order_ids: np.ndarray,
         gathered: list[tuple[np.ndarray, dict[str, VColumn]]],
         wanted: list[str],
-    ) -> tuple[np.ndarray, dict[str, VColumn]]:
-        if not gathered or not len(order_ids):
-            return empty_read(self.schema, wanted)
+    ) -> tuple[np.ndarray, dict[str, VColumn], Optional[np.ndarray]]:
+        """The shard reads as one read in row-id order, and the
+        permutation of their concatenation that sorts it (None when one
+        read needs no sort)."""
+        if not gathered:
+            return (*empty_read(self.schema, wanted), None)
+        if len(gathered) == 1:
+            return (*gathered[0], None)
         merged_ids = np.concatenate([ids for ids, _ in gathered])
-        sorter = np.argsort(merged_ids, kind="stable")
-        sorted_ids = merged_ids[sorter]
-        pos = np.searchsorted(sorted_ids, order_ids)
-        pos = np.minimum(pos, len(sorted_ids) - 1)
-        valid = sorted_ids[pos] == order_ids
-        take = sorter[pos[valid]]
-        row_ids = order_ids[valid]
+        order = np.argsort(merged_ids, kind="stable")
         out: dict[str, VColumn] = {}
         for name in wanted:
             column = concat_columns([cols[name] for _, cols in gathered])
-            column = column.take(take)
-            if column.mask is not None and not column.mask.any():
-                column.mask = None
-            out[name] = column
-        return row_ids, out
+            out[name] = column.take(order)
+        return merged_ids[order], out, order
 
 
 class AcceleratorPool(AcceleratorEngine):
@@ -475,48 +448,23 @@ class AcceleratorPool(AcceleratorEngine):
         spec = self.catalog.partition_spec(key)
         if spec is None:
             spec = default_spec(descriptor)
-        self._tables[key] = self._build_facade(
-            key, descriptor.schema, descriptor.distribute_on, spec
-        )
+        self._tables[key] = self._build_facade(key, descriptor.schema, spec)
 
     def _build_facade(
         self,
         name: str,
         schema: TableSchema,
-        distribute_on: Optional[Sequence[str]],
         spec: PartitionSpec,
         generation: int = 1,
     ) -> ShardedTable:
-        # The layout table mirrors the single-instance table's slicing
-        # parameters exactly (that is what makes its row ids and scan
-        # order authoritative) but materialises only the partition-key
-        # columns; a schema needs at least one column, so key-less
-        # tables project their first column.
-        if distribute_on:
-            layout_columns = [schema.column(c) for c in distribute_on]
-        else:
-            layout_columns = [schema.columns[0]]
-        layout = ColumnStoreTable(
-            TableSchema(layout_columns),
-            slice_count=self.slice_count,
-            distribute_on=distribute_on,
-            chunk_rows=self.chunk_rows,
-        )
         parts = [
-            ColumnStoreTable(
-                schema,
-                slice_count=self.slice_count,
-                distribute_on=distribute_on,
-                chunk_rows=self.chunk_rows,
-            )
+            ColumnStoreTable(schema, chunk_rows=self.chunk_rows)
             for _ in self._shard_list
         ]
         return ShardedTable(
             self,
             name,
             schema,
-            distribute_on,
-            layout,
             parts,
             ShardMap(table=name, spec=spec, generation=generation),
         )
@@ -533,7 +481,7 @@ class AcceleratorPool(AcceleratorEngine):
     ) -> None:
         """A stub that always returns ``None``; nothing in ``repro`` calls it.
 
-        Training scans the layout-ordered snapshot sequentially. The
+        Training scans the row-id-ordered snapshot sequentially. The
         standing benchmark's layer recorder
         (``benchmarks/standing/layers.py``) still wraps this method by
         name, so it stays until the next change to that benchmark
@@ -558,13 +506,9 @@ class AcceleratorPool(AcceleratorEngine):
         else:
             generation += 1
         fresh = self._build_facade(
-            key,
-            table.schema,
-            table.distribute_on,
-            spec,
-            generation=generation,
+            key, table.schema, spec, generation=generation
         )
-        fresh.layout._next_row_id = table.layout._next_row_id
+        fresh._next_row_id = table._next_row_id
         return fresh
 
     def restore_table(
@@ -580,9 +524,7 @@ class AcceleratorPool(AcceleratorEngine):
             spec = self.catalog.partition_spec(key)
             if spec is None:
                 spec = default_spec(descriptor)
-            facade = self._build_facade(
-                key, descriptor.schema, descriptor.distribute_on, spec
-            )
+            facade = self._build_facade(key, descriptor.schema, spec)
             self._tables[key] = facade
             if rows:
                 facade.append_rows([tuple(r) for r in rows], epoch=0)
@@ -609,10 +551,7 @@ class AcceleratorPool(AcceleratorEngine):
             shard.health.force_offline()
             for facade in self._tables.values():
                 facade.parts[shard_id] = ColumnStoreTable(
-                    facade.schema,
-                    slice_count=self.slice_count,
-                    distribute_on=facade.distribute_on,
-                    chunk_rows=self.chunk_rows,
+                    facade.schema, chunk_rows=self.chunk_rows
                 )
                 facade.lost_shards.add(shard_id)
             self._lookup_cache.clear()

@@ -406,7 +406,7 @@ class StatisticsManager:
         across chunk zone maps. NDVs and histograms stay unknown until
         RUNSTATS."""
         columns: dict[str, ColumnStatistics] = {}
-        for _, chunk in storage.iter_chunks():
+        for chunk in storage.iter_chunks():
             for column, zone_map in chunk.zone_maps.items():
                 key = column.upper()
                 stats = columns.get(key)

@@ -2,24 +2,26 @@
 
 Data is organised Netezza-style:
 
-* rows are distributed over **slices** (the simulated processing units),
-  either by hash on the distribution key or block-round-robin;
-* within a slice, rows live in **chunks** (extents) of at most
-  ``chunk_rows`` rows, one numpy array (plus optional null mask) per
-  column; every append first fills the slice's last chunk and only cuts
-  new chunks for the overflow, so trickle writes extend a chunk instead
-  of sealing a one-row one;
+* a table is **one sequence of chunks** (extents) in ascending row-id
+  order, each of at most ``chunk_rows`` rows, one numpy array (plus
+  optional null mask) per column; every append first fills the table's
+  last chunk and only cuts new chunks for the overflow, so trickle writes
+  extend a chunk instead of sealing a one-row one;
 * every row carries ``insert_epoch`` / ``delete_epoch`` stamps — a scan at
   snapshot epoch *e* sees exactly the rows with
   ``insert_epoch <= e < delete_epoch``, which is how the engine provides
   snapshot isolation without locking readers;
 * numeric columns keep per-chunk **zone maps** (min/max) so scans can skip
   chunks that cannot match a range predicate.
+
+Fresh row ids only grow, and a rewrite (GROOM, redistribution) appends
+rows in scan order, so a scan returns rows in row-id order: the order
+they were inserted in, which for a replicated copy is DB2's order (an
+UPDATE appends its new version last, where DB2 rewrites in place).
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -33,7 +35,7 @@ __all__ = [
     "Chunk",
     "ColumnStoreTable",
     "NEVER_DELETED",
-    "distinct_keys",
+    "batch_row_ids",
     "empty_read",
 ]
 
@@ -44,51 +46,22 @@ NEVER_DELETED = np.iinfo(np.int64).max
 DEFAULT_CHUNK_ROWS = 65536
 
 
-def _hash_key(values: tuple) -> int:
-    """Deterministic distribution hash (Python's hash() is salted).
-
-    Key values are normalised to plain Python scalars first: the hash is
-    over ``repr``, and ``np.int64(5)`` / ``np.str_('a')`` repr differently
-    from ``5`` / ``'a'`` even though they are the same logical key — which
-    would route replication-applied and directly loaded copies of a row to
-    different slices.
-    """
-    normalized = tuple(
-        value.item() if isinstance(value, np.generic) else value
-        for value in values
-    )
-    return zlib.crc32(repr(normalized).encode("utf-8"))
-
-
-def distinct_keys(
-    key_columns: Sequence[VColumn],
-) -> tuple[list[tuple], np.ndarray]:
-    """The distinct rows of aligned key columns, and each row's key.
-
-    Returns ``(keys, inverse)``: ``keys`` are tuples of plain Python
-    values (NULL is None) and row *i* carries ``keys[inverse[i]]`` — so a
-    routing function over keys (:func:`_hash_key`, a shard placement)
-    runs once per distinct key instead of once per row. Values are told
-    apart exactly as ``repr`` tells them apart, because that is what the
-    hash reads: floats by bit pattern (0.0 and -0.0 are two keys).
-    """
-    probes = []
-    for column in key_columns:
-        values = column.values
-        if values.dtype.kind == "f":
-            values = np.ascontiguousarray(values).view(np.int64)
-        probes.append(VColumn(values=values, mask=column.mask).to_objects())
-    rank: dict[tuple, int] = {}
-    inverse = np.fromiter(
-        (rank.setdefault(probe, len(rank)) for probe in zip(*probes)),
-        dtype=np.int64,
-        count=len(key_columns[0]),
-    )
-    # First row of each key: written back to front, the front row stays.
-    first = np.empty(len(rank), dtype=np.int64)
-    first[inverse[::-1]] = np.arange(len(inverse) - 1, -1, -1)
-    picked = [column.take(first).to_objects() for column in key_columns]
-    return list(zip(*picked)), inverse
+def batch_row_ids(
+    table, count: int, row_ids: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The ids of a ``count``-row batch appended to ``table``: the given
+    ones (a rewrite's), or fresh ones after every id it has handed out.
+    Advances ``table._next_row_id`` past them."""
+    if row_ids is None:
+        row_ids = np.arange(
+            table._next_row_id, table._next_row_id + count, dtype=np.int64
+        )
+    else:
+        row_ids = np.asarray(row_ids, dtype=np.int64)
+        if len(row_ids) != count:
+            raise ReproError("row_ids and rows length mismatch")
+    table._next_row_id = max(table._next_row_id, int(row_ids.max()) + 1)
+    return row_ids
 
 
 def empty_read(
@@ -105,11 +78,11 @@ def empty_read(
 
 
 class Chunk:
-    """One extent of rows for a slice, read as a fixed-length view.
+    """One extent of a table's rows, read as a fixed-length view.
 
     Every array is aligned with ``row_ids``. Nothing in a published view
-    changes afterwards except ``delete_epochs`` stamps: an append to a
-    slice's last chunk publishes a *new* view (see :class:`_TailBuffers`).
+    changes afterwards except ``delete_epochs`` stamps: an append to the
+    table's last chunk publishes a *new* view (see :class:`_TailBuffers`).
     """
 
     __slots__ = (
@@ -213,24 +186,24 @@ class _TailBuffers:
         self,
         tail: Optional[Chunk],
         fields: Sequence[tuple],
-        indexes: np.ndarray,
+        span: slice,
         row_ids: np.ndarray,
         insert_epochs: int | np.ndarray,
         delete_epochs: int | np.ndarray,
     ) -> Chunk:
-        """Write the batch rows at ``indexes`` after ``tail``'s rows, every
+        """Write the batch rows in ``span`` after ``tail``'s rows, every
         NULL slot holding the dtype's fill, and return the longer view.
         Its zone maps widen ``tail``'s by the written piece's."""
         start = len(tail) if tail is not None else 0
-        end = start + len(indexes)
+        end = start + len(row_ids)
         self.row_ids[start:end] = row_ids
         self.insert_epochs[start:end] = insert_epochs
         self.delete_epochs[start:end] = delete_epochs
         zone_maps = dict(tail.zone_maps) if tail is not None else {}
         for name, dtype, column in fields:
             values = self.columns[name][start:end]
-            values[:] = column.values[indexes]
-            mask = None if column.mask is None else column.mask[indexes]
+            values[:] = column.values[span]
+            mask = None if column.mask is None else column.mask[span]
             if mask is not None and mask.any():
                 values[mask] = NULL_FILL.get(dtype.kind)
                 if name not in self.masks:
@@ -260,22 +233,14 @@ class _TailBuffers:
 
 
 class ColumnStoreTable:
-    """A sliced, chunked, multi-version columnar table."""
+    """A chunked, multi-version columnar table in row-id order."""
 
     def __init__(
-        self,
-        schema: TableSchema,
-        slice_count: int = 4,
-        distribute_on: Optional[Sequence[str]] = None,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
+        self, schema: TableSchema, chunk_rows: int = DEFAULT_CHUNK_ROWS
     ) -> None:
-        if slice_count < 1:
-            raise ReproError("slice_count must be >= 1")
         self.schema = schema
-        self.slice_count = slice_count
-        self.distribute_on = list(distribute_on or [])
         self.chunk_rows = chunk_rows
-        self._slices: list[list[Chunk]] = [[] for _ in range(slice_count)]
+        self._chunks: list[Chunk] = []
         self._next_row_id = 0
         self._live_rows = 0
         self.zone_maps_enabled = True
@@ -289,7 +254,7 @@ class ColumnStoreTable:
 
     @property
     def total_chunk_count(self) -> int:
-        return sum(len(chunks) for chunks in self._slices)
+        return len(self._chunks)
 
     def append_columns(
         self,
@@ -301,12 +266,12 @@ class ColumnStoreTable:
         """Append a batch held as coerced, aligned columns in schema
         order at ``epoch``; returns the rows' ids.
 
-        ``row_ids`` preserves existing ids across a rewrite (GROOM); by
-        default fresh monotonic ids are assigned. ``versions`` — per-row
-        ``(insert_epochs, delete_epochs)`` — replaces ``epoch`` when a
-        rewrite carries row history over. This is the one place chunks
-        are built, by one rule for every batch: rows are routed to
-        slices, each slice's share first fills that slice's last chunk up
+        ``row_ids`` preserves existing ids across a rewrite (GROOM), which
+        passes them in scan order; by default fresh monotonic ids are
+        assigned. ``versions`` — per-row ``(insert_epochs,
+        delete_epochs)`` — replaces ``epoch`` when a rewrite carries row
+        history over. This is the one place chunks are built, by one rule
+        for every batch: the batch first fills the table's last chunk up
         to ``chunk_rows`` (:class:`_TailBuffers`) and only the overflow is
         cut into new chunks; every NULL slot holds the dtype's fill
         (0 / NaN / None).
@@ -316,88 +281,47 @@ class ColumnStoreTable:
             return np.empty(0, dtype=np.int64)
         if versions is not None:
             versions = tuple(np.asarray(v, dtype=np.int64) for v in versions)
-        if row_ids is None:
-            row_ids = np.arange(
-                self._next_row_id, self._next_row_id + count, dtype=np.int64
-            )
-            self._next_row_id += count
-        else:
-            row_ids = np.asarray(row_ids, dtype=np.int64)
-            if len(row_ids) != count:
-                raise ReproError("row_ids and rows length mismatch")
-            self._next_row_id = max(
-                self._next_row_id, int(row_ids.max()) + 1
-            )
+        row_ids = batch_row_ids(self, count, row_ids)
 
         fields = [
             (c.name, c.sql_type.numpy_dtype, column)
             for c, column in zip(self.schema.columns, columns)
         ]
-        for slice_id, slice_rows in enumerate(
-            self._rows_by_slice(columns, count)
-        ):
-            chunks = self._slices[slice_id]
-            low = 0
-            while low < len(slice_rows):
-                tail = None
-                if chunks and len(chunks[-1]) < self.chunk_rows:
-                    tail = chunks[-1]
-                base = len(tail) if tail is not None else 0
-                piece = slice_rows[low : low + self.chunk_rows - base]
-                low += len(piece)
-                buffers = tail.buffers if tail is not None else None
-                if buffers is None or buffers.capacity < base + len(piece):
-                    # Doubling keeps a run of trickle appends O(batch)
-                    # each; a new chunk is sized to its piece, and an
-                    # exactly-sized tail is copied once here.
-                    buffers = _TailBuffers(
-                        fields,
-                        min(self.chunk_rows, max(base + len(piece), 2 * base)),
-                        tail,
-                    )
-                if versions is None:
-                    inserts, deletes = epoch, NEVER_DELETED
-                else:
-                    inserts, deletes = (v[piece] for v in versions)
-                chunk = buffers.extended(
-                    tail, fields, piece, row_ids[piece], inserts, deletes
+        chunks = self._chunks
+        low = 0
+        while low < count:
+            tail = None
+            if chunks and len(chunks[-1]) < self.chunk_rows:
+                tail = chunks[-1]
+            base = len(tail) if tail is not None else 0
+            piece = slice(low, min(count, low + self.chunk_rows - base))
+            size = piece.stop - low
+            low = piece.stop
+            buffers = tail.buffers if tail is not None else None
+            if buffers is None or buffers.capacity < base + size:
+                # Doubling keeps a run of trickle appends O(batch) each; a
+                # new chunk is sized to its piece, and an exactly-sized
+                # tail is copied once here.
+                buffers = _TailBuffers(
+                    fields, min(self.chunk_rows, max(base + size, 2 * base)), tail
                 )
-                if tail is None:
-                    chunks.append(chunk)
-                else:
-                    chunks[-1] = chunk
+            if versions is None:
+                inserts, deletes = epoch, NEVER_DELETED
+            else:
+                inserts, deletes = (v[piece] for v in versions)
+            chunk = buffers.extended(
+                tail, fields, piece, row_ids[piece], inserts, deletes
+            )
+            if tail is None:
+                chunks.append(chunk)
+            else:
+                chunks[-1] = chunk
         self._live_rows += (
             count
             if versions is None
             else int(np.count_nonzero(versions[1] == NEVER_DELETED))
         )
         return row_ids
-
-    def _rows_by_slice(
-        self, columns: Sequence[VColumn], count: int
-    ) -> list[np.ndarray]:
-        """Per slice, the batch positions of its rows, in batch order."""
-        if not self.distribute_on:
-            # Block round-robin keeps slice contents contiguous and
-            # balanced: the blocks of np.array_split.
-            base, extra = divmod(count, self.slice_count)
-            bounds = [0]
-            for slice_id in range(self.slice_count):
-                bounds.append(bounds[-1] + base + (slice_id < extra))
-            return [
-                np.arange(low, high) for low, high in zip(bounds, bounds[1:])
-            ]
-        keys, key_of_row = distinct_keys(
-            [columns[self.schema.position_of(n)] for n in self.distribute_on]
-        )
-        slice_of_key = np.array(
-            [_hash_key(key) % self.slice_count for key in keys], dtype=np.int64
-        )
-        slice_of_row = slice_of_key[key_of_row]
-        by_slice = np.argsort(slice_of_row, kind="stable")
-        sizes = np.bincount(slice_of_row, minlength=self.slice_count)
-        bounds = [0, *np.cumsum(sizes).tolist()]
-        return [by_slice[low:high] for low, high in zip(bounds, bounds[1:])]
 
     def append_rows(
         self,
@@ -412,7 +336,7 @@ class ColumnStoreTable:
     @property
     def stored_rows(self) -> int:
         """Rows physically held, deleted versions included."""
-        return sum(len(chunk) for _, chunk in self.iter_chunks())
+        return sum(len(chunk) for chunk in self._chunks)
 
     def mark_deleted(self, row_ids: Sequence[int], epoch: int) -> int:
         """Stamp ``delete_epoch`` for the given live rows; returns how
@@ -421,13 +345,12 @@ class ColumnStoreTable:
 
         Each chunk's ``row_ids`` is the only map from an id to its row, so
         every chunk is matched with one vector comparison until all ids
-        are found. The ids of a chunk are not ascending after a keyless
-        GROOM that follows deletes, so the match cannot binary-search.
+        are found.
         """
         ids = np.unique(np.asarray(row_ids, dtype=np.int64))
         unfound = len(ids)
         deleted = 0
-        for _, chunk in self.iter_chunks():
+        for chunk in self._chunks:
             if not unfound:
                 break
             if len(ids) == 1:
@@ -447,20 +370,18 @@ class ColumnStoreTable:
     def truncate(self, epoch: int) -> int:
         """Mark every live row deleted at ``epoch``."""
         removed = 0
-        for chunks in self._slices:
-            for chunk in chunks:
-                live = chunk.delete_epochs == NEVER_DELETED
-                removed += int(live.sum())
-                chunk.delete_epochs[live] = epoch
+        for chunk in self._chunks:
+            live = chunk.delete_epochs == NEVER_DELETED
+            removed += int(live.sum())
+            chunk.delete_epochs[live] = epoch
         self._live_rows -= removed
         return removed
 
     # -- read path --------------------------------------------------------------
 
-    def iter_chunks(self) -> Iterator[tuple[int, Chunk]]:
-        for slice_id, chunks in enumerate(self._slices):
-            for chunk in chunks:
-                yield slice_id, chunk
+    def iter_chunks(self) -> Iterator[Chunk]:
+        """The chunks in scan order: ascending row ids."""
+        return iter(self._chunks)
 
     def visible_chunks(
         self,
@@ -477,7 +398,7 @@ class ColumnStoreTable:
         self.last_scan_chunks_skipped = 0
         self.last_scan_chunks_total = 0
         survivors: list[Chunk] = []
-        for _, chunk in self.iter_chunks():
+        for chunk in self._chunks:
             self.last_scan_chunks_total += 1
             if self.zone_maps_enabled and ranges:
                 skip = any(
@@ -513,7 +434,7 @@ class ColumnStoreTable:
         still see — all but those deleted at or before it — in scan order,
         with their ``(insert_epochs, delete_epochs)``. GROOM keeps exactly
         these."""
-        chunks = [chunk for _, chunk in self.iter_chunks()]
+        chunks = list(self._chunks)
         kept = [chunk.delete_epochs > floor for chunk in chunks]
         row_ids, out = self._gather(chunks, kept, columns)
         inserts = [c.insert_epochs[k] for c, k in zip(chunks, kept)]
@@ -578,7 +499,7 @@ class ColumnStoreTable:
     def byte_count(self, epoch: Optional[int] = None) -> int:
         """Estimated serialized size of rows visible at ``epoch`` (or all)."""
         total = 0
-        for _, chunk in self.iter_chunks():
+        for chunk in self._chunks:
             if epoch is None:
                 mask = chunk.delete_epochs == NEVER_DELETED
             else:

@@ -1,13 +1,12 @@
 """The column store's former row-at-a-time append, kept as the oracle.
 
 This is the body ``ColumnStoreTable.append_rows`` had before chunks were
-built from columns: route each row tuple to a slice in a Python loop, then
-rebuild every column of every chunk from a list comprehension over the
-rows. It follows the store's one chunking rule the obvious way: a slice's
-share first fills the slice's last chunk — rebuilt whole, old rows plus
-new, with its zone maps recomputed over every row — and only the overflow
-is sealed into new chunks. ``append_columns`` must produce the same table,
-array for array.
+built from columns: rebuild every column of every chunk from a list
+comprehension over the row tuples. It follows the store's one chunking
+rule the obvious way: the batch first fills the table's last chunk —
+rebuilt whole, old rows plus new, with its zone maps recomputed over
+every row — and only the overflow is sealed into new chunks.
+``append_columns`` must produce the same table, array for array.
 """
 
 from __future__ import annotations
@@ -17,12 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ReproError
-from repro.storage.column_store import (
-    NEVER_DELETED,
-    Chunk,
-    ColumnStoreTable,
-    _hash_key,
-)
+from repro.storage.column_store import NEVER_DELETED, Chunk, ColumnStoreTable
 from repro.storage.zone_maps import ZoneMap
 
 
@@ -51,46 +45,30 @@ def append_rows_reference(
     else:
         inserts, deletes = (list(map(int, v)) for v in versions)
 
-    per_slice: list[list[int]] = [[] for _ in range(table.slice_count)]
-    if table.distribute_on:
-        positions = [
-            table.schema.position_of(name) for name in table.distribute_on
-        ]
-        for index, row in enumerate(rows):
-            key = tuple(row[p] for p in positions)
-            per_slice[_hash_key(key) % table.slice_count].append(index)
-    else:
-        for block, indexes in enumerate(
-            np.array_split(np.arange(len(rows)), table.slice_count)
-        ):
-            per_slice[block].extend(int(i) for i in indexes)
-
-    for slice_id, indexes in enumerate(per_slice):
-        chunks = table._slices[slice_id]
-        if indexes and chunks and len(chunks[-1]) < table.chunk_rows:
-            tail = chunks[-1]
-            fill = indexes[: table.chunk_rows - len(tail)]
-            indexes = indexes[len(fill) :]
-            _seal_chunk(
-                table,
-                slice_id,
-                len(chunks) - 1,
-                _tail_rows(table, tail) + [rows[i] for i in fill],
-                tail.row_ids.tolist() + [int(row_ids[i]) for i in fill],
-                tail.insert_epochs.tolist() + [inserts[i] for i in fill],
-                tail.delete_epochs.tolist() + [deletes[i] for i in fill],
-            )
-        for start in range(0, len(indexes), table.chunk_rows):
-            batch = indexes[start : start + table.chunk_rows]
-            _seal_chunk(
-                table,
-                slice_id,
-                len(chunks),
-                [rows[i] for i in batch],
-                [int(row_ids[i]) for i in batch],
-                [inserts[i] for i in batch],
-                [deletes[i] for i in batch],
-            )
+    chunks = table._chunks
+    indexes = list(range(len(rows)))
+    if chunks and len(chunks[-1]) < table.chunk_rows:
+        tail = chunks[-1]
+        fill = indexes[: table.chunk_rows - len(tail)]
+        indexes = indexes[len(fill) :]
+        _seal_chunk(
+            table,
+            len(chunks) - 1,
+            _tail_rows(table, tail) + [rows[i] for i in fill],
+            tail.row_ids.tolist() + [int(row_ids[i]) for i in fill],
+            tail.insert_epochs.tolist() + [inserts[i] for i in fill],
+            tail.delete_epochs.tolist() + [deletes[i] for i in fill],
+        )
+    for start in range(0, len(indexes), table.chunk_rows):
+        batch = indexes[start : start + table.chunk_rows]
+        _seal_chunk(
+            table,
+            len(chunks),
+            [rows[i] for i in batch],
+            [int(row_ids[i]) for i in batch],
+            [inserts[i] for i in batch],
+            [deletes[i] for i in batch],
+        )
     table._live_rows += sum(1 for d in deletes if d == NEVER_DELETED)
     return row_ids
 
@@ -106,9 +84,7 @@ def _tail_rows(table: ColumnStoreTable, tail: Chunk) -> list[tuple]:
     return list(zip(*columns))
 
 
-def _seal_chunk(
-    table, slice_id, chunk_index, items, ids, inserts, deletes
-) -> None:
+def _seal_chunk(table, chunk_index, items, ids, inserts, deletes) -> None:
     columns: dict[str, np.ndarray] = {}
     masks: dict[str, Optional[np.ndarray]] = {}
     for position, column in enumerate(table.schema.columns):
@@ -139,7 +115,7 @@ def _seal_chunk(
         np.array(deletes, dtype=np.int64),
         zone_maps,
     )
-    chunks = table._slices[slice_id]
+    chunks = table._chunks
     if chunk_index == len(chunks):
         chunks.append(chunk)
     else:

@@ -42,11 +42,8 @@ from repro.sql.types import (
     DecimalType,
     VarcharType,
 )
-from repro.storage.column_store import (
-    NEVER_DELETED,
-    ColumnStoreTable,
-    distinct_keys,
-)
+from repro.shard.placement import distinct_keys
+from repro.storage.column_store import NEVER_DELETED, ColumnStoreTable
 from tests.oracles.row_append import append_rows_reference
 
 # ---------------------------------------------------------------------------
@@ -119,11 +116,10 @@ def assert_same_table(new: ColumnStoreTable, old: ColumnStoreTable) -> None:
     assert new.row_count == old.row_count
     assert new._next_row_id == old._next_row_id
     assert new.stored_rows == old.stored_rows
-    # Same chunk counts per slice and the same ids in every chunk: each
-    # row lives at the same (slice, chunk, offset) in both tables.
-    assert [len(s) for s in new._slices] == [len(s) for s in old._slices]
-    for (slice_a, a), (slice_b, b) in zip(new.iter_chunks(), old.iter_chunks()):
-        assert slice_a == slice_b
+    # Same chunk count and the same ids in every chunk: each row lives
+    # at the same (chunk, offset) in both tables.
+    assert new.total_chunk_count == old.total_chunk_count
+    for a, b in zip(new.iter_chunks(), old.iter_chunks()):
         assert _same_array(a.row_ids, b.row_ids)
         assert _same_array(a.insert_epochs, b.insert_epochs)
         assert _same_array(a.delete_epochs, b.delete_epochs)
@@ -142,23 +138,13 @@ def assert_same_table(new: ColumnStoreTable, old: ColumnStoreTable) -> None:
 def test_append_columns_builds_the_table_the_row_loop_built(data):
     schema = data.draw(schemas())
     names = schema.column_names
-    key = data.draw(
-        st.lists(st.sampled_from(names), max_size=2, unique=True)
-    )
     chunk_rows = data.draw(st.sampled_from([1, 7, 65536]))
-    slice_count = data.draw(st.integers(1, 4))
-    tables = [
-        ColumnStoreTable(
-            schema, slice_count=slice_count, distribute_on=key,
-            chunk_rows=chunk_rows,
-        )
-        for _ in range(3)
-    ]
+    tables = [ColumnStoreTable(schema, chunk_rows=chunk_rows) for _ in range(3)]
     columnar, wrapper, reference = tables
     for epoch in range(1, data.draw(st.integers(1, 3)) + 1):
         rows = coerced_rows(data.draw, schema)
-        # The oracle also sees numpy scalars where a key is an integer:
-        # np.int64(5) and 5 are one key and must share a slice.
+        # The oracle also sees numpy scalars where a value is an integer:
+        # np.int64(5) and 5 must land as the same cell.
         as_numpy = data.draw(st.booleans())
         oracle_rows = [
             tuple(
@@ -184,13 +170,7 @@ def test_append_columns_builds_the_table_the_row_loop_built(data):
     if len(row_ids):
         ordered = [visible[name] for name in names]
         boxed = list(zip(*(column.to_objects() for column in ordered)))
-        fresh = [
-            ColumnStoreTable(
-                schema, slice_count=slice_count, distribute_on=key,
-                chunk_rows=chunk_rows,
-            )
-            for _ in range(2)
-        ]
+        fresh = [ColumnStoreTable(schema, chunk_rows=chunk_rows) for _ in range(2)]
         fresh[0].append_columns(ordered, 0, row_ids=row_ids)
         append_rows_reference(fresh[1], boxed, 0, row_ids=row_ids)
         assert_same_table(fresh[0], fresh[1])
@@ -204,7 +184,7 @@ def test_null_slots_hold_the_fill_whatever_the_source_held():
     mask = np.array([False, True])
     strings = np.empty(2, dtype=object)
     strings[:] = ["a", "junk"]
-    table = ColumnStoreTable(schema, slice_count=1)
+    table = ColumnStoreTable(schema)
     table.append_columns(
         [
             VColumn(np.array([1, 99]), mask),
@@ -214,7 +194,7 @@ def test_null_slots_hold_the_fill_whatever_the_source_held():
         ],
         epoch=1,
     )
-    (__, chunk), = table.iter_chunks()
+    (chunk,) = table.iter_chunks()
     assert chunk.columns["I"].tolist() == [1, 0]
     assert chunk.columns["F"][0] == 1.0 and np.isnan(chunk.columns["F"][1])
     assert chunk.columns["S"].tolist() == ["a", None]
@@ -638,35 +618,44 @@ def test_groom_rewrites_the_visible_columns_under_their_row_ids(shards):
     ids_before, columns_before = table.read_visible(epoch)
     names = table.schema.column_names
     rows_before = list(zip(*(columns_before[n].to_objects() for n in names)))
-    layout = table.layout if shards > 1 else table
-    stored = sum(len(chunk) for __, chunk in layout.iter_chunks())
+    # One chunk sequence in row-id order, for the table and every part.
+    assert np.all(np.diff(ids_before) > 0)
+    stores = table.parts if shards > 1 else [table]
+    stored = sum(len(chunk) for chunk in table.iter_chunks())
     chunks_before = table.total_chunk_count
-    # What the former implementation built: the same rows, boxed and
-    # appended one by one under their ids — and, with no transaction
-    # open, under the insert epochs they had.
-    expected = ColumnStoreTable(
-        layout.schema, slice_count=layout.slice_count,
-        distribute_on=layout.distribute_on, chunk_rows=layout.chunk_rows,
-    )
-    positions = [table.schema.position_of(c.name) for c in layout.schema.columns]
-    inserts = np.concatenate(
-        [c.insert_epochs[c.visible_mask(epoch)] for __, c in layout.iter_chunks()]
-    )
-    append_rows_reference(
-        expected, [tuple(r[p] for p in positions) for r in rows_before], 0,
-        row_ids=ids_before,
-        versions=(inserts, np.full(len(inserts), NEVER_DELETED)),
-    )
+    # What the former implementation built, store by store: the same
+    # rows, boxed and appended one by one under their ids — and, with no
+    # transaction open, under the insert epochs they had.
+    expected = []
+    for store in stores:
+        ids, columns = store.read_visible(epoch)
+        reference = ColumnStoreTable(store.schema, chunk_rows=store.chunk_rows)
+        inserts = np.concatenate(
+            [c.insert_epochs[c.visible_mask(epoch)] for c in store.iter_chunks()]
+        )
+        append_rows_reference(
+            reference,
+            list(zip(*(columns[n].to_objects() for n in names))),
+            0,
+            row_ids=ids,
+            versions=(inserts, np.full(len(inserts), NEVER_DELETED)),
+        )
+        expected.append(reference)
 
     stats = db.accelerator.groom("AOT")
 
     groomed = db.accelerator.storage_for("AOT")
     assert groomed is not table
     assert (stats.rows_reclaimed, stats.chunks_before, stats.chunks_after) == (
-        stored - len(ids_before), chunks_before, expected.total_chunk_count,
+        stored - len(ids_before),
+        chunks_before,
+        sum(reference.total_chunk_count for reference in expected),
     )
     ids_after, columns_after = groomed.read_visible(db.accelerator.current_epoch)
     assert ids_after.tolist() == ids_before.tolist()
     assert list(zip(*(columns_after[n].to_objects() for n in names))) == rows_before
     assert groomed._next_row_id == table._next_row_id
-    assert_same_table(groomed.layout if shards > 1 else groomed, expected)
+    for store, reference in zip(
+        groomed.parts if shards > 1 else [groomed], expected
+    ):
+        assert_same_table(store, reference)

@@ -1,7 +1,7 @@
 """Regressions for the accelerator's read path and the plan cache.
 
 Covers the two correctness fixes of the columnar read path — int64
-zone-map precision and distribution-hash scalar normalisation — plus:
+zone-map precision and placement-hash scalar normalisation — plus:
 queries and training scan sequentially, never on the worker pool, and
 cached plans must be invalidated by DDL but not by grants.
 """
@@ -13,11 +13,13 @@ import pytest
 
 from repro.accelerator import AcceleratorEngine
 from repro.catalog import Catalog, Column, TableLocation, TableSchema
+from repro.catalog.schema import columns_from_rows
 from repro.federation.router import scan_statement
 from repro.federation.system import AcceleratedDatabase
 from repro.sql import parse_statement
 from repro.sql.types import BIGINT, DOUBLE, INTEGER, VarcharType
-from repro.storage.column_store import ColumnStoreTable, _hash_key
+from repro.shard.placement import PartitionSpec, _hash_key
+from repro.storage.column_store import ColumnStoreTable
 from repro.storage.zone_maps import ZoneMap
 
 INT64_MAX = 2**63 - 1
@@ -57,7 +59,7 @@ class TestZoneMapInt64Precision:
         # the predicate ID >= 2**53 + 1 (a float64 bound would round the
         # max down and wrongly discard the chunk — silently losing rows).
         schema = TableSchema([Column("ID", BIGINT, nullable=False)])
-        table = ColumnStoreTable(schema, slice_count=1, chunk_rows=4)
+        table = ColumnStoreTable(schema, chunk_rows=4)
         table.append_rows([(v,) for v in range(8)], epoch=1)
         table.append_rows([(2**53 + 1,)], epoch=1)
         __, columns = table.read_visible(
@@ -90,10 +92,10 @@ class TestZoneMapInt64Precision:
         assert rows == [(INT64_MIN,)]
 
 
-class TestSliceHashStability:
+class TestPlacementHashStability:
     def test_numpy_scalars_hash_like_python_scalars(self):
-        # np.int64(5) reprs differently from 5; the distribution hash
-        # must normalise so both route a row to the same slice.
+        # np.int64(5) reprs differently from 5; the placement hash must
+        # normalise so both route a row to the same shard.
         assert _hash_key((np.int64(5),)) == _hash_key((5,))
         assert _hash_key((np.float64(2.5),)) == _hash_key((2.5,))
         assert _hash_key((np.str_("k"),)) == _hash_key(("k",))
@@ -102,25 +104,25 @@ class TestSliceHashStability:
             (np.int64(1), np.str_("a"))
         ) == _hash_key((1, "a"))
 
-    def test_mixed_scalar_sources_share_slice_layout(self):
+    def test_mixed_scalar_sources_share_a_shard(self):
         schema = TableSchema(
             [Column("K", INTEGER, nullable=False), Column("V", DOUBLE)]
         )
-        plain = ColumnStoreTable(
-            schema, slice_count=4, distribute_on=["K"]
-        )
-        numpy_sourced = ColumnStoreTable(
-            schema, slice_count=4, distribute_on=["K"]
-        )
-        plain.append_rows([(i, float(i)) for i in range(64)], epoch=1)
-        numpy_sourced.append_rows(
-            [(np.int64(i), np.float64(i)) for i in range(64)], epoch=1
-        )
-        layout_a = [[len(c) for c in chunks] for chunks in plain._slices]
-        layout_b = [
-            [len(c) for c in chunks] for chunks in numpy_sourced._slices
+        spec = PartitionSpec("HASH", ("K",))
+        plain = [(i, float(i)) for i in range(64)]
+        numpy_sourced = [(np.int64(i), np.float64(i)) for i in range(64)]
+        row_ids = np.arange(64)
+        routed = [
+            spec.shards_for_columns(
+                [columns_from_rows(schema, rows)["K"]], row_ids, 4
+            ).tolist()
+            for rows in (plain, numpy_sourced)
         ]
-        assert layout_a == layout_b
+        assert routed[0] == routed[1]
+        assert routed[0] == [
+            spec.shard_for_row(row, 0, [0], 4) for row in numpy_sourced
+        ]
+        assert len(set(routed[0])) == 4
 
 
 class TestDistinctWithNulls:

@@ -104,7 +104,7 @@ def test_scalar_and_vector_compilers_agree(a_values, expression, data):
 )
 def test_column_store_visibility_invariants(batches, delete_fraction, seed):
     schema = TableSchema([Column("ID", INTEGER, nullable=False)])
-    table = ColumnStoreTable(schema, slice_count=2, chunk_rows=8)
+    table = ColumnStoreTable(schema, chunk_rows=8)
     rng = np.random.default_rng(seed)
     epoch = 0
     history: list[tuple[int, int]] = []  # (epoch, expected visible count)
@@ -144,7 +144,7 @@ def test_column_store_visibility_invariants(batches, delete_fraction, seed):
 )
 def test_zone_map_pruning_never_changes_answers(values, low, span):
     schema = TableSchema([Column("V", INTEGER)])
-    table = ColumnStoreTable(schema, slice_count=2, chunk_rows=16)
+    table = ColumnStoreTable(schema, chunk_rows=16)
     table.append_rows([(v,) for v in values], epoch=1)
     high = low + span
     expected = sorted(v for v in values if low <= v <= high)

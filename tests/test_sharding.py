@@ -461,6 +461,24 @@ class TestShardObservability:
             f"rows={part.row_count}" for part in table.parts
         ]
 
+    def test_row_count_after_a_kill_counts_the_rows_the_pool_holds(self):
+        db, conn = _accelerated_copy(shards=3)
+        table = db.accelerator.storage_for("C")
+        held = [part.row_count for part in table.parts]
+        assert db.accelerator.kill_shard(1) == held[1]
+        rows = conn.execute(
+            "SELECT SHARD_ID, ROW_COUNT FROM SYSACCEL.MON_SHARDS "
+            "ORDER BY SHARD_ID"
+        ).rows
+        assert rows == [(0, held[0]), (1, 0), (2, held[2])]
+        # The facade counts what its parts hold, as MON_SHARDS does: the
+        # lost partition's rows leave the count until a reload.
+        assert table.row_count == sum(row[1] for row in rows) == 90 - held[1]
+        result = conn.execute("SELECT COUNT(*) FROM C")
+        assert (result.engine, result.scalar()) == ("DB2", 90)
+        db.rebuild_shard(1)
+        assert db.accelerator.storage_for("C").row_count == 90
+
     def test_mon_shards_single_instance_synthetic_row(self):
         db = AcceleratedDatabase(shards=1, slice_count=2, chunk_rows=32)
         conn = db.connect()

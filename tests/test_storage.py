@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.catalog import Column, TableSchema
-from repro.catalog.schema import rows_from_columns
+from repro.accelerator import AcceleratorEngine
+from repro.catalog import Catalog, Column, TableSchema
+from repro.catalog.schema import columns_from_rows, rows_from_columns
 from repro.errors import ReproError
+from repro.shard.placement import PartitionSpec
 from repro.sql.types import DOUBLE, INTEGER, VarcharType
 from repro.storage.column_store import ColumnStoreTable, NEVER_DELETED
 from repro.storage.row_store import DEFAULT_PAGE_CAPACITY, RowStoreTable
@@ -109,14 +111,15 @@ class TestColumnStore:
         return table, row_ids
 
     def test_append_and_read(self, schema):
-        table, __ = self.make(schema, rows=50, slice_count=2, chunk_rows=16)
+        table, __ = self.make(schema, rows=50, chunk_rows=16)
         row_ids, columns = table.read_visible(epoch=1)
-        assert len(row_ids) == 50
-        assert sorted(columns["ID"].values.tolist()) == list(range(50))
+        # One chunk sequence: the scan returns the rows as appended.
+        assert row_ids.tolist() == list(range(50))
+        assert columns["ID"].values.tolist() == list(range(50))
 
     def test_rows_split_into_chunks(self, schema):
-        table, __ = self.make(schema, rows=100, slice_count=2, chunk_rows=16)
-        assert table.total_chunk_count > 2
+        table, __ = self.make(schema, rows=100, chunk_rows=16)
+        assert [len(c) for c in table.iter_chunks()] == [16] * 6 + [4]
 
     def test_snapshot_isolation_of_deletes(self, schema):
         table, row_ids = self.make(schema, rows=20)
@@ -139,14 +142,17 @@ class TestColumnStore:
         assert table.row_count == 5
 
     def test_hash_distribution_is_deterministic(self, schema):
-        table_a = ColumnStoreTable(schema, slice_count=4, distribute_on=["ID"])
-        table_b = ColumnStoreTable(schema, slice_count=4, distribute_on=["ID"])
+        spec = PartitionSpec("HASH", ("ID",))
         rows = [(i, float(i), "x") for i in range(64)]
-        table_a.append_rows(rows, epoch=1)
-        table_b.append_rows(rows, epoch=1)
-        layout_a = [[len(c) for c in chunks] for chunks in table_a._slices]
-        layout_b = [[len(c) for c in chunks] for chunks in table_b._slices]
-        assert layout_a == layout_b
+        row_ids = np.arange(64)
+        routed = [
+            spec.shards_for_columns(
+                [columns_from_rows(schema, rows)["ID"]], row_ids, 4
+            ).tolist()
+            for _ in range(2)
+        ]
+        assert routed[0] == routed[1]
+        assert routed[0] == [spec.shard_for_row(row, 0, [0], 4) for row in rows]
 
     @staticmethod
     def rows_by_id(table, epoch, ids):
@@ -167,7 +173,7 @@ class TestColumnStore:
         assert self.rows_by_id(table, 1, ids) == [(1, None, None)]
 
     def test_mark_deleted_counts_each_live_row_once(self, schema):
-        table, row_ids = self.make(schema, rows=10, slice_count=2, chunk_rows=4)
+        table, row_ids = self.make(schema, rows=10, chunk_rows=4)
         assert table.mark_deleted([3], epoch=2) == 1
         assert table.mark_deleted([3], epoch=3) == 0
         assert table.mark_deleted([5, 5, 6, 99, 3], epoch=4) == 2
@@ -179,17 +185,21 @@ class TestColumnStore:
         ]
         assert len(table.read_visible(epoch=2)[0]) == 9
 
-    def test_mark_deleted_finds_ids_in_unsorted_chunks(self, schema):
-        table = ColumnStoreTable(schema, slice_count=1, chunk_rows=8)
-        ids = np.array([7, 3, 12, 0, 5], dtype=np.int64)
+    def test_mark_deleted_finds_ids_with_gaps(self, schema):
+        # What a GROOM after deletes writes: ascending ids with gaps.
+        table = ColumnStoreTable(schema, chunk_rows=4)
+        ids = np.array([0, 3, 5, 7, 12, 20], dtype=np.int64)
         table.append_rows(
             [(i, float(i), None) for i in ids.tolist()], epoch=1, row_ids=ids
         )
-        assert table._slices[0][0].row_ids.tolist() == [7, 3, 12, 0, 5]
-        assert table.mark_deleted([0, 12, 4], epoch=2) == 2
+        assert [c.row_ids.tolist() for c in table.iter_chunks()] == [
+            [0, 3, 5, 7], [12, 20],
+        ]
+        assert table.mark_deleted([0, 12, 4, 7], epoch=2) == 3
         live, columns = table.read_visible(epoch=2)
-        assert live.tolist() == [7, 3, 5]
-        assert columns["ID"].values.tolist() == [7, 3, 5]
+        assert live.tolist() == [3, 5, 20]
+        assert columns["ID"].values.tolist() == [3, 5, 20]
+        assert table._next_row_id == 21
 
     def test_truncate_is_versioned(self, schema):
         table, __ = self.make(schema, rows=10)
@@ -199,16 +209,16 @@ class TestColumnStore:
         assert len(table.read_visible(epoch=2)[0]) == 0
 
     def test_zone_map_pruning_skips_chunks(self, schema):
-        table, __ = self.make(schema, rows=256, slice_count=1, chunk_rows=32)
+        table, __ = self.make(schema, rows=256, chunk_rows=32)
         table.read_visible(epoch=1, ranges={"ID": (10, 20)})
-        assert table.last_scan_chunks_skipped > 0
+        assert table.last_scan_chunks_skipped == 7
         # Correctness: pruned scan still returns a superset of the range.
         row_ids, columns = table.read_visible(epoch=1, ranges={"ID": (10, 20)})
         ids = columns["ID"].values
         assert set(range(10, 21)) <= set(ids.tolist())
 
     def test_zone_maps_can_be_disabled(self, schema):
-        table, __ = self.make(schema, rows=256, slice_count=1, chunk_rows=32)
+        table, __ = self.make(schema, rows=256, chunk_rows=32)
         table.zone_maps_enabled = False
         table.read_visible(epoch=1, ranges={"ID": (10, 20)})
         assert table.last_scan_chunks_skipped == 0
@@ -227,8 +237,11 @@ class TestColumnStore:
         assert set(columns) == {"ID", "V", "NAME"}
 
     def test_invalid_slice_count(self, schema):
+        # Slices are the engine's modeled SPU count; storage has none.
         with pytest.raises(ReproError):
-            ColumnStoreTable(schema, slice_count=0)
+            AcceleratorEngine(Catalog(), slice_count=0)
+        with pytest.raises(TypeError):
+            ColumnStoreTable(schema, slice_count=1)
 
 
 class TestZoneMap:

@@ -1,6 +1,6 @@
-"""Trickle writes extend each slice's last chunk instead of sealing new ones.
+"""Trickle writes extend a table's last chunk instead of sealing new ones.
 
-``ColumnStoreTable.append_columns`` fills a slice's last chunk up to
+``ColumnStoreTable.append_columns`` fills the table's last chunk up to
 ``chunk_rows`` before it cuts a new chunk, for every batch size and every
 write path (bulk load, AOT DML, replication apply, transaction commit,
 GROOM). These tests pin the layout that rule produces, the copy-on-write
@@ -38,18 +38,17 @@ CHUNK_ROWS = 64
 def _stores(table) -> list[ColumnStoreTable]:
     """Every column store behind an accelerator table."""
     if isinstance(table, ShardedTable):
-        return [table.layout, *table.parts]
+        return list(table.parts)
     return [table]
 
 
 def assert_tail_rule(table) -> None:
-    """Only a slice's last chunk may be short, so the chunk count is
-    bounded by slices x ceil(rows / chunk_rows)."""
+    """Every chunk but a store's last is full, so the chunk count is
+    exactly ceil(stored / chunk_rows)."""
     for store in _stores(table):
-        for chunks in store._slices:
-            assert all(len(chunk) == store.chunk_rows for chunk in chunks[:-1])
-        bound = store.slice_count * math.ceil(store.stored_rows / store.chunk_rows)
-        assert store.total_chunk_count <= bound
+        chunks = list(store.iter_chunks())
+        assert all(len(chunk) == store.chunk_rows for chunk in chunks[:-1])
+        assert len(chunks) == math.ceil(store.stored_rows / store.chunk_rows)
 
 
 def _system(shards: int, **kwargs) -> AcceleratedDatabase:
@@ -151,7 +150,7 @@ def _table(chunk_rows: int = CHUNK_ROWS, **columns) -> ColumnStoreTable:
     schema = TableSchema(
         [Column(name, sql_type) for name, sql_type in columns.items()]
     )
-    return ColumnStoreTable(schema, slice_count=1, chunk_rows=chunk_rows)
+    return ColumnStoreTable(schema, chunk_rows=chunk_rows)
 
 
 def _append(table: ColumnStoreTable, rows: list[tuple], epoch: int):
@@ -180,7 +179,7 @@ def test_readers_keep_their_snapshot_across_extensions():
     _append(table, [(3, None)], epoch=2)  # the first extension: regrown
     held = table.visible_chunks()
     before_snapshot = _read(table, held, 2)
-    buffers_before = table._slices[0][-1].buffers
+    buffers_before = table._chunks[-1].buffers
     assert buffers_before is not None
 
     epoch = 3
@@ -190,8 +189,8 @@ def test_readers_keep_their_snapshot_across_extensions():
     table.mark_deleted([0, 3, 10], epoch)
     # The run grew the buffers at least once: the held view reads the old
     # arrays, the table the new ones.
-    assert table._slices[0][-1].buffers is not buffers_before
-    assert len(table._slices[0]) == 1
+    assert table._chunks[-1].buffers is not buffers_before
+    assert table.total_chunk_count == 1
 
     assert _read(table, held, 2) == before_snapshot
     assert _read(table, table.visible_chunks(), 2) == before_snapshot
@@ -255,9 +254,9 @@ def test_extension_within_capacity_leaves_earlier_views_unchanged():
     table = _table(ID=BIGINT)
     _append(table, [(i,) for i in range(10)], epoch=1)
     _append(table, [(10,)], epoch=2)  # capacity 20 now
-    view = table._slices[0][-1]
+    view = table._chunks[-1]
     _append(table, [(11,), (12,)], epoch=3)
-    current = table._slices[0][-1]
+    current = table._chunks[-1]
     assert current.buffers is view.buffers  # written in place, after it
     assert len(view) == 11 and len(current) == 13
     assert view.columns["ID"].tolist() == list(range(11))
@@ -266,7 +265,7 @@ def test_extension_within_capacity_leaves_earlier_views_unchanged():
 
 
 def _assert_zone_maps_rebuilt(table: ColumnStoreTable) -> None:
-    for _, chunk in table.iter_chunks():
+    for chunk in table.iter_chunks():
         for name, values in chunk.columns.items():
             if values.dtype.kind not in "if":
                 continue
@@ -287,7 +286,7 @@ def test_zone_maps_of_an_extended_tail_equal_a_rebuild():
     for epoch, rows in enumerate(batches, start=1):
         _append(table, rows, epoch)
         _assert_zone_maps_rebuilt(table)
-    tail = table._slices[0][-1]
+    tail = table._chunks[-1]
     assert tail.zone_maps["I"] == ZoneMap(-(2**63), 2**63 - 1)
     assert type(tail.zone_maps["I"].maximum) is int
     assert tail.zone_maps["F"] == ZoneMap(-0.0, 1.5)
@@ -299,9 +298,9 @@ def test_zone_maps_of_an_extended_tail_equal_a_rebuild():
 def test_all_null_tail_gains_a_zone_map():
     table = _table(N=INTEGER)
     _append(table, [(None,), (None,)], epoch=1)
-    assert "N" not in table._slices[0][-1].zone_maps
+    assert "N" not in table._chunks[-1].zone_maps
     _append(table, [(4,)], epoch=2)
-    assert table._slices[0][-1].zone_maps["N"] == ZoneMap(4, 4)
+    assert table._chunks[-1].zone_maps["N"] == ZoneMap(4, 4)
     _assert_zone_maps_rebuilt(table)
 
 
@@ -320,7 +319,7 @@ def test_null_masks_survive_an_extension(first_null):
         row[1] for row in expected
     ]
     assert _read(table, held, 1)[1]["V"] == [row[1] for row in first]
-    mask = table._slices[0][-1].masks["V"]
+    mask = table._chunks[-1].masks["V"]
     assert mask is not None
     assert mask.tolist() == [row[1] is None for row in expected]
 
@@ -329,8 +328,8 @@ def test_deletes_and_reads_reach_rows_in_an_extended_tail():
     table = _table(chunk_rows=8, ID=INTEGER)
     for i in range(20):
         _append(table, [(i,)], epoch=i + 1)
-    assert [len(chunk) for chunk in table._slices[0]] == [8, 8, 4]
-    assert table._slices[0][2].row_ids[3] == 19
+    assert [len(chunk) for chunk in table.iter_chunks()] == [8, 8, 4]
+    assert table._chunks[2].row_ids[3] == 19
     assert _rows_by_id(table, 20, [7, 8, 19]) == [(7,), (8,), (19,)]
     assert table.mark_deleted([5, 17, 19], epoch=30) == 3
     assert table.mark_deleted([17], epoch=31) == 0
@@ -356,7 +355,7 @@ def test_rewrite_with_versions_keeps_row_history():
         assert _read(fresh, fresh.visible_chunks(), epoch) == _read(
             table, table.visible_chunks(), epoch
         )
-    chunk = fresh._slices[0][0]
+    chunk = fresh._chunks[0]
     assert chunk.insert_epochs.tolist() == [1, 3, 4, 5]
     assert chunk.delete_epochs.tolist() == [NEVER_DELETED] * 3 + [9]
 
@@ -571,16 +570,18 @@ def test_drain_groom_drain_matches_a_lookup_rebuild(shards):
 
 
 # ---------------------------------------------------------------------------
-# Deletes after a keyless GROOM: chunks hold ids out of order
+# Deletes after a keyless GROOM: chunks hold ascending ids with gaps
 # ---------------------------------------------------------------------------
 
 
-def _has_unsorted_chunk(table) -> bool:
-    return any(
-        np.any(np.diff(chunk.row_ids) < 0)
-        for store in _stores(table)
-        for _, chunk in store.iter_chunks()
-    )
+def assert_ids_ascend(table) -> None:
+    """Every store's chunk ids, read in scan order, ascend strictly."""
+    for store in _stores(table):
+        ids = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [chunk.row_ids for chunk in store.iter_chunks()]
+        )
+        assert np.all(np.diff(ids) > 0)
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
@@ -600,12 +601,18 @@ def test_deletes_reach_rows_after_a_keyless_groom(shards):
     for name in ("K", "KT", "R"):
         conn.execute(f"DELETE FROM {name} WHERE MOD(id, 7) = 0 AND id < 60")
     db.replication.drain()
-    # Each slice held ids from three batches; the groom re-splits the
-    # survivors into even blocks, so a block crosses a slice boundary
-    # and a chunk's ids fall back.
+    # The groom packs the survivors of three batches into full chunks:
+    # ids keep ascending, with the deleted ones' gaps inside a chunk.
     for name in ("K", "R"):
         db.accelerator.groom(name)
-        assert _has_unsorted_chunk(db.accelerator.storage_for(name)), name
+        table = db.accelerator.storage_for(name)
+        assert_ids_ascend(table)
+        assert_tail_rule(table)
+        assert any(
+            np.any(np.diff(chunk.row_ids) > 1)
+            for store in _stores(table)
+            for chunk in store.iter_chunks()
+        ), name
 
     for name in ("K", "KT"):
         conn.execute(f"DELETE FROM {name} WHERE v > 30 AND v < 40")
@@ -635,4 +642,5 @@ def test_deletes_reach_rows_after_a_keyless_groom(shards):
         )
         table = db.accelerator.storage_for(accelerated)
         assert table.row_count == len(expected)
-        assert table.stored_rows == sum(len(c) for _, c in table.iter_chunks())
+        assert table.stored_rows == sum(len(c) for c in table.iter_chunks())
+        assert_ids_ascend(table)
