@@ -28,6 +28,7 @@ import numpy as np
 from bench_util import make_star_system
 from repro.accelerator import AcceleratorEngine
 from repro.catalog import Catalog, Column, TableLocation, TableSchema
+from repro.federation import accelerator_shards
 from repro.federation.router import CachedPlan
 from repro.sql import parse_statement
 from repro.sql.logical import plan_statement
@@ -69,7 +70,7 @@ _RESULTS: dict[str, object] = {}
 
 def _fact_engine() -> AcceleratorEngine:
     catalog = Catalog()
-    engine = AcceleratorEngine(catalog, slice_count=4, chunk_rows=4096)
+    engine = AcceleratorEngine(catalog, accelerator_shards(), slice_count=4, chunk_rows=4096)
     schema = TableSchema(
         [
             Column("ID", INTEGER, nullable=False),

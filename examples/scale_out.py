@@ -1,8 +1,8 @@
-"""Scaling the accelerator out to a shard pool — and surviving a shard.
+"""Scaling the accelerator out to four shards — and surviving a shard.
 
 One accelerator appliance tops out at its slices × scan rate;
-``AcceleratedDatabase(shards=N)`` puts N shards behind the same engine
-interface instead. This walk-through declares placement with
+``AcceleratedDatabase(shards=N)`` runs the same engine over N shards
+instead. This walk-through declares placement with
 ``DISTRIBUTE BY``, shows a point lookup pruning down to one shard,
 kills a shard mid-workload (queries fail back to DB2 while the global
 circuit stays closed), rebuilds it from DB2, re-places the table with
@@ -57,13 +57,13 @@ def main() -> None:
         "GROUP BY REGION ORDER BY REGION"
     )
     print(f"\nGROUP BY on {result.engine}: {len(result.rows)} regions; "
-          "bytes identical to a single-instance run")
+          "bytes identical to a one-shard run")
 
     # -- placement: hash the lookup key, prune to one shard ---------------
     conn.execute("ALTER TABLE ORDERS ACCELERATE DISTRIBUTE BY HASH(ID)")
-    pool = db.accelerator_pool
+    pool = db.accelerator
     before = (pool.shard_scans_total, pool.shard_scans_pruned)
-    # Under ENABLE a PK point lookup stays on DB2; force the pool to
+    # Under ENABLE a PK point lookup stays on DB2; force the shards to
     # show placement pruning at work.
     conn.set_acceleration("ALL")
     conn.execute("SELECT AMOUNT FROM ORDERS WHERE ID = 4711")

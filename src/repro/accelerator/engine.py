@@ -1,10 +1,16 @@
-"""The accelerator engine: storage, snapshots, deltas, and DML.
+"""The accelerator engine: shards, storage, snapshots, deltas, and DML.
 
 Holds the columnar tables (both snapshot *copies* of accelerated DB2
 tables and the paper's accelerator-only tables), advances the global MVCC
 epoch on every applied write batch, and executes queries through the
 vectorised executor at a chosen snapshot epoch, optionally merged with a
 transaction's uncommitted AOT delta buffers.
+
+The engine runs ``shards`` accelerator instances (one by default, the
+paper's single appliance). Every table is a
+:class:`~repro.shard.pool.ShardedTable` over one partition per shard;
+each shard has its own circuit, link and fault site, and can be killed,
+revived and rebuilt on its own (:mod:`repro.shard`).
 """
 
 from __future__ import annotations
@@ -24,12 +30,18 @@ from repro.catalog.schema import (
     rows_from_columns,
 )
 from repro.db2.changelog import ChangeRecord
-from repro.errors import ReplicationError, ReproError, UnknownObjectError
+from repro.errors import (
+    ReplicationError,
+    ReproError,
+    ShardUnavailableError,
+    UnknownObjectError,
+)
 from repro.obs.trace import NULL_SPAN
+from repro.shard.placement import PartitionSpec, default_spec
+from repro.shard.pool import AcceleratorShard, ShardedTable
 from repro.sql import ast
 from repro.sql.expressions import Scope, VColumn, compile_vector, concat_columns
 from repro.sql.planning import extract_column_ranges
-from repro.storage.column_store import ColumnStoreTable
 from repro.wlm.budget import current_budget
 
 __all__ = ["AcceleratorEngine", "GroomStats"]
@@ -85,19 +97,27 @@ class _SnapshotProvider:
 
 
 class AcceleratorEngine:
-    """Columnar engine with epoch snapshots and AOT delta awareness."""
+    """Columnar engine over ``shards`` instances, with epoch snapshots
+    and AOT delta awareness."""
 
     def __init__(
         self,
         catalog: Catalog,
+        shards: Sequence[AcceleratorShard],
         slice_count: int = 4,
         chunk_rows: int = 65536,
         fault_injector=None,
         tracer=None,
     ) -> None:
+        if not shards:
+            raise ReproError("the accelerator needs at least one shard")
         if slice_count < 1:
             raise ReproError("slice_count must be >= 1")
         self.catalog = catalog
+        #: Shard count; shard ``i`` is ``shard(i)``, built with its own
+        #: circuit and link by :func:`repro.federation.accelerator_shards`.
+        self.shards = len(shards)
+        self._shard_list = list(shards)
         #: Modeled SPU count: a scan's busy time is its rows over
         #: ``SCAN_ROWS_PER_SECOND × slice_count``. Storage is not sliced.
         self.slice_count = slice_count
@@ -109,7 +129,7 @@ class AcceleratorEngine:
         #: Optional :class:`repro.obs.trace.Tracer`; SELECTs become
         #: ``accelerator.execute`` spans under the statement trace.
         self.tracer = tracer
-        self._tables: dict[str, ColumnStoreTable] = {}
+        self._tables: dict[str, ShardedTable] = {}
         #: Replication-apply cache: table -> {row tuple: [row ids]}.
         #: Maintained incrementally by apply_changes; any other write path
         #: invalidates it.
@@ -143,6 +163,19 @@ class AcceleratorEngine:
         self.chunks_skipped = 0
         self.simulated_busy_seconds = 0.0
         self.zone_maps_enabled = True
+        #: Modeled wall-clock of the scan critical path: every fan-out
+        #: adds the *slowest* shard's busy time, not the sum.
+        self.simulated_critical_path_seconds = 0.0
+        #: Shard-scans avoided by partition-key pruning / attempted.
+        self.shard_scans_pruned = 0
+        self.shard_scans_total = 0
+        #: Called with the live-shard count after a kill or rebuild so
+        #: the WLM can resize the ACCELERATOR admission gate.
+        self.capacity_listener: Optional[Callable[[int], None]] = None
+
+    def modeled_scan_seconds(self, rows: int) -> float:
+        """Busy time of a scan over ``rows`` rows on ``slice_count`` SPUs."""
+        return rows / (SCAN_ROWS_PER_SECOND * self.slice_count)
 
     # -- storage / DDL ----------------------------------------------------------
 
@@ -150,15 +183,20 @@ class AcceleratorEngine:
         key = descriptor.name
         if key in self._tables:
             raise ReproError(f"accelerator storage for {key} already exists")
-        self._tables[key] = ColumnStoreTable(
-            descriptor.schema, chunk_rows=self.chunk_rows
-        )
+        self._tables[key] = self._new_table(descriptor)
+
+    def _new_table(self, descriptor: TableDescriptor) -> ShardedTable:
+        """Empty storage placed by the catalog's spec (or the default)."""
+        spec = self.catalog.partition_spec(descriptor.name)
+        if spec is None:
+            spec = default_spec(descriptor)
+        return ShardedTable(self, descriptor.name, descriptor.schema, spec)
 
     def drop_storage(self, name: str) -> None:
         self._tables.pop(name.upper(), None)
         self._lookup_cache.pop(name.upper(), None)
 
-    def storage_for(self, name: str) -> ColumnStoreTable:
+    def storage_for(self, name: str) -> ShardedTable:
         key = name.upper()
         table = self._tables.get(key)
         if table is None:
@@ -167,6 +205,139 @@ class AcceleratorEngine:
 
     def has_storage(self, name: str) -> bool:
         return name.upper() in self._tables
+
+    # -- shards ------------------------------------------------------------------
+
+    def shard(self, shard_id: int) -> AcceleratorShard:
+        if not 0 <= shard_id < self.shards:
+            raise ReproError(
+                f"no shard {shard_id} (the accelerator has {self.shards})"
+            )
+        return self._shard_list[shard_id]
+
+    @property
+    def shard_list(self) -> list[AcceleratorShard]:
+        return list(self._shard_list)
+
+    def shard_parts(self, shard_id: int) -> list:
+        """The shard's partition of every table, from the live facades."""
+        return [facade.parts[shard_id] for facade in self._tables.values()]
+
+    def shard_row_count(self, shard_id: int) -> int:
+        """Live rows the shard holds over every table."""
+        return sum(part.row_count for part in self.shard_parts(shard_id))
+
+    @property
+    def live_shards(self) -> int:
+        return sum(1 for shard in self._shard_list if shard.alive)
+
+    def require_shard(
+        self, shard_id: int, table: Optional[ShardedTable] = None
+    ) -> None:
+        """Admission check for one shard: liveness, circuit, fault site.
+
+        Injected faults for the shard's site are re-raised as
+        :class:`ShardUnavailableError` after tripping the *shard's*
+        circuit — the global health monitor never hears about them.
+        """
+        shard = self.shard(shard_id)
+        if table is not None and shard_id in table.lost_shards:
+            raise ShardUnavailableError(
+                shard_id,
+                f"shard {shard_id} lost its partition of {table.name}; "
+                "reload the table (ACCEL_CONTROL action=rebuild_shard)",
+            )
+        if not shard.alive:
+            raise ShardUnavailableError(
+                shard_id, f"accelerator shard {shard_id} is down"
+            )
+        if not shard.health.allow_request():
+            raise ShardUnavailableError(
+                shard_id,
+                f"accelerator shard {shard_id} circuit is open",
+            )
+        if self.fault_injector is not None:
+            try:
+                self.fault_injector.check(shard.fault_site)
+            except Exception as exc:
+                shard.health.record_failure()
+                raise ShardUnavailableError(shard_id, str(exc)) from exc
+        shard.health.record_success()
+
+    def require_write(self, table: ShardedTable) -> None:
+        """Writes need every shard: placement may route rows anywhere."""
+        if table.lost_shards:
+            lost = min(table.lost_shards)
+            raise ShardUnavailableError(
+                lost,
+                f"shard {lost} lost its partition of {table.name}; "
+                "reload the table (ACCEL_CONTROL action=rebuild_shard)",
+            )
+        for shard in self._shard_list:
+            self.require_shard(shard.shard_id)
+
+    def shards_for_ranges(
+        self, table: ShardedTable, ranges: Optional[dict]
+    ) -> list[int]:
+        """The shards a scan under ``ranges`` must read (placement
+        pruning), counted into the pruning counters."""
+        candidates = table.map.spec.prune(ranges, self.shards, table.schema)
+        if candidates is None:
+            kept = list(range(self.shards))
+        else:
+            kept = sorted(c for c in candidates if 0 <= c < self.shards)
+        self.shard_scans_total += self.shards
+        self.shard_scans_pruned += self.shards - len(kept)
+        return kept
+
+    def kill_shard(self, shard_id: int) -> int:
+        """Simulate one shard's appliance dying: its partitions are lost.
+
+        Every facade remembers the loss, so any scan or write touching
+        the dead shard fails fast with :class:`ShardUnavailableError`
+        until the shard is rebuilt and its tables reloaded. Returns the
+        number of rows that were resident on the shard.
+        """
+        shard = self.shard(shard_id)
+        with self._write_lock:
+            lost_rows = self.shard_row_count(shard_id)
+            shard.alive = False
+            shard.health.force_offline()
+            for facade in self._tables.values():
+                facade.lose_part(shard_id)
+            self._lookup_cache.clear()
+        self._notify_capacity()
+        return lost_rows
+
+    def revive_shard(self, shard_id: int) -> None:
+        """Bring a killed shard back empty (its tables still need reloads)."""
+        shard = self.shard(shard_id)
+        shard.alive = True
+        shard.health.reset()
+        self._notify_capacity()
+
+    def _notify_capacity(self) -> None:
+        listener = self.capacity_listener
+        if listener is not None:
+            listener(self.live_shards)
+
+    def partition_scan(
+        self,
+        name: str,
+        epoch: int,
+        ranges: Optional[dict[str, tuple]] = None,
+        delta=None,
+        columns: Optional[Sequence[str]] = None,
+    ) -> None:
+        """A stub that always returns ``None``; nothing in ``repro`` calls it.
+
+        Training scans the row-id-ordered snapshot sequentially. The
+        standing benchmark's layer recorder
+        (``benchmarks/standing/layers.py``) still wraps this method by
+        name, so it stays until the next change to that benchmark
+        deletes both.
+        """
+        return None
 
     def _check_fault(self) -> None:
         if self.fault_injector is not None:
@@ -200,16 +371,19 @@ class AcceleratorEngine:
 
     # -- write paths -----------------------------------------------------------------
 
-    def bulk_insert(self, name: str, rows: Sequence) -> int:
+    def bulk_insert(
+        self, name: str, rows: Sequence, nbytes: Optional[int] = None
+    ) -> int:
         """Append one coerced batch — row tuples, or the aligned columns
-        of a batch that is already columnar — at a fresh epoch."""
+        of a batch that is already columnar — at a fresh epoch.
+        ``nbytes`` is its wire size if the caller already counted it."""
         self._check_fault()
         table = self.storage_for(name)
         columns = _batch_columns(table.schema, rows, coerced=True)
         with self._write_lock:
             self._lookup_cache.pop(name.upper(), None)
             epoch = self._staged_epoch()
-            table.append_columns(columns, epoch)
+            table.append_columns(columns, epoch, nbytes=nbytes)
             self._publish_epoch(epoch)
             self._note_write_locked(name.upper())
         return len(columns[0])
@@ -264,7 +438,7 @@ class AcceleratorEngine:
             return applied
 
     def _apply_changes_locked(
-        self, key: str, table: ColumnStoreTable, records
+        self, key: str, table: ShardedTable, records
     ) -> int:
         epoch = self._staged_epoch()
         # Rows inserted earlier in this same batch get placeholder ids
@@ -368,17 +542,20 @@ class AcceleratorEngine:
             return self._groom_locked(key, table)
 
     def _groom_locked(
-        self, key: str, table: ColumnStoreTable, **successor
+        self,
+        key: str,
+        table: ShardedTable,
+        spec: Optional[PartitionSpec] = None,
     ) -> "GroomStats":
-        """GROOM under the write lock; ``successor`` keywords shape the
-        rewritten storage (:meth:`_empty_successor`)."""
+        """GROOM under the write lock; a ``spec`` places the rewritten
+        rows anew (:meth:`ShardedTable.successor`)."""
         floor = self.current_epoch
         pinned = self.oldest_snapshot() if self.oldest_snapshot else None
         if pinned is not None:
             floor = min(floor, pinned)
         chunks_before = table.total_chunk_count
         row_ids, columns, versions = table.read_versions(floor)
-        fresh = self._empty_successor(key, table, **successor)
+        fresh = table.successor(spec)
         fresh.append_columns(
             [columns[c.name] for c in table.schema.columns],
             epoch=0,
@@ -394,11 +571,30 @@ class AcceleratorEngine:
             chunks_after=fresh.total_chunk_count,
         )
 
-    def _empty_successor(self, key: str, table: ColumnStoreTable):
-        """Empty storage shaped like ``table`` that continues its row ids."""
-        fresh = ColumnStoreTable(table.schema, chunk_rows=table.chunk_rows)
-        fresh._next_row_id = table._next_row_id
-        return fresh
+    def redistribute(self, name: str, spec: PartitionSpec) -> int:
+        """Re-place a table's rows under a new partition spec; returns
+        the live-row count.
+
+        This is GROOM under the new spec: every row version an open
+        snapshot can still see is rewritten with its row id and its own
+        insert/delete epochs and routed by the new spec, so open
+        transactions read the same rows after the move as before it.
+        Only the successor takes the new spec: readers of the old facade,
+        and the table itself if the move fails, keep pruning by the
+        placement its rows have.
+        """
+        key = name.upper()
+        table = self.storage_for(key)
+        with self._write_lock:
+            self.require_write(table)
+            self._groom_locked(key, table, spec=spec)
+            return self._tables[key].row_count
+
+    def range_key_values(self, name: str, column: str) -> list:
+        """Non-NULL values of one column (boundary computation input)."""
+        table = self.storage_for(name)
+        _, columns = table.read_visible(self.current_epoch, columns=[column])
+        return [v for v in columns[column].to_objects() if v is not None]
 
     # -- recovery support ---------------------------------------------------------------
 
@@ -475,12 +671,10 @@ class AcceleratorEngine:
         key = descriptor.name
         with self._write_lock:
             self._lookup_cache.pop(key, None)
-            table = ColumnStoreTable(
-                descriptor.schema, chunk_rows=self.chunk_rows
-            )
+            table = self._new_table(descriptor)
+            self._tables[key] = table
             if rows:
                 table.append_rows([tuple(r) for r in rows], epoch=0)
-            self._tables[key] = table
             if applied_lsn:
                 self._applied_lsn[key] = applied_lsn
             if lineage_epoch:
@@ -516,8 +710,8 @@ class AcceleratorEngine:
         )
         self.rows_scanned += len(row_ids)
         self.chunks_skipped += table.last_scan_chunks_skipped
-        self.simulated_busy_seconds += table.row_count / (
-            SCAN_ROWS_PER_SECOND * self.slice_count
+        self.simulated_busy_seconds += self.modeled_scan_seconds(
+            table.row_count
         )
         if delta is None or delta.is_empty:
             return row_ids, columns_read, len(row_ids)
@@ -598,12 +792,14 @@ class AcceleratorEngine:
         rows: Sequence,
         delta: Optional[DeltaBuffer] = None,
         already_coerced: bool = False,
+        nbytes: Optional[int] = None,
     ) -> int:
         """INSERT: into the txn delta when given, else applied directly.
 
         ``rows`` are row tuples or the aligned columns of a batch that
         never left columnar form; either way they are coerced and land as
-        columns. Only the transaction delta holds row tuples.
+        columns. Only the transaction delta holds row tuples. ``nbytes``
+        is the batch's wire size if the caller already counted it.
         """
         schema = self.storage_for(name).schema
         columns = _batch_columns(schema, rows, already_coerced)
@@ -614,7 +810,7 @@ class AcceleratorEngine:
             # INSERT ... SELECT) dies before any row became durable.
             if self.fault_injector is not None:
                 self.fault_injector.crash_point("aot.mid_build")
-            self.bulk_insert(name, columns)
+            self.bulk_insert(name, columns, nbytes)
         return len(columns[0])
 
     def delete_where(
@@ -806,7 +1002,7 @@ def _batch_columns(
 
 
 def _visible_rows(
-    table: ColumnStoreTable, epoch: int
+    table: ShardedTable, epoch: int
 ) -> tuple[np.ndarray, list[tuple]]:
     """Every row of ``table`` visible at ``epoch``, boxed, with its id."""
     row_ids, columns = table.read_visible(epoch)

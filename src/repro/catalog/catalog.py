@@ -95,9 +95,9 @@ class Catalog:
         self._tables: dict[str, TableDescriptor] = {}
         self._views: dict[str, ViewDescriptor] = {}
         self._users: dict[str, User] = {}
-        # Accelerator-pool partitioning specs, keyed by table name. Kept
-        # opaque here (the catalog layers below repro.shard); the pool
-        # interprets them. DB2-side metadata, so a declared DISTRIBUTE BY
+        # Accelerator partitioning specs, keyed by table name. Kept
+        # opaque here (the catalog layers below repro.shard); the
+        # accelerator engine interprets them. DB2-side metadata, so a declared DISTRIBUTE BY
         # survives an accelerator crash and drives the rebuilt placement.
         self._partition_specs: dict[str, object] = {}
         self.privileges = PrivilegeManager()

@@ -133,12 +133,12 @@ class InjectedCrashError(AcceleratorCrashError):
 
 
 class ShardUnavailableError(AcceleratorCrashError):
-    """Raised when one accelerator shard of a pool cannot serve a request.
+    """Raised when one accelerator shard cannot serve a request.
 
     Subclasses :class:`AcceleratorCrashError` so the statement-level
     failback machinery reroutes the query to DB2, but the federation
     treats it differently from a whole-appliance crash: the *shard's*
-    circuit records the failure while the pool-wide health monitor stays
+    circuit records the failure while the global health monitor stays
     closed, so statements that only touch surviving shards keep being
     offloaded.
     """

@@ -21,7 +21,11 @@ from repro.federation.router import (
     QueryRouter,
     RoutingDecision,
 )
-from repro.federation.system import AcceleratedDatabase, Connection
+from repro.federation.system import (
+    AcceleratedDatabase,
+    Connection,
+    accelerator_shards,
+)
 
 __all__ = [
     "AcceleratorHealthState",
@@ -35,4 +39,5 @@ __all__ = [
     "RoutingDecision",
     "AcceleratedDatabase",
     "Connection",
+    "accelerator_shards",
 ]

@@ -17,14 +17,14 @@ the simulation is managed the same way:
 * ``SYSPROC.ACCEL_CONTROL_ACCELERATOR('action=replicate')`` — drain the
   replication backlog on demand; ``action=configure`` reconfigures the
   observability stack at runtime (trace retention, profiler on/off and
-  retention, slow-query log threshold/capacity); on a sharded pool,
+  retention, slow-query log threshold/capacity);
   ``action=kill_shard`` / ``action=rebuild_shard`` (with ``shard=N``)
   fail and rebuild one accelerator instance and ``action=rebalance``
   re-places every accelerated table under its current partition spec;
 * ``SYSPROC.ACCEL_GET_HEALTH('')`` — accelerator health state, circuit
-  breaker counters, replication backlog/staleness and retry totals;
-  on a sharded pool, one additional line per shard with its own
-  circuit state and traffic counters;
+  breaker counters, replication backlog/staleness and retry totals,
+  and one line per accelerator shard with its own circuit state and
+  traffic counters;
 * ``SYSPROC.ACCEL_GET_TRACE('trace=T000042')`` — retained statement
   traces rendered as indented span trees;
 * ``SYSPROC.ACCEL_GET_PROFILE('profile=P000042')`` — retained
@@ -257,23 +257,18 @@ def _accel_control(ctx: ProcedureContext) -> str:
 
 
 def _accel_control_shards(ctx: ProcedureContext, action: str) -> str:
-    """Pool shard lifecycle: fail one instance, rebuild it, rebalance."""
-    pool = ctx.system.accelerator_pool
-    if pool is None:
-        raise ProcedureError(
-            f"action={action} needs a sharded pool (SHARDS > 1); "
-            "this system runs a single accelerator"
-        )
+    """Shard lifecycle: fail one instance, rebuild it, rebalance."""
+    accelerator = ctx.system.accelerator
     if action == "rebalance":
         moved = 0
         tables = 0
         for descriptor in ctx.system.catalog.tables():
             if not descriptor.is_accelerated:
                 continue
-            if not pool.has_storage(descriptor.name):
+            if not accelerator.has_storage(descriptor.name):
                 continue
-            spec = pool.storage_for(descriptor.name).map.spec
-            moved += pool.redistribute(descriptor.name, spec)
+            spec = accelerator.storage_for(descriptor.name).map.spec
+            moved += accelerator.redistribute(descriptor.name, spec)
             tables += 1
             ctx.log(f"{descriptor.name}: rebalanced under {spec.method}")
         return (
@@ -284,7 +279,7 @@ def _accel_control_shards(ctx: ProcedureContext, action: str) -> str:
     if shard_id is None:
         raise ProcedureError(f"action={action} requires 'shard='")
     if action == "kill_shard":
-        lost = pool.kill_shard(shard_id)
+        lost = accelerator.kill_shard(shard_id)
         ctx.log(f"shard {shard_id} down: {lost} resident rows lost")
         return f"ACCEL_CONTROL_ACCELERATOR ok: shard {shard_id} killed"
     reloaded = ctx.system.rebuild_shard(shard_id)
@@ -315,24 +310,23 @@ def _accel_get_health(ctx: ProcedureContext) -> str:
         f"rejected={health.requests_rejected} "
         f"cooldown={health.cooldown_seconds}s"
     )
-    pool = system.accelerator_pool
-    if pool is not None:
-        for shard in pool.shard_list:
-            circuit = shard.health
-            state = circuit.state.value if shard.alive else "DOWN"
-            link = shard.interconnect.snapshot()
-            ctx.log(
-                f"shard{shard.shard_id}: state={state} "
-                f"rows={pool.shard_row_count(shard.shard_id)} "
-                f"scans={shard.scans} "
-                f"rows_scanned={shard.rows_scanned} "
-                f"rows_written={shard.rows_written} "
-                f"failures={circuit.failures_total} "
-                f"opened={circuit.times_opened} "
-                f"rejected={circuit.requests_rejected} "
-                f"bytes_out={link.bytes_to_accelerator} "
-                f"bytes_back={link.bytes_from_accelerator}"
-            )
+    accelerator = system.accelerator
+    for shard in accelerator.shard_list:
+        circuit = shard.health
+        state = circuit.state.value if shard.alive else "DOWN"
+        link = shard.interconnect.snapshot()
+        ctx.log(
+            f"shard{shard.shard_id}: state={state} "
+            f"rows={accelerator.shard_row_count(shard.shard_id)} "
+            f"scans={shard.scans} "
+            f"rows_scanned={shard.rows_scanned} "
+            f"rows_written={shard.rows_written} "
+            f"failures={circuit.failures_total} "
+            f"opened={circuit.times_opened} "
+            f"rejected={circuit.requests_rejected} "
+            f"bytes_out={link.bytes_to_accelerator} "
+            f"bytes_back={link.bytes_from_accelerator}"
+        )
     stats = system.replication.stats()
     ctx.log(
         f"replication: backlog={stats.backlog} records "

@@ -70,6 +70,12 @@ from repro.recovery.manager import RecoveryManager
 from repro.obs.profile import QueryProfiler, estimate_plan, plan_tree_lines
 from repro.obs.trace import Tracer
 from repro.result import Result
+from repro.shard import (
+    AcceleratorShard,
+    PartitionSpec,
+    PoolAdmissionHealth,
+    range_boundaries,
+)
 from repro.sql import ast, parse_statement
 from repro.sql.logical import plan_statement
 from repro.sql.stats import (
@@ -79,10 +85,38 @@ from repro.sql.stats import (
 )
 from repro.wlm import AdmissionTicket, WorkBudget, WorkloadManager, active_budget
 
-__all__ = ["AcceleratedDatabase", "Connection"]
+__all__ = ["AcceleratedDatabase", "Connection", "accelerator_shards"]
 
 #: Fixed per-statement protocol overhead on the interconnect (bytes).
 STATEMENT_OVERHEAD_BYTES = 256
+
+
+def accelerator_shards(
+    count: int = 1,
+    failure_threshold: int = 3,
+    cooldown_seconds: float = 0.1,
+    bandwidth_bytes_per_second: float = 1_000_000_000.0,
+    message_latency_seconds: float = 0.0005,
+    tracer: Optional[Tracer] = None,
+) -> list[AcceleratorShard]:
+    """``count`` accelerator shards for an
+    :class:`~repro.accelerator.AcceleratorEngine`, each with its own
+    circuit breaker and its own link."""
+    return [
+        AcceleratorShard(
+            shard_id,
+            health=HealthMonitor(
+                failure_threshold=failure_threshold,
+                cooldown_seconds=cooldown_seconds,
+            ),
+            interconnect=Interconnect(
+                bandwidth_bytes_per_second=bandwidth_bytes_per_second,
+                message_latency_seconds=message_latency_seconds,
+                tracer=tracer,
+            ),
+        )
+        for shard_id in range(count)
+    ]
 
 
 def _render_plan_value(value) -> str:
@@ -193,38 +227,28 @@ class AcceleratedDatabase:
             cooldown_seconds=cooldown_seconds,
         )
         #: How many accelerator shards serve this federation. One (the
-        #: default, also the ``SHARDS`` environment override) keeps the
-        #: paper's single-appliance deployment bit-for-bit; more builds
-        #: an :class:`repro.shard.AcceleratorPool` behind the same
-        #: engine interface.
+        #: default, also the ``SHARDS`` environment override) is the
+        #: paper's single appliance; every count runs the same engine.
         self.shards = (
             int(os.environ.get("SHARDS", "1"))
             if shards is None
             else int(shards)
         )
-        if self.shards > 1:
-            from repro.shard import AcceleratorPool
-
-            self.accelerator = AcceleratorPool(
-                self.catalog,
-                shards=self.shards,
-                slice_count=slice_count,
-                chunk_rows=chunk_rows,
-                fault_injector=self.faults,
-                tracer=self.tracer,
+        self.accelerator = AcceleratorEngine(
+            self.catalog,
+            accelerator_shards(
+                self.shards,
                 failure_threshold=failure_threshold,
                 cooldown_seconds=cooldown_seconds,
                 bandwidth_bytes_per_second=bandwidth_bytes_per_second,
                 message_latency_seconds=message_latency_seconds,
-            )
-        else:
-            self.accelerator = AcceleratorEngine(
-                self.catalog,
-                slice_count=slice_count,
-                chunk_rows=chunk_rows,
-                fault_injector=self.faults,
                 tracer=self.tracer,
-            )
+            ),
+            slice_count=slice_count,
+            chunk_rows=chunk_rows,
+            fault_injector=self.faults,
+            tracer=self.tracer,
+        )
         # GROOM reclaims only what no open transaction's snapshot sees.
         self.accelerator.oldest_snapshot = (
             self.db2.txn_manager.oldest_snapshot_epoch
@@ -264,36 +288,27 @@ class AcceleratedDatabase:
         #: Workload manager: service classes, per-engine admission gates,
         #: statement budgets, load shedding. Ships disabled (zero-cost
         #: fast path); SYSPROC.ACCEL_SET_WLM enables it at runtime.
-        # Load shedding consults per-shard circuits through the pool
-        # adapter: one failed shard must not shed statements that the
-        # surviving shards can serve, but a pool with no usable shard
-        # sheds exactly like a single offline appliance.
-        if self.shards > 1:
-            from repro.shard import PoolAdmissionHealth
-
-            wlm_health = PoolAdmissionHealth(self.health, self.accelerator)
-        else:
-            wlm_health = self.health
+        # Load shedding consults per-shard circuits: one failed shard
+        # must not shed statements that the surviving shards can serve,
+        # but an accelerator with no usable shard sheds like an offline
+        # appliance.
         self.wlm = WorkloadManager(
             enabled=wlm_enabled,
-            health=wlm_health,
+            health=PoolAdmissionHealth(self.health, self.accelerator),
             db2_slots=wlm_db2_slots,
             accelerator_slots=wlm_accelerator_slots,
             max_queue_seconds=wlm_max_queue_seconds,
         )
-        if self.shards > 1:
-            # Losing a shard shrinks the pool's concurrency; the WLM's
-            # ACCELERATOR admission gate tracks the live capacity.
-            base_slots = max(1, wlm_accelerator_slots)
-            total_shards = self.shards
+        # Losing a shard shrinks the accelerator's concurrency; the WLM's
+        # ACCELERATOR admission gate tracks the live capacity.
+        base_slots = max(1, wlm_accelerator_slots)
 
-            def _shard_capacity(live: int) -> None:
-                self.wlm.resize_gate(
-                    "ACCELERATOR",
-                    max(1, (base_slots * live) // total_shards),
-                )
+        def _shard_capacity(live: int) -> None:
+            self.wlm.resize_gate(
+                "ACCELERATOR", max(1, (base_slots * live) // self.shards)
+            )
 
-            self.accelerator.capacity_listener = _shard_capacity
+        self.accelerator.capacity_listener = _shard_capacity
         #: Durable checkpointing + restart resync (DB2-side machinery: it
         #: survives an accelerator crash and drives the rebuild). With no
         #: ``checkpoint_dir`` the checkpoints live in memory — same frame
@@ -381,32 +396,28 @@ class AcceleratedDatabase:
 
     def _accelerator_metrics(self) -> dict:
         accelerator = self.accelerator
-        out = {
+        return {
             "queries_executed": accelerator.queries_executed,
             "rows_scanned": accelerator.rows_scanned,
             "chunks_skipped": accelerator.chunks_skipped,
             "simulated_busy_seconds": accelerator.simulated_busy_seconds,
             "current_epoch": accelerator.current_epoch,
+            "shards": accelerator.shards,
+            "live_shards": accelerator.live_shards,
+            "critical_path_seconds": (
+                accelerator.simulated_critical_path_seconds
+            ),
+            "shard_scans_pruned": accelerator.shard_scans_pruned,
+            "shard_scans_total": accelerator.shard_scans_total,
         }
-        pool = self.accelerator_pool
-        if pool is not None:
-            out["shards"] = pool.shards
-            out["live_shards"] = pool.live_shards
-            out["critical_path_seconds"] = (
-                pool.simulated_critical_path_seconds
-            )
-            out["shard_scans_pruned"] = pool.shard_scans_pruned
-            out["shard_scans_total"] = pool.shard_scans_total
-        return out
 
     @property
-    def accelerator_pool(self):
-        """The sharded pool, or None for a single-accelerator system."""
-        from repro.shard.pool import AcceleratorPool
-
-        if isinstance(self.accelerator, AcceleratorPool):
-            return self.accelerator
-        return None
+    def accelerator_pool(self) -> Optional[AcceleratorEngine]:
+        """The accelerator when it fans out over several shards, else
+        None. Only the standing benchmark's layer recorder reads this
+        name: it wraps shard spans when it gets an engine, and its
+        one-shard workloads record no fan-out."""
+        return None if self.shards == 1 else self.accelerator
 
     def _register_builtin_procedures(self) -> None:
         # Imported lazily to avoid a package cycle at import time.
@@ -559,7 +570,7 @@ class AcceleratedDatabase:
         self.stats.invalidate(descriptor.name)
 
     def rebuild_shard(self, shard_id: int) -> int:
-        """Bring a killed pool shard back and reload what it lost.
+        """Bring a killed accelerator shard back and reload what it lost.
 
         Revives the shard (fresh circuit, empty partitions) and
         re-snapshots every ACCELERATED copy that lost data on it — DB2
@@ -569,20 +580,16 @@ class AcceleratedDatabase:
         a lost AOT needs ``SYSPROC.ACCEL_RECOVER`` (checkpoint restore)
         instead and keeps failing fast until then.
         """
-        pool = self.accelerator_pool
-        if pool is None:
-            raise UnknownObjectError(
-                "accelerator is not a sharded pool; nothing to rebuild"
-            )
-        pool.revive_shard(shard_id)
+        accelerator = self.accelerator
+        accelerator.revive_shard(shard_id)
         reloaded = 0
         for descriptor in self.catalog.tables():
             if descriptor.location is not TableLocation.ACCELERATED:
                 continue
-            if not pool.has_storage(descriptor.name):
+            if not accelerator.has_storage(descriptor.name):
                 continue
-            storage = pool.storage_for(descriptor.name)
-            if shard_id in getattr(storage, "lost_shards", ()):
+            storage = accelerator.storage_for(descriptor.name)
+            if shard_id in storage.lost_shards:
                 self.reload_accelerated_table(descriptor.name)
                 reloaded += 1
         return reloaded
@@ -1571,7 +1578,7 @@ class Connection:
                 system.health.record_success()
         except (AcceleratorCrashError, LinkError) as exc:
             # One shard failing is not an appliance failure: the shard's
-            # own circuit already tripped inside the pool, and tripping
+            # own circuit already tripped inside the engine, and tripping
             # the global monitor here would take the surviving shards
             # out of offload with it.
             if not isinstance(exc, ShardUnavailableError):
@@ -1694,16 +1701,17 @@ class Connection:
             # A sub-select that ran on the accelerator lands in place and
             # only the statement travels — the paper's headline saving.
             crossing = source_engine != "ACCELERATOR"
+            nbytes = schema.columns_byte_size(columns) if crossing else None
             if crossing or statement_bytes:
                 system.interconnect.send_to_accelerator(
-                    (schema.columns_byte_size(columns) if crossing else 0)
-                    + statement_bytes
+                    (nbytes or 0) + statement_bytes
                 )
             return system.accelerator.insert_into(
                 descriptor.name,
                 columns,
                 delta=self.delta_for(descriptor.name),
                 already_coerced=True,
+                nbytes=nbytes,
             )
         if names is None:
             rows = [schema.coerce_row(row) for row in source]
@@ -1859,12 +1867,10 @@ class Connection:
 
         Records the placement spec in the shared catalog (DB2-side
         metadata: it survives accelerator crashes and drives rebuilt
-        placement) and, on a sharded pool, redistributes the live rows
-        immediately. RANGE boundaries are computed from the current
-        data's quantiles at ALTER time.
+        placement) and redistributes the live rows immediately — a
+        GROOM under the new spec, at every shard count. RANGE boundaries
+        are computed from the current data's quantiles at ALTER time.
         """
-        from repro.shard.placement import PartitionSpec, range_boundaries
-
         descriptor = self._system.catalog.table(stmt.table)
         self._check_privilege(descriptor, None, f"alter {descriptor.name}")
         if not descriptor.is_accelerated:
@@ -1878,29 +1884,19 @@ class Connection:
                 raise UnknownObjectError(
                     f"table {descriptor.name} has no column {name}"
                 )
-        pool = self._system.accelerator_pool
+        accelerator = self._system.accelerator
         if stmt.method == "RANGE":
-            values = (
-                pool.range_key_values(descriptor.name, columns[0])
-                if pool is not None
-                else []
-            )
+            values = accelerator.range_key_values(descriptor.name, columns[0])
             spec = PartitionSpec(
-                "RANGE",
-                columns,
-                range_boundaries(values, pool.shards if pool else 1),
+                "RANGE", columns, range_boundaries(values, accelerator.shards)
             )
         elif stmt.method == "HASH":
             spec = PartitionSpec("HASH", columns)
         else:
             spec = PartitionSpec("RANDOM")
         self._system.catalog.set_partition_spec(descriptor.name, spec)
-        moved = 0
-        if pool is not None:
-            self._system.interconnect.send_to_accelerator(
-                STATEMENT_OVERHEAD_BYTES
-            )
-            moved = pool.redistribute(descriptor.name, spec)
+        self._system.interconnect.send_to_accelerator(STATEMENT_OVERHEAD_BYTES)
+        moved = accelerator.redistribute(descriptor.name, spec)
         rendered = stmt.method
         if columns:
             rendered += f" ({', '.join(columns)})"

@@ -138,7 +138,7 @@ class IdaaLoader:
             # Straight to the accelerator; DB2 is bypassed entirely.
             system.interconnect.send_to_accelerator(nbytes)
             system.accelerator.insert_into(
-                descriptor.name, columns, already_coerced=True
+                descriptor.name, columns, already_coerced=True, nbytes=nbytes
             )
             return
         # DB2-resident: write the row store under a short transaction.
@@ -158,4 +158,4 @@ class IdaaLoader:
         if descriptor.location is TableLocation.ACCELERATED:
             # Dual load: ship the same batch to the copy directly.
             system.interconnect.send_to_accelerator(nbytes)
-            system.accelerator.bulk_insert(descriptor.name, columns)
+            system.accelerator.bulk_insert(descriptor.name, columns, nbytes)

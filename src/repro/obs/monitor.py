@@ -27,12 +27,10 @@ equivalents as *virtual tables* under the ``SYSACCEL`` schema:
 * ``SYSACCEL.MON_MODELS`` — one row per trained model with its kind,
   owner, feature list, rows/epochs of unified training, generations,
   and training metrics;
-* ``SYSACCEL.MON_SHARDS`` — one row per accelerator shard (the scale-out
-  pool of PR 10): liveness, per-shard circuit state and counters,
-  resident rows/tables, scan and write traffic, simulated busy seconds,
-  and the shard's interconnect byte totals. A single-instance system
-  (SHARDS=1) reports one row for shard 0 so dashboards need no special
-  case;
+* ``SYSACCEL.MON_SHARDS`` — one row per accelerator shard (one for the
+  default single instance): liveness, per-shard circuit state and
+  counters, resident rows/tables, scan and write traffic, simulated
+  busy seconds, and the shard's interconnect byte totals;
 * ``SYSACCEL.MON_STATISTICS`` — the cost-based optimizer's statistics
   store: one table-level row (``COLUMN_NAME = ''``) per table plus one
   row per column with NDV, null count, min/max, histogram bin count,
@@ -340,41 +338,14 @@ def _statistics_rows(system: "AcceleratedDatabase") -> list[tuple]:
 
 
 def _shards_rows(system: "AcceleratedDatabase") -> list[tuple]:
-    pool = system.accelerator_pool
-    if pool is None:
-        # Single instance: one synthetic row so SHARDS=1 and SHARDS=N
-        # deployments query the same view.
-        engine = system.accelerator
-        health = system.health
-        link = system.interconnect
-        tables = engine._tables
-        return [
-            (
-                0,
-                health.state.value,
-                "Y",
-                len(tables),
-                sum(t.row_count for t in tables.values()),
-                0,
-                engine.queries_executed,
-                engine.rows_scanned,
-                0,
-                round(engine.simulated_busy_seconds, 9),
-                health.failures_total,
-                health.successes_total,
-                health.times_opened,
-                health.requests_rejected,
-                link.bytes_to_accelerator,
-                link.bytes_from_accelerator,
-            )
-        ]
+    accelerator = system.accelerator
     rows: list[tuple] = []
-    for shard in pool.shard_list:
+    for shard in accelerator.shard_list:
         circuit = shard.health
         link = shard.interconnect
         lost = sum(
             1
-            for facade in pool._tables.values()
+            for facade in accelerator._tables.values()
             if shard.shard_id in facade.lost_shards
         )
         rows.append(
@@ -382,8 +353,8 @@ def _shards_rows(system: "AcceleratedDatabase") -> list[tuple]:
                 shard.shard_id,
                 circuit.state.value if shard.alive else "DOWN",
                 _flag(shard.alive),
-                len(pool.shard_parts(shard.shard_id)),
-                pool.shard_row_count(shard.shard_id),
+                len(accelerator.shard_parts(shard.shard_id)),
+                accelerator.shard_row_count(shard.shard_id),
                 lost,
                 shard.scans,
                 shard.rows_scanned,

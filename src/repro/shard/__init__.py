@@ -1,17 +1,17 @@
-"""Multi-accelerator scale-out: placement, fan-out execution, failover.
+"""Accelerator scale-out: placement, fan-out execution, failover.
 
 One accelerator appliance behind DB2 (the paper's deployment) caps scan
-throughput at a single instance. This package generalises the federation
-to a *pool* of N accelerator shards behind the same engine interface:
+throughput at a single instance. The
+:class:`~repro.accelerator.engine.AcceleratorEngine` therefore runs
+``shards`` instances behind one interface — one by default:
 
 * :mod:`repro.shard.placement` — catalog-backed partitioning specs
   (HASH / RANGE / RANDOM) with shard-map generations and partition-key
   shard pruning;
-* :mod:`repro.shard.pool` — :class:`AcceleratorPool`, a drop-in
-  :class:`~repro.accelerator.engine.AcceleratorEngine` whose storage
-  objects fan scans out per shard and merge them back byte-identically
-  to single-instance execution, with a per-shard health circuit,
-  interconnect link, and fault site for independent failure.
+* :mod:`repro.shard.pool` — the per-shard health circuit, interconnect
+  link and fault site (:class:`AcceleratorShard`), and the
+  :class:`ShardedTable` facade whose scans fan out per shard and merge
+  back byte-identically at every shard count.
 """
 
 from repro.shard.placement import (
@@ -21,14 +21,12 @@ from repro.shard.placement import (
     range_boundaries,
 )
 from repro.shard.pool import (
-    AcceleratorPool,
     AcceleratorShard,
     PoolAdmissionHealth,
     ShardedTable,
 )
 
 __all__ = [
-    "AcceleratorPool",
     "AcceleratorShard",
     "PartitionSpec",
     "PoolAdmissionHealth",

@@ -13,7 +13,7 @@ shards:
 * ``RANDOM`` — round-robin by row id; no pruning.
 
 The spec is stored in the shared catalog (it is DB2-side metadata, so it
-survives an accelerator crash) and mirrored into the pool's per-table
+survives an accelerator crash) and mirrored into each table facade's
 shard map, whose ``generation`` bumps on every redistribution.
 
 Pruning is advisory in exactly the zone-map sense: it may only drop

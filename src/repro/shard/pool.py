@@ -1,25 +1,24 @@
-"""The accelerator pool: N shards behind the single-engine interface.
+"""The accelerator's shards and the table facade that spreads rows over them.
 
-:class:`AcceleratorPool` subclasses
-:class:`~repro.accelerator.engine.AcceleratorEngine` and swaps the
-storage objects: instead of one :class:`ColumnStoreTable` per table it
-keeps a :class:`ShardedTable` facade that spreads the rows over N
-per-shard column stores by the table's
-:class:`~repro.shard.placement.PartitionSpec`. Everything above the
-storage surface — replication apply, DML, grooming, checkpoint capture,
-snapshot scans, the vector executor — runs unchanged.
+:class:`~repro.accelerator.engine.AcceleratorEngine` runs ``shards``
+accelerator instances — one by default, the paper's single appliance.
+Every table it stores is a :class:`ShardedTable` facade over one
+:class:`ColumnStoreTable` per shard, its rows placed by the table's
+:class:`~repro.shard.placement.PartitionSpec`. Replication apply, DML,
+grooming, checkpoint capture, snapshot scans and the vector executor
+see only the facade, so they run the same at every shard count.
 
-**Byte identity.** The facade assigns row ids exactly as a single
-accelerator would (fresh ids only grow), and a single instance scans in
-row-id order. Reads fan out to the shards (with partition-key shard
-pruning and per-shard zone maps), then one stable argsort on row id
-merges the shard reads — so every downstream consumer sees the same
-bytes at every shard count, in the order DB2 inserted the rows.
+**Byte identity.** The facade assigns row ids exactly as one table
+would (fresh ids only grow), and every part scans in row-id order.
+Reads fan out to the shards (with partition-key shard pruning and
+per-shard zone maps), then one stable argsort on row id merges the
+shard reads — so every downstream consumer sees the same bytes at every
+shard count, in the order DB2 inserted the rows.
 
 **Resilience.** Each shard owns a health circuit, an interconnect link,
 and a fault site (``accelerator.shard<N>``). A failing shard raises
 :class:`~repro.errors.ShardUnavailableError` — trip *its* circuit, not
-the pool's — so statements over surviving shards keep being offloaded
+the engine's — so statements over surviving shards keep being offloaded
 while affected ones degrade to DB2. Writes fail fast *before* any
 mutation, which keeps the replication service's exactly-once pinning
 intact: an abandoned batch stays wholly unapplied.
@@ -27,17 +26,12 @@ intact: an abandoned batch stays wholly unapplied.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.accelerator.engine import SCAN_ROWS_PER_SECOND, AcceleratorEngine
 from repro.catalog.schema import TableSchema, columns_from_rows
-from repro.errors import ReproError, ShardUnavailableError
-from repro.federation.health import HealthMonitor
-from repro.federation.network import Interconnect
-from repro.shard.placement import PartitionSpec, ShardMap, default_spec
+from repro.shard.placement import PartitionSpec, ShardMap
 from repro.sql.expressions import VColumn, concat_columns
 from repro.storage.column_store import (
     Chunk,
@@ -46,8 +40,13 @@ from repro.storage.column_store import (
     empty_read,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    # The federation builds each shard's circuit and link
+    # (repro.federation.accelerator_shards); nothing here imports it.
+    from repro.federation.health import HealthMonitor
+    from repro.federation.network import Interconnect
+
 __all__ = [
-    "AcceleratorPool",
     "AcceleratorShard",
     "PoolAdmissionHealth",
     "ShardedTable",
@@ -55,12 +54,12 @@ __all__ = [
 
 
 class AcceleratorShard:
-    """One accelerator instance of the pool.
+    """One accelerator instance of the engine.
 
     Owns its own circuit breaker, its own byte-accounting interconnect
     link, and its own fault site so tests and operators can fail
-    instances independently. Its table partitions are the pool's live
-    facades' ``parts[shard_id]`` (:meth:`AcceleratorPool.shard_parts`).
+    instances independently. Its table partitions are the live facades'
+    ``parts[shard_id]`` (:meth:`AcceleratorEngine.shard_parts`).
     """
 
     def __init__(
@@ -84,30 +83,32 @@ class AcceleratorShard:
 
 
 class ShardedTable:
-    """One accelerated table spread over every shard of the pool.
+    """One accelerated table spread over every shard of the engine.
 
-    Presents the exact ``ColumnStoreTable`` surface the engine uses
+    Presents the ``ColumnStoreTable`` surface the engine uses
     (``append_columns`` / ``mark_deleted`` / ``read_visible`` /
-    ``iter_chunks`` + the bookkeeping attributes), so the
-    single-instance write, replication, groom, and recovery logic runs
-    unchanged against a pool. Its counts are sums over the parts, so a
-    partition lost to a kill leaves them until it is reloaded.
+    ``iter_chunks`` + the bookkeeping attributes). Its counts are sums
+    over the parts, so a partition lost to a kill leaves them until it
+    is reloaded.
     """
 
     def __init__(
         self,
-        pool: "AcceleratorPool",
+        engine,
         name: str,
         schema: TableSchema,
-        parts: list[ColumnStoreTable],
-        shard_map: ShardMap,
+        spec: PartitionSpec,
+        generation: int = 1,
     ) -> None:
-        self._pool = pool
+        self._engine = engine
         self.name = name
         self.schema = schema
         #: Per-shard data partitions, indexed by shard id.
-        self.parts = parts
-        self.map = shard_map
+        self.parts = [
+            ColumnStoreTable(schema, chunk_rows=engine.chunk_rows)
+            for _ in range(engine.shards)
+        ]
+        self.map = ShardMap(table=name, spec=spec, generation=generation)
         self._next_row_id = 0
         self.zone_maps_enabled = True
         self.last_scan_chunks_skipped = 0
@@ -115,9 +116,30 @@ class ShardedTable:
         #: Shards whose partition of this table was lost to a kill and
         #: not reloaded yet; scans touching one fail fast.
         self.lost_shards: set[int] = set()
-        self._key_positions = [
-            schema.position_of(c) for c in shard_map.spec.columns
-        ]
+        self._key_positions = [schema.position_of(c) for c in spec.columns]
+
+    def successor(self, spec: Optional[PartitionSpec] = None) -> "ShardedTable":
+        """Empty facade that continues this table's row ids; a new
+        ``spec`` places its rows anew under the next shard-map
+        generation, and this table keeps its own placement until the
+        successor replaces it."""
+        generation = self.map.generation
+        if spec is None:
+            spec = self.map.spec
+        else:
+            generation += 1
+        fresh = ShardedTable(
+            self._engine, self.name, self.schema, spec, generation
+        )
+        fresh._next_row_id = self._next_row_id
+        return fresh
+
+    def lose_part(self, shard_id: int) -> None:
+        """Drop one shard's partition (its appliance died)."""
+        self.parts[shard_id] = ColumnStoreTable(
+            self.schema, chunk_rows=self.parts[shard_id].chunk_rows
+        )
+        self.lost_shards.add(shard_id)
 
     # -- bookkeeping surface -------------------------------------------------
 
@@ -149,40 +171,64 @@ class ShardedTable:
         epoch: int,
         row_ids: Optional[np.ndarray] = None,
         versions: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        nbytes: Optional[int] = None,
     ) -> np.ndarray:
-        """Assign row ids as a single table would, then route each row
-        to its shard.
+        """Assign row ids as one table would, then route each row to its
+        shard.
 
         The all-shards health check runs *before* any mutation so a dead
         shard aborts the batch atomically — replication's partial-batch
         pinning then redelivers it untouched once the shard is back.
+        ``nbytes`` is the batch's wire size when the caller already
+        counted it for its own link: a shard that takes the whole batch
+        sends that number instead of walking the values again.
         """
-        pool = self._pool
-        pool.require_write(self)
+        engine = self._engine
+        engine.require_write(self)
         count = len(columns[0])
         if not count:
             return np.empty(0, dtype=np.int64)
         assigned = batch_row_ids(self, count, row_ids)
-        shard_of_row = self.map.spec.shards_for_columns(
-            [columns[p] for p in self._key_positions], assigned, pool.shards
-        )
-        for shard_id in np.unique(shard_of_row).tolist():
-            indexes = np.flatnonzero(shard_of_row == shard_id)
-            part_columns = [column.take(indexes) for column in columns]
-            shard = pool.shard(shard_id)
+        for shard_id, indexes in self._route(columns, assigned):
+            part_columns, part_ids, part_versions = columns, assigned, versions
+            part_bytes = nbytes
+            if indexes is not None:
+                part_columns = [column.take(indexes) for column in columns]
+                part_ids = assigned[indexes]
+                if versions is not None:
+                    part_versions = tuple(np.asarray(v)[indexes] for v in versions)
+                part_bytes = None
             self.parts[shard_id].append_columns(
-                part_columns,
-                epoch,
-                row_ids=assigned[indexes],
-                versions=None
-                if versions is None
-                else tuple(np.asarray(v)[indexes] for v in versions),
+                part_columns, epoch, row_ids=part_ids, versions=part_versions
             )
-            shard.rows_written += len(indexes)
-            shard.interconnect.send_to_accelerator(
-                self.schema.columns_byte_size(part_columns)
-            )
+            if part_bytes is None:
+                part_bytes = self.schema.columns_byte_size(part_columns)
+            shard = engine.shard(shard_id)
+            shard.rows_written += len(part_ids)
+            shard.interconnect.send_to_accelerator(part_bytes)
         return assigned
+
+    def _route(
+        self, columns: Sequence[VColumn], row_ids: np.ndarray
+    ) -> list[tuple[int, Optional[np.ndarray]]]:
+        """``(shard id, row indexes)`` for each shard the batch lands on,
+        worked out once per batch. A shard that takes the whole batch —
+        every batch at one shard, a single-row commit at any count —
+        gets ``None``: the batch passes through without a gather."""
+        shard_of_row = self.map.spec.shards_for_columns(
+            [columns[p] for p in self._key_positions],
+            row_ids,
+            self._engine.shards,
+        )
+        low, high = int(shard_of_row.min()), int(shard_of_row.max())
+        if low == high:
+            return [(low, None)]
+        routes = []
+        for shard_id in range(low, high + 1):
+            indexes = np.flatnonzero(shard_of_row == shard_id)
+            if len(indexes):
+                routes.append((shard_id, indexes))
+        return routes
 
     def append_rows(
         self,
@@ -196,11 +242,11 @@ class ShardedTable:
 
     def mark_deleted(self, row_ids: Sequence[int], epoch: int) -> int:
         """Broadcast the delete; each shard stamps only the ids it owns."""
-        self._pool.require_write(self)
+        self._engine.require_write(self)
         return sum(part.mark_deleted(row_ids, epoch) for part in self.parts)
 
     def truncate(self, epoch: int) -> int:
-        self._pool.require_write(self)
+        self._engine.require_write(self)
         return sum(part.truncate(epoch) for part in self.parts)
 
     # -- read path -----------------------------------------------------------
@@ -215,29 +261,29 @@ class ShardedTable:
 
         The per-shard scans get both partition-key shard pruning and their
         own zone maps, so the merge is a superset of the predicate's
-        matches in single-instance order; the executor re-applies the full
+        matches in row-id order; the executor re-applies the full
         predicate — same bytes out at every shard count.
         """
-        pool = self._pool
+        engine = self._engine
         wanted = (
             list(columns)
             if columns is not None
             else list(self.schema.column_names)
         )
-        scan_ids = pool.shards_for_ranges(self, ranges)
+        scan_ids = engine.shards_for_ranges(self, ranges)
         gathered: list[tuple[np.ndarray, dict[str, VColumn]]] = []
         skipped = 0
         total = 0
         critical = 0.0
         for shard_id in scan_ids:
-            pool.require_shard(shard_id, table=self)
+            engine.require_shard(shard_id, table=self)
             part = self.parts[shard_id]
             part.zone_maps_enabled = self.zone_maps_enabled
             ids, cols = part.read_visible(epoch, columns=wanted, ranges=ranges)
             skipped += part.last_scan_chunks_skipped
             total += part.last_scan_chunks_total
-            shard = pool.shard(shard_id)
-            busy = part.row_count / (SCAN_ROWS_PER_SECOND * pool.slice_count)
+            shard = engine.shard(shard_id)
+            busy = engine.modeled_scan_seconds(part.row_count)
             shard.scans += 1
             shard.rows_scanned += len(ids)
             shard.simulated_busy_seconds += busy
@@ -248,7 +294,7 @@ class ShardedTable:
                 gathered.append((ids, cols))
         self.last_scan_chunks_skipped = skipped
         self.last_scan_chunks_total = total
-        pool.simulated_critical_path_seconds += critical
+        engine.simulated_critical_path_seconds += critical
         row_ids, out, _ = self._merge(gathered, wanted)
         return row_ids, out
 
@@ -265,7 +311,7 @@ class ShardedTable:
         gathered = []
         versions = []
         for shard_id, part in enumerate(self.parts):
-            self._pool.require_shard(shard_id, table=self)
+            self._engine.require_shard(shard_id, table=self)
             ids, cols, epochs = part.read_versions(floor, columns=wanted)
             if len(ids):
                 gathered.append((ids, cols))
@@ -299,322 +345,20 @@ class ShardedTable:
         return merged_ids[order], out, order
 
 
-class AcceleratorPool(AcceleratorEngine):
-    """N accelerator shards behind the ``AcceleratorEngine`` interface."""
-
-    def __init__(
-        self,
-        catalog,
-        shards: int = 2,
-        slice_count: int = 4,
-        chunk_rows: int = 65536,
-        fault_injector=None,
-        tracer=None,
-        failure_threshold: int = 3,
-        cooldown_seconds: float = 0.1,
-        bandwidth_bytes_per_second: float = 1_000_000_000.0,
-        message_latency_seconds: float = 0.0005,
-    ) -> None:
-        if shards < 1:
-            raise ReproError("an accelerator pool needs at least one shard")
-        super().__init__(
-            catalog,
-            slice_count=slice_count,
-            chunk_rows=chunk_rows,
-            fault_injector=fault_injector,
-            tracer=tracer,
-        )
-        self.shards = shards
-        self._shard_list = [
-            AcceleratorShard(
-                shard_id,
-                health=HealthMonitor(
-                    failure_threshold=failure_threshold,
-                    cooldown_seconds=cooldown_seconds,
-                ),
-                interconnect=Interconnect(
-                    bandwidth_bytes_per_second=bandwidth_bytes_per_second,
-                    message_latency_seconds=message_latency_seconds,
-                    tracer=tracer,
-                ),
-            )
-            for shard_id in range(shards)
-        ]
-        #: Serialises shard kill/rebuild against in-flight fan-outs.
-        self._topology_lock = threading.Lock()
-        #: Modeled wall-clock of the scan critical path: every fan-out
-        #: adds the *slowest* shard's busy time, not the sum — the
-        #: quantity E20 compares across shard counts.
-        self.simulated_critical_path_seconds = 0.0
-        #: Shard-scans avoided by partition-key pruning / attempted.
-        self.shard_scans_pruned = 0
-        self.shard_scans_total = 0
-        #: Called with the live-shard count after a kill or rebuild so
-        #: the WLM can resize the ACCELERATOR admission gate.
-        self.capacity_listener: Optional[Callable[[int], None]] = None
-
-    # -- shard access --------------------------------------------------------
-
-    def shard(self, shard_id: int) -> AcceleratorShard:
-        if not 0 <= shard_id < self.shards:
-            raise ReproError(
-                f"no shard {shard_id} (pool has {self.shards} shards)"
-            )
-        return self._shard_list[shard_id]
-
-    @property
-    def shard_list(self) -> list[AcceleratorShard]:
-        return list(self._shard_list)
-
-    def shard_parts(self, shard_id: int) -> list[ColumnStoreTable]:
-        """The shard's partition of every table, from the live facades."""
-        return [facade.parts[shard_id] for facade in self._tables.values()]
-
-    def shard_row_count(self, shard_id: int) -> int:
-        """Live rows the shard holds over every table."""
-        return sum(part.row_count for part in self.shard_parts(shard_id))
-
-    @property
-    def live_shards(self) -> int:
-        return sum(1 for shard in self._shard_list if shard.alive)
-
-    def require_shard(self, shard_id: int, table: Optional[ShardedTable] = None) -> None:
-        """Admission check for one shard: liveness, circuit, fault site.
-
-        Injected faults for the shard's site are re-raised as
-        :class:`ShardUnavailableError` after tripping the *shard's*
-        circuit — the pool-wide health monitor never hears about them.
-        """
-        shard = self.shard(shard_id)
-        if table is not None and shard_id in table.lost_shards:
-            raise ShardUnavailableError(
-                shard_id,
-                f"shard {shard_id} lost its partition of {table.name}; "
-                "reload the table (ACCEL_CONTROL action=rebuild_shard)",
-            )
-        if not shard.alive:
-            raise ShardUnavailableError(
-                shard_id, f"accelerator shard {shard_id} is down"
-            )
-        if not shard.health.allow_request():
-            raise ShardUnavailableError(
-                shard_id,
-                f"accelerator shard {shard_id} circuit is open",
-            )
-        if self.fault_injector is not None:
-            try:
-                self.fault_injector.check(shard.fault_site)
-            except Exception as exc:
-                shard.health.record_failure()
-                raise ShardUnavailableError(shard_id, str(exc)) from exc
-        shard.health.record_success()
-
-    def require_write(self, table: ShardedTable) -> None:
-        """Writes need every shard: placement may route rows anywhere."""
-        if table.lost_shards:
-            lost = min(table.lost_shards)
-            raise ShardUnavailableError(
-                lost,
-                f"shard {lost} lost its partition of {table.name}; "
-                "reload the table (ACCEL_CONTROL action=rebuild_shard)",
-            )
-        for shard in self._shard_list:
-            self.require_shard(shard.shard_id)
-
-    # -- placement -----------------------------------------------------------
-
-    def _candidate_shards(
-        self, table: ShardedTable, ranges: Optional[dict]
-    ) -> list[int]:
-        candidates = table.map.spec.prune(ranges, self.shards, table.schema)
-        if candidates is None:
-            return list(range(self.shards))
-        return sorted(c for c in candidates if 0 <= c < self.shards)
-
-    def shards_for_ranges(
-        self, table: ShardedTable, ranges: Optional[dict]
-    ) -> list[int]:
-        kept = self._candidate_shards(table, ranges)
-        self.shard_scans_total += self.shards
-        self.shard_scans_pruned += self.shards - len(kept)
-        return kept
-
-    # -- storage / DDL -------------------------------------------------------
-
-    def create_storage(self, descriptor) -> None:
-        key = descriptor.name
-        if key in self._tables:
-            raise ReproError(f"accelerator storage for {key} already exists")
-        spec = self.catalog.partition_spec(key)
-        if spec is None:
-            spec = default_spec(descriptor)
-        self._tables[key] = self._build_facade(key, descriptor.schema, spec)
-
-    def _build_facade(
-        self,
-        name: str,
-        schema: TableSchema,
-        spec: PartitionSpec,
-        generation: int = 1,
-    ) -> ShardedTable:
-        parts = [
-            ColumnStoreTable(schema, chunk_rows=self.chunk_rows)
-            for _ in self._shard_list
-        ]
-        return ShardedTable(
-            self,
-            name,
-            schema,
-            parts,
-            ShardMap(table=name, spec=spec, generation=generation),
-        )
-
-    # -- benchmark hook ------------------------------------------------------
-
-    def partition_scan(
-        self,
-        name: str,
-        epoch: int,
-        ranges: Optional[dict[str, tuple]] = None,
-        delta=None,
-        columns: Optional[Sequence[str]] = None,
-    ) -> None:
-        """A stub that always returns ``None``; nothing in ``repro`` calls it.
-
-        Training scans the row-id-ordered snapshot sequentially. The
-        standing benchmark's layer recorder
-        (``benchmarks/standing/layers.py``) still wraps this method by
-        name, so it stays until the next change to that benchmark
-        deletes both.
-        """
-        return None
-
-    # -- groom / recovery ----------------------------------------------------
-
-    def _empty_successor(
-        self,
-        key: str,
-        table: ShardedTable,
-        spec: Optional[PartitionSpec] = None,
-    ) -> ShardedTable:
-        """Empty facade that continues ``table``'s row ids; a new ``spec``
-        places its rows anew under the next shard-map generation, and
-        ``table`` keeps its own placement until the successor replaces it."""
-        generation = table.map.generation
-        if spec is None:
-            spec = table.map.spec
-        else:
-            generation += 1
-        fresh = self._build_facade(
-            key, table.schema, spec, generation=generation
-        )
-        fresh._next_row_id = table._next_row_id
-        return fresh
-
-    def restore_table(
-        self,
-        descriptor,
-        rows: Sequence[tuple],
-        applied_lsn: int = 0,
-        lineage_epoch: int = 0,
-    ) -> int:
-        key = descriptor.name
-        with self._write_lock:
-            self._lookup_cache.pop(key, None)
-            spec = self.catalog.partition_spec(key)
-            if spec is None:
-                spec = default_spec(descriptor)
-            facade = self._build_facade(key, descriptor.schema, spec)
-            self._tables[key] = facade
-            if rows:
-                facade.append_rows([tuple(r) for r in rows], epoch=0)
-            if applied_lsn:
-                self._applied_lsn[key] = applied_lsn
-            if lineage_epoch:
-                self._lineage[key] = lineage_epoch
-        return len(rows)
-
-    # -- shard lifecycle -----------------------------------------------------
-
-    def kill_shard(self, shard_id: int) -> int:
-        """Simulate one shard's appliance dying: its partitions are lost.
-
-        Every facade remembers the loss, so any scan or write touching
-        the dead shard fails fast with :class:`ShardUnavailableError`
-        until the shard is rebuilt and its tables reloaded. Returns the
-        number of rows that were resident on the shard.
-        """
-        shard = self.shard(shard_id)
-        with self._write_lock:
-            lost_rows = self.shard_row_count(shard_id)
-            shard.alive = False
-            shard.health.force_offline()
-            for facade in self._tables.values():
-                facade.parts[shard_id] = ColumnStoreTable(
-                    facade.schema, chunk_rows=self.chunk_rows
-                )
-                facade.lost_shards.add(shard_id)
-            self._lookup_cache.clear()
-        self._notify_capacity()
-        return lost_rows
-
-    def revive_shard(self, shard_id: int) -> None:
-        """Bring a killed shard back empty (its tables still need reloads)."""
-        shard = self.shard(shard_id)
-        shard.alive = True
-        shard.health.reset()
-        self._notify_capacity()
-
-    def _notify_capacity(self) -> None:
-        listener = self.capacity_listener
-        if listener is not None:
-            listener(self.live_shards)
-
-    # -- redistribution ------------------------------------------------------
-
-    def redistribute(self, name: str, spec: PartitionSpec) -> int:
-        """Re-place a table's rows under a new partition spec; returns
-        the live-row count.
-
-        This is GROOM under the new spec: every row version an open
-        snapshot can still see is rewritten with its row id and its own
-        insert/delete epochs and routed by the new spec, so open
-        transactions read the same rows after the move as before it.
-        Only the successor takes the new spec: readers of the old facade,
-        and the table itself if the move fails, keep pruning by the
-        placement its rows have.
-        """
-        key = name.upper()
-        table = self.storage_for(key)
-        if not isinstance(table, ShardedTable):  # pragma: no cover - safety
-            raise ReproError(f"{key} is not a sharded table")
-        with self._write_lock:
-            self.require_write(table)
-            self._groom_locked(key, table, spec=spec)
-            return self._tables[key].row_count
-
-    def range_key_values(self, name: str, column: str) -> list:
-        """Non-NULL values of one column (boundary computation input)."""
-        key = name.upper()
-        table = self.storage_for(key)
-        _, columns = table.read_visible(self.current_epoch, columns=[column])
-        return [v for v in columns[column].to_objects() if v is not None]
-
-
 class PoolAdmissionHealth:
-    """WLM-facing health view over a sharded pool.
+    """WLM-facing health view over the engine's shards.
 
     The load shedder's only question is "is queueing accelerator work
-    pointless right now?". For a pool the honest answer is per-shard:
-    one dead shard must NOT shed statements — surviving shards keep
+    pointless right now?". The honest answer is per-shard: one dead
+    shard of several must NOT shed statements — surviving shards keep
     serving offloaded work, and pruned scans may never touch the dead
-    one — but a pool with *no* usable shard, or a globally open
+    one — but an engine with *no* usable shard, or a globally open
     circuit, should bounce sheddable classes immediately.
     """
 
-    def __init__(self, health: HealthMonitor, pool: AcceleratorPool) -> None:
+    def __init__(self, health: HealthMonitor, engine) -> None:
         self.global_health = health
-        self.pool = pool
+        self.engine = engine
 
     @property
     def available(self) -> bool:
@@ -622,5 +366,5 @@ class PoolAdmissionHealth:
             return False
         return any(
             shard.alive and shard.health.available
-            for shard in self.pool.shard_list
+            for shard in self.engine.shard_list
         )

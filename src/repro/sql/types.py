@@ -291,7 +291,7 @@ class VarcharType(SqlType):
         values = column.values
         if column.mask is not None:
             values = values[~column.mask]
-        return 4 * len(values) + sum(map(len, values.tolist()))
+        return 4 * len(values) + len("".join(values.tolist()))
 
     def render(self) -> str:
         return f"VARCHAR({self.length})"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.accelerator import AcceleratorEngine, DeltaBuffer
 from repro.catalog import Catalog, Column, TableLocation, TableSchema
+from repro.federation import accelerator_shards
 from repro.sql import parse_statement
 from repro.sql.types import DOUBLE, INTEGER, VarcharType
 
@@ -11,7 +12,7 @@ from repro.sql.types import DOUBLE, INTEGER, VarcharType
 @pytest.fixture
 def setup():
     catalog = Catalog()
-    engine = AcceleratorEngine(catalog, slice_count=2, chunk_rows=32)
+    engine = AcceleratorEngine(catalog, accelerator_shards(), slice_count=2, chunk_rows=32)
     schema = TableSchema(
         [
             Column("ID", INTEGER, nullable=False),

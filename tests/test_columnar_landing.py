@@ -620,7 +620,7 @@ def test_groom_rewrites_the_visible_columns_under_their_row_ids(shards):
     rows_before = list(zip(*(columns_before[n].to_objects() for n in names)))
     # One chunk sequence in row-id order, for the table and every part.
     assert np.all(np.diff(ids_before) > 0)
-    stores = table.parts if shards > 1 else [table]
+    stores = table.parts
     stored = sum(len(chunk) for chunk in table.iter_chunks())
     chunks_before = table.total_chunk_count
     # What the former implementation built, store by store: the same
@@ -655,7 +655,5 @@ def test_groom_rewrites_the_visible_columns_under_their_row_ids(shards):
     assert ids_after.tolist() == ids_before.tolist()
     assert list(zip(*(columns_after[n].to_objects() for n in names))) == rows_before
     assert groomed._next_row_id == table._next_row_id
-    for store, reference in zip(
-        groomed.parts if shards > 1 else [groomed], expected
-    ):
+    for store, reference in zip(groomed.parts, expected):
         assert_same_table(store, reference)

@@ -13,6 +13,7 @@ import pytest
 from repro.accelerator import AcceleratorEngine
 from repro.catalog import Catalog, Column, TableLocation, TableSchema
 from repro.db2 import Db2Engine
+from repro.federation import accelerator_shards
 from repro.sql import parse_statement
 from repro.sql.types import DATE, DOUBLE, INTEGER, VarcharType
 
@@ -21,7 +22,7 @@ from repro.sql.types import DATE, DOUBLE, INTEGER, VarcharType
 def engines():
     catalog = Catalog()
     db2 = Db2Engine(catalog)
-    accelerator = AcceleratorEngine(catalog, slice_count=3, chunk_rows=64)
+    accelerator = AcceleratorEngine(catalog, accelerator_shards(), slice_count=3, chunk_rows=64)
 
     orders_schema = TableSchema(
         [

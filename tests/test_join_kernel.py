@@ -23,6 +23,7 @@ from repro.accelerator import AcceleratorEngine
 from repro.accelerator.executor import _SLOTS_PER_ROW, _equi_pairs, _joint_codes
 from repro.catalog import Catalog, Column, TableLocation, TableSchema
 from repro.db2 import Db2Engine
+from repro.federation import accelerator_shards
 from repro.obs.profile import estimate_plan
 from repro.sql import parse_statement
 from repro.sql.expressions import VColumn
@@ -98,7 +99,7 @@ _TABLES = {
 def engines():
     catalog = Catalog()
     db2 = Db2Engine(catalog)
-    accelerator = AcceleratorEngine(catalog, slice_count=2, chunk_rows=4)
+    accelerator = AcceleratorEngine(catalog, accelerator_shards(), slice_count=2, chunk_rows=4)
     for name, (schema, rows) in _TABLES.items():
         descriptor = catalog.create_table(
             name, schema, location=TableLocation.ACCELERATED

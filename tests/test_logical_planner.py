@@ -24,6 +24,7 @@ from repro.accelerator import AcceleratorEngine
 from repro.catalog import Catalog, Column, TableLocation, TableSchema
 from repro.db2 import Db2Engine
 from repro.errors import ParseError, SqlError
+from repro.federation import accelerator_shards
 from repro.sql import ast, parse_statement
 from repro.sql.logical import (
     Aggregate,
@@ -407,7 +408,7 @@ class TestSharedHelpers:
 def engines():
     catalog = Catalog()
     db2 = Db2Engine(catalog)
-    accelerator = AcceleratorEngine(catalog, slice_count=2, chunk_rows=32)
+    accelerator = AcceleratorEngine(catalog, accelerator_shards(), slice_count=2, chunk_rows=32)
     from repro.sql.types import DOUBLE, INTEGER, VarcharType
 
     t_schema = TableSchema(

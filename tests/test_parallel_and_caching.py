@@ -14,6 +14,7 @@ import pytest
 from repro.accelerator import AcceleratorEngine
 from repro.catalog import Catalog, Column, TableLocation, TableSchema
 from repro.catalog.schema import columns_from_rows
+from repro.federation import accelerator_shards
 from repro.federation.router import scan_statement
 from repro.federation.system import AcceleratedDatabase
 from repro.sql import parse_statement
@@ -70,7 +71,7 @@ class TestZoneMapInt64Precision:
 
     def test_engine_query_at_int64_extremes(self):
         catalog = Catalog()
-        engine = AcceleratorEngine(catalog, slice_count=1, chunk_rows=4)
+        engine = AcceleratorEngine(catalog, accelerator_shards(), slice_count=1, chunk_rows=4)
         schema = TableSchema([Column("ID", BIGINT, nullable=False)])
         descriptor = catalog.create_table(
             "B", schema, location=TableLocation.ACCELERATOR_ONLY
@@ -129,7 +130,7 @@ class TestDistinctWithNulls:
     @pytest.fixture
     def engine(self):
         catalog = Catalog()
-        engine = AcceleratorEngine(catalog, slice_count=2, chunk_rows=8)
+        engine = AcceleratorEngine(catalog, accelerator_shards(), slice_count=2, chunk_rows=8)
         schema = TableSchema(
             [
                 Column("ID", INTEGER, nullable=False),
@@ -407,7 +408,7 @@ class TestKernelCacheIdentity:
         from repro.federation.router import KernelCache
 
         catalog = Catalog()
-        engine = AcceleratorEngine(catalog, slice_count=1, chunk_rows=64)
+        engine = AcceleratorEngine(catalog, accelerator_shards(), slice_count=1, chunk_rows=64)
         schema = TableSchema([Column("ID", INTEGER, nullable=False)])
         descriptor = catalog.create_table(
             "T", schema, location=TableLocation.ACCELERATOR_ONLY

@@ -264,12 +264,13 @@ def test_varchar_roundtrip(value):
 )
 def test_group_by_agrees_between_engines(rows):
     from repro.accelerator import AcceleratorEngine
+    from repro.federation import accelerator_shards
     from repro.catalog import Catalog, TableLocation
     from repro.db2 import Db2Engine
 
     catalog = Catalog()
     db2 = Db2Engine(catalog)
-    accelerator = AcceleratorEngine(catalog, slice_count=2, chunk_rows=8)
+    accelerator = AcceleratorEngine(catalog, accelerator_shards(), slice_count=2, chunk_rows=8)
     schema = TableSchema(
         [Column("G", INTEGER, nullable=False), Column("V", DOUBLE)]
     )

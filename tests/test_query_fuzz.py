@@ -18,11 +18,11 @@ from hypothesis import given, seed, settings, strategies as st
 
 from repro import AcceleratedDatabase
 from repro.accelerator import AcceleratorEngine
-from repro.shard import AcceleratorPool
 from repro.catalog import Catalog, Column, TableLocation, TableSchema
 from repro.catalog.schema import pack_rows
 from repro.db2 import Db2Engine
 from repro.errors import ReproError
+from repro.federation import accelerator_shards
 from repro.sql import ast, parse_statement
 from repro.sql.types import BIGINT, DATE, DOUBLE, INTEGER, VarcharType
 
@@ -101,8 +101,8 @@ def _corpus():
 def _build_engines():
     catalog = Catalog()
     db2 = Db2Engine(catalog)
-    accelerator = AcceleratorEngine(catalog, slice_count=2, chunk_rows=16)
-    pool = AcceleratorPool(catalog, shards=3, slice_count=2, chunk_rows=16)
+    accelerator = AcceleratorEngine(catalog, accelerator_shards(), slice_count=2, chunk_rows=16)
+    pool = AcceleratorEngine(catalog, accelerator_shards(3), slice_count=2, chunk_rows=16)
     for name, schema, rows in _corpus():
         descriptor = catalog.create_table(
             name, schema, location=TableLocation.ACCELERATED

@@ -412,8 +412,9 @@ def test_parameters_prune_zone_maps_like_literals(wide):
     folded = _rows_scanned(wide, "SELECT COUNT(*) FROM W WHERE ID > 19000 + 500")
     assert literal == marker == negated == folded
     assert literal[0] == [(499,)]
-    if wide.accelerator_pool is None:  # shards spread the ids over chunks
-        assert literal[1] == 1000  # one chunk of twenty
+    # One chunk per shard, its last: the only one holding ids past 19,500.
+    parts = wide.accelerator.storage_for("W").parts
+    assert literal[1] == sum(len(list(p.iter_chunks())[-1]) for p in parts)
 
 
 def test_parameters_cost_like_literals(wide):

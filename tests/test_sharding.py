@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AcceleratedDatabase
+from repro import AcceleratedDatabase, IdaaLoader, IterableSource
 from repro.catalog import Catalog, Column, TableSchema
 from repro.errors import (
     AuthorizationError,
@@ -223,6 +223,22 @@ def test_alter_distribute_preserves_results():
     assert db.catalog.generation > generation  # cached plans invalidated
 
 
+def test_alter_distribute_regrooms_at_one_shard():
+    db, conn = _build_workload(1, "")
+    conn.execute("DELETE FROM T WHERE ID = 500")
+    expected = [conn.execute(sql).rows for sql in _IDENTITY_QUERIES]
+    live = conn.execute("SELECT COUNT(*) FROM T").scalar()
+    table = db.accelerator.storage_for("T")
+    assert table.stored_rows == live + 1
+    result = conn.execute("ALTER TABLE T ACCELERATE DISTRIBUTE BY HASH(ID)")
+    assert result.rowcount == live
+    groomed = db.accelerator.storage_for("T")
+    assert groomed.map.generation == table.map.generation + 1
+    assert groomed.stored_rows == live  # the deleted version is reclaimed
+    for sql, rows in zip(_IDENTITY_QUERIES, expected):
+        assert conn.execute(sql).rows == rows, sql
+
+
 def test_alter_distribute_records_spec_in_catalog():
     db, conn = _build_workload(2, "")
     conn.execute("ALTER TABLE T ACCELERATE DISTRIBUTE BY RANGE(ID)")
@@ -250,7 +266,7 @@ def test_alter_distribute_authorization_and_validation():
 
 def test_shard_pruning_skips_shards_on_point_lookup():
     db, conn = _build_workload(4, " DISTRIBUTE BY HASH(ID)")
-    pool = db.accelerator_pool
+    pool = db.accelerator
     before_total = pool.shard_scans_total
     before_pruned = pool.shard_scans_pruned
     rows = conn.execute("SELECT ID, V FROM T WHERE ID = 57").rows
@@ -286,7 +302,7 @@ class TestKillOneShard:
         assert result.engine == "DB2"
         assert result.scalar() == sum(float(i) for i in range(90))
         assert db.health.available
-        assert db.accelerator_pool.live_shards == 2
+        assert db.accelerator.live_shards == 2
 
     def test_pruned_scans_avoid_the_dead_shard(self):
         db = AcceleratedDatabase(shards=3, slice_count=2, chunk_rows=32)
@@ -339,22 +355,41 @@ class TestKillOneShard:
         result = conn.execute("SELECT SUM(V) FROM C")
         assert result.engine == "ACCELERATOR"
         assert result.scalar() == sum(float(i) for i in range(90))
-        assert db.accelerator_pool.live_shards == 3
+        assert db.accelerator.live_shards == 3
 
-    def test_rebuild_via_accel_control_procedure(self):
-        db, conn = _accelerated_copy()
+    def test_single_shard_fails_back_and_rebuilds(self):
+        db, conn = _accelerated_copy(shards=1)
+        expected = [(sum(float(i) for i in range(90)), 90)]
+        sql = "SELECT SUM(V), COUNT(*) FROM C"
+        assert conn.execute(sql).engine == "ACCELERATOR"
+        db.accelerator.kill_shard(0)
+        result = conn.execute(sql)
+        assert (result.engine, result.rows) == ("DB2", expected)
+        assert db.accelerator.live_shards == 0
+        assert db.rebuild_shard(0) == 1
+        result = conn.execute(sql)
+        assert (result.engine, result.rows) == ("ACCELERATOR", expected)
+
+    @pytest.mark.parametrize("shards", (1, 3))
+    def test_rebuild_via_accel_control_procedure(self, shards):
+        db, conn = _accelerated_copy(shards)
+        last = shards - 1
         conn.execute(
             "CALL SYSPROC.ACCEL_CONTROL_ACCELERATOR("
-            "'action=kill_shard, shard=2')"
+            f"'action=kill_shard, shard={last}')"
         )
-        assert db.accelerator_pool.live_shards == 2
+        assert db.accelerator.live_shards == shards - 1
         result = conn.execute(
             "CALL SYSPROC.ACCEL_CONTROL_ACCELERATOR("
-            "'action=rebuild_shard, shard=2')"
+            f"'action=rebuild_shard, shard={last}')"
         )
         assert "rebuilt" in result.message
-        assert db.accelerator_pool.live_shards == 3
+        assert db.accelerator.live_shards == shards
         assert conn.execute("SELECT COUNT(*) FROM C").engine == "ACCELERATOR"
+        result = conn.execute(
+            "CALL SYSPROC.ACCEL_CONTROL_ACCELERATOR('action=rebalance')"
+        )
+        assert "1 tables rebalanced (90 rows placed)" in result.message
 
     def test_mid_workload_kill_never_corrupts_results(self):
         """Crash-harness-style scenario: a query stream crosses a shard
@@ -408,16 +443,88 @@ class TestKillOneShard:
 
 
 class TestShardObservability:
-    def test_mon_shards_one_row_per_shard(self):
-        db, conn = _accelerated_copy(shards=3)
+    @pytest.mark.parametrize("shards", (1, 3))
+    def test_mon_shards_one_row_per_shard(self, shards):
+        db, conn = _accelerated_copy(shards)
         conn.execute("SELECT COUNT(*) FROM C")
         rows = conn.execute(
-            "SELECT SHARD_ID, STATE, ALIVE, ROW_COUNT FROM "
-            "SYSACCEL.MON_SHARDS ORDER BY SHARD_ID"
+            "SELECT SHARD_ID, STATE, ALIVE, ROW_COUNT, BYTES_TO_SHARD, "
+            "BYTES_FROM_SHARD FROM SYSACCEL.MON_SHARDS ORDER BY SHARD_ID"
         ).rows
-        assert [r[0] for r in rows] == [0, 1, 2]
+        assert [r[0] for r in rows] == list(range(shards))
         assert all(r[1] == "ONLINE" and r[2] == "Y" for r in rows)
         assert sum(r[3] for r in rows) == 90
+        # Each row reports its shard's own link, not the federation's.
+        links = [shard.interconnect for shard in db.accelerator.shard_list]
+        assert [r[4:] for r in rows] == [
+            (link.bytes_to_accelerator, link.bytes_from_accelerator)
+            for link in links
+        ]
+        assert all(link.bytes_to_accelerator > 0 for link in links)
+
+    @pytest.mark.parametrize("shards", (1, 4))
+    def test_write_accounting_per_shard(self, shards):
+        """Every shard counts the rows and bytes that landed on it; a
+        batch that lands wholly on one shard is counted the same way as
+        one split over several."""
+        db = AcceleratedDatabase(shards=shards, slice_count=2, chunk_rows=32)
+        conn = db.connect()
+        conn.execute(
+            "CREATE TABLE W (K INTEGER, S VARCHAR(8)) IN ACCELERATOR "
+            "DISTRIBUTE BY HASH(K)"
+        )
+        schema = db.catalog.table("W").schema
+
+        def counters():
+            return [
+                (s.rows_written, s.interconnect.bytes_to_accelerator)
+                for s in db.accelerator.shard_list
+            ]
+
+        def insert(rows):
+            before = counters()
+            conn.execute("INSERT INTO W VALUES " + ", ".join(
+                f"({k}, {'NULL' if v is None else repr(v)})" for k, v in rows
+            ))
+            moved = [
+                (rows_after - rows_before, bytes_after - bytes_before)
+                for (rows_after, bytes_after), (rows_before, bytes_before)
+                in zip(counters(), before)
+            ]
+            size = sum(schema.row_byte_size(schema.coerce_row(r)) for r in rows)
+            return [m for m in moved if m != (0, 0)], size
+
+        landed, size = insert([(i, f"s{i}") for i in range(40)])
+        assert len(landed) == shards  # forty keys reach every shard
+        assert tuple(map(sum, zip(*landed))) == (40, size)
+        for rows in (
+            [(7, "x" * (i % 5)) for i in range(25)],
+            [(9, None)],
+        ):
+            landed, size = insert(rows)
+            assert landed == [(len(rows), size)]
+
+    @pytest.mark.parametrize("shards", (1, 4))
+    def test_loaded_bytes_reach_the_shards_unchanged(self, shards):
+        """The loader counts each batch's wire size once, for the
+        federation link; the shards' links carry the same bytes."""
+        db = AcceleratedDatabase(shards=shards, slice_count=2, chunk_rows=32)
+        conn = db.connect()
+        conn.execute("CREATE TABLE L (K INTEGER, S VARCHAR(8)) IN ACCELERATOR")
+
+        def shard_bytes():
+            return sum(
+                s.interconnect.bytes_to_accelerator
+                for s in db.accelerator.shard_list
+            )
+
+        before = shard_bytes()
+        rows = [(k, None if k % 3 else f"s{k}") for k in range(50)]
+        report = IdaaLoader(db, batch_size=16).load(
+            IterableSource(rows, ["K", "S"]), "L", conn
+        )
+        assert report.rows == 50
+        assert shard_bytes() - before == report.movement.bytes_to_accelerator > 0
 
     def test_mon_shards_reports_dead_shard(self):
         db, conn = _accelerated_copy(shards=3)
@@ -439,7 +546,7 @@ class TestShardObservability:
         table = db.accelerator.storage_for("G")
         # Shard 1 admits the GROOM's read of the old rows, then fails the
         # successor's write: the table keeps its old storage.
-        site = db.accelerator_pool.shard(1).fault_site
+        site = db.accelerator.shard(1).fault_site
         db.faults.add(site, schedule=[db.faults.calls.get(site, 0) + 2])
         with pytest.raises(ShardUnavailableError):
             conn.execute("CALL SYSPROC.ACCEL_GROOM_TABLES('tables=G')")
@@ -478,19 +585,6 @@ class TestShardObservability:
         assert (result.engine, result.scalar()) == ("DB2", 90)
         db.rebuild_shard(1)
         assert db.accelerator.storage_for("C").row_count == 90
-
-    def test_mon_shards_single_instance_synthetic_row(self):
-        db = AcceleratedDatabase(shards=1, slice_count=2, chunk_rows=32)
-        conn = db.connect()
-        conn.execute(
-            "CREATE TABLE S1 (ID INTEGER NOT NULL) IN ACCELERATOR"
-        )
-        conn.execute("INSERT INTO S1 VALUES (1), (2), (3)")
-        rows = conn.execute(
-            "SELECT SHARD_ID, STATE, ALIVE, ROW_COUNT FROM "
-            "SYSACCEL.MON_SHARDS"
-        ).rows
-        assert rows == [(0, "ONLINE", "Y", 3)]
 
     def test_health_report_includes_per_shard_lines(self):
         db, conn = _accelerated_copy(shards=3)
@@ -560,12 +654,8 @@ class TestShardErrors:
     def test_shard_error_carries_shard_id(self):
         db, conn = _accelerated_copy(shards=3)
         db.accelerator.kill_shard(1)
-        pool = db.accelerator_pool
+        pool = db.accelerator
         with pytest.raises(ShardUnavailableError) as info:
             pool.require_shard(1)
         assert info.value.shard_id == 1
 
-    def test_rebuild_on_single_instance_rejected(self):
-        db = AcceleratedDatabase(shards=1, slice_count=2, chunk_rows=32)
-        with pytest.raises(ReproError):
-            db.rebuild_shard(0)

@@ -7,6 +7,7 @@ from repro.accelerator import AcceleratorEngine
 from repro.catalog import Catalog, Column, TableSchema
 from repro.catalog.schema import columns_from_rows, rows_from_columns
 from repro.errors import ReproError
+from repro.federation import accelerator_shards
 from repro.shard.placement import PartitionSpec
 from repro.sql.types import DOUBLE, INTEGER, VarcharType
 from repro.storage.column_store import ColumnStoreTable, NEVER_DELETED
@@ -239,7 +240,7 @@ class TestColumnStore:
     def test_invalid_slice_count(self, schema):
         # Slices are the engine's modeled SPU count; storage has none.
         with pytest.raises(ReproError):
-            AcceleratorEngine(Catalog(), slice_count=0)
+            AcceleratorEngine(Catalog(), accelerator_shards(), slice_count=0)
         with pytest.raises(TypeError):
             ColumnStoreTable(schema, slice_count=1)
 

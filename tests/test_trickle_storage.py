@@ -469,7 +469,7 @@ def test_a_failed_redistribution_keeps_the_old_placement(shards):
     spec, generation = before.map.spec, before.map.generation
     # Shard 1's admission passes for the write, then fails while the move
     # reads the rows it is about to re-place.
-    site = db.accelerator_pool.shard(1).fault_site
+    site = db.accelerator.shard(1).fault_site
     db.faults.add(site, schedule=[db.faults.calls.get(site, 0) + 2])
     with pytest.raises(ReproError):
         conn.execute("ALTER TABLE A ACCELERATE DISTRIBUTE BY HASH (V)")
