@@ -9,8 +9,10 @@ transaction's uncommitted AOT delta buffers.
 The engine runs ``shards`` accelerator instances (one by default, the
 paper's single appliance). Every table is a
 :class:`~repro.shard.pool.ShardedTable` over one partition per shard;
-each shard has its own circuit, link and fault site, and can be killed,
-revived and rebuilt on its own (:mod:`repro.shard`).
+each shard has its own circuit, byte counters and fault site, and can be
+killed, revived and rebuilt on its own (:mod:`repro.shard`). Every
+write batch commits through one path (:meth:`AcceleratorEngine._commit`),
+which admits it on every shard before any mutation.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class AcceleratorEngine:
             raise ReproError("slice_count must be >= 1")
         self.catalog = catalog
         #: Shard count; shard ``i`` is ``shard(i)``, built with its own
-        #: circuit and link by :func:`repro.federation.accelerator_shards`.
+        #: circuit by :func:`repro.federation.accelerator_shards`.
         self.shards = len(shards)
         self._shard_list = list(shards)
         #: Modeled SPU count: a scan's busy time is its rows over
@@ -343,31 +345,45 @@ class AcceleratorEngine:
         if self.fault_injector is not None:
             self.fault_injector.check("accelerator")
 
-    def _staged_epoch(self) -> int:
-        """The epoch a write batch stamps its changes with.
+    def _commit(
+        self,
+        key: str,
+        table: ShardedTable,
+        deleted_ids: Sequence[int],
+        columns: Sequence[VColumn],
+        nbytes: Optional[int],
+    ) -> tuple[int, np.ndarray]:
+        """The one MVCC commit of a write batch; the write lock is held.
 
-        Writers (serialised by ``_write_lock``) stamp rows with
-        ``current_epoch + 1`` and only *publish* that epoch — a single
-        atomic assignment — after the whole batch is in place, so
-        lock-free readers never observe a torn batch.
+        The batch is admitted on every shard once, before it touches
+        storage, so a shard fault aborts it whole. Its deletes and its
+        coerced insert ``columns`` (none: a delete-only batch) are
+        stamped at ``current_epoch + 1``, and that epoch is published —
+        one atomic assignment — only once the whole batch is in place,
+        so lock-free readers never observe a torn batch. Then the
+        table's lineage epoch is bumped and the write listener (the
+        recovery manager's DB2-side lineage journal) notified, so it only
+        ever sees durably-visible writes, and the replication lookup
+        cache is dropped. ``nbytes`` is the inserts' wire size if the
+        caller already counted it. Returns the rows deleted and the new
+        row ids.
         """
-        return self.current_epoch + 1
-
-    def _publish_epoch(self, epoch: int) -> None:
+        self.require_write(table)
+        epoch = self.current_epoch + 1
+        deleted = table.mark_deleted(deleted_ids, epoch) if deleted_ids else 0
+        new_ids = (
+            table.append_columns(columns, epoch, nbytes=nbytes)
+            if columns
+            else np.empty(0, dtype=np.int64)
+        )
         self.current_epoch = epoch
-
-    def _note_write_locked(self, key: str) -> None:
-        """Bump ``key``'s lineage epoch and notify the write listener.
-
-        Called with the write lock held, after the batch's epoch is
-        published — the listener (the recovery manager's DB2-side lineage
-        journal) therefore only ever sees durably-visible writes.
-        """
-        epoch = self._lineage.get(key, 0) + 1
-        self._lineage[key] = epoch
+        lineage = self._lineage.get(key, 0) + 1
+        self._lineage[key] = lineage
         listener = self.write_listener
         if listener is not None:
-            listener(key, epoch)
+            listener(key, lineage)
+        self._lookup_cache.pop(key, None)
+        return deleted, new_ids
 
     # -- write paths -----------------------------------------------------------------
 
@@ -378,14 +394,11 @@ class AcceleratorEngine:
         of a batch that is already columnar — at a fresh epoch.
         ``nbytes`` is its wire size if the caller already counted it."""
         self._check_fault()
-        table = self.storage_for(name)
+        key = name.upper()
+        table = self.storage_for(key)
         columns = _batch_columns(table.schema, rows, coerced=True)
         with self._write_lock:
-            self._lookup_cache.pop(name.upper(), None)
-            epoch = self._staged_epoch()
-            table.append_columns(columns, epoch, nbytes=nbytes)
-            self._publish_epoch(epoch)
-            self._note_write_locked(name.upper())
+            self._commit(key, table, (), columns, nbytes)
         return len(columns[0])
 
     def apply_changes(self, name: str, records: Sequence[ChangeRecord]) -> int:
@@ -425,7 +438,7 @@ class AcceleratorEngine:
             if not fresh:
                 return 0
             try:
-                applied = self._apply_changes_locked(key, table, fresh)
+                self._apply_changes_locked(key, table, fresh)
             except Exception:
                 # The lookup cache is mutated in place while the batch is
                 # processed; a failed batch leaves it inconsistent, so the
@@ -434,13 +447,11 @@ class AcceleratorEngine:
                 raise
             if last_lsn is not None:
                 self._applied_lsn[key] = max(watermark, last_lsn)
-            self._note_write_locked(key)
-            return applied
+            return len(fresh)
 
     def _apply_changes_locked(
         self, key: str, table: ShardedTable, records
-    ) -> int:
-        epoch = self._staged_epoch()
+    ) -> None:
         # Rows inserted earlier in this same batch get placeholder ids
         # (-1, -2, ...) so later records in the batch can update/delete
         # them before they ever reach the column store.
@@ -462,7 +473,7 @@ class AcceleratorEngine:
                 track_insert(record.after)
                 continue
             if lookup is None:
-                row_ids, rows = _visible_rows(table, epoch - 1)
+                row_ids, rows = _visible_rows(table, self.current_epoch)
                 lookup = {}
                 for row_id, row in zip(row_ids.tolist(), rows):
                     lookup.setdefault(row, []).append(row_id)
@@ -486,45 +497,42 @@ class AcceleratorEngine:
                 track_insert(record.after)
             elif record.op != "DELETE":
                 raise ReplicationError(f"unknown change op {record.op}")
-        if deletes:
-            table.mark_deleted(deletes, epoch)
-        if pending_inserts:
-            new_ids = table.append_rows(list(pending_inserts.values()), epoch)
-            if lookup is not None:
-                # Swap batch placeholders for the real row ids so the
-                # cache stays valid for the next drain.
-                for (placeholder, row), real_id in zip(
-                    pending_inserts.items(), new_ids
-                ):
-                    ids = lookup.get(row, [])
-                    for position, candidate in enumerate(ids):
-                        if candidate == placeholder:
-                            ids[position] = int(real_id)
-                            break
+        inserts = list(pending_inserts.values())
+        __, new_ids = self._commit(
+            key,
+            table,
+            deletes,
+            _batch_columns(table.schema, inserts, coerced=True) if inserts else (),
+            None,
+        )
         if lookup is not None:
+            # Swap batch placeholders for the real row ids, then put back
+            # the cache the commit dropped: it stays valid for the next
+            # drain.
+            for (placeholder, row), real_id in zip(
+                pending_inserts.items(), new_ids
+            ):
+                ids = lookup.get(row, [])
+                for position, candidate in enumerate(ids):
+                    if candidate == placeholder:
+                        ids[position] = int(real_id)
+                        break
             self._lookup_cache[key] = lookup
-        self._publish_epoch(epoch)
-        return len(records)
 
     def apply_delta(self, delta: DeltaBuffer) -> int:
-        """Commit a transaction's AOT delta at a fresh epoch."""
-        table = self.storage_for(delta.table)
+        """Commit a transaction's AOT delta at a fresh epoch; an empty
+        delta commits nothing."""
+        if delta.is_empty:
+            return 0
+        key = delta.table.upper()
+        table = self.storage_for(key)
+        live = delta.live_inserts()
+        columns = _batch_columns(table.schema, live, coerced=True) if live else ()
         with self._write_lock:
-            self._lookup_cache.pop(delta.table.upper(), None)
-            epoch = self._staged_epoch()
-            changed = 0
-            if delta.deleted_base_ids:
-                changed += table.mark_deleted(
-                    sorted(delta.deleted_base_ids), epoch
-                )
-            live = delta.live_inserts()
-            if live:
-                table.append_rows(live, epoch)
-                changed += len(live)
-            self._publish_epoch(epoch)
-            if changed:
-                self._note_write_locked(delta.table.upper())
-        return changed
+            deleted, __ = self._commit(
+                key, table, sorted(delta.deleted_base_ids), columns, None
+            )
+        return deleted + len(live)
 
     def groom(self, name: str) -> GroomStats:
         """Rewrite a table's storage without its reclaimable versions.
@@ -539,6 +547,7 @@ class AcceleratorEngine:
         key = name.upper()
         table = self.storage_for(key)
         with self._write_lock:
+            self.require_write(table)
             return self._groom_locked(key, table)
 
     def _groom_locked(
@@ -547,8 +556,9 @@ class AcceleratorEngine:
         table: ShardedTable,
         spec: Optional[PartitionSpec] = None,
     ) -> "GroomStats":
-        """GROOM under the write lock; a ``spec`` places the rewritten
-        rows anew (:meth:`ShardedTable.successor`)."""
+        """GROOM under the write lock, once the caller has admitted the
+        table's write; a ``spec`` places the rewritten rows anew
+        (:meth:`ShardedTable.successor`)."""
         floor = self.current_epoch
         pinned = self.oldest_snapshot() if self.oldest_snapshot else None
         if pinned is not None:
@@ -602,15 +612,9 @@ class AcceleratorEngine:
         """Highest change-record LSN applied to ``name`` (0 = none)."""
         return self._applied_lsn.get(name.upper(), 0)
 
-    def applied_lsns(self) -> dict[str, int]:
-        return dict(self._applied_lsn)
-
     def lineage_epoch(self, name: str) -> int:
         """Current lineage epoch of ``name`` (0 = never written)."""
         return self._lineage.get(name.upper(), 0)
-
-    def lineage_epochs(self) -> dict[str, int]:
-        return dict(self._lineage)
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)
@@ -669,12 +673,15 @@ class AcceleratorEngine:
         so lineage epochs come from the checkpoint, not from the load.
         """
         key = descriptor.name
+        table = self._new_table(descriptor)
         with self._write_lock:
-            self._lookup_cache.pop(key, None)
-            table = self._new_table(descriptor)
-            self._tables[key] = table
             if rows:
-                table.append_rows([tuple(r) for r in rows], epoch=0)
+                self.require_write(table)
+                table.append_columns(
+                    _batch_columns(table.schema, rows, coerced=True), 0
+                )
+            self._tables[key] = table
+            self._lookup_cache.pop(key, None)
             if applied_lsn:
                 self._applied_lsn[key] = applied_lsn
             if lineage_epoch:
@@ -840,14 +847,9 @@ class AcceleratorEngine:
             base_ids, __ = self._target_rows(
                 name, stmt.where, params, snapshot_epoch, None
             )
-            self._lookup_cache.pop(name, None)
             if not base_ids:
                 return 0
-            epoch = self._staged_epoch()
-            deleted = table.mark_deleted(base_ids, epoch)
-            self._publish_epoch(epoch)
-            self._note_write_locked(name)
-            return deleted
+            return self._commit(name, table, base_ids, (), None)[0]
 
     def update_where(
         self,
@@ -885,48 +887,33 @@ class AcceleratorEngine:
         mask = self._predicate_mask(stmt.where, scope, ordered, length, params)
         if not mask.any():
             return 0
-        target_positions = np.where(mask)[0]
-        # Compute new full rows for the targets.
-        assignment_map = {column: expr for column, expr in stmt.assignments}
-        new_columns: list[list[object]] = []
-        for column in schema.columns:
-            expr = assignment_map.get(column.name)
-            if expr is None:
-                source = ordered[schema.position_of(column.name)]
-                values = source.to_objects()
-                new_columns.append([values[i] for i in target_positions])
-            else:
-                fn = compile_vector(expr, scope, params)
-                result = fn(ordered, length)
-                values = result.to_objects()
-                new_columns.append(
-                    [column.coerce(values[i]) for i in target_positions]
+        target_positions = np.flatnonzero(mask)
+        # The targets' new rows as coerced columns: untouched columns are
+        # gathered, assigned ones computed over the scan.
+        assignments = dict(stmt.assignments)
+        new_columns = schema.coerce_columns([
+            (
+                source
+                if column.name not in assignments
+                else compile_vector(assignments[column.name], scope, params)(
+                    ordered, length
                 )
-        new_rows = [tuple(col[j] for col in new_columns)
-                    for j in range(len(target_positions))]
-        target_ids = row_ids[mask]
-        base_ids = [int(r) for r in target_ids if r >= 0]
-        own_indexes = [-(int(r)) - 1 for r in target_ids if r < 0]
-        if delta is not None:
-            delta.delete_base(base_ids)
-            # Replace own inserts in place; base targets become new inserts.
-            own_set = set(own_indexes)
-            replacement = iter(new_rows)
-            for r in target_ids:
-                row = next(replacement)
-                if r < 0 and -(int(r)) - 1 in own_set:
-                    delta.update_own(-(int(r)) - 1, row)
-                else:
-                    delta.insert([row])
-            return len(new_rows)
-        self._lookup_cache.pop(name, None)
-        epoch = self._staged_epoch()
-        if base_ids:
-            table.mark_deleted(base_ids, epoch)
-        table.append_rows(new_rows, epoch)
-        self._publish_epoch(epoch)
-        self._note_write_locked(name)
-        return len(new_rows)
+            ).take(target_positions)
+            for column, source in zip(schema.columns, ordered)
+        ])
+        target_ids = row_ids[mask].tolist()
+        base_ids = [r for r in target_ids if r >= 0]
+        if delta is None:
+            self._commit(name, table, base_ids, new_columns, None)
+            return len(target_ids)
+        delta.delete_base(base_ids)
+        # Replace own inserts in place; base targets become new inserts.
+        for r, row in zip(target_ids, rows_from_columns(new_columns)):
+            if r < 0:
+                delta.update_own(-r - 1, row)
+            else:
+                delta.insert([row])
+        return len(target_ids)
 
     def _target_rows(
         self,

@@ -221,6 +221,3 @@ class Catalog:
             return self._users[key]
         except KeyError:
             raise UnknownObjectError(f"unknown user {key}") from None
-
-    def has_user(self, name: str) -> bool:
-        return name.upper() in self._users

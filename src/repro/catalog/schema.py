@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -108,9 +108,6 @@ class TableSchema:
     @property
     def primary_key_columns(self) -> list[str]:
         return [c.name for c in self.columns if c.primary_key]
-
-    def has_column(self, name: str) -> bool:
-        return name in self._index
 
     def position_of(self, name: str) -> int:
         try:
@@ -241,11 +238,6 @@ class TableSchema:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TableSchema{self.render()}"
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[str, SqlType]]) -> "TableSchema":
-        """Convenience constructor for tests and generators."""
-        return TableSchema([Column(name, sql_type) for name, sql_type in pairs])
 
 
 def columns_from_rows(

@@ -141,30 +141,14 @@ class ChangeLog:
 
     # -- retention -----------------------------------------------------------------
 
-    def add_retention_guard(
-        self, guard: Callable[[], Optional[int]]
-    ) -> Callable[[], Optional[int]]:
+    def add_retention_guard(self, guard: Callable[[], Optional[int]]) -> None:
         """Register a callable returning the lowest LSN its owner needs.
 
         ``trim`` consults every guard and never drops a record at or above
-        the minimum returned value. Returns the guard for later removal.
+        the minimum returned value.
         """
         with self._guard:
             self._retention_guards.append(guard)
-        return guard
-
-    def remove_retention_guard(
-        self, guard: Callable[[], Optional[int]]
-    ) -> None:
-        with self._guard:
-            self._retention_guards = [
-                g for g in self._retention_guards if g is not guard
-            ]
-
-    def safe_trim_lsn(self) -> int:
-        """Highest LSN (exclusive) a trim may currently reach."""
-        with self._guard:
-            return self._safe_trim_lsn_locked()
 
     def _safe_trim_lsn_locked(self) -> int:
         allowed = self._next_lsn

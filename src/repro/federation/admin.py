@@ -314,7 +314,6 @@ def _accel_get_health(ctx: ProcedureContext) -> str:
     for shard in accelerator.shard_list:
         circuit = shard.health
         state = circuit.state.value if shard.alive else "DOWN"
-        link = shard.interconnect.snapshot()
         ctx.log(
             f"shard{shard.shard_id}: state={state} "
             f"rows={accelerator.shard_row_count(shard.shard_id)} "
@@ -324,8 +323,8 @@ def _accel_get_health(ctx: ProcedureContext) -> str:
             f"failures={circuit.failures_total} "
             f"opened={circuit.times_opened} "
             f"rejected={circuit.requests_rejected} "
-            f"bytes_out={link.bytes_to_accelerator} "
-            f"bytes_back={link.bytes_from_accelerator}"
+            f"bytes_out={shard.bytes_to_shard} "
+            f"bytes_back={shard.bytes_from_shard}"
         )
     stats = system.replication.stats()
     ctx.log(

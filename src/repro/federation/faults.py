@@ -270,7 +270,3 @@ class FaultInjector:
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values())
-
-    def reset_counters(self) -> None:
-        self.calls = {}
-        self.injected = {}

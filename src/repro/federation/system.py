@@ -95,24 +95,16 @@ def accelerator_shards(
     count: int = 1,
     failure_threshold: int = 3,
     cooldown_seconds: float = 0.1,
-    bandwidth_bytes_per_second: float = 1_000_000_000.0,
-    message_latency_seconds: float = 0.0005,
-    tracer: Optional[Tracer] = None,
 ) -> list[AcceleratorShard]:
     """``count`` accelerator shards for an
     :class:`~repro.accelerator.AcceleratorEngine`, each with its own
-    circuit breaker and its own link."""
+    circuit breaker."""
     return [
         AcceleratorShard(
             shard_id,
             health=HealthMonitor(
                 failure_threshold=failure_threshold,
                 cooldown_seconds=cooldown_seconds,
-            ),
-            interconnect=Interconnect(
-                bandwidth_bytes_per_second=bandwidth_bytes_per_second,
-                message_latency_seconds=message_latency_seconds,
-                tracer=tracer,
             ),
         )
         for shard_id in range(count)
@@ -240,9 +232,6 @@ class AcceleratedDatabase:
                 self.shards,
                 failure_threshold=failure_threshold,
                 cooldown_seconds=cooldown_seconds,
-                bandwidth_bytes_per_second=bandwidth_bytes_per_second,
-                message_latency_seconds=message_latency_seconds,
-                tracer=self.tracer,
             ),
             slice_count=slice_count,
             chunk_rows=chunk_rows,

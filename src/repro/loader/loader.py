@@ -110,18 +110,22 @@ class IdaaLoader:
         db2_written_start = system.db2.rows_written
         started = time.perf_counter()
 
-        batch: list[tuple] = []
-        for raw in source.rows():
-            batch.append(raw)
-            if len(batch) >= self.batch_size:
+        # One span for the whole load, so its batches' link sends nest in
+        # one trace and a load evicts at most one retained trace.
+        with system.tracer.span("loader.load", table=descriptor.name) as span:
+            batch: list[tuple] = []
+            for raw in source.rows():
+                batch.append(raw)
+                if len(batch) >= self.batch_size:
+                    self._load_batch(descriptor, batch)
+                    report.rows += len(batch)
+                    report.batches += 1
+                    batch = []
+            if batch:
                 self._load_batch(descriptor, batch)
                 report.rows += len(batch)
                 report.batches += 1
-                batch = []
-        if batch:
-            self._load_batch(descriptor, batch)
-            report.rows += len(batch)
-            report.batches += 1
+            span.annotate(rows=report.rows, batches=report.batches)
 
         report.elapsed_seconds = time.perf_counter() - started
         report.movement = system.interconnect.since(movement_start)

@@ -30,7 +30,7 @@ equivalents as *virtual tables* under the ``SYSACCEL`` schema:
 * ``SYSACCEL.MON_SHARDS`` — one row per accelerator shard (one for the
   default single instance): liveness, per-shard circuit state and
   counters, resident rows/tables, scan and write traffic, simulated
-  busy seconds, and the shard's interconnect byte totals;
+  busy seconds, and the bytes written to and shipped back from it;
 * ``SYSACCEL.MON_STATISTICS`` — the cost-based optimizer's statistics
   store: one table-level row (``COLUMN_NAME = ''``) per table plus one
   row per column with NDV, null count, min/max, histogram bin count,
@@ -342,7 +342,6 @@ def _shards_rows(system: "AcceleratedDatabase") -> list[tuple]:
     rows: list[tuple] = []
     for shard in accelerator.shard_list:
         circuit = shard.health
-        link = shard.interconnect
         lost = sum(
             1
             for facade in accelerator._tables.values()
@@ -364,8 +363,8 @@ def _shards_rows(system: "AcceleratedDatabase") -> list[tuple]:
                 circuit.successes_total,
                 circuit.times_opened,
                 circuit.requests_rejected,
-                link.bytes_to_accelerator,
-                link.bytes_from_accelerator,
+                shard.bytes_to_shard,
+                shard.bytes_from_shard,
             )
         )
     return rows

@@ -211,12 +211,6 @@ class Tracer:
         if stack:
             stack[-1].span.attributes.update(attributes)
 
-    def current_trace_id(self) -> Optional[str]:
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            return stack[-1].span.trace_id
-        return None
-
     # -- retention / lookup --------------------------------------------------
 
     def _next_trace_id(self) -> str:

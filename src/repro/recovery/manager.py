@@ -150,9 +150,7 @@ class RecoveryManager:
         # Hook into the engine (lineage journal) and the changelog (the
         # oldest live checkpoint watermark bounds every trim).
         system.accelerator.write_listener = self._on_accelerator_write
-        self._retention_guard = system.db2.change_log.add_retention_guard(
-            self.oldest_checkpoint_lsn
-        )
+        system.db2.change_log.add_retention_guard(self.oldest_checkpoint_lsn)
 
     # -- wiring ------------------------------------------------------------------
 
@@ -179,12 +177,6 @@ class RecoveryManager:
         as ``INSERT INTO <name> <select>`` under the BATCH service class.
         """
         self._aot_sources[name.upper()] = select_sql
-
-    def aot_source(self, name: str) -> Optional[str]:
-        return self._aot_sources.get(name.upper())
-
-    def unregister_aot_source(self, name: str) -> None:
-        self._aot_sources.pop(name.upper(), None)
 
     def oldest_checkpoint_lsn(self) -> Optional[int]:
         """Trim guard: the changelog must keep every LSN the *oldest*

@@ -8,8 +8,8 @@ throughput at a single instance. The
 * :mod:`repro.shard.placement` — catalog-backed partitioning specs
   (HASH / RANGE / RANDOM) with shard-map generations and partition-key
   shard pruning;
-* :mod:`repro.shard.pool` — the per-shard health circuit, interconnect
-  link and fault site (:class:`AcceleratorShard`), and the
+* :mod:`repro.shard.pool` — the per-shard health circuit, byte
+  counters and fault site (:class:`AcceleratorShard`), and the
   :class:`ShardedTable` facade whose scans fan out per shard and merge
   back byte-identically at every shard count.
 """

@@ -15,22 +15,26 @@ per-shard zone maps), then one stable argsort on row id merges the
 shard reads — so every downstream consumer sees the same bytes at every
 shard count, in the order DB2 inserted the rows.
 
-**Resilience.** Each shard owns a health circuit, an interconnect link,
-and a fault site (``accelerator.shard<N>``). A failing shard raises
-:class:`~repro.errors.ShardUnavailableError` — trip *its* circuit, not
-the engine's — so statements over surviving shards keep being offloaded
-while affected ones degrade to DB2. Writes fail fast *before* any
-mutation, which keeps the replication service's exactly-once pinning
-intact: an abandoned batch stays wholly unapplied.
+**Resilience.** Each shard owns a health circuit, byte counters for
+its traffic and a fault site (``accelerator.shard<N>``). A failing
+shard raises :class:`~repro.errors.ShardUnavailableError` — trip *its*
+circuit, not the engine's — so statements over surviving shards keep
+being offloaded while affected ones degrade to DB2. Writes fail fast
+*before* any mutation, which keeps the replication service's
+exactly-once pinning intact: an abandoned batch stays wholly unapplied.
+The engine's one commit path (``AcceleratorEngine._commit``) keeps that
+promise: it admits a batch on every shard once, before it stamps a
+delete or appends a row, so the facade's write methods do not admit.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.catalog.schema import TableSchema, columns_from_rows
+from repro.catalog.schema import TableSchema
 from repro.shard.placement import PartitionSpec, ShardMap
 from repro.sql.expressions import VColumn, concat_columns
 from repro.storage.column_store import (
@@ -41,10 +45,9 @@ from repro.storage.column_store import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    # The federation builds each shard's circuit and link
+    # The federation builds each shard's circuit
     # (repro.federation.accelerator_shards); nothing here imports it.
     from repro.federation.health import HealthMonitor
-    from repro.federation.network import Interconnect
 
 __all__ = [
     "AcceleratorShard",
@@ -56,22 +59,16 @@ __all__ = [
 class AcceleratorShard:
     """One accelerator instance of the engine.
 
-    Owns its own circuit breaker, its own byte-accounting interconnect
-    link, and its own fault site so tests and operators can fail
-    instances independently. Its table partitions are the live facades'
-    ``parts[shard_id]`` (:meth:`AcceleratorEngine.shard_parts`).
+    Owns its own circuit breaker and its own fault site so tests and
+    operators can fail instances independently. Its table partitions
+    are the live facades' ``parts[shard_id]``
+    (:meth:`AcceleratorEngine.shard_parts`).
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        health: HealthMonitor,
-        interconnect: Interconnect,
-    ) -> None:
+    def __init__(self, shard_id: int, health: HealthMonitor) -> None:
         self.shard_id = shard_id
         self.fault_site = f"accelerator.shard{shard_id}"
         self.health = health
-        self.interconnect = interconnect
         #: False after a kill until the shard is rebuilt; unlike an open
         #: circuit this never half-opens on its own.
         self.alive = True
@@ -80,6 +77,13 @@ class AcceleratorShard:
         self.rows_scanned = 0
         self.rows_written = 0
         self.simulated_busy_seconds = 0.0
+        #: Modeled bytes of the rows written to the shard and of the scan
+        #: results it shipped back.
+        self.bytes_to_shard = 0
+        self.bytes_from_shard = 0
+        #: Sessions scan a shard concurrently (writes hold the engine's
+        #: write lock); its scan counters are read-modify-writes.
+        self.scan_lock = threading.Lock()
 
 
 class ShardedTable:
@@ -176,15 +180,12 @@ class ShardedTable:
         """Assign row ids as one table would, then route each row to its
         shard.
 
-        The all-shards health check runs *before* any mutation so a dead
-        shard aborts the batch atomically — replication's partial-batch
-        pinning then redelivers it untouched once the shard is back.
-        ``nbytes`` is the batch's wire size when the caller already
+        The engine has admitted the batch on every shard before this
+        runs. ``nbytes`` is the batch's wire size when the caller already
         counted it for its own link: a shard that takes the whole batch
-        sends that number instead of walking the values again.
+        counts that number instead of walking the values again.
         """
         engine = self._engine
-        engine.require_write(self)
         count = len(columns[0])
         if not count:
             return np.empty(0, dtype=np.int64)
@@ -205,7 +206,7 @@ class ShardedTable:
                 part_bytes = self.schema.columns_byte_size(part_columns)
             shard = engine.shard(shard_id)
             shard.rows_written += len(part_ids)
-            shard.interconnect.send_to_accelerator(part_bytes)
+            shard.bytes_to_shard += part_bytes
         return assigned
 
     def _route(
@@ -230,24 +231,9 @@ class ShardedTable:
                 routes.append((shard_id, indexes))
         return routes
 
-    def append_rows(
-        self,
-        rows: Sequence[tuple],
-        epoch: int,
-        row_ids: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """:meth:`append_columns` for coerced row tuples, packed once."""
-        packed = columns_from_rows(self.schema, rows)
-        return self.append_columns(list(packed.values()), epoch, row_ids)
-
     def mark_deleted(self, row_ids: Sequence[int], epoch: int) -> int:
         """Broadcast the delete; each shard stamps only the ids it owns."""
-        self._engine.require_write(self)
         return sum(part.mark_deleted(row_ids, epoch) for part in self.parts)
-
-    def truncate(self, epoch: int) -> int:
-        self._engine.require_write(self)
-        return sum(part.truncate(epoch) for part in self.parts)
 
     # -- read path -----------------------------------------------------------
 
@@ -284,13 +270,14 @@ class ShardedTable:
             total += part.last_scan_chunks_total
             shard = engine.shard(shard_id)
             busy = engine.modeled_scan_seconds(part.row_count)
-            shard.scans += 1
-            shard.rows_scanned += len(ids)
-            shard.simulated_busy_seconds += busy
+            with shard.scan_lock:
+                shard.scans += 1
+                shard.rows_scanned += len(ids)
+                shard.simulated_busy_seconds += busy
+                # Modeled result shipping back from the shard.
+                shard.bytes_from_shard += 8 * len(ids) * max(1, len(wanted))
             critical = max(critical, busy)
             if len(ids):
-                # Modeled result shipping over the shard's own link.
-                shard.interconnect.send_to_db2(8 * len(ids) * max(1, len(wanted)))
                 gathered.append((ids, cols))
         self.last_scan_chunks_skipped = skipped
         self.last_scan_chunks_total = total

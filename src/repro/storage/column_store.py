@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.catalog.schema import NULL_FILL, TableSchema, columns_from_rows
+from repro.catalog.schema import NULL_FILL, TableSchema
 from repro.errors import ReproError
 from repro.sql.expressions import VColumn
 from repro.storage.zone_maps import ZoneMap
@@ -322,16 +322,6 @@ class ColumnStoreTable:
             else int(np.count_nonzero(versions[1] == NEVER_DELETED))
         )
         return row_ids
-
-    def append_rows(
-        self,
-        rows: Sequence[tuple],
-        epoch: int,
-        row_ids: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """:meth:`append_columns` for coerced row tuples, packed once."""
-        packed = columns_from_rows(self.schema, rows)
-        return self.append_columns(list(packed.values()), epoch, row_ids)
 
     @property
     def stored_rows(self) -> int:

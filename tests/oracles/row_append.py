@@ -1,4 +1,5 @@
-"""The column store's former row-at-a-time append, kept as the oracle.
+"""Row-tuple appends for tests: the column store's former row-at-a-time
+append, kept as the oracle, and the packing shortcut tests write with.
 
 This is the body ``ColumnStoreTable.append_rows`` had before chunks were
 built from columns: rebuild every column of every chunk from a list
@@ -7,6 +8,9 @@ rule the obvious way: the batch first fills the table's last chunk —
 rebuilt whole, old rows plus new, with its zone maps recomputed over
 every row — and only the overflow is sealed into new chunks.
 ``append_columns`` must produce the same table, array for array.
+
+The store itself takes only columns; :func:`append_rows` packs coerced
+row tuples once and appends them, for tests that build a table by rows.
 """
 
 from __future__ import annotations
@@ -15,9 +19,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.catalog.schema import columns_from_rows
 from repro.errors import ReproError
 from repro.storage.column_store import NEVER_DELETED, Chunk, ColumnStoreTable
 from repro.storage.zone_maps import ZoneMap
+
+
+def append_rows(
+    table: ColumnStoreTable,
+    rows: Sequence[tuple],
+    epoch: int,
+    row_ids: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``table.append_columns`` for coerced row tuples, packed once."""
+    packed = columns_from_rows(table.schema, rows)
+    return table.append_columns(list(packed.values()), epoch, row_ids)
 
 
 def append_rows_reference(

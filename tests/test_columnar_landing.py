@@ -44,7 +44,7 @@ from repro.sql.types import (
 )
 from repro.shard.placement import distinct_keys
 from repro.storage.column_store import NEVER_DELETED, ColumnStoreTable
-from tests.oracles.row_append import append_rows_reference
+from tests.oracles.row_append import append_rows, append_rows_reference
 
 # ---------------------------------------------------------------------------
 # Generators: a schema over every SQL type, and coerced rows for it
@@ -158,7 +158,7 @@ def test_append_columns_builds_the_table_the_row_loop_built(data):
             columnar.append_columns(packed, epoch) if rows
             else np.empty(0, dtype=np.int64)
         )
-        assert wrapper.append_rows(rows, epoch).tolist() == ids.tolist()
+        assert append_rows(wrapper, rows, epoch).tolist() == ids.tolist()
         assert (
             append_rows_reference(reference, oracle_rows, epoch).tolist()
             == ids.tolist()

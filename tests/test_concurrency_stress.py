@@ -9,6 +9,7 @@ Volume is environment-tunable so CI can run an elevated pass:
 """
 
 import os
+import sys
 import threading
 
 import pytest
@@ -268,3 +269,40 @@ class TestWlmStorm:
         assert outcomes["ok"] + outcomes["timed_out"] == THREADS * ROUNDS
         assert wdb.wlm.statements_timed_out == outcomes["timed_out"]
         _assert_gates_quiesced(wdb)
+
+
+class TestShardCounters:
+    def test_concurrent_scans_lose_no_shard_counter_update(self):
+        """Sessions scan the same shards at once; every scan is counted."""
+        db = AcceleratedDatabase(shards=2, slice_count=2, chunk_rows=128)
+        conn = db.connect()
+        conn.execute("CREATE TABLE R (K INTEGER, V INTEGER) IN ACCELERATOR")
+        conn.execute(
+            "INSERT INTO R VALUES " + ", ".join(f"({i}, {i})" for i in range(200))
+        )
+        table = db.accelerator.storage_for("R")
+        epoch = db.accelerator.current_epoch
+        shards = db.accelerator.shard_list
+        before = [(s.scans, s.rows_scanned, s.bytes_from_shard) for s in shards]
+        workers, scans = max(THREADS, 4), 4 * ROUNDS
+
+        def scan():
+            for _ in range(scans):
+                table.read_visible(epoch, columns=["V"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=scan) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = workers * scans
+        for shard, (scans0, rows0, bytes0), part in zip(shards, before, table.parts):
+            assert shard.scans - scans0 == total
+            assert shard.rows_scanned - rows0 == total * part.row_count
+            assert shard.bytes_from_shard - bytes0 == total * 8 * part.row_count

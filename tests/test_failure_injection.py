@@ -6,6 +6,7 @@ from repro import AcceleratedDatabase, IdaaLoader, IterableSource
 from repro.errors import (
     AuthorizationError,
     ReplicationError,
+    ShardUnavailableError,
     SqlError,
     TypeError_,
 )
@@ -329,3 +330,74 @@ class TestReplicationCacheConsistency:
         )
         rows = conn.execute("SELECT a FROM t ORDER BY a").rows
         assert rows == [(2,), (3,), (10,)]
+
+
+class TestShardFaultsLeaveNoHalfBatch:
+    """A write batch is admitted once, before it stamps anything, so a
+    shard fault on it leaves nothing a later write could publish."""
+
+    @staticmethod
+    def _system(shards):
+        db = AcceleratedDatabase(shards=shards, slice_count=2, chunk_rows=64)
+        db.auto_replicate = False
+        conn = db.connect()
+        conn.execute("CREATE TABLE L (X INTEGER) IN ACCELERATOR")
+        return db, conn
+
+    @staticmethod
+    def _fail_every_third_call(db, times):
+        """Shard 0 fails its third site call from now on, and every
+        third after it, ``times`` times: the call after a write's read
+        and its first admission."""
+        site = db.accelerator.shard(0).fault_site
+        base = db.faults.calls.get(site, 0)
+        db.faults.add(site, schedule=[base + 3 * k for k in range(1, times + 1)])
+
+    @staticmethod
+    def _clear(db):
+        db.faults.clear()
+        db.health.reset()
+        for shard in db.accelerator.shard_list:
+            shard.health.reset()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_abandoned_replicated_update_stays_unapplied(self, shards):
+        db, conn = self._system(shards)
+        conn.execute("CREATE TABLE T (A INTEGER NOT NULL PRIMARY KEY, B DOUBLE)")
+        conn.execute(
+            "INSERT INTO T VALUES " + ", ".join(f"({i}, {i}.5)" for i in range(10))
+        )
+        db.add_table_to_accelerator("T")
+        db.replication.drain()
+        conn.execute("UPDATE t SET b = b + 100 WHERE a = 3")
+        self._fail_every_third_call(db, db.replication.max_retries + 1)
+        db.replication.drain()
+        self._clear(db)
+        conn.execute("INSERT INTO l VALUES (1)")
+        db.replication.drain(raise_on_failure=True)
+        assert db.replication.backlog == 0
+        query = "SELECT a, b FROM t ORDER BY a"
+        conn.set_acceleration("NONE")
+        expected = conn.execute(query).rows
+        conn.set_acceleration("ALL")
+        result = conn.execute(query)
+        assert (result.engine, result.rows) == ("ACCELERATOR", expected)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_failed_aot_update_leaves_its_table_unchanged(self, shards):
+        db, conn = self._system(shards)
+        conn.execute("CREATE TABLE A (ID INTEGER, V INTEGER) IN ACCELERATOR")
+        conn.execute(
+            "INSERT INTO A VALUES " + ", ".join(f"({i}, {i})" for i in range(10))
+        )
+        before = conn.execute("SELECT id, v FROM a ORDER BY id").rows
+        updated = [(i, v + 100 if i == 3 else v) for i, v in before]
+        self._fail_every_third_call(db, 1)
+        try:
+            conn.execute("UPDATE a SET v = v + 100 WHERE id = 3")
+            expected = updated
+        except ShardUnavailableError:
+            expected = before
+        self._clear(db)
+        conn.execute("INSERT INTO l VALUES (1)")
+        assert conn.execute("SELECT id, v FROM a ORDER BY id").rows == expected

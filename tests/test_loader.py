@@ -184,3 +184,26 @@ class TestLoadReport:
             IterableSource([(i,) for i in range(50)], ["ID"]), "T", conn
         )
         assert report.rows_per_second > 0
+
+    @pytest.mark.parametrize("placement", ["IN ACCELERATOR", "ACCELERATED"])
+    def test_a_load_is_one_trace(self, db, conn, placement):
+        """Each batch's link send nests under the load's one span, so a
+        load evicts at most one retained statement trace."""
+        in_accelerator = placement == "IN ACCELERATOR"
+        conn.execute(
+            "CREATE TABLE L (K INTEGER, S VARCHAR(8))"
+            + (" IN ACCELERATOR" if in_accelerator else "")
+        )
+        if not in_accelerator:
+            db.add_table_to_accelerator("L")
+        before = len(db.tracer.traces())
+        report = IdaaLoader(db, batch_size=10).load(
+            IterableSource([(k, f"s{k}") for k in range(50)], ["K", "S"]),
+            "L",
+            conn,
+        )
+        assert report.batches == 5
+        traces = db.tracer.traces()
+        assert len(traces) == before + 1
+        assert traces[-1].name == "loader.load"
+        assert len(traces[-1].find_spans("interconnect.send")) == 5

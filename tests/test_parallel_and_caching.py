@@ -22,6 +22,7 @@ from repro.sql.types import BIGINT, DOUBLE, INTEGER, VarcharType
 from repro.shard.placement import PartitionSpec, _hash_key
 from repro.storage.column_store import ColumnStoreTable
 from repro.storage.zone_maps import ZoneMap
+from tests.oracles.row_append import append_rows
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
@@ -61,8 +62,8 @@ class TestZoneMapInt64Precision:
         # max down and wrongly discard the chunk — silently losing rows).
         schema = TableSchema([Column("ID", BIGINT, nullable=False)])
         table = ColumnStoreTable(schema, chunk_rows=4)
-        table.append_rows([(v,) for v in range(8)], epoch=1)
-        table.append_rows([(2**53 + 1,)], epoch=1)
+        append_rows(table, [(v,) for v in range(8)], epoch=1)
+        append_rows(table, [(2**53 + 1,)], epoch=1)
         __, columns = table.read_visible(
             epoch=1, ranges={"ID": (2**53 + 1, None)}
         )

@@ -29,6 +29,7 @@ from repro.sql.expressions import (
 from repro.sql.planning import sort_rows_with_keys
 from repro.sql.types import DOUBLE, INTEGER, VarcharType
 from repro.storage.column_store import ColumnStoreTable
+from tests.oracles.row_append import append_rows
 
 # ---------------------------------------------------------------------------
 # Expression equivalence
@@ -113,7 +114,7 @@ def test_column_store_visibility_invariants(batches, delete_fraction, seed):
     for batch in batches:
         epoch += 1
         rows = [(next_id + i,) for i in range(batch)]
-        ids = table.append_rows(rows, epoch)
+        ids = append_rows(table, rows, epoch)
         live_ids.extend(int(i) for i in ids)
         next_id += batch
         history.append((epoch, len(live_ids)))
@@ -145,7 +146,7 @@ def test_column_store_visibility_invariants(batches, delete_fraction, seed):
 def test_zone_map_pruning_never_changes_answers(values, low, span):
     schema = TableSchema([Column("V", INTEGER)])
     table = ColumnStoreTable(schema, chunk_rows=16)
-    table.append_rows([(v,) for v in values], epoch=1)
+    append_rows(table, [(v,) for v in values], epoch=1)
     high = low + span
     expected = sorted(v for v in values if low <= v <= high)
 

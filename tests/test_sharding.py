@@ -454,13 +454,12 @@ class TestShardObservability:
         assert [r[0] for r in rows] == list(range(shards))
         assert all(r[1] == "ONLINE" and r[2] == "Y" for r in rows)
         assert sum(r[3] for r in rows) == 90
-        # Each row reports its shard's own link, not the federation's.
-        links = [shard.interconnect for shard in db.accelerator.shard_list]
+        # Each row reports its shard's own traffic, not the federation's.
+        shard_list = db.accelerator.shard_list
         assert [r[4:] for r in rows] == [
-            (link.bytes_to_accelerator, link.bytes_from_accelerator)
-            for link in links
+            (shard.bytes_to_shard, shard.bytes_from_shard) for shard in shard_list
         ]
-        assert all(link.bytes_to_accelerator > 0 for link in links)
+        assert all(shard.bytes_to_shard > 0 for shard in shard_list)
 
     @pytest.mark.parametrize("shards", (1, 4))
     def test_write_accounting_per_shard(self, shards):
@@ -477,7 +476,7 @@ class TestShardObservability:
 
         def counters():
             return [
-                (s.rows_written, s.interconnect.bytes_to_accelerator)
+                (s.rows_written, s.bytes_to_shard)
                 for s in db.accelerator.shard_list
             ]
 
@@ -507,16 +506,13 @@ class TestShardObservability:
     @pytest.mark.parametrize("shards", (1, 4))
     def test_loaded_bytes_reach_the_shards_unchanged(self, shards):
         """The loader counts each batch's wire size once, for the
-        federation link; the shards' links carry the same bytes."""
+        federation link; the shards count the same bytes."""
         db = AcceleratedDatabase(shards=shards, slice_count=2, chunk_rows=32)
         conn = db.connect()
         conn.execute("CREATE TABLE L (K INTEGER, S VARCHAR(8)) IN ACCELERATOR")
 
         def shard_bytes():
-            return sum(
-                s.interconnect.bytes_to_accelerator
-                for s in db.accelerator.shard_list
-            )
+            return sum(s.bytes_to_shard for s in db.accelerator.shard_list)
 
         before = shard_bytes()
         rows = [(k, None if k % 3 else f"s{k}") for k in range(50)]
@@ -544,8 +540,8 @@ class TestShardObservability:
         )
         conn.execute("DELETE FROM g WHERE a < 10")
         table = db.accelerator.storage_for("G")
-        # Shard 1 admits the GROOM's read of the old rows, then fails the
-        # successor's write: the table keeps its old storage.
+        # Shard 1 admits the GROOM up front, then fails its read of the
+        # old rows: the table keeps its old storage.
         site = db.accelerator.shard(1).fault_site
         db.faults.add(site, schedule=[db.faults.calls.get(site, 0) + 2])
         with pytest.raises(ShardUnavailableError):

@@ -13,6 +13,7 @@ from repro.sql.types import DOUBLE, INTEGER, VarcharType
 from repro.storage.column_store import ColumnStoreTable, NEVER_DELETED
 from repro.storage.row_store import DEFAULT_PAGE_CAPACITY, RowStoreTable
 from repro.storage.zone_maps import ZoneMap
+from tests.oracles.row_append import append_rows
 
 
 @pytest.fixture
@@ -108,7 +109,7 @@ class TestColumnStore:
     def make(self, schema, rows=100, **kwargs):
         table = ColumnStoreTable(schema, **kwargs)
         data = [(i, float(i), f"n{i}") for i in range(rows)]
-        row_ids = table.append_rows(data, epoch=1)
+        row_ids = append_rows(table, data, epoch=1)
         return table, row_ids
 
     def test_append_and_read(self, schema):
@@ -132,7 +133,7 @@ class TestColumnStore:
 
     def test_rows_invisible_before_insert_epoch(self, schema):
         table = ColumnStoreTable(schema)
-        table.append_rows([(1, 1.0, "a")], epoch=5)
+        append_rows(table, [(1, 1.0, "a")], epoch=5)
         assert len(table.read_visible(epoch=4)[0]) == 0
         assert len(table.read_visible(epoch=5)[0]) == 1
 
@@ -170,7 +171,7 @@ class TestColumnStore:
 
     def test_read_preserves_nulls(self, schema):
         table = ColumnStoreTable(schema)
-        ids = table.append_rows([(1, None, None)], epoch=1)
+        ids = append_rows(table, [(1, None, None)], epoch=1)
         assert self.rows_by_id(table, 1, ids) == [(1, None, None)]
 
     def test_mark_deleted_counts_each_live_row_once(self, schema):
@@ -190,8 +191,8 @@ class TestColumnStore:
         # What a GROOM after deletes writes: ascending ids with gaps.
         table = ColumnStoreTable(schema, chunk_rows=4)
         ids = np.array([0, 3, 5, 7, 12, 20], dtype=np.int64)
-        table.append_rows(
-            [(i, float(i), None) for i in ids.tolist()], epoch=1, row_ids=ids
+        append_rows(
+            table, [(i, float(i), None) for i in ids.tolist()], epoch=1, row_ids=ids
         )
         assert [c.row_ids.tolist() for c in table.iter_chunks()] == [
             [0, 3, 5, 7], [12, 20],
