@@ -133,9 +133,10 @@ def test_e11_recovery_drains_backlog_exactly_once(benchmark, record):
         "interconnect", schedule=(sent + 1, sent + 2)
     )
     drained = []
+    db.replication.batch_size = 2000
 
     def run():
-        drained.append(db.replication.drain(batch_size=2000))
+        drained.append(db.replication.drain())
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     db.faults.remove(rule)
@@ -171,7 +172,8 @@ def test_e11_deterministic_under_fixed_seed(record):
         db, conn = prepared_system(fault_seed=seed)
         db.faults.add("interconnect", probability=0.4)
         conn.execute("UPDATE items SET v = v + 1")
-        db.replication.drain(batch_size=1000)
+        db.replication.batch_size = 1000
+        db.replication.drain()
         stats = db.replication.stats()
         return (
             db.faults.total_injected,

@@ -15,8 +15,8 @@ other two levers are safe:
   estimator fails CI even if the in-process baseline drifts;
 * asserts optimizer statistics and join re-association change no answer,
   byte for byte;
-* records the routing mix now that cost advice replaces the ENABLE
-  row-threshold heuristic, and exports everything to
+* records the routing mix under ENABLE, which the cost advice decides,
+  and exports everything to
   ``benchmarks/results/e18_optimizer.json`` (uploaded as a CI artifact).
 
 Set ``E18_SMOKE=1`` (the CI smoke job does) for a fast small-data run.

@@ -7,55 +7,54 @@ E8), and every shipped record is charged to the interconnect — which is
 exactly the recurring price the paper's legacy ELT flow pays when a
 pipeline stage is materialised in DB2 and then re-replicated.
 
-Resilience (experiment E11): a batch that fails — an injected link fault,
-an accelerator crash, or a :class:`~repro.errors.ReplicationError` from
-the apply path — is retried with bounded exponential backoff and jitter.
-The LSN cursor only advances after the *whole* batch applied, and
-partial-batch progress is remembered per table so a retry (even from a
-later ``drain()`` call, even with a different batch size) never
-double-applies a record: exactly-once apply. When a health monitor is
-attached, drains are skipped outright while the circuit is open (the
-backlog simply accumulates) and each drain outcome feeds the breaker —
-so a successful drain doubles as the half-open probe that brings the
-accelerator back ONLINE.
+Exactly-once (experiment E11) is one rule, and it lives in the engine:
+:meth:`AcceleratorEngine.apply_changes` drops every record at or below
+the table's applied-LSN watermark. This service only keeps a cursor. It
+reads ``batch_size`` records from the cursor, ships each table's
+sub-batch, and moves the cursor past the batch once the whole batch
+applied. A batch that fails — an injected link fault, an accelerator
+crash, or a :class:`~repro.errors.ReplicationError` from the apply path —
+is retried whole with bounded exponential backoff and seeded jitter; a
+sub-batch that already landed is shipped again and dropped by the
+watermark. A batch that still fails leaves the cursor where it was, and
+the next drain starts there. Recovery replay from a checkpoint cursor
+leans on the same rule. While the health monitor reports the accelerator
+OFFLINE, drains are skipped (the backlog simply accumulates), and each
+drain outcome feeds the breaker — so a successful drain doubles as the
+half-open probe that brings the accelerator back ONLINE.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.accelerator.engine import AcceleratorEngine
 from repro.catalog import Catalog
 from repro.db2.changelog import ChangeLog, ChangeRecord
 from repro.errors import AcceleratorCrashError, LinkError, ReplicationError
+from repro.federation.faults import FaultInjector
 from repro.federation.health import HealthMonitor
 from repro.federation.network import Interconnect
 from repro.metrics.counters import ReplicationStats
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_SPAN, Tracer
+from repro.obs.trace import Tracer
 
 __all__ = ["DrainRecord", "ReplicationService"]
 
 #: Exceptions the drain loop treats as retryable.
 RETRYABLE_ERRORS = (ReplicationError, LinkError, AcceleratorCrashError)
-
-
-@dataclass
-class _PartialBatch:
-    """Progress of a batch that failed mid-apply (exactly-once bookkeeping).
-
-    ``start_lsn``/``record_count`` pin the exact batch extent so a later
-    retry re-reads the *same* records even if the caller changed the batch
-    size; ``applied_tables`` lists the per-table sub-batches that already
-    made it to the accelerator and must not be shipped again.
-    """
-
-    start_lsn: int
-    record_count: int
-    applied_tables: set[str] = field(default_factory=set)
+#: Retries of one batch before it is abandoned for this drain.
+MAX_RETRIES = 4
+#: Backoff before retry ``k`` is ``min(CAP, BASE * 2**k)`` scaled by a
+#: jitter in [0.5, 1); it is simulated (accounted, never slept).
+BACKOFF_BASE_SECONDS = 0.01
+BACKOFF_CAP_SECONDS = 1.0
+RETRY_SEED = 0
+#: Rows kept in SYSACCEL.MON_REPLICATION.
+DRAIN_HISTORY_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -84,41 +83,27 @@ class ReplicationService:
         accelerator: AcceleratorEngine,
         interconnect: Interconnect,
         catalog: Catalog,
+        health: HealthMonitor,
+        tracer: Tracer,
+        metrics: MetricsRegistry,
+        faults: FaultInjector,
         batch_size: int = 1000,
-        max_retries: int = 4,
-        backoff_base_seconds: float = 0.01,
-        backoff_cap_seconds: float = 1.0,
-        retry_seed: int = 0,
-        health: Optional[HealthMonitor] = None,
-        sleep: Optional[Callable[[float], None]] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        drain_history_limit: int = 256,
-        faults=None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self._change_log = change_log
         self._accelerator = accelerator
         self._interconnect = interconnect
         self._catalog = catalog
-        self.batch_size = batch_size
-        self.max_retries = max_retries
-        self.backoff_base_seconds = backoff_base_seconds
-        self.backoff_cap_seconds = backoff_cap_seconds
-        self._retry_rng = random.Random(retry_seed)
         self._health = health
-        #: Optional fault injector; the apply path consults the
-        #: ``replication.mid_batch`` crash point between shipping a table
-        #: sub-batch and applying it (recovery testing).
+        self._tracer = tracer
+        self._metrics = metrics
+        #: The apply path consults the ``replication.mid_batch`` crash
+        #: point between shipping a table sub-batch and applying it.
         self._faults = faults
-        #: Called with each backoff delay; None keeps backoff simulated
-        #: (accounted in ``simulated_backoff_seconds``) without real sleeps.
-        self._sleep = sleep
+        self.batch_size = batch_size
+        self._retry_rng = random.Random(RETRY_SEED)
         self._cursor = change_log.head_lsn
-        self._partial: Optional[_PartialBatch] = None
         #: Per-table LSN from which this table's changes are relevant
         #: (records older than the initial copy are skipped).
         self._table_start: dict[str, int] = {}
@@ -130,15 +115,13 @@ class ReplicationService:
         self.drains_skipped_offline = 0
         self.simulated_backoff_seconds = 0.0
         self.last_error: Optional[Exception] = None
-        self._tracer = tracer
-        self._metrics = metrics
         #: Ring of per-drain monitoring rows (SYSACCEL.MON_REPLICATION).
         self.drain_history: deque[DrainRecord] = deque(
-            maxlen=drain_history_limit
+            maxlen=DRAIN_HISTORY_LIMIT
         )
         self._drain_seq = 0
         #: Optional hook called with (table, records) after a table
-        #: sub-batch is successfully applied to the accelerator — the
+        #: sub-batch applied, with only the records that applied — the
         #: statistics manager folds the change feed incrementally.
         self.change_listener: Optional[
             Callable[[str, list[ChangeRecord]], None]
@@ -156,17 +139,15 @@ class ReplicationService:
         return dict(self._table_start)
 
     def reset(self) -> None:
-        """Crash simulation: registrations, cursor and partial-batch
-        progress are accelerator-side state and die with the appliance.
+        """Crash simulation: registrations and the cursor are
+        accelerator-side state and die with the appliance.
 
         Lifetime counters survive (they are DB2-side monitoring)."""
         self._table_start.clear()
-        self._partial = None
         self._cursor = self._change_log.head_lsn
 
     def restore_cursor(self, lsn: int) -> None:
         """Restart replication from a checkpointed cursor position."""
-        self._partial = None
         self._cursor = lsn
 
     @property
@@ -193,43 +174,26 @@ class ReplicationService:
             simulated_backoff_seconds=self.simulated_backoff_seconds,
         )
 
-    def drain(
-        self,
-        batch_size: Optional[int] = None,
-        max_batches: Optional[int] = None,
-        raise_on_failure: bool = False,
-    ) -> int:
-        """Apply pending changes; returns how many records were applied.
+    def drain(self, raise_on_failure: bool = False) -> int:
+        """Apply pending changes in ``batch_size`` batches; returns how
+        many records were applied.
 
-        A batch that still fails after ``max_retries`` retries stops the
+        A batch that still fails after ``MAX_RETRIES`` retries stops the
         drain without advancing the cursor; by default the error is kept
         in ``last_error`` (commit-time auto-drains must not fail the
         already-committed DB2 transaction) — pass ``raise_on_failure=True``
         to surface it instead. While the health monitor reports the
         accelerator OFFLINE the drain returns immediately.
         """
-        if batch_size is None:
-            size = self.batch_size
-        else:
-            if batch_size <= 0:
-                raise ValueError(
-                    f"batch_size must be positive, got {batch_size}"
-                )
-            size = batch_size
+        size = self.batch_size
         backlog_before = self.backlog
         retries_before = self.retries
         abandoned_before = self.batches_abandoned
-        span = (
-            self._tracer.span(
-                "replication.drain",
-                batch_size=size,
-                backlog=backlog_before,
-            )
-            if self._tracer is not None and self._tracer.enabled
-            else NULL_SPAN
+        span = self._tracer.span(
+            "replication.drain", batch_size=size, backlog=backlog_before
         )
         with span:
-            if self._health is not None and not self._health.available:
+            if not self._health.available:
                 self.drains_skipped_offline += 1
                 span.annotate(outcome="skipped_offline")
                 self._record_drain(
@@ -240,27 +204,18 @@ class ReplicationService:
             applied = 0
             batches = 0
             failed = False
-            while max_batches is None or batches < max_batches:
-                limit = size
-                partial = self._partial
-                if partial is not None and partial.start_lsn == self._cursor:
-                    # Resume the abandoned batch at its original extent so the
-                    # per-table skip set lines up with the same records.
-                    limit = partial.record_count
-                elif partial is not None:
-                    self._partial = None  # stale (cursor moved past it)
-                    partial = None
-                records = self._change_log.read_from(self._cursor, limit=limit)
+            while True:
+                records = self._change_log.read_from(self._cursor, limit=size)
                 if not records:
                     break
-                ok, batch_applied = self._apply_with_retry(records, partial)
+                ok, batch_applied = self._apply_with_retry(records)
                 applied += batch_applied
                 if not ok:
                     failed = True
                     break
                 self._cursor = records[-1].lsn + 1
                 batches += 1
-                if len(records) < limit:
+                if len(records) < size:
                     break
             if failed:
                 outcome = "failed"
@@ -283,7 +238,7 @@ class ReplicationService:
                 abandoned=self.batches_abandoned - abandoned_before,
                 reason=str(self.last_error) if failed else "",
             )
-            if failed and raise_on_failure and self.last_error is not None:
+            if failed and raise_on_failure:
                 raise self.last_error
             return applied
 
@@ -311,99 +266,67 @@ class ReplicationService:
                 reason=reason[:512],
             )
         )
-        if self._metrics is not None:
-            self._metrics.gauge("replication.backlog").set(self.backlog)
-            self._metrics.counter(f"replication.drains.{outcome}").inc()
+        self._metrics.gauge("replication.backlog").set(self.backlog)
+        self._metrics.counter(f"replication.drains.{outcome}").inc()
 
     def _apply_with_retry(
-        self,
-        records: list[ChangeRecord],
-        partial: Optional[_PartialBatch],
+        self, records: list[ChangeRecord]
     ) -> tuple[bool, int]:
-        """Apply one batch with bounded retry; returns (ok, records applied)."""
-        if partial is None:
-            partial = _PartialBatch(
-                start_lsn=records[0].lsn, record_count=len(records)
-            )
-        # A failure can land mid-batch, after some tables already applied;
-        # measure progress from the counter so those records are reported.
-        start_applied = self.records_applied
-        for attempt in range(self.max_retries + 1):
-            try:
-                self._apply_batch(records, partial.applied_tables)
-            except RETRYABLE_ERRORS as exc:
-                self.last_error = exc
-                if self._health is not None:
-                    self._health.record_failure()
-                if attempt == self.max_retries:
-                    self.batches_abandoned += 1
-                    self._partial = partial
-                    return False, self.records_applied - start_applied
-                self.retries += 1
-                self._backoff(attempt)
-            else:
-                self.last_error = None
-                self._partial = None
-                if self._health is not None:
-                    self._health.record_success()
-                return True, self.records_applied - start_applied
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _backoff(self, attempt: int) -> None:
-        """Exponential backoff with deterministic (seeded) jitter."""
-        base = min(
-            self.backoff_cap_seconds,
-            self.backoff_base_seconds * (2.0 ** attempt),
-        )
-        delay = base * (0.5 + self._retry_rng.random() / 2.0)
-        self.simulated_backoff_seconds += delay
-        if self._sleep is not None:
-            self._sleep(delay)
-
-    def _apply_batch(
-        self,
-        records: list[ChangeRecord],
-        applied_tables: set[str],
-    ) -> int:
+        """Apply one batch, retrying it whole; returns (ok, records
+        applied). A failure can land after some tables applied, so
+        progress is measured from the counter."""
         per_table: dict[str, list[ChangeRecord]] = {}
-        skipped_now = 0
+        skipped = 0
         for record in records:
             start = self._table_start.get(record.table)
             if start is None or record.lsn < start:
-                if record.table not in applied_tables:
-                    skipped_now += 1
-                continue
-            per_table.setdefault(record.table, []).append(record)
-        # Irrelevant records are "skipped" once per batch, not per retry;
-        # they ride under a sentinel so a retry does not recount them.
-        if "\0skips" not in applied_tables:
-            self.records_skipped += skipped_now
-            applied_tables.add("\0skips")
-        applied = 0
+                skipped += 1
+            else:
+                per_table.setdefault(record.table, []).append(record)
+        start_applied = self.records_applied
+        for attempt in range(MAX_RETRIES + 1):
+            try:
+                self._apply_batch(per_table)
+            except RETRYABLE_ERRORS as exc:
+                self.last_error = exc
+                self._health.record_failure()
+                if attempt == MAX_RETRIES:
+                    self.batches_abandoned += 1
+                    return False, self.records_applied - start_applied
+                self.retries += 1
+                base = min(
+                    BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * 2.0 ** attempt
+                )
+                jitter = 0.5 + self._retry_rng.random() / 2.0
+                self.simulated_backoff_seconds += base * jitter
+            else:
+                self.last_error = None
+                self._health.record_success()
+                self.records_skipped += skipped
+                applied = self.records_applied - start_applied
+                if applied:
+                    self.batches_applied += 1
+                return True, applied
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    def _apply_batch(self, per_table: dict[str, list[ChangeRecord]]) -> None:
         for table, table_records in per_table.items():
-            if table in applied_tables:
-                continue  # already on the accelerator from a prior attempt
             schema = self._catalog.table(table).schema
             nbytes = sum(r.byte_size(schema) for r in table_records)
             self._interconnect.send_to_accelerator(nbytes)
             # Crash point: the sub-batch is on the wire but not applied —
-            # the canonical partially-delivered-batch crash. The engine's
-            # applied-LSN watermark makes the post-restart redelivery a
-            # no-op for anything that did land.
-            if self._faults is not None:
-                self._faults.crash_point("replication.mid_batch")
-            applied_now = self._accelerator.apply_changes(
-                table, table_records
-            )
-            applied_tables.add(table)
-            applied += applied_now
-            self.records_applied += applied_now
-            if self.change_listener is not None and applied_now:
+            # the canonical partially-delivered-batch crash.
+            self._faults.crash_point("replication.mid_batch")
+            watermark = self._accelerator.applied_lsn(table)
+            applied = self._accelerator.apply_changes(table, table_records)
+            if not applied:
+                continue  # every record was at or below the watermark
+            self.records_applied += applied
+            if self.change_listener is not None:
                 # Incremental statistics maintenance: the change feed is
                 # the same stream the accelerator just applied, so the
                 # optimizer's row counts / min-max / histograms track
                 # replicated DML without rescanning.
-                self.change_listener(table, table_records)
-        if applied:
-            self.batches_applied += 1
-        return applied
+                self.change_listener(
+                    table, [r for r in table_records if r.lsn > watermark]
+                )

@@ -10,14 +10,15 @@ extension:
   the accelerator;
 * otherwise offload is controlled by the session's
   ``CURRENT QUERY ACCELERATION`` special register:
-  ``NONE`` (never offload), ``ENABLE`` (offload eligible analytical
-  queries), ``ENABLE WITH FAILBACK`` (like ENABLE, but offloadable
-  queries over accelerated *copies* silently run on DB2 while the
-  accelerator is OFFLINE), ``ALL`` (offload everything that can run
-  there);
-* under ``ENABLE``, OLTP-shaped statements stay on DB2: primary-key point
-  lookups and tiny scans are faster on the row store than the
-  round-trip + columnar scan would be (experiment E3);
+  ``NONE`` (never offload), ``ENABLE`` (offload when the cost model
+  says the accelerator is cheaper), ``ENABLE WITH FAILBACK`` (like
+  ENABLE, but offloadable queries over accelerated *copies* silently run
+  on DB2 while the accelerator is OFFLINE), ``ALL`` (offload everything
+  that can run there);
+* under ``ENABLE``, primary-key point lookups stay on DB2 (the row store
+  beats the round-trip + columnar scan, experiment E3); every other
+  query follows the optimizer's cost advice, and a query without a
+  cardinality estimate stays on DB2;
 * when a health monitor is attached and reports the accelerator OFFLINE,
   a decision that would offload is re-examined: accelerated-copy queries
   fail back to DB2 under ``ENABLE WITH FAILBACK``; everything else —
@@ -96,22 +97,15 @@ class RouteFacts:
     has_plain_db2: bool  # references a table with no accelerator copy
     all_on_accelerator: bool  # every referenced table is visible there
     point_lookup: bool  # primary-key equality on one table
-    analytical: bool  # set operation, aggregate, DISTINCT, join, derived
 
 
 class QueryRouter:
     """Stateless routing policy over the shared catalog."""
 
     def __init__(
-        self,
-        catalog: Catalog,
-        offload_row_threshold: int = 2000,
-        health: Optional[HealthMonitor] = None,
+        self, catalog: Catalog, health: Optional[HealthMonitor] = None
     ) -> None:
         self.catalog = catalog
-        #: Minimum estimated scanned rows before a plain scan is offloaded
-        #: under ENABLE (analytical queries offload regardless of size).
-        self.offload_row_threshold = offload_row_threshold
         #: When set, ACCELERATOR decisions are gated on circuit state.
         self.health = health
 
@@ -121,7 +115,7 @@ class QueryRouter:
         self, stmt: Union[ast.SelectStatement, ast.SetOperation]
     ) -> RouteFacts:
         """The statement-only half of routing: where the referenced
-        tables live and what shape the query has. Nothing here depends
+        tables live and whether it is a point lookup. Nothing here depends
         on the session, the accelerator's health or row estimates, so a
         plan computes it once (at bind) and every execution reuses it."""
         has_aot = False
@@ -140,26 +134,21 @@ class QueryRouter:
             has_plain_db2=has_plain_db2,
             all_on_accelerator=all_on_accelerator,
             point_lookup=self._is_point_lookup(stmt),
-            analytical=self._is_analytical(stmt),
         )
 
     def route_query(
         self,
         facts: RouteFacts,
         mode: AccelerationMode,
-        estimated_rows: Optional[int] = None,
         cost_advice=None,
     ) -> RoutingDecision:
         """Route a query by its plan's :meth:`classify` verdicts;
-        ``cost_advice`` is an optional
-        :class:`repro.sql.stats.PlanCost` from the cost-based optimizer.
-        When present it replaces the ENABLE-mode row-threshold heuristic;
-        AOT constraints, mode semantics, point lookups, and health
-        failback always take precedence over it.
+        ``cost_advice`` is the :class:`repro.sql.stats.PlanCost` from the
+        cost-based optimizer, None when some table has no cardinality
+        estimate. It decides ENABLE-mode offload; AOT constraints, mode
+        semantics, point lookups, and health failback take precedence.
         """
-        decision = self._nominal_route(
-            facts, mode, estimated_rows, cost_advice
-        )
+        decision = self._nominal_route(facts, mode, cost_advice)
         if decision.engine != "ACCELERATOR" or self.health is None:
             return decision
         if self.health.allow_request():
@@ -190,7 +179,6 @@ class QueryRouter:
         self,
         facts: RouteFacts,
         mode: AccelerationMode,
-        estimated_rows: Optional[int] = None,
         cost_advice=None,
     ) -> RoutingDecision:
         """Health-blind routing."""
@@ -220,31 +208,12 @@ class QueryRouter:
         if mode is AccelerationMode.ALL:
             return RoutingDecision("ACCELERATOR", "acceleration mode ALL")
 
-        # ENABLE (with or without FAILBACK): cost-based offload when the
-        # optimizer produced advice, heuristic offload otherwise.
+        # ENABLE (with or without FAILBACK): the cost advice decides.
         if facts.point_lookup:
             return RoutingDecision("DB2", "primary-key point lookup")
-        if cost_advice is not None:
-            return RoutingDecision(cost_advice.engine, cost_advice.describe())
-        if facts.analytical:
-            return RoutingDecision("ACCELERATOR", "analytical query shape")
-        if (
-            estimated_rows is not None
-            and estimated_rows >= self.offload_row_threshold
-        ):
-            return RoutingDecision("ACCELERATOR", "large estimated scan")
-        return RoutingDecision("DB2", "small non-analytical query")
-
-    def _is_analytical(
-        self, stmt: Union[ast.SelectStatement, ast.SetOperation]
-    ) -> bool:
-        if isinstance(stmt, ast.SetOperation):
-            return True
-        if stmt.group_by or stmt.is_aggregate_query or stmt.distinct:
-            return True
-        return isinstance(stmt.from_item, ast.Join) or isinstance(
-            stmt.from_item, ast.SubquerySource
-        )
+        if cost_advice is None:
+            return RoutingDecision("DB2", "no cardinality estimate")
+        return RoutingDecision(cost_advice.engine, cost_advice.describe())
 
     def _is_point_lookup(
         self, stmt: Union[ast.SelectStatement, ast.SetOperation]

@@ -170,7 +170,6 @@ class AcceleratedDatabase:
         slice_count: int = 4,
         chunk_rows: int = 65536,
         auto_replicate: bool = True,
-        offload_row_threshold: int = 2000,
         bandwidth_bytes_per_second: float = 1e9,
         message_latency_seconds: float = 0.0005,
         replication_batch_size: int = 1000,
@@ -266,11 +265,7 @@ class AcceleratedDatabase:
         self.db2.change_log.add_retention_guard(
             lambda: self.replication.cursor_lsn
         )
-        self.router = QueryRouter(
-            self.catalog,
-            offload_row_threshold=offload_row_threshold,
-            health=self.health,
-        )
+        self.router = QueryRouter(self.catalog, health=self.health)
         #: Statement-plan cache: parsed/prepared queries and DML keyed by
         #: statement shape, invalidated by catalog generation bumps.
         self.plan_cache = PlanCache(capacity=plan_cache_capacity)
@@ -1384,10 +1379,7 @@ class Connection:
             if facts is None:  # raises bind's unknown-name error
                 facts = system.router.classify(plan.expanded)
             decision = system.router.route_query(
-                facts,
-                mode,
-                estimated_rows=estimated_rows,
-                cost_advice=cost_advice,
+                facts, mode, cost_advice=cost_advice
             )
             route_span.annotate(
                 engine=decision.engine, reason=decision.reason

@@ -18,7 +18,6 @@ from typing import Optional
 __all__ = [
     "MovementStats",
     "ReplicationStats",
-    "Timer",
     "SizedRows",
     "estimate_columns_bytes",
     "estimate_rows_bytes",

@@ -10,6 +10,7 @@ from repro.errors import (
     SqlError,
     TypeError_,
 )
+from repro.federation import replication
 
 
 @pytest.fixture
@@ -370,7 +371,7 @@ class TestShardFaultsLeaveNoHalfBatch:
         db.add_table_to_accelerator("T")
         db.replication.drain()
         conn.execute("UPDATE t SET b = b + 100 WHERE a = 3")
-        self._fail_every_third_call(db, db.replication.max_retries + 1)
+        self._fail_every_third_call(db, replication.MAX_RETRIES + 1)
         db.replication.drain()
         self._clear(db)
         conn.execute("INSERT INTO l VALUES (1)")

@@ -8,6 +8,7 @@ from repro.errors import (
     AcceleratorUnavailableError,
     LinkError,
 )
+from repro.federation import replication
 from repro.federation.faults import FaultInjector
 from repro.federation.health import AcceleratorHealthState, HealthMonitor
 from repro.federation.router import AccelerationMode
@@ -236,11 +237,20 @@ class TestFailbackRouting:
 
 
 class TestResilientReplication:
-    def test_zero_or_negative_batch_size_raises(self, db):
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_zero_or_negative_batch_size_raises(self, db, size):
         with pytest.raises(ValueError):
-            db.replication.drain(batch_size=0)
-        with pytest.raises(ValueError):
-            db.replication.drain(batch_size=-5)
+            replication.ReplicationService(
+                db.db2.change_log,
+                db.accelerator,
+                db.interconnect,
+                db.catalog,
+                health=db.health,
+                tracer=db.tracer,
+                metrics=db.metrics,
+                faults=db.faults,
+                batch_size=size,
+            )
 
     def test_constructor_validates_batch_size(self):
         with pytest.raises(ValueError):
@@ -283,8 +293,8 @@ class TestResilientReplication:
 
     def test_partial_multi_table_batch_never_double_applies(self, db, conn):
         """Table A applies, table B's send fails, the batch is abandoned;
-        the later re-drain must skip A's already-applied records even when
-        the caller changes the batch size."""
+        the later re-drain ships A's records again and the engine's
+        applied-LSN watermark drops them, even with a new batch size."""
         db.auto_replicate = False
         conn.execute("CREATE TABLE A (X INTEGER NOT NULL PRIMARY KEY)")
         conn.execute("CREATE TABLE B (Y INTEGER NOT NULL PRIMARY KEY)")
@@ -301,7 +311,10 @@ class TestResilientReplication:
         assert db.replication.backlog == 6  # cursor did not move
         db.faults.remove(rule)
         db.health.reset()
-        assert db.replication.drain(batch_size=2) == 3  # only B's records
+        deduplicated = db.accelerator.records_deduplicated
+        db.replication.batch_size = 2
+        assert db.replication.drain() == 3  # only B's records
+        assert db.accelerator.records_deduplicated - deduplicated == 3
         conn.set_acceleration("ALL")
         assert conn.execute("SELECT x FROM a ORDER BY x").rows == [
             (1,), (2,), (3,)
@@ -309,6 +322,22 @@ class TestResilientReplication:
         assert conn.execute("SELECT y FROM b ORDER BY y").rows == [
             (10,), (20,), (30,)
         ]
+
+    def test_reload_after_abandoned_batch_counts_its_skips(self, db, conn):
+        """A reload between an abandoned batch and its retry turns the
+        batch's records into skips, counted when the cursor passes them."""
+        db.auto_replicate = False
+        accelerated_items(db, conn, rows=4)
+        conn.execute("UPDATE items SET v = 0")
+        cursor = db.replication.cursor_lsn
+        with db.faults.forced("interconnect"):
+            assert db.replication.drain() == 0
+        db.reload_accelerated_table("ITEMS")
+        db.health.reset()
+        skipped = db.replication.records_skipped
+        assert db.replication.drain() == 0
+        assert db.replication.cursor_lsn - cursor == 4
+        assert db.replication.records_skipped - skipped == 4
 
     def test_all_skipped_batch_does_not_count_as_applied(self, db, conn):
         db.auto_replicate = False
@@ -344,15 +373,15 @@ class TestResilientReplication:
         with db.faults.forced("accelerator", kind="crash"):
             db.replication.drain()
         stats = db.replication.stats()
-        assert stats.retries == db.replication.max_retries
+        assert stats.retries == replication.MAX_RETRIES
         assert stats.simulated_backoff_seconds > 0
         # Jittered sum of base * 2^k is bounded by the un-jittered sum.
         ceiling = sum(
             min(
-                db.replication.backoff_cap_seconds,
-                db.replication.backoff_base_seconds * 2.0 ** attempt,
+                replication.BACKOFF_CAP_SECONDS,
+                replication.BACKOFF_BASE_SECONDS * 2.0 ** attempt,
             )
-            for attempt in range(db.replication.max_retries)
+            for attempt in range(replication.MAX_RETRIES)
         )
         assert stats.simulated_backoff_seconds <= ceiling
 

@@ -15,7 +15,7 @@ from repro.obs.export import (
 
 
 def make_db(**kwargs):
-    defaults = dict(offload_row_threshold=0, cooldown_seconds=3600.0)
+    defaults = dict(cooldown_seconds=3600.0)
     defaults.update(kwargs)
     return AcceleratedDatabase(**defaults)
 

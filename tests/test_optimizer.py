@@ -496,12 +496,12 @@ class TestSystemIntegration:
         record = db.statement_history[-1]
         assert "cost accelerator=" in record.reason
 
-    def test_heuristic_fallback_without_statistics(self, monkeypatch):
+    def test_no_statistics_keeps_query_on_db2(self, monkeypatch):
         db, conn = star_db()
         from repro.federation import system as system_module
 
-        # No cardinality for any referenced table: the cost model stands
-        # down and the legacy shape/row-threshold heuristic routes.
+        # No cardinality for any referenced table: there is no cost
+        # advice, so ENABLE keeps even an aggregate on DB2.
         monkeypatch.setattr(
             system_module.AcceleratedDatabase,
             "_live_row_count",
@@ -509,8 +509,8 @@ class TestSystemIntegration:
         )
         explained = conn.explain("SELECT SUM(V) FROM FACT")
         assert explained["cost"] is None
-        assert explained["engine"] == "ACCELERATOR"
-        assert explained["reason"] == "analytical query shape"
+        assert explained["engine"] == "DB2"
+        assert explained["reason"] == "no cardinality estimate"
 
     def test_zone_map_seeding_on_accelerate(self):
         db, conn = star_db()

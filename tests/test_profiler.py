@@ -19,7 +19,7 @@ from tests.test_query_fuzz import _corpus, random_query
 
 
 def make_db(**kwargs):
-    defaults = dict(offload_row_threshold=0, cooldown_seconds=3600.0)
+    defaults = dict(cooldown_seconds=3600.0)
     defaults.update(kwargs)
     return AcceleratedDatabase(**defaults)
 

@@ -59,9 +59,12 @@ class TestDrain:
     def test_drain_in_batches(self, db, conn):
         conn.execute("UPDATE items SET v = 0")
         assert db.replication.backlog == 100
-        assert db.replication.drain(batch_size=30, max_batches=2) == 60
-        assert db.replication.backlog == 40
-        assert db.replication.drain(batch_size=30) == 40
+        db.replication.batch_size = 30
+        batches = db.replication.batches_applied
+        assert db.replication.drain() == 100
+        assert db.replication.batches_applied - batches == 4
+        assert db.replication.drain_history[-1].batches == 4
+        assert db.replication.backlog == 0
         assert accel_sum(conn) == 0.0
 
     def test_drain_empty_log_is_noop(self, db, conn):
@@ -275,9 +278,9 @@ class TestCursorIndependence:
         for i in range(10):
             conn.execute(f"INSERT INTO ITEMS VALUES ({200 + i}, 1.0)")
             conn.execute(f"INSERT INTO SIDE VALUES ({10 + i}, 1.0)")
-        # Tiny batches so the two feeds interleave across many drains.
-        while db.replication.drain(batch_size=3, max_batches=1):
-            pass
+        # Tiny batches so the two feeds interleave across many batches.
+        db.replication.batch_size = 3
+        assert db.replication.drain() == 20
         conn.set_acceleration("ALL")
         assert conn.execute("SELECT COUNT(*) FROM items").scalar() == 110
         assert conn.execute("SELECT COUNT(*) FROM side").scalar() == 11
@@ -316,8 +319,8 @@ class TestCursorIndependence:
         for i in range(8):
             conn.execute(f"INSERT INTO ITEMS VALUES ({100 + i}, 1.0)")
             conn.execute(f"INSERT INTO SIDE VALUES ({1 + i}, 1.0)")
-        while db.replication.drain(batch_size=3, max_batches=1):
-            pass
+        db.replication.batch_size = 3
+        assert db.replication.drain() == 16
         conn.set_acceleration("ALL")
         assert conn.execute("SELECT COUNT(*) FROM items").scalar() == 28
         assert conn.execute("SELECT COUNT(*) FROM side").scalar() == 9

@@ -6,6 +6,7 @@ from repro.catalog import Catalog, Column, TableLocation, TableSchema
 from repro.errors import RoutingError
 from repro.federation.router import AccelerationMode, QueryRouter
 from repro.sql import parse_statement
+from repro.sql.stats import PlanCost
 from repro.sql.types import DOUBLE, INTEGER, VarcharType
 
 
@@ -27,14 +28,20 @@ def router():
         "AOT", plain, location=TableLocation.ACCELERATOR_ONLY
     )
     catalog.create_table("PLAIN", plain, location=TableLocation.DB2_ONLY)
-    return QueryRouter(catalog, offload_row_threshold=1000)
+    return QueryRouter(catalog)
 
 
-def route(router, sql, mode="ENABLE", rows=None):
+#: Cost advice for a query the accelerator runs cheaper, and for one it
+#: does not (a small scan pays the round trip).
+OFFLOAD = PlanCost(db2=1000.0, accelerator=60.0)
+STAY = PlanCost(db2=10.0, accelerator=30.0)
+
+
+def route(router, sql, mode="ENABLE", cost=None):
     return router.route_query(
         router.classify(parse_statement(sql)),
         AccelerationMode(mode),
-        estimated_rows=rows,
+        cost_advice=cost,
     )
 
 
@@ -73,7 +80,7 @@ class TestAccelerationModes:
         assert decision.engine == "DB2"
 
     def test_all_offloads_small_scans(self, router):
-        decision = route(router, "SELECT x FROM accel2", mode="ALL", rows=1)
+        decision = route(router, "SELECT x FROM accel2", mode="ALL", cost=STAY)
         assert decision.engine == "ACCELERATOR"
 
     def test_non_accelerated_table_stays_on_db2_even_under_all(self, router):
@@ -87,14 +94,17 @@ class TestAccelerationModes:
         assert decision.engine == "DB2"
 
 
-class TestEnableHeuristics:
+class TestEnableRouting:
+    """Under ENABLE a point lookup stays on DB2; every other query
+    follows the cost advice, and without advice it stays on DB2."""
+
     def test_aggregate_offloads(self, router):
-        decision = route(router, "SELECT SUM(y) FROM accel2", rows=10)
+        decision = route(router, "SELECT SUM(y) FROM accel2", cost=OFFLOAD)
         assert decision.engine == "ACCELERATOR"
 
     def test_group_by_offloads(self, router):
         decision = route(
-            router, "SELECT x, COUNT(*) FROM accel2 GROUP BY x", rows=10
+            router, "SELECT x, COUNT(*) FROM accel2 GROUP BY x", cost=OFFLOAD
         )
         assert decision.engine == "ACCELERATOR"
 
@@ -102,43 +112,54 @@ class TestEnableHeuristics:
         decision = route(
             router,
             "SELECT * FROM accel a JOIN accel2 b ON a.id = b.x",
-            rows=10,
+            cost=OFFLOAD,
         )
         assert decision.engine == "ACCELERATOR"
 
     def test_point_lookup_stays_on_db2(self, router):
-        decision = route(router, "SELECT v FROM accel WHERE id = 5", rows=10**6)
+        decision = route(router, "SELECT v FROM accel WHERE id = 5", cost=OFFLOAD)
         assert decision.engine == "DB2"
         assert "point lookup" in decision.reason
 
     def test_point_lookup_needs_full_key(self, router):
-        # V = 5 is not a key predicate; large table → offload.
-        decision = route(
-            router, "SELECT id FROM accel WHERE v = 5", rows=10**6
-        )
+        # V = 5 is not a key predicate; the cost advice decides.
+        decision = route(router, "SELECT id FROM accel WHERE v = 5", cost=OFFLOAD)
         assert decision.engine == "ACCELERATOR"
 
     def test_small_plain_scan_stays_on_db2(self, router):
-        decision = route(router, "SELECT x FROM accel2 WHERE y > 1", rows=10)
+        decision = route(router, "SELECT x FROM accel2 WHERE y > 1", cost=STAY)
         assert decision.engine == "DB2"
+        assert decision.reason == STAY.describe()
 
     def test_large_plain_scan_offloads(self, router):
-        decision = route(
-            router, "SELECT x FROM accel2 WHERE y > 1", rows=10**6
-        )
+        decision = route(router, "SELECT x FROM accel2 WHERE y > 1", cost=OFFLOAD)
         assert decision.engine == "ACCELERATOR"
+        assert decision.reason == OFFLOAD.describe()
 
-    def test_set_operation_is_analytical(self, router):
+    def test_set_operation_follows_cost(self, router):
         decision = route(
             router,
             "SELECT x FROM accel2 UNION SELECT id FROM accel",
-            rows=10,
+            cost=STAY,
         )
-        assert decision.engine == "ACCELERATOR"
+        assert decision.engine == "DB2"
 
-    def test_distinct_is_analytical(self, router):
-        decision = route(router, "SELECT DISTINCT x FROM accel2", rows=10)
-        assert decision.engine == "ACCELERATOR"
+    def test_distinct_follows_cost(self, router):
+        decision = route(router, "SELECT DISTINCT x FROM accel2", cost=STAY)
+        assert decision.engine == "DB2"
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT SUM(y) FROM accel2",
+            "SELECT * FROM accel a JOIN accel2 b ON a.id = b.x",
+            "SELECT x FROM accel2 WHERE y > 1",
+        ],
+    )
+    def test_no_estimate_stays_on_db2(self, router, sql):
+        decision = route(router, sql)
+        assert decision.engine == "DB2"
+        assert decision.reason == "no cardinality estimate"
 
 
 class TestDmlRouting:
@@ -151,11 +172,9 @@ class TestDmlRouting:
 
 
 class TestCostAdvice:
-    """Optimizer cost advice replaces the ENABLE row-threshold heuristic."""
+    """Optimizer cost advice decides ENABLE-mode offload."""
 
     def test_advice_prefers_accelerator(self, router):
-        from repro.sql.stats import PlanCost
-
         decision = router.route_query(
             router.classify(parse_statement("SELECT x FROM accel2 WHERE y > 1")),
             AccelerationMode("ENABLE"),
@@ -165,10 +184,7 @@ class TestCostAdvice:
         assert decision.reason == "cost accelerator=10 vs db2=100"
 
     def test_advice_prefers_db2(self, router):
-        from repro.sql.stats import PlanCost
-
-        # The shape heuristic alone would offload this aggregate; the
-        # cost advice keeps a cheap one on DB2.
+        # A cheap aggregate stays on DB2.
         decision = router.route_query(
             router.classify(parse_statement("SELECT SUM(y) FROM accel2")),
             AccelerationMode("ENABLE"),
@@ -177,8 +193,6 @@ class TestCostAdvice:
         assert decision.engine == "DB2"
 
     def test_point_lookup_precedes_advice(self, router):
-        from repro.sql.stats import PlanCost
-
         decision = router.route_query(
             router.classify(parse_statement("SELECT v FROM accel WHERE id = 5")),
             AccelerationMode("ENABLE"),
@@ -188,8 +202,6 @@ class TestCostAdvice:
         assert "point lookup" in decision.reason
 
     def test_mode_semantics_precede_advice(self, router):
-        from repro.sql.stats import PlanCost
-
         decision = router.route_query(
             router.classify(parse_statement("SELECT x FROM accel2")),
             AccelerationMode("NONE"),
