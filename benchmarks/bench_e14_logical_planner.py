@@ -212,19 +212,15 @@ def test_e14_plan_cache_hit_rate(record):
     record(
         "E14 logical planner",
         f"plan cache: repeats={CACHE_REPEATS} hit_rate={hit_rate:.4f} "
-        f"logical_plans_cached={cached_logical} "
-        f"kernel_hits={snapshot['kernel_hits']}",
+        f"logical_plans_cached={cached_logical}",
     )
     # PR-3 baseline: the repeated-statement hit rate stays >= 98%.
     assert hit_rate >= 0.98
     assert cached_logical == len(statements)
-    assert snapshot["kernel_hits"] > 0
     _RESULTS["plan_cache"] = {
         "repeats": CACHE_REPEATS,
         "hit_rate": round(hit_rate, 4),
         "logical_plans_cached": cached_logical,
-        "kernel_hits": snapshot["kernel_hits"],
-        "kernel_misses": snapshot["kernel_misses"],
     }
 
 

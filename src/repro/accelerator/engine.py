@@ -38,7 +38,7 @@ from repro.errors import (
     ShardUnavailableError,
     UnknownObjectError,
 )
-from repro.obs.trace import NULL_SPAN
+from repro.obs.trace import Tracer
 from repro.shard.placement import PartitionSpec, default_spec
 from repro.shard.pool import AcceleratorShard, ShardedTable
 from repro.sql import ast
@@ -128,9 +128,10 @@ class AcceleratorEngine:
         #: query/apply entry point consults it before touching storage, so
         #: an injected crash never leaves a half-written batch behind.
         self.fault_injector = fault_injector
-        #: Optional :class:`repro.obs.trace.Tracer`; SELECTs become
-        #: ``accelerator.execute`` spans under the statement trace.
-        self.tracer = tracer
+        #: The federation's :class:`repro.obs.trace.Tracer` (a disabled
+        #: one for a bare engine); SELECTs become ``accelerator.execute``
+        #: spans under the statement trace.
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._tables: dict[str, ShardedTable] = {}
         #: Replication-apply cache: table -> {row tuple: [row ids]}.
         #: Maintained incrementally by apply_changes; any other write path
@@ -759,30 +760,15 @@ class AcceleratorEngine:
         params: Sequence[object] = (),
         snapshot_epoch: Optional[int] = None,
         deltas: Optional[dict[str, DeltaBuffer]] = None,
-        kernel_cache=None,
         plan=None,
         profile=None,
-        estimates=None,
     ) -> tuple[list[str], list[tuple]]:
         epoch = self.current_epoch if snapshot_epoch is None else snapshot_epoch
-        tracer = self.tracer
-        span = (
-            tracer.span("accelerator.execute", epoch=epoch)
-            if tracer is not None and tracer.enabled
-            else NULL_SPAN
-        )
-        with span:
+        with self.tracer.span("accelerator.execute", epoch=epoch) as span:
             scanned_before = self.rows_scanned
             self._check_fault()
             provider = _SnapshotProvider(self, epoch, deltas)
-            engine = VectorQueryEngine(
-                provider,
-                params,
-                kernel_cache=kernel_cache,
-                tracer=tracer,
-                profile=profile,
-                estimates=estimates,
-            )
+            engine = VectorQueryEngine(provider, params, profile=profile)
             columns, rows = engine.execute(plan if plan is not None else stmt)
             self.queries_executed += 1
             span.annotate(

@@ -18,7 +18,6 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from typing import Callable, Optional, Protocol, Sequence, Union
 
 import numpy as np
@@ -45,11 +44,7 @@ from repro.sql.planning import (
     resolve_order_position,
     split_conjuncts,
 )
-from repro.sql.stats import CostModel
 from repro.accelerator.vtable import VTable, column_codes, order_indexes, rows_from_columns
-
-#: Shared strategy thresholds for the estimate-driven join choice.
-_COST_MODEL = CostModel()
 
 #: The LIMIT window of a statement without one.
 _NO_WINDOW = slice(None)
@@ -115,31 +110,14 @@ class VectorQueryEngine:
         self,
         provider: VectorTableProvider,
         params: Sequence[object] = (),
-        kernel_cache=None,
-        tracer=None,
         profile=None,
-        estimates=None,
     ) -> None:
         self._provider = provider
         self._params = params
-        #: Optional cardinality estimates keyed by id(plan node); when
-        #: present, INNER joins of tiny products take the vectorised
-        #: cross-filter path instead of the pairing kernel. Both are
-        #: byte-identical.
-        self._estimates = estimates if estimates is not None else {}
         #: Optional StatementProfile (repro.obs.profile); when set, each
         #: plan operator reports rows/wall-time/chunks-pruned into it.
         #: Disabled cost: one ``is None`` check per operator.
         self._profile = profile
-        #: Optional compiled-kernel cache (``get``/``put``) owned by the
-        #: statement's cached plan. Only subquery-free expressions are
-        #: cached: subquery kernels close over a resolver bound to this
-        #: execution's snapshot. Keys include the params tuple because
-        #: parameter values are baked into the compiled closures.
-        self._kernel_cache = kernel_cache
-        #: Optional repro.obs tracer; when enabled, each plan operator
-        #: emits an ``op.*`` child span so MON_SPANS shows plan shape.
-        self.tracer = tracer
         #: The statement's work budget, captured once at engine
         #: construction (one engine per statement), so every operator
         #: checkpoint reads one attribute instead of the contextvar.
@@ -170,12 +148,6 @@ class VectorQueryEngine:
         if self._budget is not None:
             self._budget.check()
 
-    def _op_span(self, name: str, **attrs):
-        tracer = self.tracer
-        if tracer is None or not getattr(tracer, "enabled", False):
-            return nullcontext()
-        return tracer.span(f"op.{name}", **attrs)
-
     def _stats(self, node: logical.PlanNode):
         """This node's OperatorStats, or None when profiling is off."""
         profile = self._profile
@@ -191,62 +163,27 @@ class VectorQueryEngine:
             lambda query: self.execute(query)[1],
         )
 
-    def _compile_where(self, where: ast.Expression, scope: Scope) -> Callable:
-        """Compile a WHERE predicate, reusing the plan's kernel cache.
-
-        Subquery-bearing predicates are compiled fresh every time (their
-        resolver captures this execution's snapshot); everything else is
-        cached by (expression identity, scope, params). Each entry pins
-        the expression object it was compiled from and is validated by
-        identity on lookup: predicates of ephemeral ASTs (bound
-        correlated subqueries) die after execution, and without the pin a
-        later AST could be allocated at the recycled address and collide
-        on ``id`` — serving a kernel compiled for a different literal.
-        """
-        if self._kernel_cache is None or _contains_subquery(where):
-            return compile_vector(
-                where, scope, self._params, self._resolver(scope)
-            )
-        try:
-            # Typed: 2 and 2.0 are equal keys but compile different
-            # kernels (integer division truncates).
-            params = tuple(self._params)
-            key = (
-                id(where), tuple(scope.entries), params,
-                tuple(map(type, params)),
-            )
-            hash(key)
-        except TypeError:
-            return compile_vector(where, scope, self._params)
-        entry = self._kernel_cache.get(key)
-        if entry is not None and entry[0] is where:
-            return entry[1]
-        fn = compile_vector(where, scope, self._params)
-        self._kernel_cache.put(key, (where, fn))
-        return fn
-
     # -- plan walker -------------------------------------------------------------
 
     def _execute_plan(self, node: logical.PlanNode) -> tuple[list[str], VTable]:
         self._checkpoint()
         if isinstance(node, logical.Limit):
-            with self._op_span("limit"):
-                stats = self._stats(node)
-                started = time.perf_counter() if stats is not None else 0.0
-                start = node.offset or 0
-                window = slice(
-                    start, None if node.limit is None else start + node.limit
-                )
-                if isinstance(node.child, logical.Sort):
-                    # Top-N: the sort slices its order vector by the
-                    # window before gathering any row.
-                    columns, table = self._execute_sort(node.child, window)
-                else:
-                    columns, table = self._execute_plan(node.child)
-                    table = table.take(np.arange(table.length)[window])
-                if stats is not None:
-                    stats.observe(table.length, time.perf_counter() - started)
-                return columns, table
+            stats = self._stats(node)
+            started = time.perf_counter() if stats is not None else 0.0
+            start = node.offset or 0
+            window = slice(
+                start, None if node.limit is None else start + node.limit
+            )
+            if isinstance(node.child, logical.Sort):
+                # Top-N: the sort slices its order vector by the
+                # window before gathering any row.
+                columns, table = self._execute_sort(node.child, window)
+            else:
+                columns, table = self._execute_plan(node.child)
+                table = table.take(np.arange(table.length)[window])
+            if stats is not None:
+                stats.observe(table.length, time.perf_counter() - started)
+            return columns, table
         if isinstance(node, logical.Sort):
             return self._execute_sort(node)
         if isinstance(node, logical.SetOp):
@@ -266,25 +203,24 @@ class VectorQueryEngine:
         stats = self._stats(node)
         started = time.perf_counter() if stats is not None else 0.0
         child = node.child
-        with self._op_span("sort"):
-            # Projection and aggregation fuse their ORDER BY (keys may
-            # reference the pre-projection input scope); set operations
-            # sort over output columns.
-            if isinstance(child, logical.Aggregate) or (
-                isinstance(child, logical.Project) and child.child is not None
-            ):
-                columns, table, ordered = self._execute_select(
-                    child, node.order_by, window
-                )
-            else:
-                columns, table = self._execute_plan(child)
-                named = VTable(
-                    Scope([(None, name) for name in columns]),
-                    table.columns,
-                    table.length,
-                )
-                keys = self._order_keys(node.order_by, table.columns, named, {})
-                table, ordered = _arrange(table, keys, node.order_by, False, window)
+        # Projection and aggregation fuse their ORDER BY (keys may
+        # reference the pre-projection input scope); set operations
+        # sort over output columns.
+        if isinstance(child, logical.Aggregate) or (
+            isinstance(child, logical.Project) and child.child is not None
+        ):
+            columns, table, ordered = self._execute_select(
+                child, node.order_by, window
+            )
+        else:
+            columns, table = self._execute_plan(child)
+            named = VTable(
+                Scope([(None, name) for name in columns]),
+                table.columns,
+                table.length,
+            )
+            keys = self._order_keys(node.order_by, table.columns, named, {})
+            table, ordered = _arrange(table, keys, node.order_by, False, window)
         if stats is not None:
             stats.observe(ordered, time.perf_counter() - started)
         return columns, table
@@ -323,10 +259,9 @@ class VectorQueryEngine:
     def _execute_set_op(self, node: logical.SetOp) -> tuple[list[str], VTable]:
         stats = self._stats(node)
         started = time.perf_counter() if stats is not None else 0.0
-        with self._op_span("setop", op=node.op):
-            left_cols, left = self._execute_plan(node.left)
-            right_cols, right = self._execute_plan(node.right)
-            table = _combine_set_tables(node.op, left, right)
+        left_cols, left = self._execute_plan(node.left)
+        right_cols, right = self._execute_plan(node.right)
+        table = _combine_set_tables(node.op, left, right)
         if stats is not None:
             stats.observe(table.length, time.perf_counter() - started)
         return left_cols, table
@@ -344,15 +279,14 @@ class VectorQueryEngine:
         stats = self._stats(node)
         started = time.perf_counter() if stats is not None else 0.0
         aggregate = isinstance(node, logical.Aggregate)
-        with self._op_span("aggregate" if aggregate else "project"):
-            if not aggregate and node.child is None:
-                columns, table = self._constant_select(node.select_items)
-                keys: list[VColumn] = []
-            else:
-                source = self._build_table(node.child)
-                produce = self._aggregate if aggregate else self._project
-                columns, table, keys = produce(node, order_by, source)
-            table, produced = _arrange(table, keys, order_by, node.distinct, window)
+        if not aggregate and node.child is None:
+            columns, table = self._constant_select(node.select_items)
+            keys: list[VColumn] = []
+        else:
+            source = self._build_table(node.child)
+            produce = self._aggregate if aggregate else self._project
+            columns, table, keys = produce(node, order_by, source)
+        table, produced = _arrange(table, keys, order_by, node.distinct, window)
         if stats is not None:
             stats.observe(produced, time.perf_counter() - started)
         return columns, table, produced
@@ -405,22 +339,20 @@ class VectorQueryEngine:
                 else ast.BinaryOp(op="AND", left=hint, right=node.predicate)
             )
             table = self._build_table(node.child, hint=child_hint)
-            with self._op_span("filter"):
-                stats = self._stats(node)
-                started = time.perf_counter() if stats is not None else 0.0
-                result = self._filter_table(table, node.predicate)
-                if stats is not None:
-                    stats.observe(
-                        result.length,
-                        time.perf_counter() - started,
-                        rows_in=table.length,
-                    )
-                return result
+            stats = self._stats(node)
+            started = time.perf_counter() if stats is not None else 0.0
+            result = self._filter_table(table, node.predicate)
+            if stats is not None:
+                stats.observe(
+                    result.length,
+                    time.perf_counter() - started,
+                    rows_in=table.length,
+                )
+            return result
         if isinstance(node, logical.SubqueryBind):
             stats = self._stats(node)
             started = time.perf_counter() if stats is not None else 0.0
-            with self._op_span("subquery", alias=node.alias):
-                columns, table = self._execute_plan(node.plan)
+            columns, table = self._execute_plan(node.plan)
             scope = Scope([(node.alias, name) for name in columns])
             if stats is not None:
                 stats.observe(table.length, time.perf_counter() - started)
@@ -436,7 +368,9 @@ class VectorQueryEngine:
         raise ParseError(f"cannot execute plan node {type(node).__name__}")
 
     def _filter_table(self, table: VTable, predicate: ast.Expression) -> VTable:
-        fn = self._compile_where(predicate, table.scope)
+        fn = compile_vector(
+            predicate, table.scope, self._params, self._resolver(table.scope)
+        )
         return table.filter(_truth(fn(table.columns, table.length)))
 
     # -- scans ------------------------------------------------------------------------
@@ -489,15 +423,14 @@ class VectorQueryEngine:
         column_names = (
             [c.name for c in cols] if scan.columns is not None else None
         )
-        with self._op_span("scan", table=scan.table):
-            columns, length = self._provider.scan_columns(
-                scan.table, ranges or None, columns=column_names
-            )
-            self.rows_scanned += length
-            ordered = [columns[c.name] for c in cols]
-            table = VTable(scope, ordered, length)
-            if parts:
-                table = self._filter_table(table, _and_all(parts))
+        columns, length = self._provider.scan_columns(
+            scan.table, ranges or None, columns=column_names
+        )
+        self.rows_scanned += length
+        ordered = [columns[c.name] for c in cols]
+        table = VTable(scope, ordered, length)
+        if parts:
+            table = self._filter_table(table, _and_all(parts))
         return table
 
     # -- joins -----------------------------------------------------------------------
@@ -512,17 +445,9 @@ class VectorQueryEngine:
             # RIGHT OUTER = LEFT OUTER with swapped inputs + column remap.
             left_node, right_node = right_node, left_node
             join_type = "LEFT"
-        with self._op_span("join", join_type=join.join_type):
-            left = self._build_table(left_node, hint=hint)
-            right = self._build_table(right_node, hint=hint)
-            estimates = (
-                (self._estimates.get(id(left_node)), self._estimates.get(id(right_node)))
-                if self._estimates
-                else (None, None)
-            )
-            table = self._join_tables(
-                left, right, join_type, join.condition, estimates=estimates
-            )
+        left = self._build_table(left_node, hint=hint)
+        right = self._build_table(right_node, hint=hint)
+        table = self._join_tables(left, right, join_type, join.condition)
         if not swap:
             return table
         cut = len(left.scope)  # width of the original right side
@@ -536,7 +461,6 @@ class VectorQueryEngine:
         right: VTable,
         join_type: str,
         condition: Optional[ast.Expression],
-        estimates: tuple[Optional[int], Optional[int]] = (None, None),
     ) -> VTable:
         combined_scope = Scope(left.scope.entries + right.scope.entries)
 
@@ -548,15 +472,8 @@ class VectorQueryEngine:
         if join_type not in ("INNER", "LEFT"):
             raise ParseError(f"unsupported join type {join_type}")
 
-        est_left, est_right = estimates
-        if join_type == "INNER" and _COST_MODEL.prefer_nested_loop(est_left, est_right):
-            # Tiny product: one vectorised cross-filter beats coding the
-            # keys. Candidate pairs come out in the same (left, right)
-            # lexicographic order as the pairing kernel's.
-            return self._nested_join(
-                left, right, condition, combined_scope, join_type
-            )
-
+        # One physical join per join kind: an equi-join runs the pairing
+        # kernel; anything else filters the cross product.
         left_keys, right_keys, residual = self._split_equi(
             condition, left.scope, right.scope
         )
@@ -919,12 +836,6 @@ def _truth(result: VColumn) -> np.ndarray:
     if result.mask is not None:
         mask &= ~result.mask
     return mask
-
-
-def _contains_subquery(expr: ast.Expression) -> bool:
-    return any(
-        isinstance(node, ast.SubqueryExpression) for node in expr.walk()
-    )
 
 
 def _and_all(conjuncts: Sequence[ast.Expression]) -> ast.Expression:

@@ -366,9 +366,7 @@ class Db2Engine:
         stmt,
         params: Sequence[object] = (),
         plan=None,
-        tracer=None,
         profile=None,
-        estimates=None,
     ) -> tuple[list[str], list[tuple]]:
         """Run a SELECT (or set operation) against DB2-resident tables.
 
@@ -376,15 +374,12 @@ class Db2Engine:
         for ``stmt`` (from the statement plan cache); the index fast path
         still inspects the AST, so both are passed. ``profile`` is an
         optional :class:`repro.obs.profile.StatementProfile` the plan
-        walker fills with per-operator runtime stats. ``estimates`` maps
-        id(plan node) -> estimated rows and steers join strategies.
+        walker fills with per-operator runtime stats.
         """
         txn.require_active()
         overrides = self._point_lookup_overrides(stmt, txn, params)
         provider = _TxnTableProvider(self, txn, overrides)
-        engine = RowQueryEngine(
-            provider, params, tracer=tracer, profile=profile, estimates=estimates
-        )
+        engine = RowQueryEngine(provider, params, profile=profile)
         columns, rows = engine.execute(plan if plan is not None else stmt)
         self.rows_read += engine.rows_examined
         self.statements_executed += 1

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import nullcontext
 from typing import Callable, Iterator, Optional, Protocol, Sequence, Union
 
 from repro.catalog.schema import TableSchema
@@ -38,13 +37,9 @@ from repro.sql.planning import (
     sort_rows_with_keys as _sort_with_precomputed,
     split_conjuncts,
 )
-from repro.sql.stats import CostModel
 from repro.wlm.budget import current_budget
 
 __all__ = ["TableProvider", "RowQueryEngine", "canonicalize"]
-
-#: Shared strategy thresholds for the estimate-driven join choice.
-_COST_MODEL = CostModel()
 
 #: Rows between cooperative budget checks in the row-at-a-time scan.
 #: Small enough that a timed-out statement stops within microseconds,
@@ -224,19 +219,10 @@ class RowQueryEngine:
         self,
         provider: TableProvider,
         params: Sequence[object] = (),
-        tracer=None,
         profile=None,
-        estimates=None,
     ) -> None:
         self._provider = provider
         self._params = params
-        #: Optional cardinality estimates keyed by id(plan node); when
-        #: present, INNER joins pick nested-loop vs hash and the hash
-        #: build side from them. All strategies are byte-identical.
-        self._estimates = estimates if estimates is not None else {}
-        #: Optional repro.obs tracer; when enabled, each plan operator
-        #: emits an ``op.*`` child span so MON_SPANS shows plan shape.
-        self.tracer = tracer
         #: Optional StatementProfile (repro.obs.profile); when set, each
         #: plan operator reports rows/wall-time into it. Streaming
         #: operators are wrapped in counting generators, so the disabled
@@ -260,12 +246,6 @@ class RowQueryEngine:
             plan = logical.plan_statement(stmt)
         return self._execute_plan(plan)
 
-    def _op_span(self, name: str, **attrs):
-        tracer = self.tracer
-        if tracer is None or not getattr(tracer, "enabled", False):
-            return nullcontext()
-        return tracer.span(f"op.{name}", **attrs)
-
     def _stats(self, node: logical.PlanNode):
         """This node's OperatorStats, or None when profiling is off."""
         profile = self._profile
@@ -277,14 +257,13 @@ class RowQueryEngine:
 
     def _execute_plan(self, node: logical.PlanNode) -> tuple[list[str], list[tuple]]:
         if isinstance(node, logical.Limit):
-            with self._op_span("limit"):
-                stats = self._stats(node)
-                started = time.perf_counter() if stats is not None else 0.0
-                columns, rows = self._execute_plan(node.child)
-                out = logical.slice_rows(rows, node.offset, node.limit)
-                if stats is not None:
-                    stats.observe(len(out), time.perf_counter() - started)
-                return columns, out
+            stats = self._stats(node)
+            started = time.perf_counter() if stats is not None else 0.0
+            columns, rows = self._execute_plan(node.child)
+            out = logical.slice_rows(rows, node.offset, node.limit)
+            if stats is not None:
+                stats.observe(len(out), time.perf_counter() - started)
+            return columns, out
         if isinstance(node, logical.Sort):
             stats = self._stats(node)
             if stats is None:
@@ -304,28 +283,26 @@ class RowQueryEngine:
     def _execute_sorted(
         self, child: logical.PlanNode, order_by: Sequence[ast.OrderItem]
     ) -> tuple[list[str], list[tuple]]:
-        with self._op_span("sort"):
-            # Projection and aggregation fuse their ORDER BY (keys may
-            # reference the pre-projection input scope); everything else
-            # (set operations) sorts over output columns.
-            if isinstance(child, logical.Aggregate):
-                return self._execute_aggregate(child, order_by)
-            if isinstance(child, logical.Project) and child.child is not None:
-                return self._execute_project(child, order_by)
-            columns, rows = self._execute_plan(child)
-            return columns, logical.order_rows_by_output(
-                columns, rows, order_by, self._params
-            )
+        # Projection and aggregation fuse their ORDER BY (keys may
+        # reference the pre-projection input scope); everything else
+        # (set operations) sorts over output columns.
+        if isinstance(child, logical.Aggregate):
+            return self._execute_aggregate(child, order_by)
+        if isinstance(child, logical.Project) and child.child is not None:
+            return self._execute_project(child, order_by)
+        columns, rows = self._execute_plan(child)
+        return columns, logical.order_rows_by_output(
+            columns, rows, order_by, self._params
+        )
 
     def _execute_set_op(self, node: logical.SetOp) -> tuple[list[str], list[tuple]]:
         stats = self._stats(node)
         started = time.perf_counter() if stats is not None else 0.0
-        with self._op_span("setop", op=node.op):
-            left_cols, left_rows = self._execute_plan(node.left)
-            right_cols, right_rows = self._execute_plan(node.right)
-            rows = logical.combine_set_rows(
-                node.op, left_cols, left_rows, right_cols, right_rows
-            )
+        left_cols, left_rows = self._execute_plan(node.left)
+        right_cols, right_rows = self._execute_plan(node.right)
+        rows = logical.combine_set_rows(
+            node.op, left_cols, left_rows, right_cols, right_rows
+        )
         if stats is not None:
             stats.observe(len(rows), time.perf_counter() - started)
         return left_cols, rows
@@ -340,11 +317,10 @@ class RowQueryEngine:
                 stats.observe(len(out_rows), 0.0)
             return columns, out_rows
         started = time.perf_counter() if stats is not None else 0.0
-        with self._op_span("project"):
-            rows, scope = self._build_input(node.child)
-            columns, out_rows = self._project(
-                node.select_items, order_by, rows, scope
-            )
+        rows, scope = self._build_input(node.child)
+        columns, out_rows = self._project(
+            node.select_items, order_by, rows, scope
+        )
         if node.distinct:
             out_rows = logical.dedup_rows(out_rows)
         if stats is not None:
@@ -356,9 +332,8 @@ class RowQueryEngine:
     ) -> tuple[list[str], list[tuple]]:
         stats = self._stats(node)
         started = time.perf_counter() if stats is not None else 0.0
-        with self._op_span("aggregate"):
-            rows, scope = self._build_input(node.child)
-            columns, out_rows = self._aggregate(node, order_by, rows, scope)
+        rows, scope = self._build_input(node.child)
+        columns, out_rows = self._aggregate(node, order_by, rows, scope)
         if node.distinct:
             out_rows = logical.dedup_rows(out_rows)
         if stats is not None:
@@ -401,10 +376,9 @@ class RowQueryEngine:
             return self._build_scan(node)
         if isinstance(node, logical.Filter):
             rows, scope = self._build_input(node.child)
-            with self._op_span("filter"):
-                predicate = compile_scalar(
-                    node.predicate, scope, self._params, self._resolver(scope)
-                )
+            predicate = compile_scalar(
+                node.predicate, scope, self._params, self._resolver(scope)
+            )
             filtered: Iterator[tuple] = (
                 row for row in rows if predicate(row) is True
             )
@@ -415,8 +389,7 @@ class RowQueryEngine:
         if isinstance(node, logical.SubqueryBind):
             stats = self._stats(node)
             started = time.perf_counter() if stats is not None else 0.0
-            with self._op_span("subquery", alias=node.alias):
-                columns, rows = self._execute_plan(node.plan)
+            columns, rows = self._execute_plan(node.plan)
             if stats is not None:
                 stats.observe(len(rows), time.perf_counter() - started)
             scope = Scope([(node.alias, name) for name in columns])
@@ -434,33 +407,32 @@ class RowQueryEngine:
         # advisory for columnar backends and ignored here.
         schema = self._provider.table_schema(node.table)
         scope = Scope([(node.binding, c.name) for c in schema.columns])
-        with self._op_span("scan", table=node.table):
-            budget = self._budget
+        budget = self._budget
 
-            def _scan() -> Iterator[tuple]:
-                pending = _BUDGET_CHECK_ROWS
-                for row in self._provider.scan_rows(node.table):
-                    if budget is not None:
-                        pending -= 1
-                        if pending <= 0:
-                            budget.check()
-                            pending = _BUDGET_CHECK_ROWS
-                    self.rows_examined += 1
-                    yield row
+        def _scan() -> Iterator[tuple]:
+            pending = _BUDGET_CHECK_ROWS
+            for row in self._provider.scan_rows(node.table):
+                if budget is not None:
+                    pending -= 1
+                    if pending <= 0:
+                        budget.check()
+                        pending = _BUDGET_CHECK_ROWS
+                self.rows_examined += 1
+                yield row
 
-            rows: Iterator[tuple] = _scan()
-            stats = self._stats(node)
-            if stats is not None:
-                # Two-layer wrap: rows_in counts what the scan read,
-                # actual_rows what survived the pushed predicate.
-                rows = counted_source(stats, rows)
-            if node.predicate is not None:
-                predicate = compile_scalar(
-                    node.predicate, scope, self._params, self._resolver(scope)
-                )
-                rows = (row for row in rows if predicate(row) is True)
-            if stats is not None:
-                rows = counted_rows(stats, rows)
+        rows: Iterator[tuple] = _scan()
+        stats = self._stats(node)
+        if stats is not None:
+            # Two-layer wrap: rows_in counts what the scan read,
+            # actual_rows what survived the pushed predicate.
+            rows = counted_source(stats, rows)
+        if node.predicate is not None:
+            predicate = compile_scalar(
+                node.predicate, scope, self._params, self._resolver(scope)
+            )
+            rows = (row for row in rows if predicate(row) is True)
+        if stats is not None:
+            rows = counted_rows(stats, rows)
         return rows, scope
 
     def _build_join(self, join: logical.Join) -> tuple[Iterator[tuple], Scope]:
@@ -471,68 +443,49 @@ class RowQueryEngine:
             # RIGHT OUTER = LEFT OUTER with swapped inputs + column remap.
             left_node, right_node = right_node, left_node
             join_type = "LEFT"
-        with self._op_span("join", join_type=join.join_type):
-            left_rows, left_scope = self._build_input(left_node)
-            right_rows, right_scope = self._build_input(right_node)
-            combined = Scope(left_scope.entries + right_scope.entries)
+        left_rows, left_scope = self._build_input(left_node)
+        right_rows, right_scope = self._build_input(right_node)
+        combined = Scope(left_scope.entries + right_scope.entries)
 
-            if join_type == "CROSS":
-                right_list = list(right_rows)
+        if join_type == "CROSS":
+            right_list = list(right_rows)
 
-                def _cross() -> Iterator[tuple]:
-                    for left in left_rows:
-                        for right in right_list:
-                            yield left + right
+            def _cross() -> Iterator[tuple]:
+                for left in left_rows:
+                    for right in right_list:
+                        yield left + right
 
-                return _cross(), combined
+            return _cross(), combined
 
-            condition = join.condition
-            if condition is None:
-                raise ParseError(f"{join_type} JOIN requires ON")
-            if join_type not in ("INNER", "LEFT"):
-                raise ParseError(f"unsupported join type {join_type}")
-            left_keys, right_keys, residual = self._split_equi(
-                condition, left_scope, right_scope, combined
+        condition = join.condition
+        if condition is None:
+            raise ParseError(f"{join_type} JOIN requires ON")
+        if join_type not in ("INNER", "LEFT"):
+            raise ParseError(f"unsupported join type {join_type}")
+        left_keys, right_keys, residual = self._split_equi(
+            condition, left_scope, right_scope, combined
+        )
+        # One physical join per join kind: an equi-join hashes its
+        # right input; anything else is a nested loop.
+        if left_keys:
+            rows = self._hash_join(
+                left_rows,
+                right_rows,
+                left_keys,
+                right_keys,
+                residual,
+                right_scope,
+                outer=join_type == "LEFT",
             )
-            # Cost-based physical strategy (INNER only; outer joins keep
-            # the legacy build-right shape so null extension stays
-            # streaming). Every choice yields rows in the same
-            # lexicographic left-major order, so results are
-            # byte-identical regardless of estimate quality.
-            force_nested = False
-            build_left = False
-            if join_type == "INNER" and self._estimates:
-                est_left = self._estimates.get(id(left_node))
-                est_right = self._estimates.get(id(right_node))
-                if _COST_MODEL.prefer_nested_loop(est_left, est_right):
-                    force_nested = True
-                elif left_keys and _COST_MODEL.prefer_build_left(est_left, est_right):
-                    build_left = True
-            if left_keys and not force_nested:
-                if build_left:
-                    rows = self._hash_join_build_left(
-                        left_rows, right_rows, left_keys, right_keys, residual
-                    )
-                else:
-                    rows = self._hash_join(
-                        left_rows,
-                        right_rows,
-                        left_keys,
-                        right_keys,
-                        residual,
-                        combined,
-                        right_scope,
-                        outer=join_type == "LEFT",
-                    )
-            else:
-                rows = self._nested_loop_join(
-                    left_rows,
-                    right_rows,
-                    condition,
-                    combined,
-                    right_scope,
-                    outer=join_type == "LEFT",
-                )
+        else:
+            rows = self._nested_loop_join(
+                left_rows,
+                right_rows,
+                condition,
+                combined,
+                right_scope,
+                outer=join_type == "LEFT",
+            )
         if not swap:
             return rows, combined
         cut = len(left_scope)  # width of the original right side
@@ -595,7 +548,6 @@ class RowQueryEngine:
         left_keys: list[Callable],
         right_keys: list[Callable],
         residual: Optional[Callable],
-        combined: Scope,
         right_scope: Scope,
         outer: bool,
     ) -> Iterator[tuple]:
@@ -617,40 +569,6 @@ class RowQueryEngine:
                         yield candidate
             if outer and not matched:
                 yield left + null_extension
-
-    def _hash_join_build_left(
-        self,
-        left_rows: Iterator[tuple],
-        right_rows: Iterator[tuple],
-        left_keys: list[Callable],
-        right_keys: list[Callable],
-        residual: Optional[Callable],
-    ) -> Iterator[tuple]:
-        """INNER hash join building on the (smaller) left input.
-
-        The legacy build-right join emits rows ordered by (left arrival,
-        right arrival); probing with the right side produces them in
-        (right arrival, left arrival) order instead, so matches are
-        buffered and re-sorted to keep the output byte-identical.
-        """
-        table: dict[tuple, list[tuple[int, tuple]]] = {}
-        for index, left in enumerate(left_rows):
-            key = tuple(fn(left) for fn in left_keys)
-            if any(part is None for part in key):
-                continue  # NULL keys never match
-            table.setdefault(key, []).append((index, left))
-        matches: list[tuple[int, int, tuple]] = []
-        for seq, right in enumerate(right_rows):
-            key = tuple(fn(right) for fn in right_keys)
-            if any(part is None for part in key):
-                continue
-            for index, left in table.get(key, ()):
-                candidate = left + right
-                if residual is None or residual(candidate) is True:
-                    matches.append((index, seq, candidate))
-        matches.sort(key=lambda item: (item[0], item[1]))
-        for _, _, candidate in matches:
-            yield candidate
 
     def _nested_loop_join(
         self,

@@ -27,6 +27,7 @@ half-open probe that brings the accelerator back ONLINE.
 from __future__ import annotations
 
 import random
+import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -104,6 +105,9 @@ class ReplicationService:
         self.batch_size = batch_size
         self._retry_rng = random.Random(RETRY_SEED)
         self._cursor = change_log.head_lsn
+        #: One drainer at a time: concurrent commit-time drains would read
+        #: the same cursor and ship the same batch twice.
+        self._drain_lock = threading.Lock()
         #: Per-table LSN from which this table's changes are relevant
         #: (records older than the initial copy are skipped).
         self._table_start: dict[str, int] = {}
@@ -183,8 +187,13 @@ class ReplicationService:
         in ``last_error`` (commit-time auto-drains must not fail the
         already-committed DB2 transaction) — pass ``raise_on_failure=True``
         to surface it instead. While the health monitor reports the
-        accelerator OFFLINE the drain returns immediately.
+        accelerator OFFLINE the drain returns immediately. Drains are
+        serialised: a concurrent caller waits, then drains what is left.
         """
+        with self._drain_lock:
+            return self._drain(raise_on_failure)
+
+    def _drain(self, raise_on_failure: bool) -> int:
         size = self.batch_size
         backlog_before = self.backlog
         retries_before = self.retries

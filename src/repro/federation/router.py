@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -52,7 +52,6 @@ __all__ = [
     "RoutingDecision",
     "QueryRouter",
     "CachedPlan",
-    "KernelCache",
     "PlanCache",
     "RouteFacts",
     "StatementShape",
@@ -537,42 +536,6 @@ def _from_blocks(item):
         yield from _from_blocks(item.right)
 
 
-class KernelCache:
-    """Compiled-predicate cache attached to one cached plan.
-
-    Maps ``(id(expr), scope entries, params, param types)`` to
-    ``(expr, kernel)`` so repeated executions of the same statement skip
-    ``compile_vector``.
-    Keys use ``id(expr)``, which is only sound because every entry pins
-    the expression it was compiled from: a live pin means no other
-    object can ever be allocated at that id, so an id-keyed hit is
-    guaranteed to be the same expression node. (Callers still verify
-    ``entry[0] is expr`` — predicates of ephemeral bound-subquery ASTs
-    would otherwise be able to collide with recycled addresses.)
-    Subquery-bearing expressions are never cached (their resolvers
-    capture one execution's snapshot).
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        self.capacity = capacity
-        self._entries: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        fn = self._entries.get(key)
-        if fn is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return fn
-
-    def put(self, key, fn) -> None:
-        if len(self._entries) >= self.capacity:
-            self._entries.clear()
-        self._entries[key] = fn
-
-
 @dataclass
 class CachedPlan:
     """A parsed (and, after first execution, prepared) statement.
@@ -585,9 +548,7 @@ class CachedPlan:
     verdicts (``route_facts``). ``logical`` holds the bound-and-rewritten
     :mod:`repro.sql.logical` plan of the expanded statement — built
     once, then handed to whichever engine the router picks (both
-    executors lower the same plan). Caching the plan also pins its
-    expression nodes, which is what makes the id-keyed
-    :class:`KernelCache` sound across executions. Authorisation is
+    executors lower the same plan). Authorisation is
     deliberately NOT cached — privilege checks run on every execution,
     which is why GRANT/REVOKE need not invalidate.
 
@@ -601,7 +562,6 @@ class CachedPlan:
 
     statement: object  # query or DML statement
     generation: int = 0  # catalog generation at store(); unused when unkeyed
-    kernels: KernelCache = field(default_factory=KernelCache)
     prepared: bool = False
     monitored: frozenset = frozenset()
     expanded: object = None  # statement after view expansion
@@ -713,13 +673,10 @@ class PlanCache:
     def snapshot(self) -> dict:
         """Metrics-source view (see MON_PLAN_CACHE / metrics registry)."""
         with self._lock:
-            plans = [p for p in self._entries.values() if p is not _REFUSED]
             return {
                 "size": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
                 "invalidations": self.invalidations,
                 "hit_rate": round(self.hit_rate, 6),
-                "kernel_hits": sum(p.kernels.hits for p in plans),
-                "kernel_misses": sum(p.kernels.misses for p in plans),
             }

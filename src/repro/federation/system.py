@@ -306,8 +306,7 @@ class AcceleratedDatabase:
         #: maps at accelerate time, upgraded by RUNSTATS full scans,
         #: maintained incrementally from the replication change feed.
         self.stats = StatisticsManager(row_probe=self._live_row_count)
-        #: Cost model shared by engine routing, WLM weighting, and the
-        #: executors' join-strategy choice.
+        #: Cost model shared by engine routing and WLM weighting.
         self.cost_model = CostModel()
         # Statistics maintenance hooks. Direct accelerator writes (AOT
         # DML, procedure output) mark the table's statistics dirty; the
@@ -761,8 +760,9 @@ class Connection:
         # was not acked and the commit-time drain has not run — DB2 is
         # ahead of the accelerator by exactly this transaction.
         self._system.faults.crash_point("commit.post_commit_pre_ack")
-        if self._system.auto_replicate:
-            self._system.replication.drain()
+        replication = self._system.replication
+        if self._system.auto_replicate and replication.backlog > 0:
+            replication.drain()
 
     def rollback(self) -> None:
         if not self.in_transaction:
@@ -1456,10 +1456,8 @@ class Connection:
                     params=run.params,
                     snapshot_epoch=self.snapshot_epoch_for_statement(),
                     deltas=self.active_deltas(),
-                    kernel_cache=plan.kernels,
                     plan=plan.logical,
                     profile=profile,
-                    estimates=estimates,
                 )
             else:
                 with self._span("db2.execute") as db2_span:
@@ -1468,9 +1466,7 @@ class Connection:
                         plan.expanded,
                         run.params,
                         plan=plan.logical,
-                        tracer=system.tracer,
                         profile=profile,
-                        estimates=estimates,
                     )
                     db2_span.annotate(rows=len(rows))
         except Exception as exc:

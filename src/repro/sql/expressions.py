@@ -340,9 +340,8 @@ def compile_scalar(
 def _predict_scorer(expr: "ast.Predict"):
     """Per-kernel scorer cache for a bound PREDICT node.
 
-    The compiled kernel outlives retrains (KernelCache keeps it for the
-    plan's lifetime), so the scorer is rebuilt whenever the stored
-    model's generation moves — that is the retrain-invalidation path.
+    The scorer is rebuilt whenever the stored model's generation moves,
+    so a kernel that outlives a retrain scores with the new model.
     The analytics import is deferred: ``repro.analytics`` imports the SQL
     package, so a top-level import here would be circular.
     """

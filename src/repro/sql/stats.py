@@ -16,8 +16,7 @@ about the data:
   and DDL invalidates.
 * :class:`CostModel` — converts per-operator cardinality estimates into
   abstract execution costs for both engines, which drives the
-  DB2-vs-accelerator routing decision, the WLM admission weight, and
-  the executors' hash-vs-nested-loop choice.
+  DB2-vs-accelerator routing decision and the WLM admission weight.
 
 The cardinality *estimator* itself lives in :func:`repro.obs.profile.
 estimate_plan`; it consults these statistics (and the cardinality-
@@ -609,8 +608,7 @@ class PlanCost:
 
 
 class CostModel:
-    """Abstract cost model shared by routing, WLM weighting, and the
-    executors' join-strategy choice.
+    """Abstract cost model shared by routing and WLM weighting.
 
     The constants encode the simulated hardware profile: the row engine
     pays ~1 unit per row visited (joins/aggregates/sorts cost more per
@@ -634,9 +632,6 @@ class CostModel:
     accel_startup_cost = 16.0
     #: Shipping one result row back over the interconnect.
     transfer_row_cost = 1.0
-    #: Below this estimated build*probe product, a nested-loop join is
-    #: cheaper than building a hash table.
-    nested_loop_threshold = 64
 
     def plan_costs(
         self,
@@ -737,27 +732,6 @@ class CostModel:
         accel += self.accel_startup_cost
         accel += result_rows * self.transfer_row_cost
         return PlanCost(db2=db2, accelerator=accel)
-
-    # -- join-strategy advice --------------------------------------------------
-
-    def prefer_nested_loop(
-        self, left_rows: Optional[int], right_rows: Optional[int]
-    ) -> bool:
-        """True when both inputs are estimated small enough that a
-        nested loop beats building a hash table."""
-        if left_rows is None or right_rows is None:
-            return False
-        return left_rows * right_rows <= self.nested_loop_threshold
-
-    def prefer_build_left(
-        self, left_rows: Optional[int], right_rows: Optional[int]
-    ) -> bool:
-        """True when the left input is estimated strictly smaller, so a
-        hash join should build on the left and probe with the right
-        (output row order is re-established by left position)."""
-        if left_rows is None or right_rows is None:
-            return False
-        return left_rows * 2 <= right_rows
 
 
 def _streaming_subtree(node: logical.PlanNode) -> bool:

@@ -41,7 +41,8 @@ def run_threads(workers):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors[0]
 
 
@@ -306,3 +307,42 @@ class TestShardCounters:
             assert shard.scans - scans0 == total
             assert shard.rows_scanned - rows0 == total * part.row_count
             assert shard.bytes_from_shard - bytes0 == total * 8 * part.row_count
+
+
+class TestReplicationDrains:
+    def test_concurrent_commit_drains_ship_each_record_once(self, db):
+        """Every autocommit UPDATE drains at commit; drains run one at a
+        time, so no batch is shipped twice and the watermark drops
+        nothing."""
+        admin = db.connect()
+        admin.execute("CREATE TABLE C (ID INTEGER NOT NULL PRIMARY KEY, N INTEGER)")
+        admin.execute(
+            "INSERT INTO C VALUES " + ", ".join(f"({i}, 0)" for i in range(THREADS))
+        )
+        db.add_table_to_accelerator("C")
+        db.replication.drain()
+        applied_before = db.replication.records_applied
+        writes = 2 * ROUNDS + 10
+
+        def writer(worker_id):
+            def work():
+                conn = db.connect()
+                for __ in range(writes):
+                    conn.execute(f"UPDATE C SET N = N + 1 WHERE ID = {worker_id}")
+
+            return work
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads([writer(i) for i in range(THREADS)])
+        finally:
+            sys.setswitchinterval(interval)
+        db.replication.drain()
+        assert db.accelerator.records_deduplicated == 0
+        assert db.replication.records_applied - applied_before == THREADS * writes
+        sql = "SELECT ID, N FROM C ORDER BY ID"
+        admin.set_acceleration("NONE")
+        expected = admin.query(sql)
+        admin.set_acceleration("ALL")
+        assert admin.query(sql) == expected == [(i, writes) for i in range(THREADS)]

@@ -24,7 +24,6 @@ from repro.accelerator.executor import _SLOTS_PER_ROW, _equi_pairs, _joint_codes
 from repro.catalog import Catalog, Column, TableLocation, TableSchema
 from repro.db2 import Db2Engine
 from repro.federation import accelerator_shards
-from repro.obs.profile import estimate_plan
 from repro.sql import parse_statement
 from repro.sql.expressions import VColumn
 from repro.sql.logical import plan_statement
@@ -122,15 +121,15 @@ def _table_rows(name):
     return len(_TABLES[name.upper()][1])
 
 
-def _run(engines, sql, plan, estimates=None):
+def _run(engines, sql, plan):
     db2, accelerator = engines
     stmt = parse_statement(sql)
     txn = db2.txn_manager.begin()
     try:
-        __, db2_rows = db2.execute_select(txn, stmt, plan=plan, estimates=estimates)
+        __, db2_rows = db2.execute_select(txn, stmt, plan=plan)
     finally:
         db2.commit(txn)
-    __, accel_rows = accelerator.execute_select(stmt, plan=plan, estimates=estimates)
+    __, accel_rows = accelerator.execute_select(stmt, plan=plan)
     return list(db2_rows), list(accel_rows)
 
 
@@ -250,17 +249,33 @@ def test_group_by_over_joined_dimension_columns(engines):
 
 @pytest.mark.parametrize("join", _JOINS)
 def test_nested_loop_cutover_is_byte_identical(engines, join):
-    """Estimated-tiny INNER products take the cross-filter path; the rows
-    and their order are the pairing kernel's, and the row engine's."""
+    """No estimate cuts a tiny join over to a nested loop: two tiny
+    tables run the pairing kernel like any other equi-join, and its rows
+    and their order are the row engine's."""
     sql = f"SELECT a.id, b.id FROM t1 a {join} t2 b ON a.k = b.k"
     stmt = parse_statement(sql)
     plan = plan_statement(stmt, table_rows=_table_rows, table_columns=_table_columns)
-    estimates = estimate_plan(plan, _table_rows)
-    db2_est, accel_est = _run(engines, sql, plan, estimates)
-    db2_plain, accel_plain = _run(engines, sql, plan)
-    assert accel_est == accel_plain == db2_est == db2_plain
+    db2_rows, accel_rows = _run(engines, sql, plan)
+    assert accel_rows == db2_rows
     if join == "JOIN":
-        assert accel_est == [(1, 8), (2, 7), (2, 9), (4, 7), (4, 9)]
+        assert accel_rows == [(1, 8), (2, 7), (2, 9), (4, 7), (4, 9)]
+
+
+@pytest.mark.parametrize("join", _JOINS)
+def test_joins_without_an_equi_key_are_nested_loops(engines, join):
+    """A condition with no equi-key conjunct (a range, or an OR over
+    equalities) runs each engine's nested loop; rows and order agree."""
+    rows = _assert_four_way(
+        engines, f"SELECT a.id, b.id FROM t1 a {join} t2 b ON a.k < b.k"
+    )
+    if join == "JOIN":
+        assert rows == [(1, 7), (1, 9)]
+    rows = _assert_four_way(
+        engines,
+        f"SELECT a.id, b.id FROM t1 a {join} t2 b ON a.k = b.k OR a.id = 3",
+    )
+    if join == "JOIN":
+        assert rows == [(1, 8), (2, 7), (2, 9), (3, 7), (3, 8), (3, 9), (4, 7), (4, 9)]
 
 
 # ---------------------------------------------------------------------------

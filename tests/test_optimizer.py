@@ -338,18 +338,6 @@ class TestCostModel:
         assert cost.describe() == "cost accelerator=10 vs db2=100"
         assert PlanCost(db2=5.0, accelerator=50.0).engine == "DB2"
 
-    def test_prefer_nested_loop(self):
-        model = CostModel()
-        assert model.prefer_nested_loop(8, 8)
-        assert not model.prefer_nested_loop(100, 100)
-        assert not model.prefer_nested_loop(None, 8)
-
-    def test_prefer_build_left(self):
-        model = CostModel()
-        assert model.prefer_build_left(5, 100)
-        assert not model.prefer_build_left(100, 100)
-        assert not model.prefer_build_left(None, 100)
-
     def test_tiny_scan_prefers_db2(self):
         model = CostModel()
         plan = _plan("SELECT A FROM T")

@@ -349,13 +349,10 @@ class TestPlanCache:
 
 
 class TestKernelCacheIdentity:
-    """The kernel cache keys on id(expr); entries must pin the expr.
-
-    Correlated subqueries bind a fresh AST per distinct outer key and
-    discard it after execution. Without pinning, the next bound AST can
-    be allocated at the recycled address, collide on id, and be served
-    the kernel compiled for the previous literal — silently returning
-    another row's subquery result.
+    """Correlated subqueries bind a fresh AST per distinct outer key and
+    discard it after execution; a later bound AST may be allocated at a
+    recycled address. Nothing may serve it the kernel compiled for the
+    previous literal, or a row would get another row's subquery result.
     """
 
     def test_correlated_scalar_subquery_stable_under_caching(self):
@@ -385,48 +382,26 @@ class TestKernelCacheIdentity:
         for __ in range(3):
             assert conn.query(sql) == expected
 
-    def test_cache_entries_pin_their_expressions(self):
-        db = AcceleratedDatabase()
+    def test_shape_hits_compile_each_binding(self):
+        """One cached plan serves every binding of a shape, and each
+        execution compiles its own filter: interleaved literals never see
+        another binding's answer, and the cache keeps no kernel counters."""
+        db = AcceleratedDatabase(slice_count=2, chunk_rows=8)
         conn = db.connect()
         conn.execute("CREATE TABLE T (ID INT NOT NULL PRIMARY KEY, V DOUBLE)")
-        for i in range(20):
-            conn.execute("INSERT INTO T VALUES (?, ?)", (i, float(i)))
+        conn.execute(
+            "INSERT INTO T VALUES "
+            + ", ".join(f"({i}, {float(i)})" for i in range(40))
+        )
         db.add_table_to_accelerator("T")
         db.replication.drain()
-        conn.query("SELECT COUNT(*) FROM T WHERE V > 5")
-        conn.query("SELECT COUNT(*) FROM T WHERE V > 5")
-        entries = [
-            item
-            for plan in db.plan_cache._entries.values()
-            for item in plan.kernels._entries.items()
-        ]
-        assert entries
-        for key, (expr, fn) in entries:
-            assert key[0] == id(expr)  # pinned: the id can never recycle
-            assert callable(fn)
-
-    def test_poisoned_identity_entry_is_recompiled(self):
-        from repro.federation.router import KernelCache
-
-        catalog = Catalog()
-        engine = AcceleratorEngine(catalog, accelerator_shards(), slice_count=1, chunk_rows=64)
-        schema = TableSchema([Column("ID", INTEGER, nullable=False)])
-        descriptor = catalog.create_table(
-            "T", schema, location=TableLocation.ACCELERATOR_ONLY
-        )
-        engine.create_storage(descriptor)
-        engine.bulk_insert("T", [(i,) for i in range(100)])
-        cache = KernelCache()
-        stmt = parse_statement("SELECT COUNT(*) FROM T WHERE ID < 10")
-        __, rows = engine.execute_select(stmt, kernel_cache=cache)
-        assert rows == [(10,)]
-
-        def stale(*args, **kwargs):
-            raise AssertionError("stale kernel served for a foreign expr")
-
-        # Simulate an id collision: keep every key but repoint the entry
-        # at a foreign expression. The identity check must recompile.
-        for key in list(cache._entries):
-            cache._entries[key] = (object(), stale)
-        __, rows = engine.execute_select(stmt, kernel_cache=cache)
-        assert rows == [(10,)]
+        conn.set_acceleration("ALL")
+        before = db.plan_cache.snapshot()
+        for bound in (5, 30, 5, 0, 30, 39):
+            result = conn.execute(f"SELECT COUNT(*) FROM T WHERE V > {bound}")
+            assert result.engine == "ACCELERATOR"
+            assert result.rows == [(39 - bound,)]
+        after = db.plan_cache.snapshot()
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 5
+        assert set(after) == {"size", "hits", "misses", "invalidations", "hit_rate"}

@@ -122,6 +122,27 @@ class TestAutoReplication:
         conn.set_acceleration("ALL")
         assert conn.execute("SELECT SUM(v) FROM a").scalar() == 12.0
 
+    def test_read_only_commits_do_not_drain(self):
+        """An autocommit SELECT has nothing to drain, so it opens no drain
+        and leaves no ``idle`` row to push real drains out of the ring."""
+        db = AcceleratedDatabase(auto_replicate=True)
+        conn = db.connect()
+        conn.execute("CREATE TABLE A (ID INTEGER NOT NULL PRIMARY KEY, V DOUBLE)")
+        conn.execute("INSERT INTO A VALUES (1, 1.0), (2, 2.0)")
+        db.add_table_to_accelerator("A")
+        conn.execute("UPDATE a SET v = 10 WHERE id = 1")
+        history = list(db.replication.drain_history)
+        assert history[-1].outcome == "ok"
+        conn.set_acceleration("ALL")
+        for __ in range(300):
+            assert conn.execute("SELECT SUM(v) FROM a").scalar() == 12.0
+        assert list(db.replication.drain_history) == history
+        rows = conn.query(
+            "SELECT DRAIN_ID, RECORDS_APPLIED FROM SYSACCEL.MON_REPLICATION "
+            "WHERE OUTCOME = 'ok'"
+        )
+        assert (history[-1].drain_id, 1) in rows
+
 
 class TestRedeliveryEdgeCases:
     """Crash-recovery batch semantics: empty, duplicate, out-of-order.
