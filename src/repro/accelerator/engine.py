@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -346,45 +346,44 @@ class AcceleratorEngine:
         if self.fault_injector is not None:
             self.fault_injector.check("accelerator")
 
-    def _commit(
-        self,
-        key: str,
-        table: ShardedTable,
-        deleted_ids: Sequence[int],
-        columns: Sequence[VColumn],
-        nbytes: Optional[int],
-    ) -> tuple[int, np.ndarray]:
-        """The one MVCC commit of a write batch; the write lock is held.
+    def _commit(self, batches: Sequence[tuple]) -> list[tuple[int, np.ndarray]]:
+        """The one MVCC commit of write batches; the write lock is held.
 
-        The batch is admitted on every shard once, before it touches
-        storage, so a shard fault aborts it whole. Its deletes and its
-        coerced insert ``columns`` (none: a delete-only batch) are
-        stamped at ``current_epoch + 1``, and that epoch is published —
-        one atomic assignment — only once the whole batch is in place,
-        so lock-free readers never observe a torn batch. Then the
-        table's lineage epoch is bumped and the write listener (the
+        A batch is ``(table, deleted_ids, columns, nbytes)``: one table's
+        deletes and coerced insert ``columns`` (none: a delete-only
+        batch). Every batch is admitted on every shard once, before any
+        touches storage, so a shard fault aborts them all. Their deletes
+        and inserts are stamped at ``current_epoch + 1``, and that epoch
+        is published — one atomic assignment — only once every batch is
+        in place, so lock-free readers never observe a torn batch. Then
+        each table's lineage epoch is bumped and the write listener (the
         recovery manager's DB2-side lineage journal) notified, so it only
         ever sees durably-visible writes, and the replication lookup
         cache is dropped. ``nbytes`` is the inserts' wire size if the
-        caller already counted it. Returns the rows deleted and the new
-        row ids.
+        caller already counted it. Returns each batch's rows deleted and
+        new row ids.
         """
-        self.require_write(table)
+        for table, *__ in batches:
+            self.require_write(table)
         epoch = self.current_epoch + 1
-        deleted = table.mark_deleted(deleted_ids, epoch) if deleted_ids else 0
-        new_ids = (
-            table.append_columns(columns, epoch, nbytes=nbytes)
-            if columns
-            else np.empty(0, dtype=np.int64)
-        )
+        written = []
+        for table, deleted_ids, columns, nbytes in batches:
+            deleted = table.mark_deleted(deleted_ids, epoch) if deleted_ids else 0
+            new_ids = (
+                table.append_columns(columns, epoch, nbytes=nbytes)
+                if columns
+                else np.empty(0, dtype=np.int64)
+            )
+            written.append((deleted, new_ids))
         self.current_epoch = epoch
-        lineage = self._lineage.get(key, 0) + 1
-        self._lineage[key] = lineage
         listener = self.write_listener
-        if listener is not None:
-            listener(key, lineage)
-        self._lookup_cache.pop(key, None)
-        return deleted, new_ids
+        for table, *__ in batches:
+            lineage = self._lineage.get(table.name, 0) + 1
+            self._lineage[table.name] = lineage
+            if listener is not None:
+                listener(table.name, lineage)
+            self._lookup_cache.pop(table.name, None)
+        return written
 
     # -- write paths -----------------------------------------------------------------
 
@@ -395,11 +394,10 @@ class AcceleratorEngine:
         of a batch that is already columnar — at a fresh epoch.
         ``nbytes`` is its wire size if the caller already counted it."""
         self._check_fault()
-        key = name.upper()
-        table = self.storage_for(key)
+        table = self.storage_for(name)
         columns = _batch_columns(table.schema, rows, coerced=True)
         with self._write_lock:
-            self._commit(key, table, (), columns, nbytes)
+            self._commit([(table, (), columns, nbytes)])
         return len(columns[0])
 
     def apply_changes(self, name: str, records: Sequence[ChangeRecord]) -> int:
@@ -499,13 +497,10 @@ class AcceleratorEngine:
             elif record.op != "DELETE":
                 raise ReplicationError(f"unknown change op {record.op}")
         inserts = list(pending_inserts.values())
-        __, new_ids = self._commit(
-            key,
-            table,
-            deletes,
-            _batch_columns(table.schema, inserts, coerced=True) if inserts else (),
-            None,
+        columns = (
+            _batch_columns(table.schema, inserts, coerced=True) if inserts else ()
         )
+        ((__, new_ids),) = self._commit([(table, deletes, columns, None)])
         if lookup is not None:
             # Swap batch placeholders for the real row ids, then put back
             # the cache the commit dropped: it stays valid for the next
@@ -520,20 +515,22 @@ class AcceleratorEngine:
                         break
             self._lookup_cache[key] = lookup
 
-    def apply_delta(self, delta: DeltaBuffer) -> int:
-        """Commit a transaction's AOT delta at a fresh epoch; an empty
-        delta commits nothing."""
-        if delta.is_empty:
-            return 0
-        key = delta.table.upper()
-        table = self.storage_for(key)
-        live = delta.live_inserts()
-        columns = _batch_columns(table.schema, live, coerced=True) if live else ()
+    def apply_delta(self, deltas: Iterable[DeltaBuffer]) -> int:
+        """Commit a transaction's AOT deltas as one write at one epoch;
+        returns the rows deleted and inserted. Every table is looked up
+        and admitted under one hold of the write lock before any row is
+        stamped, so a dropped table or a lost shard refuses them all."""
         with self._write_lock:
-            deleted, __ = self._commit(
-                key, table, sorted(delta.deleted_base_ids), columns, None
-            )
-        return deleted + len(live)
+            batches = []
+            for delta in deltas:
+                if delta.is_empty:
+                    continue
+                table = self.storage_for(delta.table)
+                live = delta.live_inserts()
+                columns = _batch_columns(table.schema, live, coerced=True) if live else ()
+                batches.append((table, sorted(delta.deleted_base_ids), columns, None))
+            written = self._commit(batches) if batches else []
+        return sum(deleted + len(new_ids) for deleted, new_ids in written)
 
     def groom(self, name: str) -> GroomStats:
         """Rewrite a table's storage without its reclaimable versions.
@@ -835,7 +832,7 @@ class AcceleratorEngine:
             )
             if not base_ids:
                 return 0
-            return self._commit(name, table, base_ids, (), None)[0]
+            return self._commit([(table, base_ids, (), None)])[0][0]
 
     def update_where(
         self,
@@ -890,7 +887,7 @@ class AcceleratorEngine:
         target_ids = row_ids[mask].tolist()
         base_ids = [r for r in target_ids if r >= 0]
         if delta is None:
-            self._commit(name, table, base_ids, new_columns, None)
+            self._commit([(table, base_ids, new_columns, None)])
             return len(target_ids)
         delta.delete_base(base_ids)
         # Replace own inserts in place; base targets become new inserts.

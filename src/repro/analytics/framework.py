@@ -30,7 +30,8 @@ from repro.sql import ast
 from repro.sql.expressions import VColumn
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.federation.system import AcceleratedDatabase, Connection
+    from repro.federation.database import AcceleratedDatabase
+    from repro.federation.session import Connection
 
 __all__ = [
     "Procedure",

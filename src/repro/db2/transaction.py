@@ -209,9 +209,30 @@ class Transaction:
     def add_undo(self, action: Callable[[], None]) -> None:
         self.undo_log.append(action)
 
-    def run_undo(self) -> None:
-        while self.undo_log:
+    def savepoint(self) -> tuple:
+        """Where the transaction stands now, for :meth:`rollback_to`: the
+        undo log's and change list's lengths and each AOT delta's."""
+        deltas = {
+            table: (len(delta.inserted), set(delta.deleted_base_ids))
+            for table, delta in self.aot_deltas.items()
+        }
+        return len(self.undo_log), len(self.pending_changes), deltas
+
+    def rollback_to(self, savepoint: tuple) -> None:
+        """Undo what the transaction did after ``savepoint`` — a failed
+        statement inside an explicit transaction — and keep the rest."""
+        undo_length, changes_length, deltas = savepoint
+        while len(self.undo_log) > undo_length:
             self.undo_log.pop()()
+        del self.pending_changes[changes_length:]
+        for table, delta in list(self.aot_deltas.items()):
+            saved = deltas.get(table)
+            if saved is None:
+                del self.aot_deltas[table]
+                continue
+            inserted_length, deleted_ids = saved
+            del delta.inserted[inserted_length:]
+            delta.deleted_base_ids = deleted_ids
 
 
 class TransactionManager:
@@ -261,8 +282,7 @@ class TransactionManager:
 
     def rollback(self, txn: Transaction) -> None:
         txn.require_active()
-        txn.run_undo()
-        txn.pending_changes.clear()
+        txn.rollback_to((0, 0, {}))  # the savepoint of a fresh transaction
         txn.state = TransactionState.ABORTED
         self.lock_manager.release_all(txn)
         self._end(txn)

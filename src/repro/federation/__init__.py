@@ -4,7 +4,8 @@ This package implements the paper's architecture: the transparent query
 router, the replication service that maintains accelerated snapshot
 copies, the interconnect byte-accounting model, and the
 :class:`AcceleratedDatabase` facade applications connect to. AOT DDL/DML
-routing — the paper's core extension — lives in the facade.
+routing — the paper's core extension — lives in the statement pipeline
+(:mod:`repro.federation.system`).
 
 Fault tolerance lives here too: a deterministic fault injector
 (:mod:`repro.federation.faults`), a circuit-breaker health monitor
@@ -21,11 +22,8 @@ from repro.federation.router import (
     QueryRouter,
     RoutingDecision,
 )
-from repro.federation.system import (
-    AcceleratedDatabase,
-    Connection,
-    accelerator_shards,
-)
+from repro.federation.database import AcceleratedDatabase, accelerator_shards
+from repro.federation.session import Connection
 
 __all__ = [
     "AcceleratorHealthState",

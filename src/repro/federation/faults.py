@@ -3,7 +3,7 @@
 The real IDAA federation has to survive a misbehaving appliance and a
 flaky private network; this module lets experiments *cause* those
 conditions on demand. A single :class:`FaultInjector` is owned by the
-:class:`~repro.federation.system.AcceleratedDatabase` and consulted from
+:class:`~repro.federation.database.AcceleratedDatabase` and consulted from
 the instrumented entry points (``Interconnect.send_*`` and the
 ``AcceleratorEngine`` read/write paths). Faults fire
 

@@ -22,10 +22,13 @@ from repro.federation.faults import FaultInjector
 from repro.metrics.counters import MovementStats
 from repro.obs.trace import NULL_SPAN, Tracer
 
-__all__ = ["Interconnect"]
+__all__ = ["Interconnect", "STATEMENT_OVERHEAD_BYTES"]
 
 #: Fault-injection site name for both link directions.
 LINK_SITE = "interconnect"
+
+#: Fixed per-statement protocol overhead on the interconnect (bytes).
+STATEMENT_OVERHEAD_BYTES = 256
 
 
 class Interconnect:

@@ -482,7 +482,7 @@ def lift_changes_meaning(stmt) -> bool:
     def folds(expr) -> bool:
         return constant(expr.left) and constant(expr.right)
 
-    for block, exprs in _blocks(stmt):
+    for block, exprs in ast.query_blocks(stmt):
         for order in getattr(block, "order_by", ()):
             if is_marker(order.expression):
                 return True
@@ -499,41 +499,6 @@ def lift_changes_meaning(stmt) -> bool:
                 ):
                     return True
     return False
-
-
-def _blocks(node):
-    """Every query block of a statement — each SELECT and set operation,
-    nested ones too, and a DML statement itself — with the expressions
-    that are its own (a nested block's come with that block)."""
-    if isinstance(node, ast.SetOperation):
-        yield node, ()
-        yield from _blocks(node.left)
-        yield from _blocks(node.right)
-        return
-    if isinstance(node, ast.SelectStatement):
-        exprs = list(node.iter_expressions())
-        yield from _from_blocks(node.from_item)
-    elif isinstance(node, ast.InsertStatement):
-        exprs = [expr for row in node.values or () for expr in row]
-        if node.select is not None:
-            yield from _blocks(node.select)
-    else:  # UPDATE / DELETE
-        exprs = [expr for __, expr in getattr(node, "assignments", ())]
-        if node.where is not None:
-            exprs.append(node.where)
-    yield node, exprs
-    for expr in exprs:
-        for inner in expr.walk():
-            if isinstance(inner, ast.SubqueryExpression):
-                yield from _blocks(inner.query)
-
-
-def _from_blocks(item):
-    if isinstance(item, ast.SubquerySource):
-        yield from _blocks(item.query)
-    elif isinstance(item, ast.Join):
-        yield from _from_blocks(item.left)
-        yield from _from_blocks(item.right)
 
 
 @dataclass

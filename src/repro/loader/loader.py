@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 from repro.catalog import Privilege, TableLocation
 from repro.catalog.schema import rows_from_columns
 from repro.errors import LoaderError
-from repro.federation.system import AcceleratedDatabase, Connection
+from repro.federation.database import AcceleratedDatabase
+from repro.federation.session import Connection
 from repro.loader.sources import RowSource
 from repro.metrics.counters import MovementStats
 
@@ -69,21 +70,12 @@ class IdaaLoader:
         if create:
             if system.catalog.has_table(table):
                 raise LoaderError(f"table {table.upper()} already exists")
-            schema = source.infer_schema()
-            descriptor = system.catalog.create_table(
+            system.create_table(
                 table,
-                schema,
-                location=(
-                    TableLocation.ACCELERATOR_ONLY
-                    if in_accelerator
-                    else TableLocation.DB2_ONLY
-                ),
-                owner=connection.user.name,
+                source.infer_schema(),
+                connection.user.name,
+                in_accelerator=in_accelerator,
             )
-            if in_accelerator:
-                system.accelerator.create_storage(descriptor)
-            else:
-                system.db2.create_storage(descriptor)
         descriptor = system.catalog.table(table)
 
         # Governance: LOAD privilege (owner and SYSADM implicit).

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.federation.system import AcceleratedDatabase
+    from repro.federation.database import AcceleratedDatabase
     from repro.obs.profile import StatementProfile
     from repro.obs.trace import Trace
 

@@ -46,6 +46,7 @@ by every session — there is nothing to GRANT.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.accelerator.executor import VectorQueryEngine
@@ -55,13 +56,30 @@ from repro.errors import SqlError
 from repro.sql.types import BIGINT, DOUBLE, INTEGER, VarcharType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.federation.system import AcceleratedDatabase
+    from repro.federation.database import AcceleratedDatabase
 
 __all__ = [
     "MONITORING_VIEWS",
+    "StatementRecord",
     "execute_monitoring_query",
     "monitoring_tables",
 ]
+
+
+@dataclass(frozen=True)
+class StatementRecord:
+    """One entry of the system's statement history (query monitoring)."""
+
+    user: str
+    statement_type: str
+    engine: str
+    elapsed_seconds: float
+    rowcount: int
+    #: Routing reason for queries — ``failback: ...`` marks statements
+    #: that re-executed on DB2 because the accelerator was unavailable.
+    reason: str = ""
+    #: Links the record into the tracer ("" while tracing is disabled).
+    trace_id: str = ""
 
 _ID = VarcharType(24)
 _NAME = VarcharType(64)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.errors import ReproError
-from repro.federation.system import Connection
+from repro.federation.session import Connection
 from repro.metrics.counters import MovementStats
 
 __all__ = [

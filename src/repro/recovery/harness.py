@@ -36,7 +36,7 @@ from repro.errors import InjectedCrashError
 from repro.recovery.manager import RecoveryResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.federation.system import AcceleratedDatabase
+    from repro.federation.database import AcceleratedDatabase
 
 __all__ = [
     "CORPUS",
@@ -410,7 +410,7 @@ class MatrixReport:
 def default_system(checkpoint_dir: Optional[str] = None):
     """The harness's standard system: small batches force multi-batch
     drains (so mid-batch crashes land mid-stream), fast health cooldown."""
-    from repro.federation.system import AcceleratedDatabase
+    from repro.federation.database import AcceleratedDatabase
 
     return AcceleratedDatabase(
         slice_count=2,

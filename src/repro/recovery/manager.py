@@ -42,7 +42,7 @@ from repro.recovery.checkpoint import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.federation.system import AcceleratedDatabase
+    from repro.federation.database import AcceleratedDatabase
 
 __all__ = [
     "CheckpointResult",

@@ -40,6 +40,7 @@ __all__ = [
     "OrderItem",
     "SelectStatement",
     "SetOperation",
+    "query_blocks",
     "ColumnDef",
     "CreateTableStatement",
     "DropTableStatement",
@@ -398,6 +399,14 @@ def _join_conditions(item: Optional[FromItem]) -> Iterator[Expression]:
         yield from _join_conditions(item.right)
 
 
+def _from_queries(item: Optional[FromItem]) -> Iterator["SelectStatement"]:
+    if isinstance(item, SubquerySource):
+        yield item.query
+    elif isinstance(item, Join):
+        yield from _from_queries(item.left)
+        yield from _from_queries(item.right)
+
+
 @dataclass
 class SetOperation(Statement):
     """UNION / UNION ALL / EXCEPT / INTERSECT of two selects.
@@ -415,6 +424,39 @@ class SetOperation(Statement):
 
     def referenced_tables(self) -> list[str]:
         return self.left.referenced_tables() + self.right.referenced_tables()
+
+
+def query_blocks(stmt: Statement) -> Iterator[tuple[Statement, list[Expression]]]:
+    """Every query block of a statement — each SELECT and set operation,
+    nested ones too, and a DML statement itself — with the expressions
+    that are its own (a nested block's come with that block).
+
+    A block comes before the blocks nested in its expressions (in their
+    order), and those before the ones in its FROM clause or, for INSERT,
+    its sub-select."""
+    if isinstance(stmt, SetOperation):
+        yield stmt, []
+        yield from query_blocks(stmt.left)
+        yield from query_blocks(stmt.right)
+        return
+    if isinstance(stmt, SelectStatement):
+        exprs = list(stmt.iter_expressions())
+        nested = list(_from_queries(stmt.from_item))
+    elif isinstance(stmt, InsertStatement):
+        exprs = [expr for row in stmt.values or () for expr in row]
+        nested = [stmt.select] if stmt.select is not None else []
+    else:  # UPDATE / DELETE
+        exprs = [expr for __, expr in getattr(stmt, "assignments", ())]
+        if stmt.where is not None:
+            exprs.append(stmt.where)
+        nested = []
+    yield stmt, exprs
+    for expr in exprs:
+        for node in expr.walk():
+            if isinstance(node, SubqueryExpression):
+                yield from query_blocks(node.query)
+    for query in nested:
+        yield from query_blocks(query)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 
-from repro.federation.system import Connection
+from repro.federation.session import Connection
 
 __all__ = ["CHURN_COLUMNS", "generate_churn_rows", "create_churn_table"]
 

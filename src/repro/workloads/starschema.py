@@ -6,7 +6,7 @@ import datetime
 import random
 from dataclasses import dataclass
 
-from repro.federation.system import Connection
+from repro.federation.session import Connection
 
 __all__ = [
     "StarSchemaData",

@@ -164,7 +164,7 @@ class TestDeltaVisibility:
             snapshot_epoch=epoch,
             delta=delta,
         )
-        engine.apply_delta(delta)
+        engine.apply_delta([delta])
         assert count(engine) == 96
 
     def test_discarding_delta_is_a_rollback(self, setup):

@@ -9,6 +9,7 @@ of multiple queries in a single transaction are also supported."
 import pytest
 
 from repro import AcceleratedDatabase
+from repro.errors import TransactionStateError, UnknownObjectError
 
 
 @pytest.fixture
@@ -167,3 +168,55 @@ class TestSnapshotPinning:
         second = reader.execute("SELECT SUM(v) FROM stage").scalar()
         assert first == second
         reader.execute("COMMIT")
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+class TestCommitIsOneWrite:
+    """A COMMIT publishes all of its transaction's AOT writes at one epoch,
+    or none of them."""
+
+    @staticmethod
+    def two_aots(shards):
+        db = AcceleratedDatabase(slice_count=2, chunk_rows=64, shards=shards)
+        conn = db.connect()
+        conn.execute("CREATE TABLE A (ID INTEGER) IN ACCELERATOR")
+        conn.execute("CREATE TABLE B (ID INTEGER) IN ACCELERATOR")
+        conn.execute("BEGIN")
+        conn.execute("INSERT INTO A VALUES (1)")
+        conn.execute("INSERT INTO B VALUES (1)")
+        return db, conn
+
+    def test_a_refused_commit_publishes_nothing_and_ends_the_transaction(
+        self, shards
+    ):
+        db, conn = self.two_aots(shards)
+        db.connect().execute("DROP TABLE B")
+        with pytest.raises(UnknownObjectError):
+            conn.execute("COMMIT")
+        assert not conn.in_transaction
+        with pytest.raises(TransactionStateError):
+            conn.execute("COMMIT")
+        assert conn.execute("SELECT COUNT(*) FROM A").scalar() == 0
+
+    def test_no_reader_sees_one_table_of_a_commit_without_the_other(
+        self, shards
+    ):
+        db, conn = self.two_aots(shards)
+        reader = db.connect()
+        journal = db.accelerator.write_listener
+        seen = []
+
+        def read_both(table, lineage):
+            journal(table, lineage)
+            seen.append(
+                (
+                    db.accelerator.current_epoch,
+                    reader.execute("SELECT COUNT(*) FROM A").scalar(),
+                    reader.execute("SELECT COUNT(*) FROM B").scalar(),
+                )
+            )
+
+        db.accelerator.write_listener = read_both
+        conn.execute("COMMIT")
+        assert [counts for __, *counts in seen] == [[1, 1], [1, 1]]
+        assert len({epoch for epoch, *__ in seen}) == 1

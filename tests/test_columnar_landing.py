@@ -26,7 +26,7 @@ from repro import AcceleratedDatabase, IdaaLoader
 from repro.catalog import Column, TableSchema
 from repro.catalog.schema import columns_from_rows, pack_rows
 from repro.errors import InjectedCrashError, ReproError, TypeError_
-from repro.federation.system import STATEMENT_OVERHEAD_BYTES
+from repro.federation.network import STATEMENT_OVERHEAD_BYTES
 from repro.loader.sources import IterableSource
 from repro.shard.placement import PartitionSpec
 from repro.sql.expressions import VColumn

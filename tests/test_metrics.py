@@ -112,7 +112,7 @@ class TestByteEstimation:
 
 class TestSystemMovement:
     def _system(self):
-        from repro.federation.system import AcceleratedDatabase
+        from repro.federation.database import AcceleratedDatabase
 
         db = AcceleratedDatabase()
         conn = db.connect()

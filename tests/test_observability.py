@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProcedureError, SqlError
-from repro.federation.system import AcceleratedDatabase
+from repro.federation.database import AcceleratedDatabase
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.export import (
     collect_metrics,

@@ -486,12 +486,12 @@ class TestSystemIntegration:
 
     def test_no_statistics_keeps_query_on_db2(self, monkeypatch):
         db, conn = star_db()
-        from repro.federation import system as system_module
+        from repro.federation import database as database_module
 
         # No cardinality for any referenced table: there is no cost
         # advice, so ENABLE keeps even an aggregate on DB2.
         monkeypatch.setattr(
-            system_module.AcceleratedDatabase,
+            database_module.AcceleratedDatabase,
             "_live_row_count",
             lambda self, name: None,
         )

@@ -16,7 +16,7 @@ from repro.catalog import Catalog, Column, TableLocation, TableSchema
 from repro.catalog.schema import columns_from_rows
 from repro.federation import accelerator_shards
 from repro.federation.router import scan_statement
-from repro.federation.system import AcceleratedDatabase
+from repro.federation.database import AcceleratedDatabase
 from repro.sql import parse_statement
 from repro.sql.types import BIGINT, DOUBLE, INTEGER, VarcharType
 from repro.shard.placement import PartitionSpec, _hash_key

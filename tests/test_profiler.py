@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import ProcedureError, SqlError
-from repro.federation.system import AcceleratedDatabase
+from repro.federation.database import AcceleratedDatabase
 from repro.obs.export import (
     export_json,
     profile_to_dict,

@@ -23,6 +23,7 @@ from repro.catalog.schema import pack_rows
 from repro.db2 import Db2Engine
 from repro.errors import ReproError
 from repro.federation import accelerator_shards
+from repro.federation.commands import _schema_from_columns
 from repro.sql import ast, parse_statement
 from repro.sql.types import BIGINT, DATE, DOUBLE, INTEGER, VarcharType
 
@@ -531,7 +532,7 @@ def test_selects_land_what_db2_computes(sql):
             return rows if ordered else sorted(rows, key=repr)
 
         if is_set_op:  # CREATE TABLE AS takes no set operation
-            schema = conn._schema_from_columns(
+            schema = _schema_from_columns(
                 source.columns, pack_rows(source.rows, len(source.columns))
             )
         else:

@@ -12,6 +12,8 @@ table, CTAS, EXPLAIN target):
     session.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import AcceleratedDatabase
@@ -351,3 +353,133 @@ def test_failed_statement_leaves_no_per_statement_state_behind():
     conn.execute("COMMIT")
     other = db.connect()
     assert other.execute("SELECT COUNT(*) FROM STAGE WHERE ID = 9001").scalar() == 1
+
+
+# -- (d) the stages run in one order, and every planning call is visible ------------
+
+#: Statement → the tracer's span names for it, in start order, with the
+#: WLM on so that the admit stage shows: parse (resolve), route, admit,
+#: execute, then the landing's link send and the commit.
+STAGE_ORDER = {
+    "SELECT V FROM T WHERE ID = 1": [
+        "statement", "parse", "route", "wlm.admit", "db2.execute", "commit",
+    ],
+    "SELECT COUNT(*) FROM A": [
+        "statement", "parse", "route", "wlm.admit", "accelerator.execute",
+        "interconnect.send", "interconnect.send", "commit",
+    ],
+    "INSERT INTO T VALUES (900, 4.0)": [
+        "statement", "parse", "wlm.admit", "commit", "replication.drain",
+        "interconnect.send",
+    ],
+    "INSERT INTO A VALUES (5, 5.0)": [
+        "statement", "parse", "wlm.admit", "interconnect.send", "commit",
+    ],
+    "INSERT INTO A SELECT ID, V FROM T WHERE ID < 3": [
+        "statement", "parse", "route", "wlm.admit", "accelerator.execute",
+        "interconnect.send", "commit",
+    ],
+    "UPDATE T SET V = 9.0 WHERE ID = 1": [
+        "statement", "parse", "wlm.admit", "commit", "replication.drain",
+        "interconnect.send",
+    ],
+    "UPDATE A SET V = 9.0 WHERE ID = 1": [
+        "statement", "parse", "wlm.admit", "interconnect.send", "commit",
+    ],
+    "DELETE FROM T WHERE ID = 900": [
+        "statement", "parse", "wlm.admit", "commit", "replication.drain",
+        "interconnect.send",
+    ],
+    "DELETE FROM A WHERE ID = 5": [
+        "statement", "parse", "wlm.admit", "interconnect.send", "commit",
+    ],
+    "CALL INZA.SUMMARY('intable=T, outtable=T_SUM')": [
+        "statement", "parse", "proc.call", "interconnect.send", "commit",
+    ],
+    "EXPLAIN ANALYZE SELECT COUNT(*) FROM A": [
+        "statement", "parse", "route", "wlm.admit", "accelerator.execute",
+        "interconnect.send", "interconnect.send", "commit",
+    ],
+}
+
+
+def small_system(**options):
+    db = AcceleratedDatabase(slice_count=2, chunk_rows=64, **options)
+    conn = db.connect()
+    conn.execute("CREATE TABLE T (ID INTEGER NOT NULL PRIMARY KEY, V DOUBLE)")
+    conn.execute(
+        "INSERT INTO T VALUES " + ", ".join(f"({i}, {i}.5)" for i in range(200))
+    )
+    conn.execute("CREATE TABLE A (ID INTEGER, V DOUBLE) IN ACCELERATOR")
+    conn.execute("INSERT INTO A VALUES (1, 1.0), (2, 2.0)")
+    db.add_table_to_accelerator("T")
+    return db, conn
+
+
+def test_every_statement_kind_runs_its_stages_in_one_order():
+    db, conn = small_system(wlm_enabled=True)
+    for sql, spans in STAGE_ORDER.items():
+        conn.execute(sql)
+        assert db.tracer.last().span_names() == spans, sql
+
+
+def _counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_planning_functions_and_commit_are_called_where_a_wrapper_sees_them(
+    monkeypatch,
+):
+    """The standing benchmark's layer recorder replaces the three planning
+    functions in ``repro.federation.system`` and the session's ``commit``
+    on the instance: each call must go through those names."""
+    import repro.federation.system as pipeline
+
+    counts = Counter()
+    for name in ("parse_statement", "plan_statement", "estimate_plan"):
+        monkeypatch.setattr(
+            pipeline, name, _counting(counts, name, getattr(pipeline, name))
+        )
+    db, conn = small_system()
+    conn.commit = _counting(counts, "commit", conn.commit)
+
+    def calls(sql):
+        counts.clear()
+        conn.execute(sql)
+        return dict(counts)
+
+    # A cache miss parses, plans and estimates once; the same shape with
+    # a new literal only estimates.
+    assert calls("SELECT V FROM T WHERE ID = 1") == {
+        "parse_statement": 1, "plan_statement": 1, "estimate_plan": 1, "commit": 1,
+    }
+    assert calls("SELECT V FROM T WHERE ID = 2") == {"estimate_plan": 1, "commit": 1}
+    # Every autocommit statement commits once through the instance.
+    for sql in (
+        "INSERT INTO T VALUES (900, 1.0)",
+        "UPDATE A SET V = 2.0 WHERE ID = 1",
+        "DELETE FROM T WHERE ID = 900",
+        "CALL INZA.SUMMARY('intable=T, outtable=T_SUM')",
+    ):
+        assert calls(sql).get("commit") == 1, sql
+    # Inside a transaction only COMMIT commits.
+    assert calls("BEGIN").get("commit") is None
+    assert calls("INSERT INTO A VALUES (7, 7.0)").get("commit") is None
+    assert calls("COMMIT").get("commit") == 1
+
+
+def test_predict_models_are_authorized_block_by_block():
+    """A query's PREDICT nodes are checked one query block after another:
+    the outer block's own expressions first, then the blocks nested in
+    them, then those in its FROM clause."""
+    db, conn = small_system()
+    sql = (
+        "SELECT (SELECT MAX(PREDICT(INNER_M, V)) FROM T), PREDICT(OUTER_M, V) "
+        "FROM (SELECT V FROM T WHERE PREDICT(FROM_M, V) = 0) AS S"
+    )
+    with pytest.raises(ReproError, match="OUTER_M"):
+        conn.execute(sql)

@@ -526,7 +526,7 @@ class TestWlmSql:
     """End-to-end: service-class registers, procedures, MON_WLM."""
 
     def _system(self, **kwargs):
-        from repro.federation.system import AcceleratedDatabase
+        from repro.federation.database import AcceleratedDatabase
 
         kwargs.setdefault("wlm_enabled", True)
         db = AcceleratedDatabase(**kwargs)
